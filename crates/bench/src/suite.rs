@@ -29,15 +29,19 @@
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
+//! | `ops/digest`          | bulk integrity digest, bytes/sec           |
+//! | `ops/digest-fnv`      | byte-serial FNV-1a on the same buffer      |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
 //! O(changes) size advantage over O(state) snapshots in the trajectory.
 //!
-//! The three `ops/*` entries are single-thread microbenchmarks of the
-//! hot-path rewrite (packed LRU, batched grant dispatch): their `runs`
-//! count individual operations (engine events / cache accesses), so
-//! `runs_per_sec_threads1` reads directly as ops/sec. Release builds are
+//! The `ops/*` entries are single-thread microbenchmarks of the hot
+//! paths: their `runs` count individual operations (engine events, cache
+//! accesses, digested bytes), so `runs_per_sec_threads1` reads directly as
+//! ops/sec — bytes/sec for the two digest entries. `ops/digest-fnv` is
+//! unpinned: it records the byte-serial FNV-1a rate beside `ops/digest`,
+//! the digest that replaced it on the bulk byte paths. Release builds are
 //! pinned against the floors in [`OPS_FLOORS`] by
 //! `bench/tests/ops_regression.rs` and by the `parapage bench` exit gate.
 
@@ -852,6 +856,42 @@ fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
+/// Size of the buffer the `ops/digest*` entries hash repeatedly.
+const OPS_DIGEST_BUF: usize = 64 << 10;
+
+/// Times `digest` over one 64 KiB buffer, a fresh seed per pass so no
+/// pass can be hoisted; `runs` counts bytes hashed.
+fn ops_digest_with(quick: bool, seed: u64, digest: fn(u64, &[u8]) -> u64) -> EntryOut {
+    let passes = if quick { 512 } else { 2048 };
+    let mut x = seed | 1;
+    let buf: Vec<u8> = (0..OPS_DIGEST_BUF)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect();
+    let mut acc = 0u64;
+    for pass in 0..passes {
+        acc ^= digest(pass, std::hint::black_box(&buf));
+    }
+    let mut d = Digest::new();
+    d.write(&format!("passes={passes} acc={acc:016x}"));
+    EntryOut::plain(passes as usize * OPS_DIGEST_BUF, d.finish())
+}
+
+/// Entry 14: the bulk integrity digest (`digest64_seeded`) every snapshot,
+/// WAL record and wire frame goes through.
+fn entry_ops_digest(quick: bool, seed: u64) -> EntryOut {
+    ops_digest_with(quick, seed, parapage::cache::digest64_seeded)
+}
+
+/// Entry 15: FNV-1a over the same buffer, for the record.
+fn entry_ops_digest_fnv(quick: bool, seed: u64) -> EntryOut {
+    ops_digest_with(quick, seed, parapage::cache::fnv1a64_seeded)
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -866,6 +906,8 @@ pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/engine-step", 50_000.0),
     ("ops/lru-access", 12_000_000.0),
     ("ops/sharded-access", 5_000_000.0),
+    // Bytes per second.
+    ("ops/digest", 1_800_000_000.0),
 ];
 
 impl SuiteReport {
@@ -943,12 +985,14 @@ fn measure_recipe(
     }
 }
 
-/// The three single-thread `ops/*` microbench entries, shared by the full
+/// The single-thread `ops/*` microbench entries, shared by the full
 /// recipe and [`run_ops_suite`].
 const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/engine-step", false, entry_ops_engine_step),
     ("ops/lru-access", false, entry_ops_lru_access),
     ("ops/sharded-access", false, entry_ops_sharded_access),
+    ("ops/digest", false, entry_ops_digest),
+    ("ops/digest-fnv", false, entry_ops_digest_fnv),
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the

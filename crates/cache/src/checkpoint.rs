@@ -6,11 +6,11 @@
 //! wire format. A framed blob is
 //!
 //! ```text
-//! MAGIC(4) | version u16 | payload … | fnv1a64(payload) u64
+//! MAGIC(4) | version u16 | payload … | digest64(payload) u64
 //! ```
 //!
 //! with every multi-byte integer little-endian. Decoding validates the
-//! magic, the version, and the FNV-1a integrity digest before handing a
+//! magic, the version, and the [`digest64`] integrity digest before handing a
 //! single payload byte to the caller, so a corrupted or truncated snapshot
 //! is rejected with a typed [`CodecError`] — never a panic.
 //!
@@ -39,7 +39,7 @@ pub enum CodecError {
     BadMagic,
     /// The blob's version tag is not [`SNAP_VERSION`].
     BadVersion(u16),
-    /// The FNV-1a digest over the payload does not match the trailer:
+    /// The integrity digest over the payload does not match the trailer:
     /// the blob was corrupted in storage or transit.
     DigestMismatch {
         /// Digest recomputed over the received payload.
@@ -76,18 +76,17 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit hash over `bytes` — the snapshot integrity digest.
+/// FNV-1a 64-bit hash over `bytes`. The bulk integrity paths use
+/// [`digest64`]; FNV stays where its values are pinned or drive behaviour
+/// (reply chains, shard routing, fault decisions, chain-seed constants).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 /// FNV-1a 64-bit hash continued from an arbitrary `seed` state.
 ///
-/// This is what chains WAL record digests: each record's digest seeds the
-/// next record's hash, and the first record is seeded by the digest of the
-/// base snapshot, so a record can only verify against the exact log prefix
-/// (and base) it was written after. Seeding with the standard offset basis
-/// reduces to plain [`fnv1a64`].
+/// Seeding with an intermediate result continues the stream, and seeding
+/// with the standard offset basis reduces to plain [`fnv1a64`].
 pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
@@ -95,6 +94,190 @@ pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Seed of the unseeded [`digest64`].
+pub const DIGEST_BASIS: u64 = 0x243f_6a88_85a3_08d3;
+
+/// Odd multipliers of the digest's word step (odd, so multiplying by them
+/// is a bijection of `u64`).
+const DIGEST_K1: u64 = 0x9e37_79b9_7f4a_7c15;
+const DIGEST_K2: u64 = 0xbf58_476d_1ce4_e5b9;
+
+/// Per-lane offsets of the seed, so the four lanes start apart.
+const DIGEST_LANES: [u64; 4] = [
+    0,
+    0x94d0_49bb_1331_11eb,
+    0x2545_f491_4f6c_dd1d,
+    0xd6e8_feb8_6659_fd93,
+];
+
+/// One word step of [`digest64_seeded`]: `x = (h ^ w) * K1; x ^= x >> 32;
+/// x * K2`. For a fixed `w` it is a bijection of `h` (and for a fixed `h`
+/// of `w`), so a changed word always changes the lane it lands in.
+#[inline(always)]
+fn absorb(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(DIGEST_K1);
+    (x ^ (x >> 32)).wrapping_mul(DIGEST_K2)
+}
+
+/// Absorbs one 32-byte stride: word `l` into lane `l`.
+#[inline(always)]
+fn absorb_stride(lanes: &mut [u64; 4], words: [u64; 4]) {
+    for (lane, w) in lanes.iter_mut().zip(words) {
+        *lane = absorb(*lane, w);
+    }
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().unwrap())
+}
+
+/// The bulk integrity digest: a word-at-a-time hash of `bytes` with the
+/// standard seed [`DIGEST_BASIS`]. See [`digest64_seeded`].
+pub fn digest64(bytes: &[u8]) -> u64 {
+    digest64_seeded(DIGEST_BASIS, bytes)
+}
+
+/// The bulk integrity digest of `bytes`, started from `seed`.
+///
+/// The bytes are read as little-endian 8-byte words; word `i` goes into
+/// lane `i % 4`, so the four lanes' multiply chains run side by side over
+/// each 32-byte stride. A final partial word is zero-padded into the next
+/// lane. The lanes are then folded with the same step, the total length
+/// is folded in, and a last xorshift spreads the high bits down. Every
+/// step is a bijection of the state it updates, so corrupting any single
+/// word (any run of flipped bits within 8 aligned bytes) always changes
+/// the digest; wider corruption goes unnoticed only through a 64-bit
+/// collision.
+///
+/// This is the digest of every bulk byte path — snapshot trailers, WAL
+/// records, wire frames and the workload fingerprint — where it runs over
+/// ten times faster than the byte-serial [`fnv1a64_seeded`] on buffers of
+/// a few KiB and up. Chained framings pass the previous digest as `seed`.
+/// Unlike FNV, seeding with an intermediate result does not continue a
+/// stream.
+pub fn digest64_seeded(seed: u64, bytes: &[u8]) -> u64 {
+    let (mut d, tail) = WordDigest::with_words(seed, bytes);
+    d.absorb_tail(tail);
+    d.finish()
+}
+
+/// Streaming form of [`digest64_seeded`] over 8-byte words, for callers
+/// whose bytes are a sequence of `u64`s they hold as integers (the
+/// workload fingerprint feeds its `PageId`s straight in). Writing words
+/// `w₀, w₁, …` and finishing equals [`digest64_seeded`] over their
+/// little-endian bytes.
+#[derive(Clone, Debug)]
+pub struct WordDigest {
+    lanes: [u64; 4],
+    /// Words of a stride not yet complete; they land in lanes
+    /// `0..npending` at [`WordDigest::finish`] if no stride completes.
+    pending: [u64; 4],
+    npending: usize,
+    /// Bytes absorbed so far.
+    len: u64,
+}
+
+impl WordDigest {
+    /// A digest started from `seed`.
+    pub fn new(seed: u64) -> Self {
+        WordDigest {
+            lanes: DIGEST_LANES.map(|off| seed ^ off),
+            pending: [0; 4],
+            npending: 0,
+            len: 0,
+        }
+    }
+
+    /// Absorbs every whole word of `bytes` into a fresh digest and returns
+    /// it with the leftover partial word (fewer than 8 bytes).
+    fn with_words(seed: u64, bytes: &[u8]) -> (Self, &[u8]) {
+        let mut d = WordDigest::new(seed);
+        let mut strides = bytes.chunks_exact(32);
+        d.absorb_strides(strides.by_ref().map(|s| {
+            [
+                le_word(&s[..8]),
+                le_word(&s[8..16]),
+                le_word(&s[16..24]),
+                le_word(&s[24..]),
+            ]
+        }));
+        let mut words = strides.remainder().chunks_exact(8);
+        for w in &mut words {
+            d.write_u64(le_word(w));
+        }
+        (d, words.remainder())
+    }
+
+    /// Absorbs whole strides straight into the lanes. Only valid between
+    /// strides (no pending words).
+    #[inline(always)]
+    fn absorb_strides(&mut self, strides: impl Iterator<Item = [u64; 4]>) {
+        debug_assert_eq!(self.npending, 0);
+        let mut lanes = self.lanes;
+        let mut n = 0u64;
+        for words in strides {
+            absorb_stride(&mut lanes, words);
+            n += 1;
+        }
+        self.lanes = lanes;
+        self.len += 32 * n;
+    }
+
+    /// Zero-pads the final partial word into the next lane. Nothing may be
+    /// written after it.
+    fn absorb_tail(&mut self, tail: &[u8]) {
+        if tail.is_empty() {
+            return;
+        }
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        self.pending[self.npending] = u64::from_le_bytes(word);
+        self.npending += 1;
+        self.len += tail.len() as u64;
+    }
+
+    /// Absorbs one word (its 8 little-endian bytes).
+    #[inline]
+    pub fn write_u64(&mut self, w: u64) {
+        self.pending[self.npending] = w;
+        self.npending += 1;
+        self.len += 8;
+        if self.npending == 4 {
+            absorb_stride(&mut self.lanes, self.pending);
+            self.npending = 0;
+        }
+    }
+
+    /// Absorbs each page's id as one word.
+    pub fn write_pages(&mut self, mut pages: &[PageId]) {
+        // Complete the pending stride first, one word at a time.
+        while self.npending != 0 {
+            let Some((p, rest)) = pages.split_first() else {
+                return;
+            };
+            self.write_u64(p.0);
+            pages = rest;
+        }
+        let mut strides = pages.chunks_exact(4);
+        self.absorb_strides(strides.by_ref().map(|s| [s[0].0, s[1].0, s[2].0, s[3].0]));
+        for p in strides.remainder() {
+            self.write_u64(p.0);
+        }
+    }
+
+    /// The digest of everything written.
+    pub fn finish(self) -> u64 {
+        let mut lanes = self.lanes;
+        for (lane, &w) in lanes.iter_mut().zip(&self.pending[..self.npending]) {
+            *lane = absorb(*lane, w);
+        }
+        let h = lanes[1..].iter().fold(lanes[0], |h, &lane| absorb(h, lane));
+        let h = absorb(h, self.len);
+        h ^ (h >> 32)
+    }
 }
 
 /// Leading magic of one framed WAL delta record (`b"ppwr"`).
@@ -110,9 +293,9 @@ pub const WAL_RECORD_HEADER: usize = 4 + 8 + 4;
 /// WAL_RECORD_MAGIC(4) | seq u64 | payload_len u32 | payload … | digest u64
 /// ```
 ///
-/// where `digest = fnv1a64_seeded(chain, seq ‖ payload_len ‖ payload)`.
-/// `chain` is the previous record's digest (or the base snapshot's
-/// [`fnv1a64`] for the first record), so the returned digest is the chain
+/// where `digest = digest64_seeded(chain, seq ‖ payload_len ‖ payload)`.
+/// `chain` is the previous record's digest (or the base snapshot's trailer
+/// digest for the first record), so the returned digest is the chain
 /// seed for the *next* record. A record therefore only verifies in the
 /// exact position it was appended at: against a different base, a reordered
 /// log, or a gap, the chain breaks and [`parse_wal_record`] reports a tear.
@@ -123,7 +306,7 @@ pub fn frame_wal_record(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) 
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
-    let digest = fnv1a64_seeded(chain, &out[4..]);
+    let digest = digest64_seeded(chain, &out[4..]);
     out.extend_from_slice(&digest.to_le_bytes());
     (out, digest)
 }
@@ -178,7 +361,7 @@ pub fn parse_wal_record(buf: &[u8], chain: u64) -> WalRecordStep<'_> {
     }
     let payload = &buf[WAL_RECORD_HEADER..WAL_RECORD_HEADER + len];
     let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
-    let computed = fnv1a64_seeded(chain, &buf[4..total - 8]);
+    let computed = digest64_seeded(chain, &buf[4..total - 8]);
     if computed != stored {
         return WalRecordStep::Torn(CodecError::DigestMismatch { computed, stored });
     }
@@ -213,14 +396,14 @@ impl SnapWriter {
     }
 
     /// Consumes the writer, yielding a framed blob: magic, version tag,
-    /// payload, FNV-1a trailer. The shape [`decode_framed`] accepts.
+    /// payload, [`digest64`] trailer. The shape [`decode_framed`] accepts.
     pub fn into_framed(self) -> Vec<u8> {
         let payload = self.buf;
         let mut out = Vec::with_capacity(payload.len() + 14);
         out.extend_from_slice(&SNAP_MAGIC);
         out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
         out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&digest64(&payload).to_le_bytes());
         out
     }
 
@@ -393,7 +576,7 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Validates a framed blob (magic, version, FNV-1a digest) and returns the
+/// Validates a framed blob (magic, version, [`digest64`] trailer) and returns the
 /// payload on success.
 pub fn decode_framed(blob: &[u8]) -> Result<&[u8], CodecError> {
     if blob.len() < 14 {
@@ -408,7 +591,7 @@ pub fn decode_framed(blob: &[u8]) -> Result<&[u8], CodecError> {
     }
     let payload = &blob[6..blob.len() - 8];
     let stored = u64::from_le_bytes(blob[blob.len() - 8..].try_into().unwrap());
-    let computed = fnv1a64(payload);
+    let computed = digest64(payload);
     if computed != stored {
         return Err(CodecError::DigestMismatch { computed, stored });
     }
@@ -547,6 +730,96 @@ mod tests {
         let mid = fnv1a64(b"foo");
         assert_eq!(fnv1a64_seeded(mid, b"bar"), fnv1a64(b"foobar"));
         assert_eq!(fnv1a64_seeded(0xcbf2_9ce4_8422_2325, b"a"), fnv1a64(b"a"));
+    }
+
+    #[test]
+    fn digest_known_answers_pin_the_format() {
+        let inc: Vec<u8> = (0u8..=255).collect();
+        assert_eq!(digest64(b""), 0x0d16_bfba_08bb_55e3);
+        assert_eq!(digest64(b"a"), 0x7235_19eb_df24_b067);
+        assert_eq!(digest64(b"foobar"), 0xab2f_97c8_681a_e393);
+        assert_eq!(digest64(b"parapage"), 0xa6a0_0639_060f_e243);
+        assert_eq!(digest64(&inc[..33]), 0xe806_4bbf_816a_5ae9);
+        assert_eq!(digest64(&inc), 0x3a80_11b6_d2b3_dcec);
+        assert_eq!(digest64_seeded(1, b"foobar"), 0x61b2_ba09_094b_8c21);
+        assert_eq!(digest64_seeded(0, b""), 0x155e_531e_35a2_500a);
+    }
+
+    /// First pair of zero-filled buffers of lengths `0..=96` that `digest`
+    /// maps to one value, if any. The range covers every word (8-byte) and
+    /// stride (32-byte) edge three times over.
+    fn zero_length_collision(digest: impl Fn(&[u8]) -> u64) -> Option<(usize, usize)> {
+        let zeros = [0u8; 96];
+        let mut seen = std::collections::HashMap::new();
+        for len in 0..=zeros.len() {
+            if let Some(prev) = seen.insert(digest(&zeros[..len]), len) {
+                return Some((prev, len));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn zero_filled_buffers_of_every_length_digest_distinctly() {
+        assert_eq!(zero_length_collision(digest64), None);
+    }
+
+    #[test]
+    fn sabotage_dropping_the_tail_word_fails_the_length_test() {
+        // The real digest minus its tail step: the partial word and its
+        // bytes never reach the state.
+        let without_tail = |bytes: &[u8]| WordDigest::with_words(DIGEST_BASIS, bytes).0.finish();
+        assert_eq!(zero_length_collision(without_tail), Some((0, 1)));
+    }
+
+    /// A deterministic non-trivial buffer of `len` bytes.
+    fn sample_bytes(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| {
+                (i as u64)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .rotate_left(23) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_up_to_256_bytes_is_detected() {
+        for len in 1..=256 {
+            let mut buf = sample_bytes(len);
+            let clean = digest64_seeded(len as u64, &buf);
+            for bit in 0..len * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(
+                    digest64_seeded(len as u64, &buf),
+                    clean,
+                    "flip of bit {bit} in a {len}-byte buffer went undetected"
+                );
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    #[test]
+    fn word_digest_equals_the_byte_digest_of_its_words() {
+        // Every split of a word stream between `write_u64` and
+        // `write_pages` lands each word in the lane the byte form uses.
+        let words: Vec<u64> = (0..23u64)
+            .map(|i| i.wrapping_mul(0x2545_f491_4f6c_dd1d))
+            .collect();
+        for n in 0..=words.len() {
+            let bytes: Vec<u8> = words[..n].iter().flat_map(|w| w.to_le_bytes()).collect();
+            let want = digest64_seeded(7, &bytes);
+            for split in 0..=n {
+                let mut d = WordDigest::new(7);
+                for &w in &words[..split] {
+                    d.write_u64(w);
+                }
+                let pages: Vec<PageId> = words[split..n].iter().map(|&w| PageId(w)).collect();
+                d.write_pages(&pages);
+                assert_eq!(d.finish(), want, "{n} words split at {split}");
+            }
+        }
     }
 
     #[test]

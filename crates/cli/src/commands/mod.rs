@@ -36,7 +36,7 @@ COMMANDS:
                  --p N --k N [--slack F] (exits non-zero on violation)
   bench        perf-trajectory benchmark gate: run the fixed suite of
                  engine/sweep hot paths under threads(1) and threads(N),
-                 check byte-identical results, and write BENCH_4.json:
+                 check byte-identical results, and write BENCH_5.json:
                  [--quick] [--threads N] [--seed N] [--out FILE]
                  (exits non-zero on a determinism violation, or on a
                  multi-core full run whose speedup misses the 1.5x gate)

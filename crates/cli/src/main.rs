@@ -4,7 +4,7 @@
 //! parapage run         --policy det-par --p 8 --k 128 --workload mixed [--gantt]
 //! parapage compare     --p 8 --k 128 --workload skewed
 //! parapage adversarial --p 32 --k 128 [--alpha 0.05]
-//! parapage bench       [--quick] [--threads N] [--out BENCH_4.json]
+//! parapage bench       [--quick] [--threads N] [--out BENCH_5.json]
 //! parapage faults      --policy det-par --p 8 --k 128 --workload mixed
 //! parapage green       --p 8 --k 64 --workload mixed [--seeds 8]
 //! parapage analyze     --trace FILE [--max-cap 256]

@@ -20,13 +20,11 @@
 //! policy (RNG-backed ones included) across every corruption kind. The
 //! `parapage chaos --wal` CLI subcommand drives it.
 
-use parapage_cache::{
-    fnv1a64, parse_wal_record, LruCache, PageId, WalRecordStep, WAL_RECORD_HEADER,
-};
+use parapage_cache::{parse_wal_record, LruCache, PageId, WalRecordStep, WAL_RECORD_HEADER};
 use parapage_core::ModelParams;
 use parapage_sched::{
-    CheckpointStore, CrashPlan, Engine, EngineOpts, FaultPlan, MemStore, Supervisor,
-    SupervisorOpts, TraceRecorder,
+    wal_chain_seed, CheckpointStore, CrashPlan, Engine, EngineOpts, FaultPlan, MemStore,
+    Supervisor, SupervisorOpts, TraceRecorder,
 };
 
 use crate::checkers;
@@ -90,7 +88,7 @@ impl std::fmt::Display for WalCorruption {
 /// Byte offset where the last complete record of `log` begins, given the
 /// base that seeds the digest chain. `None` when no record parses.
 fn last_record_start(base: &[u8], log: &[u8]) -> Option<usize> {
-    let mut chain = fnv1a64(base);
+    let mut chain = wal_chain_seed(base);
     let mut off = 0usize;
     let mut last = None;
     loop {

@@ -71,5 +71,6 @@ pub use supervisor::{
 };
 pub use trace::{DigestSink, NullSink, TraceEvent, TraceRecorder, TraceSink};
 pub use wal::{
-    recover, CheckpointStore, MemStore, WalCursor, WalDelta, WalRecovery, WalTruncation,
+    recover, wal_chain_seed, CheckpointStore, MemStore, WalCursor, WalDelta, WalRecovery,
+    WalTruncation,
 };

@@ -18,7 +18,7 @@
 //!
 //! [`EngineSnapshot::encode`] produces the workspace's standard framed blob
 //! (see `parapage_cache::checkpoint`): magic `b"ppsn"`, a version tag, the
-//! payload, and an FNV-1a64 integrity digest. A corrupted blob — bit flip,
+//! payload, and a `digest64` integrity digest. A corrupted blob — bit flip,
 //! truncation, wrong magic — is rejected by [`EngineSnapshot::decode`] with
 //! a typed [`SnapshotError`], never a panic. Encoding is canonical: equal
 //! snapshots encode to equal bytes (heaps are serialized sorted).
@@ -26,29 +26,27 @@
 use std::error::Error;
 use std::fmt;
 
-use parapage_cache::{decode_framed, CacheStats, CodecError, PageId, SnapReader, SnapWriter, Time};
+use parapage_cache::{
+    decode_framed, CacheStats, CodecError, PageId, SnapReader, SnapWriter, Time, WordDigest,
+    DIGEST_BASIS,
+};
 use parapage_core::Interval;
 
-/// FNV-1a64 fingerprint of a workload (all sequences, lengths included), so
-/// a snapshot can refuse to resume against a different workload.
+/// Fingerprint of a workload (all sequences, lengths included), so a
+/// snapshot can refuse to resume against a different workload.
+///
+/// It is [`parapage_cache::digest64`] over the little-endian byte string
+/// `seqs.len() ‖ (seq.len() ‖ seq…)…` of `u64` words — the same bytes the
+/// body of a wire `Batch` frame carries — with the words fed in directly
+/// rather than serialized first.
 pub fn workload_fingerprint(seqs: &[Vec<PageId>]) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = BASIS;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(seqs.len() as u64);
+    let mut d = WordDigest::new(DIGEST_BASIS);
+    d.write_u64(seqs.len() as u64);
     for seq in seqs {
-        eat(seq.len() as u64);
-        for &PageId(pg) in seq {
-            eat(pg);
-        }
+        d.write_u64(seq.len() as u64);
+        d.write_pages(seq);
     }
-    h
+    d.finish()
 }
 
 /// Why a snapshot could not be taken, encoded, decoded, or restored.

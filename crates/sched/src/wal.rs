@@ -16,10 +16,11 @@
 //! MAGIC b"ppwr" | seq u64 | payload_len u32 | payload … | digest u64
 //! ```
 //!
-//! `digest = fnv1a64_seeded(chain, seq ‖ len ‖ payload)` where `chain` is
-//! the previous record's digest, and the *first* record is seeded with the
-//! FNV-1a digest of the base snapshot's encoded bytes. The chain is what
-//! makes recovery torn-write tolerant **and** base-aware: a record only
+//! `digest = digest64_seeded(chain, seq ‖ len ‖ payload)` where `chain` is
+//! the previous record's digest, and the *first* record is seeded with
+//! [`wal_chain_seed`] of the base: the integrity digest already stored in
+//! the base blob's trailer, so the base is not hashed again. The chain is
+//! what makes recovery torn-write tolerant **and** base-aware: a record only
 //! verifies in the exact position it was appended at, after the exact base
 //! it was appended to. Pairing a stale base with a newer log, reordering
 //! records, or flipping one byte anywhere breaks the chain at that point.
@@ -49,8 +50,8 @@
 //! that epoch boundary (pinned by proptests in `parapage-conform`).
 
 use parapage_cache::{
-    fnv1a64, frame_wal_record, parse_wal_record, CacheStats, CodecError, SnapReader, SnapWriter,
-    Time, WalRecordStep,
+    frame_wal_record, parse_wal_record, CacheStats, CodecError, SnapReader, SnapWriter, Time,
+    WalRecordStep,
 };
 use parapage_core::Interval;
 
@@ -406,6 +407,15 @@ impl WalDelta {
     }
 }
 
+/// Chain seed of the first WAL record after `base`, an encoded full
+/// snapshot: the digest in the base blob's trailer. That digest covers the
+/// whole payload and decoding verifies it, so the chain stays bound to the
+/// exact base without hashing the base a second time. A blob too short to
+/// carry a trailer (never a decodable base) seeds 0.
+pub fn wal_chain_seed(base: &[u8]) -> u64 {
+    base.last_chunk::<8>().map_or(0, |t| u64::from_le_bytes(*t))
+}
+
 /// Append-side chain cursor: tracks the next sequence number and chain
 /// seed while records are written after a base snapshot.
 #[derive(Clone, Copy, Debug)]
@@ -418,11 +428,11 @@ pub struct WalCursor {
 
 impl WalCursor {
     /// The cursor immediately after installing `base` (the encoded full
-    /// snapshot): sequence 0, chain seeded by the base digest.
+    /// snapshot): sequence 0, chain seeded by [`wal_chain_seed`].
     pub fn at_base(base: &[u8]) -> Self {
         WalCursor {
             seq: 0,
-            chain: fnv1a64(base),
+            chain: wal_chain_seed(base),
         }
     }
 
@@ -481,7 +491,7 @@ pub struct WalRecovery {
 /// caller decides whether that means restart-from-scratch.
 pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
     let mut snapshot = EngineSnapshot::decode(base)?;
-    let mut chain = fnv1a64(base);
+    let mut chain = wal_chain_seed(base);
     let mut offset = 0usize;
     let mut next_seq = 0u64;
     let mut truncation = None;
@@ -750,7 +760,7 @@ mod tests {
         // Flip one byte inside record 1: record 1 *and* the chain-valid
         // record 2 behind it must both be discarded.
         let rec0_len = {
-            match parse_wal_record(&log, fnv1a64(&base_bytes)) {
+            match parse_wal_record(&log, wal_chain_seed(&base_bytes)) {
                 WalRecordStep::Record { consumed, .. } => consumed,
                 other => panic!("expected record, got {other:?}"),
             }
@@ -765,6 +775,14 @@ mod tests {
         let mut want = base.clone();
         deltas[0].apply(&mut want).unwrap();
         assert_eq!(rec.snapshot, want);
+    }
+
+    #[test]
+    fn chain_seed_is_the_verified_base_payload_digest() {
+        let bytes = base_snapshot().encode();
+        let payload = parapage_cache::decode_framed(&bytes).unwrap();
+        assert_eq!(wal_chain_seed(&bytes), parapage_cache::digest64(payload));
+        assert_eq!(WalCursor::at_base(&bytes).chain, wal_chain_seed(&bytes));
     }
 
     #[test]
@@ -790,7 +808,7 @@ mod tests {
     fn recovery_rejects_a_reordered_log() {
         let base = base_snapshot();
         let (base_bytes, log, _) = sample_log(&base);
-        let rec0_len = match parse_wal_record(&log, fnv1a64(&base_bytes)) {
+        let rec0_len = match parse_wal_record(&log, wal_chain_seed(&base_bytes)) {
             WalRecordStep::Record { consumed, .. } => consumed,
             other => panic!("expected record, got {other:?}"),
         };

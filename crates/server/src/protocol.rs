@@ -7,7 +7,7 @@
 //! WIRE_MAGIC(4) | seq u64 | payload_len u32 | payload … | digest u64
 //! ```
 //!
-//! where `digest = fnv1a64_seeded(chain, seq ‖ payload_len ‖ payload)` and
+//! where `digest = digest64_seeded(chain, seq ‖ payload_len ‖ payload)` and
 //! `chain` is the previous frame's digest in the *same direction* (seeded
 //! per direction from [`C2S_CHAIN_SEED`]/[`S2C_CHAIN_SEED`]). Sequence
 //! numbers start at 0 per direction and must be contiguous, so a dropped,
@@ -20,7 +20,7 @@
 //! (and [`MAX_FRAME`]) *before* any buffer is reserved, so a hostile
 //! length prefix cannot over-allocate.
 
-use parapage::cache::{fnv1a64, fnv1a64_seeded, CodecError, PageId, SnapReader, SnapWriter};
+use parapage::cache::{digest64_seeded, fnv1a64, CodecError, PageId, SnapReader, SnapWriter};
 
 /// Leading magic of one wire frame (`b"ppwf"` — parallel paging wire
 /// frame; distinct from the checkpoint log's `b"ppwr"`).
@@ -36,7 +36,13 @@ pub const WIRE_MAGIC: [u8; 4] = *b"ppwf";
 /// `Hello` still *decodes* — version negotiation happens above the codec —
 /// so an old client is turned away with a typed `BAD_VERSION` error, never
 /// a silent drop.
-pub const PROTO_VERSION: u16 = 2;
+///
+/// Version 3 changed the frame digest from byte-serial FNV-1a to the
+/// word-at-a-time `digest64_seeded`; frame layout and payloads are
+/// unchanged. A v2 peer's frames therefore fail verification before any
+/// payload is read: the server answers a v2 `Hello` with a typed
+/// `BAD_FRAME` error (a digest mismatch) and closes that connection.
+pub const PROTO_VERSION: u16 = 3;
 
 /// Bytes of a wire frame before the payload: magic, sequence, length.
 pub const WIRE_HEADER: usize = 4 + 8 + 4;
@@ -534,7 +540,7 @@ pub fn frame_wire(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) {
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
-    let digest = fnv1a64_seeded(chain, &out[4..]);
+    let digest = digest64_seeded(chain, &out[4..]);
     out.extend_from_slice(&digest.to_le_bytes());
     (out, digest)
 }
@@ -582,7 +588,7 @@ pub fn parse_wire(buf: &[u8], chain: u64, expect_seq: u64) -> Result<WireFrame<'
     }
     let payload = &buf[WIRE_HEADER..WIRE_HEADER + len];
     let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
-    let computed = fnv1a64_seeded(chain, &buf[4..total - 8]);
+    let computed = digest64_seeded(chain, &buf[4..total - 8]);
     if computed != stored {
         return Err(CodecError::DigestMismatch { computed, stored });
     }

@@ -1,17 +1,23 @@
 //! Protocol conformance: every frame type round-trips through the payload
 //! codec and the framed wire stream, and every malformed input — truncated,
 //! oversized, bit-flipped, reordered, or plain garbage — decodes to a typed
-//! error without panicking or over-allocating.
+//! error without panicking or over-allocating. A protocol-v2 peer (FNV-1a
+//! frame digests) is refused with a typed error that leaves other tenants
+//! untouched.
 
-use std::io::Cursor;
+use std::io::{Cursor, Write};
+use std::net::TcpStream;
 
 use proptest::prelude::*;
 
-use parapage::cache::{CodecError, PageId};
+use parapage::cache::{digest64, fnv1a64_seeded, CodecError, PageId};
+use parapage::sched::workload_fingerprint;
 use parapage_server::protocol::{
-    c2s_chain_seed, frame_wire, parse_wire, s2c_chain_seed, Frame, ServerStats, TenantConfig,
-    WireError, WireState, MAX_FRAME, WIRE_MAGIC,
+    c2s_chain_seed, error_code, frame_wire, parse_wire, s2c_chain_seed, Frame, ServerStats,
+    TenantConfig, WireError, WireState, MAX_FRAME, WIRE_MAGIC,
 };
+use parapage_server::server::{serve, ServeOpts};
+use parapage_server::Client;
 
 fn sample_config() -> TenantConfig {
     TenantConfig {
@@ -267,6 +273,107 @@ fn clean_eof_is_closed_but_mid_frame_eof_is_not() {
     ));
 }
 
+/// Frames `payload` the way protocol v2 did: the v3 layout with the
+/// byte-serial FNV-1a digest in the trailer.
+fn frame_wire_v2(seq: u64, chain: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = WIRE_MAGIC.to_vec();
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let digest = fnv1a64_seeded(chain, &out[4..]);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+#[test]
+fn a_v2_framed_frame_is_a_typed_digest_mismatch() {
+    let payload = Frame::Hello {
+        proto: 2,
+        config: sample_config(),
+    }
+    .encode_payload();
+    let v2 = frame_wire_v2(0, c2s_chain_seed(), &payload);
+    let (v3, _) = frame_wire(0, c2s_chain_seed(), &payload);
+    // Same layout and length; only the trailer differs.
+    assert_eq!(v2.len(), v3.len());
+    assert_eq!(v2[..v2.len() - 8], v3[..v3.len() - 8]);
+    assert!(matches!(
+        parse_wire(&v2, c2s_chain_seed(), 0),
+        Err(CodecError::DigestMismatch { .. })
+    ));
+}
+
+fn live_config(tenant: &str) -> TenantConfig {
+    TenantConfig {
+        tenant: tenant.into(),
+        ..sample_config()
+    }
+}
+
+fn live_batch(batch: u64) -> Frame {
+    Frame::Batch {
+        batch,
+        seqs: (0..4u64)
+            .map(|x| (0..200u64).map(|i| PageId((x * 31 + i * 7) % 90)).collect())
+            .collect(),
+    }
+}
+
+/// One tenant runs two batches on a live server; with `intruder`, a v2
+/// client sends its `Hello` in between. Returns the tenant's replies and
+/// the server's final tenant count.
+fn serve_beside_a_v2_client(intruder: bool) -> (Vec<Frame>, u64) {
+    let handle = serve("127.0.0.1:0", ServeOpts::default()).expect("bind");
+    let addr = handle.addr();
+    let mut beta = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        beta.hello(live_config("beta")).expect("hello"),
+        Frame::HelloAck { .. }
+    ));
+    let mut replies = vec![beta.call(&live_batch(0)).expect("batch 0")];
+    if intruder {
+        let hello = Frame::Hello {
+            proto: 2,
+            config: live_config("old-client"),
+        }
+        .encode_payload();
+        let mut raw = TcpStream::connect(addr).expect("connect v2");
+        raw.write_all(&frame_wire_v2(0, c2s_chain_seed(), &hello))
+            .expect("send v2 hello");
+        let mut rx = WireState::new(s2c_chain_seed());
+        match rx.read_frame(&mut raw) {
+            Ok(Frame::Error { code, message }) => {
+                assert_eq!(code, error_code::BAD_FRAME, "{message}");
+                assert!(message.contains("digest mismatch"), "{message}");
+            }
+            other => panic!("v2 hello: expected a typed error, got {other:?}"),
+        }
+        // The receive chain is broken, so the server closes the connection.
+        assert!(rx.read_frame(&mut raw).is_err());
+    }
+    replies.push(beta.call(&live_batch(1)).expect("batch 1"));
+    let tenants = match beta.call(&Frame::Stats).expect("stats") {
+        Frame::StatsReply { stats } => stats.tenants,
+        other => panic!("stats reply: {other:?}"),
+    };
+    assert_eq!(
+        beta.call(&Frame::Shutdown).expect("shutdown"),
+        Frame::ShutdownAck
+    );
+    handle.join();
+    (replies, tenants)
+}
+
+#[test]
+fn a_live_server_refuses_a_v2_hello_and_other_tenants_are_untouched() {
+    let clean = serve_beside_a_v2_client(false);
+    let intruded = serve_beside_a_v2_client(true);
+    assert!(clean.0.iter().all(|r| matches!(r, Frame::BatchDone { .. })));
+    // Byte-identical replies, and the v2 client was never admitted.
+    assert_eq!(intruded, clean);
+    assert_eq!(clean.1, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -324,6 +431,21 @@ proptest! {
         tx.write_frame(&mut buf, &frame).unwrap();
         let mut rx = WireState::new(s2c_chain_seed());
         prop_assert_eq!(rx.read_frame(&mut Cursor::new(buf)).unwrap(), frame);
+    }
+
+    /// The workload fingerprint is the bulk digest of exactly the bytes a
+    /// `Batch` frame carries after its tag and batch number.
+    #[test]
+    fn workload_fingerprint_is_the_digest_of_the_batch_body(
+        batch in any::<u64>(),
+        seqs in prop::collection::vec(
+            prop::collection::vec(any::<u64>().prop_map(PageId), 0..40),
+            0..6,
+        ),
+    ) {
+        let want = workload_fingerprint(&seqs);
+        let payload = Frame::Batch { batch, seqs }.encode_payload();
+        prop_assert_eq!(want, digest64(&payload[9..]));
     }
 
     /// Random Error frames (arbitrary code and UTF-8 message) round-trip.

@@ -32,6 +32,9 @@ cargo run -q -p parapage-cli --release -- chaos --quick --wal
 echo "==> ops regression floors (release microbench pins)"
 cargo test -q -p parapage-bench --release --test ops_regression
 
+echo "==> servebench tests (smoke-size workloads, replica digest checks)"
+cargo test -q --offline --manifest-path crates/bench/src/bin/servebench/Cargo.toml
+
 echo "==> parapage bench --quick (smoke + determinism + ops-floor gate)"
 cargo run -q -p parapage-cli --release -- bench --quick --out /tmp/parapage-bench-smoke.json
 
