@@ -12,27 +12,31 @@ use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
 fn run_with(w: &Workload, params: &ModelParams, name: &str) -> u64 {
-    let opts = EngineOpts::default();
-    let mut det = DetPar::new(params);
+    fn go<C: Cache>(w: &Workload, params: &ModelParams, cache: fn(usize) -> C) -> u64 {
+        let mut det = DetPar::new(params);
+        let plan = FaultPlan::none();
+        Engine::new(
+            &mut det,
+            w.seqs(),
+            params,
+            &EngineOpts::default(),
+            &plan,
+            cache,
+        )
+        .run(&mut det, &mut NullSink)
+        .unwrap()
+        .makespan
+    }
     match name {
-        "LRU" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| LruCache::new(0)).unwrap(),
-        "FIFO" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| FifoCache::new(0)).unwrap()
-        }
-        "Clock" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| ClockCache::new(0)).unwrap()
-        }
-        "LFU" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| LfuCache::new(0)).unwrap(),
-        "ARC" => run_engine_with(&mut det, w.seqs(), params, &opts, |_| ArcCache::new(0)).unwrap(),
-        "2Q" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| TwoQueueCache::new(0)).unwrap()
-        }
-        "LIRS" => {
-            run_engine_with(&mut det, w.seqs(), params, &opts, |_| LirsCache::new(0)).unwrap()
-        }
+        "LRU" => go(w, params, |_| LruCache::new(0)),
+        "FIFO" => go(w, params, |_| FifoCache::new(0)),
+        "Clock" => go(w, params, |_| ClockCache::new(0)),
+        "LFU" => go(w, params, |_| LfuCache::new(0)),
+        "ARC" => go(w, params, |_| ArcCache::new(0)),
+        "2Q" => go(w, params, |_| TwoQueueCache::new(0)),
+        "LIRS" => go(w, params, |_| LirsCache::new(0)),
         _ => unreachable!(),
     }
-    .makespan
 }
 
 fn main() {

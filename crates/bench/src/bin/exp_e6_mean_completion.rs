@@ -6,6 +6,7 @@
 //! completion time, since every processor individually needs at least its
 //! floor).
 
+use parapage::core::policy;
 use parapage::prelude::*;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
@@ -28,15 +29,13 @@ fn main() {
                 .sum::<f64>()
                 / p as f64;
 
-            let mut ratios = Vec::new();
-            let mut det = DetPar::new(&params);
-            ratios.push(recipes::run_policy(&mut det, &w, &params).mean_completion() / mean_floor);
-            let mut rnd = RandPar::new(&params, cli.seed);
-            ratios.push(recipes::run_policy(&mut rnd, &w, &params).mean_completion() / mean_floor);
-            let mut st = StaticPartition::new(&params);
-            ratios.push(recipes::run_policy(&mut st, &w, &params).mean_completion() / mean_floor);
-            let mut pm = PropMissPartition::new(&params);
-            ratios.push(recipes::run_policy(&mut pm, &w, &params).mean_completion() / mean_floor);
+            let mut ratios: Vec<f64> = ["det-par", "rand-par", "static", "prop-miss"]
+                .iter()
+                .map(|name| {
+                    let mut alloc = policy::build(name, &params, cli.seed, false).unwrap();
+                    recipes::run_policy(&mut *alloc, &w, &params).mean_completion() / mean_floor
+                })
+                .collect();
             ratios.push(run_shared_lru(w.seqs(), k, params.s).mean_completion() / mean_floor);
             (p, mean_floor, ratios)
         })

@@ -8,6 +8,7 @@
 //! construction), DET-PAR and RAND-PAR, and each ratio together with the
 //! theory curve `log p / log log p`.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 use parapage_bench::{emit, parse_cli};
 use rayon::prelude::*;
@@ -33,15 +34,17 @@ fn main() {
 
             let sched = lemma8_makespan(&inst);
 
-            let mut det = DetPar::new(&params);
-            let det_ms = run_engine(&mut det, seqs, &params, &opts).unwrap().makespan;
-            let mut rnd = RandPar::new(&params, cli.seed);
-            let rnd_ms = run_engine(&mut rnd, seqs, &params, &opts).unwrap().makespan;
-            let pagers: Vec<RandGreen> = (0..p as u64)
-                .map(|i| RandGreen::new(&params, cli.seed ^ i))
-                .collect();
-            let mut bb = BlackboxGreenPacker::new(&params, pagers);
-            let bb_ms = run_engine(&mut bb, seqs, &params, &opts).unwrap().makespan;
+            let makespan = |name| {
+                let mut alloc = policy::build(name, &params, cli.seed, false).unwrap();
+                run_engine(&mut *alloc, seqs, &params, &opts)
+                    .unwrap()
+                    .makespan
+            };
+            let (det_ms, rnd_ms, bb_ms) = (
+                makespan("det-par"),
+                makespan("rand-par"),
+                makespan("bb-green"),
+            );
 
             (
                 p,

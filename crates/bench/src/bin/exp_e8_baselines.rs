@@ -3,6 +3,7 @@
 //! adaptive proportional partition, and a globally shared LRU, across
 //! workload families.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
@@ -38,29 +39,27 @@ fn main() {
         let lb = opt_lower_bound(w.seqs(), k, s);
 
         let names = [
-            "DET-PAR",
-            "RAND-PAR",
-            "STATIC",
-            "PROP-MISS",
-            "UCP",
-            "SHARED-LRU",
+            "det-par",
+            "rand-par",
+            "static",
+            "prop-miss",
+            "ucp",
+            "shared-lru",
         ];
-        let results: Vec<RunResult> = (0..6usize)
-            .into_par_iter()
-            .map(|i| match i {
-                0 => recipes::run_policy(&mut DetPar::new(&params), &w, &params),
-                1 => recipes::run_policy(&mut RandPar::new(&params, cli.seed), &w, &params),
-                2 => recipes::run_policy(&mut StaticPartition::new(&params), &w, &params),
-                3 => recipes::run_policy(&mut PropMissPartition::new(&params), &w, &params),
-                4 => recipes::run_policy(&mut UcpPartition::new(&params), &w, &params),
-                _ => run_shared_lru(w.seqs(), k, s),
-            })
+        let results: Vec<RunResult> = names
+            .par_iter()
+            .map(
+                |&name| match policy::build(name, &params, cli.seed, false) {
+                    Some(mut alloc) => recipes::run_policy(&mut *alloc, &w, &params),
+                    None => run_shared_lru(w.seqs(), k, s),
+                },
+            )
             .collect();
 
         let mut table = Table::new(["policy", "makespan", "vs LB", "mean compl", "miss %"]);
         for (name, r) in names.iter().zip(&results) {
             table.row([
-                name.to_string(),
+                name.to_ascii_uppercase(),
                 r.makespan.to_string(),
                 format!("{:.2}", r.makespan as f64 / lb as f64),
                 format!("{:.0}", r.mean_completion()),

@@ -31,6 +31,10 @@
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
 //! | `ops/digest`          | bulk integrity digest, bytes/sec           |
 //! | `ops/digest-fnv`      | byte-serial FNV-1a on the same buffer      |
+//! | `ops/mattson-curve`   | single-pass LRU miss curve, requests/sec   |
+//! | `ops/belady-min`      | Belady MIN simulation, requests/sec        |
+//! | `ops/green-opt`       | offline green-OPT DP, naive and Fenwick    |
+//! | `ops/generators`      | workload generators, pages/sec             |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
@@ -41,12 +45,15 @@
 //! accesses, digested bytes), so `runs_per_sec_threads1` reads directly as
 //! ops/sec — bytes/sec for the two digest entries. `ops/digest-fnv` is
 //! unpinned: it records the byte-serial FNV-1a rate beside `ops/digest`,
-//! the digest that replaced it on the bulk byte paths. Release builds are
-//! pinned against the floors in [`OPS_FLOORS`] by
+//! the digest that replaced it on the bulk byte paths. The four analysis
+//! and generator entries after it are unpinned too: they record the
+//! throughput of the offline machinery the experiments lean on. Release
+//! builds are pinned against the floors in [`OPS_FLOORS`] by
 //! `bench/tests/ops_regression.rs` and by the `parapage bench` exit gate.
 
 use std::time::Instant;
 
+use parapage::core::policy;
 use parapage::prelude::*;
 use rayon::pool;
 
@@ -456,24 +463,10 @@ fn digest_run(d: &mut Digest, r: &RunResult) {
     ));
 }
 
-/// Runs one named box policy on the workload (suite-local dispatch).
+/// Runs one named box policy on the workload.
 fn run_policy(name: &str, w: &Workload, params: &ModelParams, seed: u64) -> RunResult {
-    let opts = EngineOpts::default();
-    let run = |a: &mut dyn BoxAllocator| run_engine(a, w.seqs(), params, &opts).expect("bench run");
-    match name {
-        "det-par" => run(&mut DetPar::new(params)),
-        "rand-par" => run(&mut RandPar::new(params, seed)),
-        "static" => run(&mut StaticPartition::new(params)),
-        "prop-miss" => run(&mut PropMissPartition::new(params)),
-        "ucp" => run(&mut UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            run(&mut BlackboxGreenPacker::new(params, pagers))
-        }
-        other => unreachable!("suite policy {other}"),
-    }
+    let mut alloc = policy::build(name, params, seed, false).expect("suite policy");
+    run_engine(&mut *alloc, w.seqs(), params, &EngineOpts::default()).expect("bench run")
 }
 
 /// The standard heterogeneous bench workload (mirrors the CLI's `mixed`).
@@ -516,7 +509,7 @@ fn entry_policy_grid(quick: bool, seed: u64) -> EntryOut {
     let seeds: u64 = if quick { 2 } else { 4 };
     let params = ModelParams::new(8, 128, 16);
     let w = bench_workload(8, 128, if quick { 1200 } else { 3000 }, seed);
-    let cells: Vec<(&str, u64)> = CONFORM_POLICIES
+    let cells: Vec<(&str, u64)> = policy::NAMES
         .iter()
         .flat_map(|&pol| (0..seeds).map(move |s| (pol, s)))
         .collect();
@@ -892,6 +885,101 @@ fn entry_ops_digest_fnv(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::fnv1a64_seeded)
 }
 
+/// A Zipf stream of `len` requests over `universe` pages, the input of
+/// the `ops/*` analysis entries.
+fn ops_zipf(universe: usize, theta: f64, len: usize, seed: u64) -> Vec<PageId> {
+    let mut b = SeqBuilder::new(ProcId(0), seed);
+    b.zipf(universe, theta, len);
+    b.build()
+}
+
+/// Order-sensitive fold of a page stream, so a generator entry's digest
+/// pins every page it produced.
+fn fold_pages(seq: &[PageId]) -> u64 {
+    seq.iter().fold(0u64, |h, p| {
+        h.rotate_left(5) ^ p.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    })
+}
+
+/// Entry 16: Mattson's single-pass LRU miss curve, the stack-distance
+/// analysis under the green-OPT DP and the lower-bound calculator.
+/// `runs` counts requests analysed.
+fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
+    let seq = ops_zipf(2048, 0.8, if quick { 20_000 } else { 100_000 }, seed);
+    let passes = if quick { 1 } else { 4 };
+    let mut d = Digest::new();
+    for _ in 0..passes {
+        let curve = miss_curve(std::hint::black_box(&seq), 512);
+        for c in [1, 2, 4, 16, 64, 128, 256, 512] {
+            d.write(&format!("c={c} misses={}", curve.misses(c)));
+        }
+    }
+    EntryOut::plain(passes * seq.len(), d.finish())
+}
+
+/// Entry 17: Belady's MIN, the per-processor term of the certified
+/// `T_OPT` lower bound, on a Zipf stream and on a cyclic stream that
+/// thrashes LRU. `runs` counts requests simulated.
+fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
+    let len = if quick { 20_000 } else { 100_000 };
+    let zipf = ops_zipf(2048, 0.8, len, seed);
+    let cyclic: Vec<PageId> = (0..len as u64).map(|i| PageId(i % 700)).collect();
+    let mut d = Digest::new();
+    for (name, seq) in [("zipf", &zipf), ("cyclic", &cyclic)] {
+        d.write(&format!("{name} misses={}", min_misses(seq, 256)));
+    }
+    EntryOut::plain(2 * len, d.finish())
+}
+
+/// Entry 18: the offline green-paging optimum (the `T_OPT` side of every
+/// RAND-GREEN ratio), by both the naive and the Fenwick-accelerated DP,
+/// which must agree. `runs` counts requests per DP times the two DPs.
+fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
+    let params = ModelParams::new(16, 128, 16);
+    let heights = params.box_heights();
+    let mut seq = crate::recipes::green_sequence(params.k, seed);
+    if quick {
+        seq.truncate(1_000);
+    }
+    let naive = green_opt(&seq, &heights, params.s).impact;
+    let fast = green_opt_fast(&seq, &heights, params.s).impact;
+    assert_eq!(naive, fast, "the Fenwick DP must match the naive DP");
+    let mut d = Digest::new();
+    d.write(&format!("impact={naive}"));
+    EntryOut::plain(2 * seq.len(), d.finish())
+}
+
+/// Entry 19: the workload generators — cyclic, Zipf and polluted-cycle
+/// streams plus one Theorem-4 adversarial instance. `runs` counts pages
+/// generated.
+fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
+    let len = if quick { 20_000 } else { 100_000 };
+    let stream = |fill: fn(&mut SeqBuilder, usize)| {
+        let mut b = SeqBuilder::new(ProcId(0), seed);
+        fill(&mut b, len);
+        b.build()
+    };
+    let mut seqs = vec![
+        stream(|b, n| {
+            b.cyclic(64, n);
+        }),
+        stream(|b, n| {
+            b.zipf(4096, 0.9, n);
+        }),
+        stream(|b, n| {
+            b.polluted_cycle(63, n, 16);
+        }),
+    ];
+    let p = if quick { 16 } else { 32 };
+    let adversarial = AdversarialInstance::build(AdversarialConfig::scaled(p, 128, 128, 0.05));
+    seqs.extend_from_slice(adversarial.workload.seqs());
+    let mut d = Digest::new();
+    for seq in &seqs {
+        d.write(&format!("len={} fold={:016x}", seq.len(), fold_pages(seq)));
+    }
+    EntryOut::plain(seqs.iter().map(Vec::len).sum(), d.finish())
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -993,6 +1081,10 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/sharded-access", false, entry_ops_sharded_access),
     ("ops/digest", false, entry_ops_digest),
     ("ops/digest-fnv", false, entry_ops_digest_fnv),
+    ("ops/mattson-curve", false, entry_ops_mattson),
+    ("ops/belady-min", false, entry_ops_belady),
+    ("ops/green-opt", false, entry_ops_green_opt),
+    ("ops/generators", false, entry_ops_generators),
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the

@@ -1,6 +1,7 @@
 //! `parapage adversarial`: build a Theorem-4 instance and race the online
 //! policies against the Lemma-8 OPT schedule.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 use crate::args::Args;
@@ -41,36 +42,17 @@ pub fn exec(args: &Args) -> Result<(), String> {
         sched.makespan().to_string(),
         "1.00".to_string(),
     ]);
-    let mut det = DetPar::new(&params);
-    let det_ms = run_engine(&mut det, seqs, &params, &opts)
-        .map_err(|e| e.to_string())?
-        .makespan;
-    t.row([
-        "DET-PAR".to_string(),
-        det_ms.to_string(),
-        format!("{:.3}", det_ms as f64 / sched.makespan() as f64),
-    ]);
-    let mut rnd = RandPar::new(&params, seed);
-    let rnd_ms = run_engine(&mut rnd, seqs, &params, &opts)
-        .map_err(|e| e.to_string())?
-        .makespan;
-    t.row([
-        "RAND-PAR".to_string(),
-        rnd_ms.to_string(),
-        format!("{:.3}", rnd_ms as f64 / sched.makespan() as f64),
-    ]);
-    let pagers: Vec<RandGreen> = (0..p as u64)
-        .map(|i| RandGreen::new(&params, seed ^ i))
-        .collect();
-    let mut bb = BlackboxGreenPacker::new(&params, pagers);
-    let bb_ms = run_engine(&mut bb, seqs, &params, &opts)
-        .map_err(|e| e.to_string())?
-        .makespan;
-    t.row([
-        "BB-GREEN".to_string(),
-        bb_ms.to_string(),
-        format!("{:.3}", bb_ms as f64 / sched.makespan() as f64),
-    ]);
+    for name in ["det-par", "rand-par", "bb-green"] {
+        let mut alloc = policy::build(name, &params, seed, false).expect("registry policy");
+        let ms = run_engine(&mut *alloc, seqs, &params, &opts)
+            .map_err(|e| e.to_string())?
+            .makespan;
+        t.row([
+            alloc.name().to_string(),
+            ms.to_string(),
+            format!("{:.3}", ms as f64 / sched.makespan() as f64),
+        ]);
+    }
     println!("{t}");
     println!(
         "OPT split: prefixes {} + suffixes {} (suffix-dominated, per Lemma 8)",

@@ -27,6 +27,7 @@
 //! Exits non-zero on any divergence, failed recovery, or accepted
 //! corruption.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 use parapage_server::netchaos::{net_chaos_matrix, NetChaosOpts};
 
@@ -178,7 +179,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         // 1. Resume-equivalence grid.
         let mut t = Table::new(["policy", "scenario", "ticks", "crashes", "verdict"]);
         let mut details: Vec<String> = Vec::new();
-        for &policy in CONFORM_POLICIES {
+        for &policy in policy::NAMES {
             for &scenario in FAULT_SCENARIOS {
                 if !keep(&format!("{policy}/{scenario}")) {
                     cells_skipped += 1;
@@ -237,7 +238,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
 
         // 2. Corrupted snapshots must be rejected, typed, for every policy.
         println!("\ncorruption rejection (bit flips + truncation, typed errors):");
-        for &policy in CONFORM_POLICIES {
+        for &policy in policy::NAMES {
             if !keep(policy) {
                 cells_skipped += 1;
                 continue;
@@ -268,7 +269,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     );
     let mut t = Table::new(["policy", "cell", "crash@", "records", "truncs", "verdict"]);
     let mut details: Vec<String> = Vec::new();
-    for &policy in CONFORM_POLICIES {
+    for &policy in policy::NAMES {
         for corruption in WalCorruption::ALL {
             let label = format!("{policy}/{corruption}");
             if !keep(&label) {

@@ -1,9 +1,10 @@
 //! `parapage compare`: every policy on the same workload.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 use crate::args::Args;
-use crate::common::{model_from, run_named_policy, workload_from, ALL_POLICIES};
+use crate::common::{model_from, run_named_policy, workload_from};
 
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
@@ -26,7 +27,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         "miss %",
         "peak mem",
     ]);
-    for &name in ALL_POLICIES {
+    for &name in policy::NAMES.iter().chain(&["shared-lru"]) {
         let res = run_named_policy(name, &w, &params, &opts, seed)?;
         t.row([
             name.to_string(),

@@ -1,6 +1,7 @@
 //! Shared helpers for the CLI subcommands: workload construction and policy
 //! dispatch by name.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 use crate::args::Args;
@@ -83,8 +84,8 @@ pub fn workload_from(args: &Args, params: &ModelParams) -> Result<Workload, Stri
     Ok(build_workload(&specs, seed))
 }
 
-/// Runs the named policy (`det-par`, `rand-par`, `static`, `prop-miss`,
-/// `ucp`, `bb-green`, `shared-lru`) on the workload.
+/// Runs the named policy (any of [`policy::NAMES`], or `shared-lru`) on
+/// the workload.
 pub fn run_named_policy(
     name: &str,
     w: &Workload,
@@ -116,49 +117,17 @@ pub fn run_named_policy_faults(
     plan: &FaultPlan,
     hardened: bool,
 ) -> Result<Result<RunResult, EngineError>, String> {
-    macro_rules! launch {
-        ($alloc:expr) => {{
-            let mut a = $alloc;
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                run_engine_faults(&mut h, w.seqs(), params, opts, plan)
-            } else {
-                run_engine_faults(&mut a, w.seqs(), params, opts, plan)
-            }
-        }};
+    if name == "shared-lru" {
+        return Err("`shared-lru` runs outside the box engine (no fault injection)".into());
     }
-    let res = match name {
-        "det-par" => launch!(DetPar::new(params)),
-        "rand-par" => launch!(RandPar::new(params, seed)),
-        "static" => launch!(StaticPartition::new(params)),
-        "prop-miss" => launch!(PropMissPartition::new(params)),
-        "ucp" => launch!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            launch!(BlackboxGreenPacker::new(params, pagers))
-        }
-        "shared-lru" => {
-            return Err("`shared-lru` runs outside the box engine (no fault injection)".into())
-        }
-        other => {
-            return Err(format!(
-                "unknown --policy `{other}` (det-par|rand-par|static|prop-miss|\
-                 ucp|bb-green|shared-lru)"
-            ))
-        }
-    };
-    Ok(res)
+    let mut alloc = policy::build(name, params, seed, hardened).ok_or_else(|| {
+        format!(
+            "unknown --policy `{name}` ({}|shared-lru)",
+            policy::NAMES.join("|")
+        )
+    })?;
+    Ok(Engine::new(&mut *alloc, w.seqs(), params, opts, plan, |_| {
+        LruCache::new(0)
+    })
+    .run(&mut *alloc, &mut NullSink))
 }
-
-/// All policy names, for `compare`.
-pub const ALL_POLICIES: &[&str] = &[
-    "det-par",
-    "rand-par",
-    "static",
-    "prop-miss",
-    "ucp",
-    "bb-green",
-    "shared-lru",
-];

@@ -66,12 +66,9 @@ pub use netfault::{net_cells, NetCell, NetFaultKind, NetFaultPlan};
 pub use oracle::{
     conform_matrix, conform_run, differential_sweep, memory_envelope, outcome_divergence,
     run_reference_named, run_traced, ConformReport, DiffReport, Divergence, TracedRun,
-    CONFORM_POLICIES,
 };
 pub use reference::run_reference;
-pub use resume::{
-    boxed_policy, check_corruption_rejection, check_resume, resume_matrix, ResumeCell,
-};
+pub use resume::{check_corruption_rejection, check_resume, resume_matrix, ResumeCell};
 pub use schedules::{
     check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
     run_schedule, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op, OpRecord, Scenario,
@@ -99,7 +96,7 @@ mod tests {
         let seqs = small_workload(4, 200, 8);
         let opts = EngineOpts::default();
         let plan = FaultPlan::none();
-        for policy in CONFORM_POLICIES {
+        for policy in parapage_core::policy::NAMES {
             let a = run_traced(policy, &seqs, &params, &opts, 3, &plan, false).unwrap();
             let b = run_reference_named(policy, &seqs, &params, &opts, 3, &plan, false).unwrap();
             assert!(

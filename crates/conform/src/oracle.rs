@@ -9,13 +9,10 @@
 //! hammers the two simulators with generated workloads across all policies
 //! and fault scenarios, hunting for any event-level divergence.
 
-use parapage_cache::PageId;
-use parapage_core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams,
-    PhaseRecord, PropMissPartition, RandGreen, RandPar, StaticPartition, UcpPartition,
-};
+use parapage_cache::{LruCache, PageId};
+use parapage_core::{policy, DetPar, FaultEvent, ModelParams, PhaseRecord};
 use parapage_sched::{
-    run_engine_traced, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
+    Engine, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 use rand::rngs::StdRng;
@@ -24,16 +21,6 @@ use rayon::prelude::*;
 
 use crate::checkers;
 use crate::reference::run_reference;
-
-/// The box policies the oracle audits (every engine-driven policy).
-pub const CONFORM_POLICIES: &[&str] = &[
-    "det-par",
-    "rand-par",
-    "static",
-    "prop-miss",
-    "ucp",
-    "bb-green",
-];
 
 /// One traced run: the outcome, the full event stream, and (for DET-PAR)
 /// the policy's phase log for the structure checkers.
@@ -80,60 +67,19 @@ fn engine_runner(
     hardened: bool,
     reference: bool,
 ) -> Result<TracedRun, String> {
+    let mut alloc = policy::build(name, params, seed, hardened)
+        .ok_or_else(|| format!("unknown policy `{name}`"))?;
     let mut rec = TraceRecorder::new();
-    let run = |alloc: &mut dyn BoxAllocator, rec: &mut TraceRecorder| {
-        if reference {
-            run_reference(alloc, seqs, params, opts, plan, rec)
-        } else {
-            run_engine_traced(alloc, seqs, params, opts, plan, rec)
-        }
-    };
-    macro_rules! launch {
-        ($alloc:expr) => {{
-            let a = $alloc;
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                run(&mut h, &mut rec)
-            } else {
-                let mut a = a;
-                run(&mut a, &mut rec)
-            }
-        }};
-    }
-    let mut phases = None;
-    let outcome = match name {
-        "det-par" => {
-            // DET-PAR is dispatched outside the macro so the phase log can
-            // be extracted after the run (through the wrapper if hardened).
-            let a = DetPar::new(params);
-            if hardened {
-                let mut h = HardenedAllocator::new(a, params.k);
-                let out = run(&mut h, &mut rec);
-                phases = Some(h.inner().phases().to_vec());
-                out
-            } else {
-                let mut a = a;
-                let out = run(&mut a, &mut rec);
-                phases = Some(a.phases().to_vec());
-                out
-            }
-        }
-        "rand-par" => launch!(RandPar::new(params, seed)),
-        "static" => launch!(StaticPartition::new(params)),
-        "prop-miss" => launch!(PropMissPartition::new(params)),
-        "ucp" => launch!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            launch!(BlackboxGreenPacker::new(params, pagers))
-        }
-        other => return Err(format!("unknown policy `{other}`")),
+    let outcome = if reference {
+        run_reference(&mut *alloc, seqs, params, opts, plan, &mut rec)
+    } else {
+        Engine::new(&mut *alloc, seqs, params, opts, plan, |_| LruCache::new(0))
+            .run(&mut *alloc, &mut rec)
     };
     Ok(TracedRun {
         outcome,
         events: rec.into_events(),
-        phases,
+        phases: alloc.phase_log().map(<[PhaseRecord]>::to_vec),
     })
 }
 
@@ -363,7 +309,7 @@ pub fn conform_run(
     })
 }
 
-/// Runs the full invariant matrix: every policy in [`CONFORM_POLICIES`]
+/// Runs the full invariant matrix: every policy in [`policy::NAMES`]
 /// under every named fault scenario, on the given workload.
 ///
 /// The (policy, scenario) cells are independent, so they run on the
@@ -376,7 +322,7 @@ pub fn conform_matrix(
     seed: u64,
     horizon: u64,
 ) -> Result<Vec<ConformReport>, String> {
-    let cells: Vec<(&str, &str)> = CONFORM_POLICIES
+    let cells: Vec<(&str, &str)> = policy::NAMES
         .iter()
         .flat_map(|&policy| {
             FAULT_SCENARIOS
@@ -502,8 +448,8 @@ fn differential_run(i: usize, seed: u64) -> Vec<Divergence> {
             .collect();
         let w = build_workload(&specs, seed ^ i as u64);
         let params = ModelParams::new(p, k, s);
-        let policy = CONFORM_POLICIES[i % CONFORM_POLICIES.len()];
-        let scenario = FAULT_SCENARIOS[(i / CONFORM_POLICIES.len()) % FAULT_SCENARIOS.len()];
+        let policy = policy::NAMES[i % policy::NAMES.len()];
+        let scenario = FAULT_SCENARIOS[(i / policy::NAMES.len()) % FAULT_SCENARIOS.len()];
         let horizon = (len_max as u64) * s * 4;
         let plan = FaultPlan::new(
             fault_scenario(scenario, p, k, horizon, seed ^ (i as u64) << 7)

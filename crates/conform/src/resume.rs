@@ -22,52 +22,40 @@
 //! non-zero on any divergence or failed recovery.
 
 use parapage_cache::{LruCache, PageId};
-use parapage_core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, FaultEvent, HardenedAllocator, ModelParams,
-    PropMissPartition, RandGreen, RandPar, StaticPartition, UcpPartition,
-};
+use parapage_core::{policy, FaultEvent, ModelParams};
 use parapage_sched::{
-    Engine, EngineOpts, EngineSnapshot, FaultPlan, SnapshotError, Supervisor, SupervisorOpts,
-    TraceRecorder,
+    CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, RunResult,
+    SnapshotError, Supervisor, SupervisorOpts, TraceRecorder,
 };
 use parapage_workloads::{fault_scenario, FAULT_SCENARIOS};
 
 use crate::checkers;
-use crate::oracle::CONFORM_POLICIES;
 
-/// Builds a fresh boxed policy by name, deterministically: two calls with
-/// equal arguments produce byte-identical policies (same seed, same
-/// configuration), which is exactly what the supervisor's retry path
-/// requires.
-pub fn boxed_policy(
-    name: &str,
+/// The uninterrupted run a recovery check diffs against, through the same
+/// steppable engine the supervisor drives: its result, its trace, and its
+/// length in engine ticks.
+pub(crate) fn baseline_run(
+    policy: &str,
+    seqs: &[Vec<PageId>],
     params: &ModelParams,
+    opts: &EngineOpts,
     seed: u64,
+    plan: &FaultPlan,
     hardened: bool,
-) -> Result<Box<dyn BoxAllocator>, String> {
-    macro_rules! wrap {
-        ($alloc:expr) => {{
-            if hardened {
-                Ok(Box::new(HardenedAllocator::new($alloc, params.k)) as Box<dyn BoxAllocator>)
-            } else {
-                Ok(Box::new($alloc) as Box<dyn BoxAllocator>)
-            }
-        }};
-    }
-    match name {
-        "det-par" => wrap!(DetPar::new(params)),
-        "rand-par" => wrap!(RandPar::new(params, seed)),
-        "static" => wrap!(StaticPartition::new(params)),
-        "prop-miss" => wrap!(PropMissPartition::new(params)),
-        "ucp" => wrap!(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            wrap!(BlackboxGreenPacker::new(params, pagers))
+) -> Result<(RunResult, TraceRecorder, u64), String> {
+    let mut alloc = policy::build(policy, params, seed, hardened)
+        .ok_or_else(|| format!("unknown policy `{policy}`"))?;
+    let mut engine = Engine::new(&mut *alloc, seqs, params, opts, plan, |_| LruCache::new(0));
+    let mut trace = TraceRecorder::new();
+    loop {
+        match engine.step(&mut *alloc, &mut trace) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(e) => return Err(format!("baseline run errored: {e}")),
         }
-        other => Err(format!("unknown policy `{other}`")),
     }
+    let ticks = engine.ticks();
+    Ok((engine.into_result(&*alloc), trace, ticks))
 }
 
 /// The verdict of one resume-equivalence cell.
@@ -125,20 +113,8 @@ pub fn check_resume(
         .iter()
         .any(|e| matches!(e, FaultEvent::MemoryPressure { .. }));
 
-    // Baseline: the uninterrupted run, through the same steppable engine
-    // the supervisor drives.
-    let mut alloc = boxed_policy(policy, params, seed, hardened)?;
-    let mut engine = Engine::new(&mut *alloc, seqs, params, opts, plan, |_| LruCache::new(0));
-    let mut baseline_trace = TraceRecorder::new();
-    loop {
-        match engine.step(&mut *alloc, &mut baseline_trace) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(format!("baseline run errored: {e}")),
-        }
-    }
-    let baseline_ticks = engine.ticks();
-    let baseline = engine.into_result(&*alloc);
+    let (baseline, baseline_trace, baseline_ticks) =
+        baseline_run(policy, seqs, params, opts, seed, plan, hardened)?;
 
     let crash_ticks: Vec<u64> = {
         let mut t: Vec<u64> = crash_ticks
@@ -153,18 +129,20 @@ pub fn check_resume(
 
     // Recovered: same inputs, crashes injected, supervisor in the loop.
     let mut recovered_trace = TraceRecorder::new();
-    let supervised = Supervisor::new(checker_sup_opts(crash_ticks.len())).run(
+    let supervised = Supervisor::new(checker_sup_opts(crash_ticks.len())).run_controlled(
         seqs,
         params,
         opts,
         plan,
-        &parapage_sched::CrashPlan::at_ticks(crash_ticks.clone()),
+        &CrashPlan::at_ticks(crash_ticks.clone()),
         || {
-            boxed_policy(policy, params, seed, hardened)
+            policy::build(policy, params, seed, hardened)
                 .expect("factory succeeded for the baseline")
         },
         |_| LruCache::new(0),
         &mut recovered_trace,
+        &mut MemStore::new(),
+        |_| EpochControl::Continue,
     );
 
     let mut violations = Vec::new();
@@ -204,7 +182,7 @@ pub fn check_resume(
     })
 }
 
-/// The chaos grid: every policy in [`CONFORM_POLICIES`] × every named
+/// The chaos grid: every policy in [`policy::NAMES`] × every named
 /// fault scenario × one crashpoint per entry of `crash_fracs` (a fraction
 /// in `(0, 1)` of the cell's baseline tick count; each cell injects all
 /// its crashpoints into a single supervised run).
@@ -216,7 +194,7 @@ pub fn resume_matrix(
     crash_fracs: &[f64],
 ) -> Result<Vec<ResumeCell>, String> {
     let mut cells = Vec::new();
-    for &policy in CONFORM_POLICIES {
+    for &policy in policy::NAMES {
         for &scenario in FAULT_SCENARIOS {
             let events = fault_scenario(scenario, params.p, params.k, horizon, seed)
                 .ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
@@ -264,7 +242,8 @@ pub fn check_corruption_rejection(
 ) -> Result<(), String> {
     let plan = FaultPlan::none();
     let opts = EngineOpts::default();
-    let mut alloc = boxed_policy(policy, params, seed, false)?;
+    let mut alloc = policy::build(policy, params, seed, false)
+        .ok_or_else(|| format!("unknown policy `{policy}`"))?;
     let mut engine = Engine::new(&mut *alloc, seqs, params, &opts, &plan, |_| {
         LruCache::new(0)
     });
@@ -403,7 +382,7 @@ mod tests {
     fn corruption_is_rejected_for_every_policy() {
         let params = ModelParams::new(2, 16, 6);
         let seqs = workload(2, 120, 16);
-        for &policy in CONFORM_POLICIES {
+        for &policy in policy::NAMES {
             check_corruption_rejection(policy, &seqs, &params, 5)
                 .unwrap_or_else(|e| panic!("{policy}: {e}"));
         }

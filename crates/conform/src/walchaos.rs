@@ -21,15 +21,14 @@
 //! `parapage chaos --wal` CLI subcommand drives it.
 
 use parapage_cache::{parse_wal_record, LruCache, PageId, WalRecordStep, WAL_RECORD_HEADER};
-use parapage_core::ModelParams;
+use parapage_core::{policy, ModelParams};
 use parapage_sched::{
-    wal_chain_seed, CheckpointStore, CrashPlan, Engine, EngineOpts, FaultPlan, MemStore,
-    Supervisor, SupervisorOpts, TraceRecorder,
+    wal_chain_seed, CheckpointStore, CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore,
+    NullSink, Supervisor, SupervisorOpts, TraceRecorder,
 };
 
 use crate::checkers;
-use crate::oracle::CONFORM_POLICIES;
-use crate::resume::boxed_policy;
+use crate::resume::baseline_run;
 
 /// The corruption a [`SabotagedStore`] inflicts on the recovery read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -286,21 +285,8 @@ pub fn check_wal_corruption(
     let opts = EngineOpts::default();
     let plan = FaultPlan::none();
 
-    // Baseline: the uninterrupted run.
-    let mut alloc = boxed_policy(policy, params, seed, false)?;
-    let mut engine = Engine::new(&mut *alloc, seqs, params, &opts, &plan, |_| {
-        LruCache::new(0)
-    });
-    let mut baseline_trace = TraceRecorder::new();
-    loop {
-        match engine.step(&mut *alloc, &mut baseline_trace) {
-            Ok(true) => {}
-            Ok(false) => break,
-            Err(e) => return Err(format!("baseline run errored: {e}")),
-        }
-    }
-    let baseline_ticks = engine.ticks();
-    let baseline = engine.into_result(&*alloc);
+    let (baseline, baseline_trace, baseline_ticks) =
+        baseline_run(policy, seqs, params, &opts, seed, &plan, false)?;
     if baseline_ticks < 24 {
         return Err(format!(
             "premise failed: baseline run too short ({baseline_ticks} ticks) to corrupt into"
@@ -311,30 +297,6 @@ pub fn check_wal_corruption(
     // workloads, so scale the epoch to the baseline: aim for a dozen or so
     // epoch boundaries before the run ends.
     let epoch_ticks = (baseline_ticks / 12).clamp(2, 8);
-
-    // Crash past the 60% mark, then align so the WAL actually has
-    // something to corrupt at that moment. With `full_snapshot_every: 2`
-    // the store cycles base / one record / two records over a period of
-    // three epoch boundaries, so the stale-base cell must land where the
-    // log is non-empty and a previous base exists (boundary count >= 5,
-    // not 1 mod 3); every other cell keeps one base forever and just needs
-    // the log non-empty (boundary count >= 2).
-    let mut boundaries = (baseline_ticks * 3 / 5) / epoch_ticks;
-    match corruption {
-        WalCorruption::StaleBase => {
-            while boundaries < 5 || boundaries % 3 == 1 {
-                boundaries += 1;
-            }
-        }
-        _ => boundaries = boundaries.max(2),
-    }
-    let crash_tick = boundaries * epoch_ticks + epoch_ticks / 2;
-    if crash_tick >= baseline_ticks {
-        return Err(format!(
-            "premise failed: aligned crash tick {crash_tick} falls past the \
-             {baseline_ticks}-tick baseline"
-        ));
-    }
 
     let sup_opts = SupervisorOpts {
         epoch_ticks,
@@ -349,18 +311,88 @@ pub fn check_wal_corruption(
         },
         ..SupervisorOpts::default()
     };
+    let factory =
+        || policy::build(policy, params, seed, false).expect("factory succeeded for the baseline");
+
+    // Crash past the 60% mark, then align so the WAL actually has
+    // something to corrupt at that moment. With `full_snapshot_every: 2`
+    // the store cycles base / one record / two records over a period of
+    // three epoch boundaries, so the stale-base cell must land where the
+    // log is non-empty and a previous base exists (boundary count >= 5,
+    // not 1 mod 3); every other cell keeps one base forever and just needs
+    // the log non-empty (boundary count >= 2).
+    let mut boundaries = (baseline_ticks * 3 / 5) / epoch_ticks;
+    let crash_tick = match corruption {
+        WalCorruption::StaleBase => {
+            let meets = |n: u64| n >= 5 && n % 3 != 1;
+            while !meets(boundaries) {
+                boundaries += 1;
+            }
+            // An epoch ends at the first step reaching `epoch_ticks` more
+            // events, and a step of a batching policy processes a whole
+            // timestamp batch, so epochs can overshoot and boundary `n`
+            // need not sit at `n * epoch_ticks`. Count the boundaries the
+            // supervisor really passes before the aligned tick on a
+            // crash-free dry run; when that count misses the premise, crash
+            // midway into the epoch after the next boundary that meets it.
+            let mut boundary_ticks = Vec::new();
+            Supervisor::new(sup_opts)
+                .run_controlled(
+                    seqs,
+                    params,
+                    &opts,
+                    &plan,
+                    &CrashPlan::none(),
+                    factory,
+                    |_| LruCache::new(0),
+                    &mut NullSink,
+                    &mut MemStore::new(),
+                    |status| {
+                        boundary_ticks.push(status.ticks);
+                        EpochControl::Continue
+                    },
+                )
+                .map_err(|e| format!("dry run failed: {e}"))?;
+            let aligned = boundaries * epoch_ticks + epoch_ticks / 2;
+            let mut passed = boundary_ticks.partition_point(|&t| t < aligned) as u64;
+            if meets(passed) {
+                aligned
+            } else {
+                while !meets(passed) {
+                    passed += 1;
+                }
+                let at = boundary_ticks.get(passed as usize - 1).ok_or_else(|| {
+                    format!(
+                        "premise failed: the run has {} epoch boundaries, the \
+                         stale-base crash needs {passed}",
+                        boundary_ticks.len()
+                    )
+                })?;
+                at + epoch_ticks / 2
+            }
+        }
+        _ => boundaries.max(2) * epoch_ticks + epoch_ticks / 2,
+    };
+    if crash_tick >= baseline_ticks {
+        return Err(format!(
+            "premise failed: aligned crash tick {crash_tick} falls past the \
+             {baseline_ticks}-tick baseline"
+        ));
+    }
+
     let mut store = SabotagedStore::new(corruption);
     let mut recovered_trace = TraceRecorder::new();
-    let supervised = Supervisor::new(sup_opts).run_with_store(
+    let supervised = Supervisor::new(sup_opts).run_controlled(
         seqs,
         params,
         &opts,
         &plan,
         &CrashPlan::at_ticks(vec![crash_tick]),
-        || boxed_policy(policy, params, seed, false).expect("factory succeeded for the baseline"),
+        factory,
         |_| LruCache::new(0),
         &mut recovered_trace,
         &mut store,
+        |_| EpochControl::Continue,
     );
 
     let mut violations = Vec::new();
@@ -421,7 +453,7 @@ pub fn check_wal_corruption(
 }
 
 /// The WAL corruption matrix: every policy in `policies` (all of
-/// [`CONFORM_POLICIES`] when empty) × every [`WalCorruption`] kind.
+/// [`policy::NAMES`] when empty) × every [`WalCorruption`] kind.
 pub fn wal_chaos_matrix(
     seqs: &[Vec<PageId>],
     params: &ModelParams,
@@ -429,7 +461,7 @@ pub fn wal_chaos_matrix(
     policies: &[&str],
 ) -> Result<Vec<WalCell>, String> {
     let policies: Vec<&str> = if policies.is_empty() {
-        CONFORM_POLICIES.to_vec()
+        policy::NAMES.to_vec()
     } else {
         policies.to_vec()
     };
@@ -495,5 +527,31 @@ mod tests {
                 cell.violations
             );
         }
+    }
+
+    /// The full-size `parapage chaos --wal` stale-base cell for DET-PAR
+    /// (p=8, k=64, s=10, 2000 requests per processor of the CLI's mixed
+    /// workload, seed 42). Batched grant dispatch makes its epochs
+    /// overshoot, so boundary `n` sits past `n * epoch_ticks`; the crash
+    /// must still land where a previous base and a non-empty log exist.
+    #[test]
+    fn batching_policy_stale_base_at_full_length() {
+        let (p, k, len) = (8, 64, 2000);
+        let specs: Vec<SeqSpec> = (0..p)
+            .map(|x| match x % 3 {
+                0 => SeqSpec::Cyclic { width: k / 8, len },
+                1 => SeqSpec::Cyclic { width: k / 2, len },
+                _ => SeqSpec::Zipf {
+                    universe: k / 2,
+                    theta: 0.9,
+                    len,
+                },
+            })
+            .collect();
+        let seqs = build_workload(&specs, 42).seqs().to_vec();
+        let params = ModelParams::new(p, k, 10);
+        let cell = check_wal_corruption("det-par", &seqs, &params, 42, WalCorruption::StaleBase)
+            .expect("stale-base cell");
+        assert!(cell.passed(), "violations {:?}", cell.violations);
     }
 }

@@ -6,9 +6,9 @@ use proptest::prelude::*;
 
 use parapage_conform::{
     check_box_geometry, check_memory, check_replay, check_run_consistency, check_stream_order,
-    memory_envelope, outcome_divergence, run_reference_named, run_traced, CONFORM_POLICIES,
+    memory_envelope, outcome_divergence, run_reference_named, run_traced,
 };
-use parapage_core::ModelParams;
+use parapage_core::{policy, ModelParams};
 use parapage_sched::{EngineOpts, FaultPlan};
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 
@@ -61,7 +61,7 @@ proptest! {
         let params = ModelParams::new(p, k, s);
         let shape = (combo % 4) as u32;
         let seqs = workload_for(p, k, len, shape, seed);
-        let policy = CONFORM_POLICIES[combo % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[combo % policy::NAMES.len()];
         let scenario = FAULT_SCENARIOS[(combo / 6) % FAULT_SCENARIOS.len()];
         let plan = FaultPlan::new(
             fault_scenario(scenario, p, k, (len as u64 + 4) * s * 4, seed).unwrap(),
@@ -91,7 +91,7 @@ proptest! {
         let k = 8 * p.next_power_of_two();
         let params = ModelParams::new(p, k, 8);
         let seqs = workload_for(p, k, len, 1, seed);
-        let policy = CONFORM_POLICIES[policy_idx % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[policy_idx % policy::NAMES.len()];
         let plan = FaultPlan::new(fault_scenario("chaos", p, k, 4000, seed).unwrap());
         let opts = EngineOpts::default();
         let a = run_traced(policy, &seqs, &params, &opts, seed, &plan, true).unwrap();
@@ -114,7 +114,7 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, shape, seed);
-        let policy = CONFORM_POLICIES[policy_idx % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[policy_idx % policy::NAMES.len()];
         let opts = EngineOpts::default();
         let run = run_traced(policy, &seqs, &params, &opts, seed, &FaultPlan::none(), false)
             .unwrap();

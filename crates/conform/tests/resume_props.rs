@@ -6,11 +6,11 @@
 use proptest::prelude::*;
 
 use parapage_cache::{LruCache, ShardedLru};
-use parapage_conform::{boxed_policy, check_replay, check_resume, CONFORM_POLICIES};
-use parapage_core::ModelParams;
+use parapage_conform::{check_replay, check_resume};
+use parapage_core::{policy, ModelParams};
 use parapage_sched::{
-    CrashPlan, Engine, EngineOpts, EngineSnapshot, FaultPlan, NullSink, Supervisor, SupervisorOpts,
-    TraceRecorder,
+    CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, NullSink,
+    Supervisor, SupervisorOpts, TraceRecorder,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 
@@ -61,7 +61,7 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, (combo % 4) as u32, seed);
-        let policy = CONFORM_POLICIES[combo % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[combo % policy::NAMES.len()];
         let scenario = FAULT_SCENARIOS[(combo / 6) % FAULT_SCENARIOS.len()];
         let plan = FaultPlan::new(
             fault_scenario(scenario, p, k, (len as u64 + 4) * 6 * 4, seed).unwrap(),
@@ -100,11 +100,11 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 2, seed);
-        let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
-        let timelines = sel >= CONFORM_POLICIES.len();
+        let policy = policy::NAMES[sel % policy::NAMES.len()];
+        let timelines = sel >= policy::NAMES.len();
         let plan = FaultPlan::new(fault_scenario("chaos", p, k, 4000, seed).unwrap());
         let opts = EngineOpts { record_timelines: timelines, ..EngineOpts::default() };
-        let mut alloc = boxed_policy(policy, &params, seed, true).unwrap();
+        let mut alloc = policy::build(policy, &params, seed, true).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
         let mut sink = NullSink;
@@ -137,10 +137,10 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 1, seed);
-        let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[sel % policy::NAMES.len()];
         let plan = FaultPlan::new(fault_scenario("chaos", p, k, 4000, seed).unwrap());
         let opts = EngineOpts::default();
-        let mut alloc = boxed_policy(policy, &params, seed, true).unwrap();
+        let mut alloc = policy::build(policy, &params, seed, true).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
         let mut sink = NullSink;
@@ -183,11 +183,11 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 3, seed);
-        let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[sel % policy::NAMES.len()];
         let plan = FaultPlan::none();
         let opts = EngineOpts::default();
 
-        let mut alloc = boxed_policy(policy, &params, seed, false).unwrap();
+        let mut alloc = policy::build(policy, &params, seed, false).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, |_| LruCache::new(0));
         let mut baseline_trace = TraceRecorder::new();
@@ -212,15 +212,17 @@ proptest! {
         };
         let mut recovered_trace = TraceRecorder::new();
         let report = Supervisor::new(sup_opts)
-            .run(
+            .run_controlled(
                 &seqs,
                 &params,
                 &opts,
                 &plan,
                 &CrashPlan::at_ticks(vec![crash]),
-                || boxed_policy(policy, &params, seed, false).unwrap(),
+                || policy::build(policy, &params, seed, false).unwrap(),
                 |_| LruCache::new(0),
                 &mut recovered_trace,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .map_err(|e| TestCaseError::fail(format!("{policy}: recovery failed: {e}")))?;
         prop_assert_eq!(&report.result, &baseline, "{} diverged", policy);
@@ -249,12 +251,12 @@ proptest! {
         let k = p.next_power_of_two() << kexp;
         let params = ModelParams::new(p, k, 6);
         let seqs = workload_for(p, k, len, 0, seed);
-        let policy = CONFORM_POLICIES[sel % CONFORM_POLICIES.len()];
+        let policy = policy::NAMES[sel % policy::NAMES.len()];
         let plan = FaultPlan::none();
         let opts = EngineOpts::default();
         let make_cache = |_| ShardedLru::with_shards(0, 4);
 
-        let mut alloc = boxed_policy(policy, &params, seed, false).unwrap();
+        let mut alloc = policy::build(policy, &params, seed, false).unwrap();
         let mut engine =
             Engine::new(&mut *alloc, &seqs, &params, &opts, &plan, make_cache);
         let mut baseline_trace = TraceRecorder::new();
@@ -279,15 +281,17 @@ proptest! {
         };
         let mut recovered_trace = TraceRecorder::new();
         let report = Supervisor::new(sup_opts)
-            .run(
+            .run_controlled(
                 &seqs,
                 &params,
                 &opts,
                 &plan,
                 &CrashPlan::at_ticks(vec![crash]),
-                || boxed_policy(policy, &params, seed, false).unwrap(),
+                || policy::build(policy, &params, seed, false).unwrap(),
                 make_cache,
                 &mut recovered_trace,
+                &mut MemStore::new(),
+                |_| EpochControl::Continue,
             )
             .map_err(|e| TestCaseError::fail(format!("{policy}: sharded recovery failed: {e}")))?;
         prop_assert_eq!(&report.result, &baseline, "{} diverged on sharded cache", policy);

@@ -12,6 +12,8 @@
 //! * **Parallel paging** ([`parallel`]) — RAND-PAR (Theorem 2), DET-PAR
 //!   (Theorem 3 / Corollary 3), static and adaptive baselines, and the
 //!   black-box green packer of §4 (the algorithm family Theorem 4 dooms).
+//! * **Policy registry** ([`policy`]) — the one name → constructor map
+//!   every front end builds box policies through.
 //! * **Well-roundedness** ([`wellrounded`]) — an executable audit of the
 //!   structural property behind Lemma 5/6.
 //!
@@ -27,6 +29,7 @@ pub mod config;
 pub mod distribution;
 pub mod green;
 pub mod parallel;
+pub mod policy;
 pub mod wellrounded;
 
 pub use boxes::{run_profile, BoxProfile, MemBox, ProfileRun};

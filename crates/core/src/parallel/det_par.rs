@@ -326,6 +326,10 @@ impl BoxAllocator for DetPar {
         true
     }
 
+    fn phase_log(&self) -> Option<&[PhaseRecord]> {
+        Some(&self.phases)
+    }
+
     fn name(&self) -> &'static str {
         "DET-PAR"
     }

@@ -36,6 +36,7 @@ use std::collections::BinaryHeap;
 
 use parapage_cache::{CodecError, PageId, ProcId, SnapReader, SnapWriter, Time, WindowOutcome};
 
+use crate::parallel::det_par::PhaseRecord;
 use crate::parallel::{BoxAllocator, FaultEvent, Grant};
 
 /// Wraps a policy so its grants never exceed a (shrinkable) memory budget.
@@ -212,6 +213,10 @@ impl<A: BoxAllocator> BoxAllocator for HardenedAllocator<A> {
         // The wrapper's own state (budget ledger) evolves only through
         // grant/on_fault, so batch-safety is exactly the inner policy's.
         self.inner.oblivious()
+    }
+
+    fn phase_log(&self) -> Option<&[PhaseRecord]> {
+        self.inner.phase_log()
     }
 
     fn name(&self) -> &'static str {

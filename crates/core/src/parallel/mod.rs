@@ -198,6 +198,13 @@ pub trait BoxAllocator {
         0
     }
 
+    /// The phase log of a phase-structured policy, for the conformance
+    /// oracle's structure checkers (default: `None`). [`det_par::DetPar`]
+    /// reports its phases; wrappers forward their inner policy's.
+    fn phase_log(&self) -> Option<&[det_par::PhaseRecord]> {
+        None
+    }
+
     /// Serializes the policy's full dynamic state into `w` so a run can be
     /// snapshotted and resumed byte-identically (see
     /// `parapage-sched`'s `EngineSnapshot`). Canonical encoding: equal

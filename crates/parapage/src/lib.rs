@@ -79,7 +79,6 @@ pub mod prelude {
         differential_sweep, explore, explore_all, net_cells, resume_matrix, scenarios,
         wal_chaos_matrix, ConcurrentCell, ConformReport, DiffReport, EnvelopeReport, ExploreMode,
         ExploreReport, NetCell, NetFaultKind, NetFaultPlan, ResumeCell, WalCell, WalCorruption,
-        CONFORM_POLICIES,
     };
     pub use parapage_core::{
         audit_greedy, check_well_rounded, green_opt, green_opt_fast, green_opt_fast_normalized,
@@ -89,11 +88,10 @@ pub mod prelude {
         RebootingGreen, SrptPartition, StaticPartition, UcpPartition, UniversalGreen,
     };
     pub use parapage_sched::{
-        capped_backoff, jittered_backoff, run_engine, run_engine_faults, run_engine_sharded,
-        run_engine_traced, run_engine_with, run_engine_with_faults, run_shared_lru, CrashPlan,
-        Engine, EngineError, EngineOpts, EngineSnapshot, FaultPlan, NullSink, RecoveryReport,
-        RunResult, SnapshotError, Supervisor, SupervisorError, SupervisorOpts, TraceEvent,
-        TraceRecorder, TraceSink, DEFAULT_MAX_TIME,
+        capped_backoff, jittered_backoff, run_engine, run_shared_lru, CrashPlan, Engine,
+        EngineError, EngineOpts, EngineSnapshot, FaultPlan, NullSink, RecoveryReport, RunResult,
+        SnapshotError, Supervisor, SupervisorError, SupervisorOpts, TraceEvent, TraceRecorder,
+        TraceSink, DEFAULT_MAX_TIME,
     };
     pub use parapage_workloads::{
         build_workload, fault_scenario, shared_hotset_workload, AdversarialConfig,

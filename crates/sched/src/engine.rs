@@ -34,8 +34,8 @@
 //! instance: every abnormal condition — a zero-duration grant, a memory
 //! limit violation, the time cap, event-time overflow — is returned as a
 //! typed [`EngineError`], so a single bad run can be observed and reported
-//! without killing a sweep. The [`run_engine_faults`] entry points
-//! additionally replay a deterministic [`FaultPlan`] (processor stalls,
+//! without killing a sweep. An [`Engine`] built with a non-empty plan
+//! additionally replays a deterministic [`FaultPlan`] (processor stalls,
 //! fetch-latency spikes, memory pressure) against the run; see
 //! [`crate::fault`] for the exact mechanics.
 
@@ -103,7 +103,8 @@ impl Default for EngineOpts {
 /// Runs `alloc` against the request sequences and measures the outcome.
 ///
 /// `seqs[x]` is processor `x`'s request sequence; `seqs.len()` must equal
-/// `params.p`.
+/// `params.p`. The run has no faults, LRU boxes and no trace; for anything
+/// else build an [`Engine`] and call [`Engine::run`].
 ///
 /// # Errors
 /// [`EngineError`] on a zero-duration grant, a memory-limit violation,
@@ -114,110 +115,8 @@ pub fn run_engine(
     params: &ModelParams,
     opts: &EngineOpts,
 ) -> Result<RunResult, EngineError> {
-    run_engine_with(alloc, seqs, params, opts, |_| LruCache::new(0))
-}
-
-/// Like [`run_engine`], but serving every processor's boxes through a
-/// concurrent sharded LRU ([`parapage_cache::ShardedLru`]) instead of the
-/// sequential [`LruCache`] — the engine integration for ROADMAP item 3's
-/// concurrent substrate. The engine drives each box single-threadedly, so
-/// the run is exactly as deterministic as the sequential one; with one
-/// shard the results are identical to [`run_engine`] (pinned by a test).
-pub fn run_engine_sharded(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    shards: usize,
-) -> Result<RunResult, EngineError> {
-    run_engine_with(alloc, seqs, params, opts, |_| {
-        parapage_cache::ShardedLru::with_shards(0, shards)
-    })
-}
-
-/// Like [`run_engine`], but additionally replaying a [`FaultPlan`].
-pub fn run_engine_faults(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults(alloc, seqs, params, opts, faults, |_| LruCache::new(0))
-}
-
-/// Like [`run_engine`], but with a caller-chosen replacement policy inside
-/// the boxes: `cache_factory(x)` builds processor `x`'s (initially empty,
-/// zero-capacity) cache. The paper fixes LRU WLOG; this entry point lets
-/// experiment E13 quantify how much that choice matters in practice.
-pub fn run_engine_with<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    cache_factory: impl FnMut(usize) -> C,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults(alloc, seqs, params, opts, &FaultPlan::none(), cache_factory)
-}
-
-/// The full engine: caller-chosen replacement policy *and* fault injection.
-pub fn run_engine_with_faults<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-    cache_factory: impl FnMut(usize) -> C,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults_traced(
-        alloc,
-        seqs,
-        params,
-        opts,
-        faults,
-        cache_factory,
-        &mut NullSink,
-    )
-}
-
-/// Like [`run_engine_faults`], but additionally emitting every engine step
-/// to `sink` as a [`TraceEvent`] stream (see [`crate::trace`]). This is the
-/// entry point of the conformance oracle.
-pub fn run_engine_traced(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-    sink: &mut impl TraceSink,
-) -> Result<RunResult, EngineError> {
-    run_engine_with_faults_traced(
-        alloc,
-        seqs,
-        params,
-        opts,
-        faults,
-        |_| LruCache::new(0),
-        sink,
-    )
-}
-
-/// The fully general engine: caller-chosen replacement policy, fault
-/// injection, *and* trace emission. All other entry points delegate here
-/// (and hence to the steppable [`Engine`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_with_faults_traced<C: Cache>(
-    alloc: &mut dyn BoxAllocator,
-    seqs: &[Vec<PageId>],
-    params: &ModelParams,
-    opts: &EngineOpts,
-    faults: &FaultPlan,
-    cache_factory: impl FnMut(usize) -> C,
-    sink: &mut impl TraceSink,
-) -> Result<RunResult, EngineError> {
-    let mut engine = Engine::new(alloc, seqs, params, opts, faults, cache_factory);
-    while engine.step(alloc, sink)? {}
-    Ok(engine.into_result(alloc))
+    let plan = FaultPlan::none();
+    Engine::new(alloc, seqs, params, opts, &plan, |_| LruCache::new(0)).run(alloc, &mut NullSink)
 }
 
 // Events: (time, kind, proc). Completion notifications (kind 0) sort
@@ -232,9 +131,9 @@ const EV_GRANT: u8 = 1;
 /// [`Engine::new`] seeds the event heap; each [`Engine::step`] processes
 /// exactly one event (a grant request or a completion notification) and
 /// returns `Ok(false)` once the run is complete, at which point
-/// [`Engine::into_result`] yields the measurements. The one-shot entry
-/// points ([`run_engine`] and friends) are thin wrappers around this loop
-/// and remain behaviourally identical.
+/// [`Engine::into_result`] yields the measurements. [`Engine::run`] is
+/// that loop in one call, and [`run_engine`] is `run` with the defaults
+/// (no faults, LRU boxes, no trace).
 ///
 /// The step granularity is what makes crash recovery possible: between any
 /// two steps the engine can be checkpointed with [`Engine::snapshot`] and a
@@ -699,6 +598,21 @@ impl<'a, C: Cache> Engine<'a, C> {
         Ok(())
     }
 
+    /// Steps the run to completion and finalizes it — the one-shot form
+    /// of the [`Engine::step`] loop, for every run that needs no
+    /// checkpoints between steps.
+    ///
+    /// # Errors
+    /// The same typed [`EngineError`]s as [`Engine::step`].
+    pub fn run(
+        mut self,
+        alloc: &mut dyn BoxAllocator,
+        sink: &mut impl TraceSink,
+    ) -> Result<RunResult, EngineError> {
+        while self.step(alloc, sink)? {}
+        Ok(self.into_result(alloc))
+    }
+
     /// Finalizes the run into a [`RunResult`]. Call only once
     /// [`Engine::step`] has returned `Ok(false)`.
     pub fn into_result(self, alloc: &dyn BoxAllocator) -> RunResult {
@@ -930,6 +844,7 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parapage_cache::ShardedLru;
     use parapage_core::{DetPar, Grant, RandPar, StaticPartition};
 
     fn cyclic_seqs(p: usize, len: usize, width: u64) -> Vec<Vec<PageId>> {
@@ -942,31 +857,39 @@ mod tests {
             .collect()
     }
 
+    /// DET-PAR on boxes served through a `shards`-way [`ShardedLru`].
+    fn run_sharded(params: &ModelParams, seqs: &[Vec<PageId>], shards: usize) -> RunResult {
+        let mut alloc = DetPar::new(params);
+        let plan = FaultPlan::none();
+        Engine::new(
+            &mut alloc,
+            seqs,
+            params,
+            &EngineOpts::default(),
+            &plan,
+            |_| ShardedLru::with_shards(0, shards),
+        )
+        .run(&mut alloc, &mut NullSink)
+        .unwrap()
+    }
+
     #[test]
     fn sharded_engine_with_one_shard_matches_sequential() {
         let params = ModelParams::new(4, 32, 10);
         let seqs = cyclic_seqs(4, 200, 8);
         let mut alloc = DetPar::new(&params);
         let seq_res = run_engine(&mut alloc, &seqs, &params, &EngineOpts::default()).unwrap();
-        let mut alloc = DetPar::new(&params);
-        let sharded_res =
-            run_engine_sharded(&mut alloc, &seqs, &params, &EngineOpts::default(), 1).unwrap();
-        assert_eq!(seq_res, sharded_res);
+        assert_eq!(seq_res, run_sharded(&params, &seqs, 1));
     }
 
     #[test]
     fn sharded_engine_with_many_shards_completes_all_requests() {
         let params = ModelParams::new(4, 32, 10);
         let seqs = cyclic_seqs(4, 150, 8);
-        let mut alloc = DetPar::new(&params);
-        let res =
-            run_engine_sharded(&mut alloc, &seqs, &params, &EngineOpts::default(), 4).unwrap();
+        let res = run_sharded(&params, &seqs, 4);
         assert_eq!(res.stats.accesses(), 600);
         // Deterministic: the same run reproduces bit-for-bit.
-        let mut alloc = DetPar::new(&params);
-        let res2 =
-            run_engine_sharded(&mut alloc, &seqs, &params, &EngineOpts::default(), 4).unwrap();
-        assert_eq!(res, res2);
+        assert_eq!(res, run_sharded(&params, &seqs, 4));
     }
 
     #[test]
@@ -1192,14 +1115,26 @@ mod generic_engine_tests {
         let params = ModelParams::new(4, 32, 10);
         let w = seqs(4, 200, 12);
         let mut a1 = StaticPartition::new(&params);
-        let fifo = run_engine_with(&mut a1, &w, &params, &EngineOpts::default(), |_| {
-            FifoCache::new(0)
-        })
+        let fifo = Engine::new(
+            &mut a1,
+            &w,
+            &params,
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            |_| FifoCache::new(0),
+        )
+        .run(&mut a1, &mut NullSink)
         .unwrap();
         let mut a2 = StaticPartition::new(&params);
-        let arc = run_engine_with(&mut a2, &w, &params, &EngineOpts::default(), |_| {
-            ArcCache::new(0)
-        })
+        let arc = Engine::new(
+            &mut a2,
+            &w,
+            &params,
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            |_| ArcCache::new(0),
+        )
+        .run(&mut a2, &mut NullSink)
         .unwrap();
         assert_eq!(fifo.stats.accesses(), 800);
         assert_eq!(arc.stats.accesses(), 800);
@@ -1281,14 +1216,15 @@ mod trace_tests {
         let plain = run_engine(&mut a1, &w, &params, &EngineOpts::default()).unwrap();
         let mut a2 = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        let traced = run_engine_traced(
+        let traced = Engine::new(
             &mut a2,
             &w,
             &params,
             &EngineOpts::default(),
             &FaultPlan::none(),
-            &mut rec,
+            |_| LruCache::new(0),
         )
+        .run(&mut a2, &mut rec)
         .unwrap();
         assert_eq!(plain.makespan, traced.makespan);
         assert_eq!(plain.stats, traced.stats);
@@ -1337,14 +1273,15 @@ mod trace_tests {
         }]);
         let mut alloc = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        run_engine_traced(
+        Engine::new(
             &mut alloc,
             &w,
             &params,
             &EngineOpts::default(),
             &plan,
-            &mut rec,
+            |_| LruCache::new(0),
         )
+        .run(&mut alloc, &mut rec)
         .unwrap();
         assert!(rec
             .events()
@@ -1368,14 +1305,15 @@ mod trace_tests {
         let w = seqs(1, 32, 8);
         let mut alloc = StaticPartition::new(&params);
         let mut rec = TraceRecorder::new();
-        let res = run_engine_traced(
+        let res = Engine::new(
             &mut alloc,
             &w,
             &params,
             &EngineOpts::default(),
             &FaultPlan::none(),
-            &mut rec,
+            |_| LruCache::new(0),
         )
+        .run(&mut alloc, &mut rec)
         .unwrap();
         let evictions: u64 = rec
             .events()
@@ -1407,6 +1345,19 @@ mod fault_injection_tests {
             .collect()
     }
 
+    /// A run on LRU boxes under `plan`, default options, no trace.
+    fn run_faulted(
+        alloc: &mut dyn BoxAllocator,
+        seqs: &[Vec<PageId>],
+        params: &ModelParams,
+        plan: &FaultPlan,
+    ) -> Result<RunResult, EngineError> {
+        Engine::new(alloc, seqs, params, &EngineOpts::default(), plan, |_| {
+            LruCache::new(0)
+        })
+        .run(alloc, &mut NullSink)
+    }
+
     #[test]
     fn clean_plan_matches_plain_run() {
         let params = ModelParams::new(4, 32, 10);
@@ -1414,14 +1365,7 @@ mod fault_injection_tests {
         let mut a1 = StaticPartition::new(&params);
         let plain = run_engine(&mut a1, &w, &params, &EngineOpts::default()).unwrap();
         let mut a2 = StaticPartition::new(&params);
-        let faulted = run_engine_faults(
-            &mut a2,
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &FaultPlan::none(),
-        )
-        .unwrap();
+        let faulted = run_faulted(&mut a2, &w, &params, &FaultPlan::none()).unwrap();
         assert_eq!(plain.makespan, faulted.makespan);
         assert_eq!(plain.stats, faulted.stats);
         assert_eq!(faulted.faults_injected, 0);
@@ -1443,7 +1387,7 @@ mod fault_injection_tests {
             until: window_end,
         }]);
         let mut a2 = StaticPartition::new(&params);
-        let res = run_engine_faults(&mut a2, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faulted(&mut a2, &w, &params, &plan).unwrap();
         assert!(res.completions[0] >= window_end);
         assert_eq!(res.completions[1], clean.completions[1]);
         assert_eq!(res.faults_injected, 1);
@@ -1464,7 +1408,7 @@ mod fault_injection_tests {
             factor: 5,
         }]);
         let mut a2 = StaticPartition::new(&params);
-        let res = run_engine_faults(&mut a2, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faulted(&mut a2, &w, &params, &plan).unwrap();
         assert!(res.makespan > clean.makespan);
         assert!(res.makespan >= 4 * 50 + 36);
         assert_eq!(res.stats, clean.stats);
@@ -1475,7 +1419,7 @@ mod fault_injection_tests {
             factor: 5,
         }]);
         let mut a3 = StaticPartition::new(&params);
-        let res2 = run_engine_faults(&mut a3, &w, &params, &EngineOpts::default(), &late).unwrap();
+        let res2 = run_faulted(&mut a3, &w, &params, &late).unwrap();
         assert_eq!(res2.makespan, clean.makespan);
         assert_eq!(res2.faults_injected, 0);
     }
@@ -1503,8 +1447,7 @@ mod fault_injection_tests {
             at: 100,
             new_limit: 4,
         }]);
-        let err =
-            run_engine_faults(&mut Greedy, &w, &params, &EngineOpts::default(), &plan).unwrap_err();
+        let err = run_faulted(&mut Greedy, &w, &params, &plan).unwrap_err();
         assert!(matches!(
             err,
             EngineError::MemoryLimitExceeded { limit: 4, .. }
@@ -1529,14 +1472,8 @@ mod fault_injection_tests {
             new_limit: 6,
         }]);
 
-        let raw_err = run_engine_faults(
-            &mut StaticPartition::new(&params),
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &plan,
-        )
-        .unwrap_err();
+        let raw_err =
+            run_faulted(&mut StaticPartition::new(&params), &w, &params, &plan).unwrap_err();
         assert_eq!(
             raw_err,
             EngineError::MemoryLimitExceeded {
@@ -1547,8 +1484,7 @@ mod fault_injection_tests {
         );
 
         let mut hardened = HardenedAllocator::new(StaticPartition::new(&params), params.k);
-        let res =
-            run_engine_faults(&mut hardened, &w, &params, &EngineOpts::default(), &plan).unwrap();
+        let res = run_faulted(&mut hardened, &w, &params, &plan).unwrap();
         assert_eq!(
             res.stats.accesses(),
             2 * 400,
@@ -1574,14 +1510,7 @@ mod fault_injection_tests {
             until: 100,
             factor: u64::MAX,
         }]);
-        let err = run_engine_faults(
-            &mut StaticPartition::new(&params),
-            &w,
-            &params,
-            &EngineOpts::default(),
-            &plan,
-        )
-        .unwrap_err();
+        let err = run_faulted(&mut StaticPartition::new(&params), &w, &params, &plan).unwrap_err();
         assert!(matches!(err, EngineError::TimeOverflow { .. }));
     }
 }

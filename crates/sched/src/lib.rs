@@ -30,7 +30,7 @@
 //!   full snapshots ([`WalDelta`] records, digest-chained framing, and the
 //!   torn-write-tolerant [`recover`] scan) drops per-epoch checkpoint cost
 //!   from O(state) to O(changes).
-//! * [`trace`] — the conformance trace stream: [`run_engine_traced`] emits
+//! * [`trace`] — the conformance trace stream: [`Engine::run`] emits
 //!   every grant, served window, fault delivery, and completion as a
 //!   [`TraceEvent`] through a caller-supplied [`TraceSink`] (zero-cost when
 //!   disabled), the substrate of the `parapage-conform` oracle.
@@ -55,10 +55,7 @@ pub mod trace;
 pub mod wal;
 
 pub use arena::ChunkVec;
-pub use engine::{
-    run_engine, run_engine_faults, run_engine_sharded, run_engine_traced, run_engine_with,
-    run_engine_with_faults, run_engine_with_faults_traced, Engine, EngineOpts, DEFAULT_MAX_TIME,
-};
+pub use engine::{run_engine, Engine, EngineOpts, DEFAULT_MAX_TIME};
 pub use error::EngineError;
 pub use fault::FaultPlan;
 pub use interleaved::{run_interleaved_partition, run_interleaved_shared, InterleavedResult};

@@ -49,7 +49,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
 use crate::snapshot::SnapshotError;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::wal::{recover, CheckpointStore, MemStore, WalCursor};
+use crate::wal::{recover, CheckpointStore, WalCursor};
 
 /// Capped exponential backoff: `base * 2^attempt`, saturating at `cap`.
 /// `attempt` is 0-based (the first retry waits `base`). This is the one
@@ -364,74 +364,14 @@ impl Supervisor {
     /// [`BoxAllocator::restore`]. `crash_plan` injects deterministic
     /// panics at the named engine ticks (each fires once).
     ///
-    /// # Errors
-    /// [`SupervisorError::Engine`] immediately on a typed engine error
-    /// (those are deterministic, retrying cannot help);
-    /// [`SupervisorError::Snapshot`] when checkpoint/restore fails (e.g. a
-    /// policy without checkpoint support); otherwise
-    /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
-    /// have been burned.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run<C: Cache + Checkpoint>(
-        &self,
-        seqs: &[Vec<PageId>],
-        params: &ModelParams,
-        opts: &EngineOpts,
-        faults: &FaultPlan,
-        crash_plan: &CrashPlan,
-        policy_factory: impl FnMut() -> Box<dyn BoxAllocator>,
-        cache_factory: impl FnMut(usize) -> C,
-        sink: &mut impl TraceSink,
-    ) -> Result<RecoveryReport, SupervisorError> {
-        let mut store = MemStore::new();
-        self.run_with_store(
-            seqs,
-            params,
-            opts,
-            faults,
-            crash_plan,
-            policy_factory,
-            cache_factory,
-            sink,
-            &mut store,
-        )
-    }
-
-    /// Like [`Supervisor::run`], but checkpointing into a caller-supplied
-    /// [`CheckpointStore`] — the seam the chaos harness uses to corrupt
-    /// what recovery reads (torn tails, flipped bytes, stale bases), and
-    /// the hook a persistent server would use to keep checkpoints on disk.
-    /// A store holding a checkpoint from a previous run of the *same*
-    /// workload resumes it instead of starting over.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_store<C: Cache + Checkpoint>(
-        &self,
-        seqs: &[Vec<PageId>],
-        params: &ModelParams,
-        opts: &EngineOpts,
-        faults: &FaultPlan,
-        crash_plan: &CrashPlan,
-        policy_factory: impl FnMut() -> Box<dyn BoxAllocator>,
-        cache_factory: impl FnMut(usize) -> C,
-        sink: &mut impl TraceSink,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<RecoveryReport, SupervisorError> {
-        self.run_controlled(
-            seqs,
-            params,
-            opts,
-            faults,
-            crash_plan,
-            policy_factory,
-            cache_factory,
-            sink,
-            store,
-            |_| EpochControl::Continue,
-        )
-    }
-
-    /// Like [`Supervisor::run_with_store`], with an epoch control callback:
-    /// at every epoch boundary, immediately *after* that epoch's checkpoint
+    /// Checkpoints go to `store`: a fresh [`crate::wal::MemStore`] for a
+    /// plain supervised run, or a caller-supplied [`CheckpointStore`] —
+    /// the seam the chaos harness uses to corrupt what recovery reads
+    /// (torn tails, flipped bytes, stale bases). A store holding a
+    /// checkpoint from a previous run of the *same* workload resumes it
+    /// instead of starting over.
+    ///
+    /// At every epoch boundary, immediately *after* that epoch's checkpoint
     /// reached the store, `control` inspects the run's [`EpochStatus`] and
     /// may order [`EpochControl::Migrate`] — the supervisor then discards
     /// the live engine and policy wholesale and rebuilds both from the
@@ -439,7 +379,16 @@ impl Supervisor {
     /// path, without burning a retry. This is the live-migration seam the
     /// `parapage serve` tenant sessions use to move a tenant onto a fresh
     /// engine mid-run; recovery determinism keeps the migrated run's result
-    /// and trace byte-identical to an unmigrated one.
+    /// and trace byte-identical to an unmigrated one. Pass
+    /// `|_| EpochControl::Continue` to never migrate.
+    ///
+    /// # Errors
+    /// [`SupervisorError::Engine`] immediately on a typed engine error
+    /// (those are deterministic, retrying cannot help);
+    /// [`SupervisorError::Snapshot`] when checkpoint/restore fails (e.g. a
+    /// policy without checkpoint support); otherwise
+    /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
+    /// have been burned.
     #[allow(clippy::too_many_arguments)]
     pub fn run_controlled<C: Cache + Checkpoint>(
         &self,
@@ -627,8 +576,8 @@ impl Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_engine_with_faults_traced;
     use crate::trace::TraceRecorder;
+    use crate::wal::MemStore;
     use parapage_cache::{LruCache, ProcId};
     use parapage_core::{DetPar, FaultEvent, RandPar};
 
@@ -656,18 +605,42 @@ mod tests {
         }
     }
 
+    /// A supervised run on LRU boxes with a fresh in-memory store and no
+    /// migrations.
+    fn supervise(
+        opts: SupervisorOpts,
+        seqs: &[Vec<PageId>],
+        faults: &FaultPlan,
+        crashes: CrashPlan,
+        policy: impl FnMut() -> Box<dyn BoxAllocator>,
+        sink: &mut impl TraceSink,
+    ) -> Result<RecoveryReport, SupervisorError> {
+        Supervisor::new(opts).run_controlled(
+            seqs,
+            &params(),
+            &EngineOpts::default(),
+            faults,
+            &crashes,
+            policy,
+            |_| LruCache::new(0),
+            sink,
+            &mut MemStore::new(),
+            |_| EpochControl::Continue,
+        )
+    }
+
     fn uninterrupted(seqs: &[Vec<PageId>], faults: &FaultPlan) -> (RunResult, Vec<TraceEvent>) {
         let mut alloc = DetPar::new(&params());
         let mut rec = TraceRecorder::new();
-        let result = run_engine_with_faults_traced(
+        let result = Engine::new(
             &mut alloc,
             seqs,
             &params(),
             &EngineOpts::default(),
             faults,
             |_| LruCache::new(0),
-            &mut rec,
         )
+        .run(&mut alloc, &mut rec)
         .expect("clean run");
         (result, rec.into_events())
     }
@@ -677,18 +650,15 @@ mod tests {
         let seqs = seqs();
         let (want, want_trace) = uninterrupted(&seqs, &FaultPlan::none());
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("supervised run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::none(),
+            || Box::new(DetPar::new(&params())),
+            &mut rec,
+        )
+        .expect("supervised run");
         assert_eq!(report.crashes, 0);
         assert_eq!(report.result, want);
         assert_eq!(rec.into_events(), want_trace);
@@ -712,18 +682,15 @@ mod tests {
         let (want, want_trace) = uninterrupted(&seqs, &faults);
         // Learn the run's length from a crash-free supervised probe, then
         // crash at early/middle/late ticks of it.
-        let probe = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &faults,
-                &CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-            )
-            .expect("probe run");
+        let probe = supervise(
+            tiny_opts(),
+            &seqs,
+            &faults,
+            CrashPlan::none(),
+            || Box::new(DetPar::new(&params())),
+            &mut crate::trace::NullSink,
+        )
+        .expect("probe run");
         let total = probe.ticks;
         assert!(total >= 12, "premise: run long enough to crash into");
         let crash_ticks = vec![2, total / 2, total / 2 + 1, total - 2];
@@ -738,18 +705,15 @@ mod tests {
             ..tiny_opts()
         };
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(opts)
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &faults,
-                &CrashPlan::at_ticks(crash_ticks),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("recovered run");
+        let report = supervise(
+            opts,
+            &seqs,
+            &faults,
+            CrashPlan::at_ticks(crash_ticks),
+            || Box::new(DetPar::new(&params())),
+            &mut rec,
+        )
+        .expect("recovered run");
         assert_eq!(report.crashes, n_crashes);
         assert!(report.resumes >= n_crashes - 1, "late crashes resume");
         assert_eq!(report.result, want, "recovered result must be identical");
@@ -762,31 +726,28 @@ mod tests {
         let mk = || RandPar::new(&params(), 0xfeed);
         let mut alloc = mk();
         let mut rec = TraceRecorder::new();
-        let want = run_engine_with_faults_traced(
+        let want = Engine::new(
             &mut alloc,
             &seqs,
             &params(),
             &EngineOpts::default(),
             &FaultPlan::none(),
             |_| LruCache::new(0),
-            &mut rec,
         )
+        .run(&mut alloc, &mut rec)
         .expect("clean run");
         let want_trace = rec.into_events();
 
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![30, 75]),
-                move || Box::new(mk()),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("recovered run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::at_ticks(vec![30, 75]),
+            move || Box::new(mk()),
+            &mut rec,
+        )
+        .expect("recovered run");
         assert_eq!(report.crashes, 2);
         assert_eq!(report.result, want, "RNG state must survive recovery");
         assert_eq!(rec.into_events(), want_trace);
@@ -801,18 +762,15 @@ mod tests {
         let seqs = seqs();
         let (want, want_trace) = uninterrupted(&seqs, &FaultPlan::none());
         let mut rec = TraceRecorder::new();
-        let report = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![20, 24]),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut rec,
-            )
-            .expect("doubly-crashed run");
+        let report = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::at_ticks(vec![20, 24]),
+            || Box::new(DetPar::new(&params())),
+            &mut rec,
+        )
+        .expect("doubly-crashed run");
         assert_eq!(report.crashes, 2);
         assert_eq!(report.resumes, 2, "both crashes resume from checkpoints");
         assert_eq!(report.result, want);
@@ -918,18 +876,15 @@ mod tests {
             })
             .collect();
         let run = |wal: bool| {
-            Supervisor::new(SupervisorOpts { wal, ..tiny_opts() })
-                .run(
-                    &seqs,
-                    &params(),
-                    &EngineOpts::default(),
-                    &FaultPlan::none(),
-                    &CrashPlan::none(),
-                    || Box::new(DetPar::new(&params())),
-                    |_| LruCache::new(0),
-                    &mut crate::trace::NullSink,
-                )
-                .expect("supervised run")
+            supervise(
+                SupervisorOpts { wal, ..tiny_opts() },
+                &seqs,
+                &FaultPlan::none(),
+                CrashPlan::none(),
+                || Box::new(DetPar::new(&params())),
+                &mut crate::trace::NullSink,
+            )
+            .expect("supervised run")
         };
         let full = run(false);
         let wal = run(true);
@@ -958,7 +913,7 @@ mod tests {
             ..tiny_opts()
         };
         let err = Supervisor::new(opts)
-            .run_with_store(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -968,12 +923,13 @@ mod tests {
                 |_| LruCache::new(0),
                 &mut crate::trace::NullSink,
                 &mut store,
+                |_| EpochControl::Continue,
             )
             .expect_err("zero retries: the injected crash is fatal");
         assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
         let mut rec = TraceRecorder::new();
         let report = Supervisor::new(tiny_opts())
-            .run_with_store(
+            .run_controlled(
                 &seqs,
                 &params(),
                 &EngineOpts::default(),
@@ -983,6 +939,7 @@ mod tests {
                 |_| LruCache::new(0),
                 &mut rec,
                 &mut store,
+                |_| EpochControl::Continue,
             )
             .expect("second process finishes the run");
         assert_eq!(report.crashes, 0);
@@ -1002,18 +959,15 @@ mod tests {
             ..tiny_opts()
         };
         // More injected crashes than the budget tolerates.
-        let err = Supervisor::new(opts)
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::at_ticks(vec![1, 2, 3, 4]),
-                || Box::new(DetPar::new(&params())),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-            )
-            .expect_err("budget must run out");
+        let err = supervise(
+            opts,
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::at_ticks(vec![1, 2, 3, 4]),
+            || Box::new(DetPar::new(&params())),
+            &mut crate::trace::NullSink,
+        )
+        .expect_err("budget must run out");
         match err {
             SupervisorError::RetriesExhausted { crashes, .. } => assert_eq!(crashes, 3),
             other => panic!("wrong error: {other:?}"),
@@ -1047,18 +1001,15 @@ mod tests {
             }
         }
         let seqs = seqs();
-        let err = Supervisor::new(tiny_opts())
-            .run(
-                &seqs,
-                &params(),
-                &EngineOpts::default(),
-                &FaultPlan::none(),
-                &CrashPlan::none(),
-                || Box::new(NoCkpt(DetPar::new(&params()))),
-                |_| LruCache::new(0),
-                &mut crate::trace::NullSink,
-            )
-            .expect_err("checkpoint-less policy cannot be supervised");
+        let err = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::none(),
+            || Box::new(NoCkpt(DetPar::new(&params()))),
+            &mut crate::trace::NullSink,
+        )
+        .expect_err("checkpoint-less policy cannot be supervised");
         assert!(matches!(err, SupervisorError::Snapshot(_)), "got {err:?}");
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! Tracing is zero-cost when disabled: the default entry points pass
 //! [`NullSink`], whose `emit` is an inlined no-op, so the event
-//! constructions are dead code the optimizer removes. The traced entry
-//! points ([`crate::engine::run_engine_traced`] and friends) are generic
-//! over the sink, so enabling tracing costs one vector push per event and
+//! constructions are dead code the optimizer removes. The engine
+//! ([`crate::engine::Engine::run`] and [`crate::engine::Engine::step`]) is
+//! generic over the sink, so enabling tracing costs one vector push per event and
 //! nothing else.
 //!
 //! Events are emitted in the exact order the engine makes its decisions:

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use parapage_cache::{ProcId, Time};
+use parapage_cache::{LruCache, ProcId, Time};
 use parapage_core::{DetPar, FaultEvent, HardenedAllocator, ModelParams};
-use parapage_sched::{run_engine_faults, EngineOpts, FaultPlan, RunResult};
+use parapage_sched::{Engine, EngineOpts, FaultPlan, NullSink, RunResult};
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, Workload, FAULT_SCENARIOS};
 
 const P: usize = 4;
@@ -66,8 +66,16 @@ fn named_scenarios_replay_identically() {
         let plan = FaultPlan::new(fault_scenario(name, P, K, horizon, 7).unwrap());
         let run = || {
             let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-            run_engine_faults(&mut a, w.seqs(), &params, &EngineOpts::default(), &plan)
-                .expect("hardened run failed")
+            Engine::new(
+                &mut a,
+                w.seqs(),
+                &params,
+                &EngineOpts::default(),
+                &plan,
+                |_| LruCache::new(0),
+            )
+            .run(&mut a, &mut NullSink)
+            .expect("hardened run failed")
         };
         assert_same_result(&run(), &run());
     }
@@ -88,7 +96,10 @@ proptest! {
         let plan = FaultPlan::new(events);
         let run = || {
             let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-            run_engine_faults(&mut a, w.seqs(), &params, &EngineOpts::default(), &plan)
+            Engine::new(&mut a, w.seqs(), &params, &EngineOpts::default(), &plan, |_| {
+                LruCache::new(0)
+            })
+            .run(&mut a, &mut NullSink)
         };
         match (run(), run()) {
             (Ok(a), Ok(b)) => assert_same_result(&a, &b),
@@ -113,7 +124,8 @@ proptest! {
             ..Default::default()
         };
         let mut a = HardenedAllocator::new(DetPar::new(&params), K);
-        let res = run_engine_faults(&mut a, w.seqs(), &params, &opts, &plan);
+        let res = Engine::new(&mut a, w.seqs(), &params, &opts, &plan, |_| LruCache::new(0))
+            .run(&mut a, &mut NullSink);
         let res = match res {
             Ok(r) => r,
             Err(e) => return Err(TestCaseError::fail(format!("hardened run failed: {e}"))),

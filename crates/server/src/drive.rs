@@ -45,8 +45,8 @@ pub struct DriveCfg {
     pub k: usize,
     /// Miss penalty `s`.
     pub s: u64,
-    /// Policy name (must be servable; see
-    /// [`crate::tenant::policy_known`]).
+    /// Policy name (must be servable: one of
+    /// [`parapage::core::policy::NAMES`]).
     pub policy: String,
     /// Base RNG seed.
     pub seed: u64,

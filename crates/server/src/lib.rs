@@ -50,4 +50,4 @@ pub use protocol::{
 };
 pub use resilient::{ClientError, ResilientClient, RetryCounters, RetryOpts};
 pub use server::{serve, ServeOpts, ServerHandle};
-pub use tenant::{policy_known, TenantOpts, TenantSession};
+pub use tenant::{TenantOpts, TenantSession};

@@ -44,11 +44,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use parapage::core::policy;
+
 use crate::protocol::{
     c2s_chain_seed, error_code, s2c_chain_seed, Frame, ServerStats, TenantConfig, WireError,
     WireState, MAX_FRAME, MAX_TENANT_NAME, PROTO_VERSION,
 };
-use crate::tenant::{policy_known, TenantCounters, TenantOpts, TenantSession};
+use crate::tenant::{TenantCounters, TenantOpts, TenantSession};
 
 /// Server-wide knobs.
 #[derive(Clone, Copy, Debug)]
@@ -540,7 +542,8 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
     if config.tenant.is_empty() || config.tenant.len() > MAX_TENANT_NAME {
         return Err((error_code::BAD_FRAME, "invalid tenant name".into()));
     }
-    if !policy_known(&config.policy) {
+    // `shared-lru` runs outside the box engine, so it is not servable.
+    if !policy::NAMES.contains(&config.policy.as_str()) {
         return Err((
             error_code::BAD_FRAME,
             format!("unknown or unservable policy `{}`", config.policy),

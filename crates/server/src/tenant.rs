@@ -24,10 +24,7 @@
 use parapage::cache::{
     decode_framed, fnv1a64, fnv1a64_seeded, PageId, ShardedLru, SnapReader, SnapWriter,
 };
-use parapage::core::{
-    BlackboxGreenPacker, BoxAllocator, DetPar, ModelParams, PropMissPartition, RandGreen, RandPar,
-    StaticPartition, UcpPartition,
-};
+use parapage::core::{policy, ModelParams};
 use parapage::sched::{
     CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, RunResult, Supervisor,
     SupervisorOpts,
@@ -43,35 +40,6 @@ pub(crate) fn reply_chain_seed(tenant: &str) -> u64 {
 /// Golden-ratio mix so consecutive batch seeds are far apart.
 fn batch_seed(seed: u64, batch: u64) -> u64 {
     seed ^ (batch.wrapping_add(1)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// `true` when `name` is a policy the server can host (the box policies
-/// with checkpoint support; `shared-lru` runs outside the box engine and
-/// is not servable).
-pub fn policy_known(name: &str) -> bool {
-    matches!(
-        name,
-        "det-par" | "rand-par" | "static" | "prop-miss" | "ucp" | "bb-green"
-    )
-}
-
-/// Builds a fresh policy by name — deterministically identical per call,
-/// as the supervisor's factory contract requires.
-fn make_policy(name: &str, params: &ModelParams, seed: u64) -> Box<dyn BoxAllocator> {
-    match name {
-        "det-par" => Box::new(DetPar::new(params)),
-        "rand-par" => Box::new(RandPar::new(params, seed)),
-        "static" => Box::new(StaticPartition::new(params)),
-        "prop-miss" => Box::new(PropMissPartition::new(params)),
-        "ucp" => Box::new(UcpPartition::new(params)),
-        "bb-green" => {
-            let pagers: Vec<RandGreen> = (0..params.p as u64)
-                .map(|i| RandGreen::new(params, seed ^ i))
-                .collect();
-            Box::new(BlackboxGreenPacker::new(params, pagers))
-        }
-        other => unreachable!("policy `{other}` must be validated at Hello"),
-    }
 }
 
 /// Server-side tuning for tenant engine runs.
@@ -314,7 +282,10 @@ impl TenantSession {
                 &engine_opts,
                 &FaultPlan::none(),
                 &CrashPlan::at_ticks(kill_ticks),
-                || make_policy(&policy_name, &params, seed),
+                || {
+                    policy::build(&policy_name, &params, seed, false)
+                        .expect("policy validated at Hello")
+                },
                 |_| ShardedLru::with_shards(0, shards),
                 &mut NullSink,
                 &mut store,

@@ -5,6 +5,7 @@
 //! cargo run --release --example scheduler_comparison
 //! ```
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 fn mixed(p: usize, len: usize, k: usize) -> Vec<SeqSpec> {
@@ -69,27 +70,16 @@ fn main() {
         let mut table = Table::new(["policy", "makespan", "vs LB", "mean compl", "miss %"]);
         let opts = EngineOpts::default();
 
-        let mut results: Vec<(&str, RunResult)> = Vec::new();
-        let mut det = DetPar::new(&params);
-        results.push((
-            "DET-PAR",
-            run_engine(&mut det, workload.seqs(), &params, &opts).unwrap(),
-        ));
-        let mut rnd = RandPar::new(&params, 5);
-        results.push((
-            "RAND-PAR",
-            run_engine(&mut rnd, workload.seqs(), &params, &opts).unwrap(),
-        ));
-        let mut st = StaticPartition::new(&params);
-        results.push((
-            "STATIC-EQUAL",
-            run_engine(&mut st, workload.seqs(), &params, &opts).unwrap(),
-        ));
-        let mut pm = PropMissPartition::new(&params);
-        results.push((
-            "PROP-MISS",
-            run_engine(&mut pm, workload.seqs(), &params, &opts).unwrap(),
-        ));
+        // Box policies come from the registry by name; seed 5 drives the
+        // randomized one.
+        let mut results: Vec<(&str, RunResult)> = ["det-par", "rand-par", "static", "prop-miss"]
+            .iter()
+            .map(|name| {
+                let mut alloc = policy::build(name, &params, 5, false).unwrap();
+                let r = run_engine(&mut *alloc, workload.seqs(), &params, &opts).unwrap();
+                (alloc.name(), r)
+            })
+            .collect();
         results.push(("SHARED-LRU", run_shared_lru(workload.seqs(), k, s)));
 
         for (pname, r) in results {

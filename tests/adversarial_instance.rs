@@ -2,6 +2,7 @@
 //! schedule upper-bounds OPT, every online green-style pager pays a ratio
 //! that grows with p, and the instance's structural properties hold.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 fn run_policy(alloc: &mut dyn BoxAllocator, inst: &AdversarialInstance) -> u64 {
@@ -31,9 +32,8 @@ fn lemma8_sits_between_lower_bound_and_online_policies() {
         "online DET-PAR {det_ms} beat offline OPT {opt}"
     );
 
-    let pagers: Vec<RandGreen> = (0..16).map(|i| RandGreen::new(&params, i)).collect();
-    let mut bb = BlackboxGreenPacker::new(&params, pagers);
-    let bb_ms = run_policy(&mut bb, &inst);
+    let mut bb = policy::build("bb-green", &params, 0, false).unwrap();
+    let bb_ms = run_policy(&mut *bb, &inst);
     assert!(bb_ms >= opt);
 }
 

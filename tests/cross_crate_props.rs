@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 /// Arbitrary small workload specs.
@@ -65,14 +66,10 @@ proptest! {
     fn lower_bound_is_sound(w in workload_strategy(4, 300)) {
         let params = ModelParams::new(4, 32, 8);
         let lb = per_proc_bound(w.seqs(), params.k, params.s);
-        for mk in 0..3 {
-            let mut alloc: Box<dyn BoxAllocator> = match mk {
-                0 => Box::new(DetPar::new(&params)),
-                1 => Box::new(StaticPartition::new(&params)),
-                _ => Box::new(PropMissPartition::new(&params)),
-            };
-            let res = run_engine(alloc.as_mut(), w.seqs(), &params, &EngineOpts::default()).unwrap();
-            prop_assert!(res.makespan >= lb, "policy {mk}: {} < {lb}", res.makespan);
+        for name in ["det-par", "static", "prop-miss"] {
+            let mut alloc = policy::build(name, &params, 0, false).unwrap();
+            let res = run_engine(&mut *alloc, w.seqs(), &params, &EngineOpts::default()).unwrap();
+            prop_assert!(res.makespan >= lb, "policy {name}: {} < {lb}", res.makespan);
         }
         // Shared LRU too.
         let res = run_shared_lru(w.seqs(), params.k, params.s);

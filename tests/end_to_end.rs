@@ -1,6 +1,7 @@
 //! Cross-crate end-to-end tests: workload generation → policy → engine →
 //! analysis, exercising every public policy on every workload family.
 
+use parapage::core::policy;
 use parapage::prelude::*;
 
 fn params() -> ModelParams {
@@ -35,21 +36,9 @@ fn all_policies_complete_all_requests() {
     let lb = per_proc_bound(w.seqs(), p.k, p.s);
     let opts = EngineOpts::default();
 
-    let mut policies: Vec<(Box<dyn BoxAllocator>, &str)> = vec![
-        (Box::new(DetPar::new(&p)), "det"),
-        (Box::new(RandPar::new(&p, 9)), "rand"),
-        (Box::new(StaticPartition::new(&p)), "static"),
-        (Box::new(PropMissPartition::new(&p)), "prop"),
-        (
-            Box::new(BlackboxGreenPacker::new(
-                &p,
-                (0..8).map(|i| RandGreen::new(&p, i)).collect(),
-            )),
-            "bb",
-        ),
-    ];
-    for (alloc, name) in policies.iter_mut() {
-        let res = run_engine(alloc.as_mut(), w.seqs(), &p, &opts).unwrap();
+    for &name in policy::NAMES {
+        let mut alloc = policy::build(name, &p, 9, false).unwrap();
+        let res = run_engine(&mut *alloc, w.seqs(), &p, &opts).unwrap();
         assert_eq!(res.stats.accesses(), total, "policy {name}");
         assert!(res.makespan >= lb, "policy {name} beat the lower bound?!");
         assert_eq!(res.completions.len(), 8, "policy {name}");

@@ -3,6 +3,7 @@
 //! bandwidth limits, and alternative in-box replacement policies.
 
 use parapage::analysis::{static_opt_makespan, static_opt_total_time};
+use parapage::core::policy;
 use parapage::prelude::*;
 use parapage::sched::run_shared_lru_bandwidth;
 
@@ -107,32 +108,19 @@ fn lru_wlog_spread_is_bounded_on_cyclic_workloads() {
     // makespan by at most a small constant on loop workloads.
     let p = params();
     let w = skewed(1500);
-    let opts = EngineOpts::default();
-    let mut mk = Vec::new();
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| LruCache::new(0))
-                .unwrap()
-                .makespan,
-        );
+    fn makespan<C: Cache>(w: &Workload, p: &ModelParams, cache: fn(usize) -> C) -> u64 {
+        let mut det = DetPar::new(p);
+        let plan = FaultPlan::none();
+        Engine::new(&mut det, w.seqs(), p, &EngineOpts::default(), &plan, cache)
+            .run(&mut det, &mut NullSink)
+            .unwrap()
+            .makespan
     }
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| FifoCache::new(0))
-                .unwrap()
-                .makespan,
-        );
-    }
-    {
-        let mut det = DetPar::new(&p);
-        mk.push(
-            run_engine_with(&mut det, w.seqs(), &p, &opts, |_| ClockCache::new(0))
-                .unwrap()
-                .makespan,
-        );
-    }
+    let mk = [
+        makespan(&w, &p, |_| LruCache::new(0)),
+        makespan(&w, &p, |_| FifoCache::new(0)),
+        makespan(&w, &p, |_| ClockCache::new(0)),
+    ];
     let lo = *mk.iter().min().unwrap() as f64;
     let hi = *mk.iter().max().unwrap() as f64;
     assert!(hi / lo < 3.0, "spread {mk:?}");
@@ -187,18 +175,15 @@ fn non_power_of_two_processor_counts_work() {
             })
             .collect();
         let w = build_workload(&specs, 1);
-        let mut det = DetPar::new(&params);
-        let r1 = run_engine(&mut det, w.seqs(), &params, &EngineOpts::default()).unwrap();
-        assert_eq!(r1.stats.accesses(), w.total_requests(), "det p={p_count}");
-        let mut rnd = RandPar::new(&params, 7);
-        let r2 = run_engine(&mut rnd, w.seqs(), &params, &EngineOpts::default()).unwrap();
-        assert_eq!(r2.stats.accesses(), w.total_requests(), "rand p={p_count}");
-        let pagers: Vec<RandGreen> = (0..p_count as u64)
-            .map(|i| RandGreen::new(&params, i))
-            .collect();
-        let mut bb = BlackboxGreenPacker::new(&params, pagers);
-        let r3 = run_engine(&mut bb, w.seqs(), &params, &EngineOpts::default()).unwrap();
-        assert_eq!(r3.stats.accesses(), w.total_requests(), "bb p={p_count}");
+        for &name in policy::NAMES {
+            let mut alloc = policy::build(name, &params, 7, false).unwrap();
+            let res = run_engine(&mut *alloc, w.seqs(), &params, &EngineOpts::default()).unwrap();
+            assert_eq!(
+                res.stats.accesses(),
+                w.total_requests(),
+                "{name} p={p_count}"
+            );
+        }
     }
 }
 

@@ -40,13 +40,16 @@ fn raw_det_par_trips_the_shrunk_memory_limit() {
         new_limit: k_prime,
     }]);
 
-    let err = run_engine_faults(
-        &mut DetPar::new(&p),
+    let mut raw = DetPar::new(&p);
+    let err = Engine::new(
+        &mut raw,
         w.seqs(),
         &p,
         &EngineOpts::default(),
         &plan,
+        |_| LruCache::new(0),
     )
+    .run(&mut raw, &mut NullSink)
     .unwrap_err();
     assert!(
         matches!(err, EngineError::MemoryLimitExceeded { limit, .. } if limit == k_prime),
@@ -67,8 +70,16 @@ fn hardened_det_par_completes_within_the_shrunk_budget() {
     }]);
 
     let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-    let res = run_engine_faults(&mut hard, w.seqs(), &p, &EngineOpts::default(), &plan)
-        .expect("hardened DET-PAR must survive memory pressure");
+    let res = Engine::new(
+        &mut hard,
+        w.seqs(),
+        &p,
+        &EngineOpts::default(),
+        &plan,
+        |_| LruCache::new(0),
+    )
+    .run(&mut hard, &mut NullSink)
+    .expect("hardened DET-PAR must survive memory pressure");
 
     assert_eq!(res.stats.accesses(), w.total_requests());
     assert!(
@@ -98,14 +109,17 @@ fn mid_run_pressure_is_survivable_only_when_hardened() {
         new_limit: p.k / 4,
     }]);
 
-    let raw = run_engine_faults(&mut DetPar::new(&p), w.seqs(), &p, &opts, &plan);
+    let mut raw = DetPar::new(&p);
+    let raw = Engine::new(&mut raw, w.seqs(), &p, &opts, &plan, |_| LruCache::new(0))
+        .run(&mut raw, &mut NullSink);
     assert!(
         matches!(raw, Err(EngineError::MemoryLimitExceeded { .. })),
         "raw DET-PAR should oversubscribe after mid-run pressure"
     );
 
     let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-    let res = run_engine_faults(&mut hard, w.seqs(), &p, &opts, &plan)
+    let res = Engine::new(&mut hard, w.seqs(), &p, &opts, &plan, |_| LruCache::new(0))
+        .run(&mut hard, &mut NullSink)
         .expect("hardened DET-PAR must survive mid-run pressure");
     assert_eq!(res.stats.accesses(), w.total_requests());
     assert!(
@@ -133,7 +147,8 @@ fn all_named_scenarios_run_hardened_to_completion() {
             .expect("scenario names are exhaustive");
         let plan = FaultPlan::new(events);
         let mut hard = HardenedAllocator::new(DetPar::new(&p), p.k);
-        let res = run_engine_faults(&mut hard, w.seqs(), &p, &opts, &plan)
+        let res = Engine::new(&mut hard, w.seqs(), &p, &opts, &plan, |_| LruCache::new(0))
+            .run(&mut hard, &mut NullSink)
             .unwrap_or_else(|e| panic!("scenario {name} failed hardened: {e}"));
         assert_eq!(res.stats.accesses(), w.total_requests(), "scenario {name}");
     }
