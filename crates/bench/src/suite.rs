@@ -29,6 +29,7 @@
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
+//! | `ops/sharded-exclusive` | the same stream, single-owner path       |
 //! | `ops/digest`          | bulk integrity digest, bytes/sec           |
 //! | `ops/digest-fnv`      | byte-serial FNV-1a on the same buffer      |
 //! | `ops/mattson-curve`   | single-pass LRU miss curve, requests/sec   |
@@ -823,30 +824,48 @@ fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
-/// Entry 13: sharded-LRU access throughput on a single thread — the same
-/// stream as `ops/lru-access` but through [`ShardedLru`]'s route + lock +
-/// access path, isolating the sharding overhead from contention (which
-/// `concurrent/sharded-access` measures separately).
-fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
+/// Runs the `ops/lru-access` stream through a [`ShardedLru`] of 8 shards,
+/// each request served by `access`; `runs` counts accesses. Both sharded
+/// entries write the same digest string, so equal digests prove the two
+/// paths served the stream identically.
+fn ops_sharded_with(
+    quick: bool,
+    seed: u64,
+    access: fn(&mut ShardedLru, PageId) -> Access,
+) -> EntryOut {
     const K: usize = 256;
     let accesses = if quick { 150_000 } else { 750_000 };
-    let cache = ShardedLru::with_shards(K, 8);
+    let mut cache = ShardedLru::with_shards(K, 8);
     let (mut hits, mut misses) = (0u64, 0u64);
     let mut x = seed | 1;
     for _ in 0..accesses {
         let page = ops_access_page(&mut x, K as u64);
-        if cache.access_shared(page).is_hit() {
+        if access(&mut cache, page).is_hit() {
             hits += 1;
         } else {
             misses += 1;
         }
     }
     let mut d = Digest::new();
-    d.write(&format!(
-        "hits={hits} misses={misses} len={}",
-        cache.len_shared()
-    ));
+    d.write(&format!("hits={hits} misses={misses} len={}", cache.len()));
     EntryOut::plain(accesses, d.finish())
+}
+
+/// Entry 13: sharded-LRU access throughput on a single thread through the
+/// locked `access_shared` path that concurrent callers take: route, yield
+/// point, shard lock, access. Contention is left to
+/// `concurrent/sharded-access`. Its gap to `ops/sharded-exclusive` (same
+/// stream, same digest) is what the lock, the yield point and the atomic
+/// ledger-flag load cost per access.
+fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
+    ops_sharded_with(quick, seed, |c, page| c.access_shared(page))
+}
+
+/// Entry 14: the same stream through the single-owner `Cache::access`
+/// path the engine and every tenant batch use (`Mutex::get_mut`, no lock).
+/// Its gap to `ops/lru-access` is what routing across shards costs.
+fn entry_ops_sharded_exclusive(quick: bool, seed: u64) -> EntryOut {
+    ops_sharded_with(quick, seed, |c, page| c.access(page))
 }
 
 /// Size of the buffer the `ops/digest*` entries hash repeatedly.
@@ -874,13 +893,13 @@ fn ops_digest_with(quick: bool, seed: u64, digest: fn(u64, &[u8]) -> u64) -> Ent
     EntryOut::plain(passes as usize * OPS_DIGEST_BUF, d.finish())
 }
 
-/// Entry 14: the bulk integrity digest (`digest64_seeded`) every snapshot,
+/// Entry 15: the bulk integrity digest (`digest64_seeded`) every snapshot,
 /// WAL record and wire frame goes through.
 fn entry_ops_digest(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::digest64_seeded)
 }
 
-/// Entry 15: FNV-1a over the same buffer, for the record.
+/// Entry 16: FNV-1a over the same buffer, for the record.
 fn entry_ops_digest_fnv(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::fnv1a64_seeded)
 }
@@ -901,7 +920,7 @@ fn fold_pages(seq: &[PageId]) -> u64 {
     })
 }
 
-/// Entry 16: Mattson's single-pass LRU miss curve, the stack-distance
+/// Entry 17: Mattson's single-pass LRU miss curve, the stack-distance
 /// analysis under the green-OPT DP and the lower-bound calculator.
 /// `runs` counts requests analysed.
 fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
@@ -917,7 +936,7 @@ fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(passes * seq.len(), d.finish())
 }
 
-/// Entry 17: Belady's MIN, the per-processor term of the certified
+/// Entry 18: Belady's MIN, the per-processor term of the certified
 /// `T_OPT` lower bound, on a Zipf stream and on a cyclic stream that
 /// thrashes LRU. `runs` counts requests simulated.
 fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
@@ -931,7 +950,7 @@ fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * len, d.finish())
 }
 
-/// Entry 18: the offline green-paging optimum (the `T_OPT` side of every
+/// Entry 19: the offline green-paging optimum (the `T_OPT` side of every
 /// RAND-GREEN ratio), by both the naive and the Fenwick-accelerated DP,
 /// which must agree. `runs` counts requests per DP times the two DPs.
 fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
@@ -949,7 +968,7 @@ fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * seq.len(), d.finish())
 }
 
-/// Entry 19: the workload generators — cyclic, Zipf and polluted-cycle
+/// Entry 20: the workload generators — cyclic, Zipf and polluted-cycle
 /// streams plus one Theorem-4 adversarial instance. `runs` counts pages
 /// generated.
 fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
@@ -994,6 +1013,7 @@ pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/engine-step", 50_000.0),
     ("ops/lru-access", 12_000_000.0),
     ("ops/sharded-access", 5_000_000.0),
+    ("ops/sharded-exclusive", 8_000_000.0),
     // Bytes per second.
     ("ops/digest", 1_800_000_000.0),
 ];
@@ -1079,6 +1099,7 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/engine-step", false, entry_ops_engine_step),
     ("ops/lru-access", false, entry_ops_lru_access),
     ("ops/sharded-access", false, entry_ops_sharded_access),
+    ("ops/sharded-exclusive", false, entry_ops_sharded_exclusive),
     ("ops/digest", false, entry_ops_digest),
     ("ops/digest-fnv", false, entry_ops_digest_fnv),
     ("ops/mattson-curve", false, entry_ops_mattson),

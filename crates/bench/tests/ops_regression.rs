@@ -41,6 +41,8 @@ fn every_pinned_entry_exists_and_counts_work() {
 
 /// The ops entries are pure functions of (recipe size, seed): two runs
 /// must agree digest-for-digest, and the two legs of one run likewise.
+/// The locked and the single-owner sharded entries serve one stream, so
+/// their digests must agree too.
 #[test]
 fn ops_entries_are_deterministic() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -56,6 +58,18 @@ fn ops_entries_are_deterministic() {
             ea.name
         );
     }
+    let digest_of = |name: &str| {
+        a.entries
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from the ops recipe"))
+            .digest_base
+    };
+    assert_eq!(
+        digest_of("ops/sharded-access"),
+        digest_of("ops/sharded-exclusive"),
+        "the locked and single-owner sharded paths served the stream differently"
+    );
 }
 
 /// The release-build throughput floors. Meaningless for unoptimized

@@ -390,6 +390,12 @@ impl SnapWriter {
         &self.buf
     }
 
+    /// Reserves room for at least `additional` more payload bytes, so a
+    /// writer whose size is known up front grows once, not field by field.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Consumes the writer, yielding the raw payload.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -8,6 +8,21 @@
 //! the already-verified sequential policy, serialized by its lock) and
 //! already concurrent enough for the multi-tenant engine.
 //!
+//! Every shard is reached by one of two paths that run the same per-shard
+//! code and differ only in how they hold the shard:
+//!
+//! * **Locked** (`access_shared`, `access_if_fits_shared`, …): a yield
+//!   point, then the shard's `Mutex`. This is the path concurrent callers
+//!   and the conform schedule explorer drive.
+//! * **Single-owner** (the [`Cache`] impl's `&mut self` methods):
+//!   `Mutex::get_mut`, with no lock, no yield point and no atomic
+//!   read-modify-write. This is the path the engine, the supervisor and
+//!   every tenant batch drive, one thread per cache.
+//!
+//! Each shard's resident count is mirrored in an `AtomicUsize` beside its
+//! lock. Whoever holds the shard rewrites the mirror after every mutation,
+//! so `len()` is `n` relaxed loads instead of `n` lock round trips.
+//!
 //! Two properties anchor the test story:
 //!
 //! * **1-shard degeneracy.** With one shard the router is the identity and
@@ -22,7 +37,7 @@
 //!   linearization evidence the conform oracle checks concurrent histories
 //!   against.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::checkpoint::{fnv1a64, Checkpoint, CodecError, SnapReader, SnapWriter};
@@ -34,14 +49,54 @@ use super::yieldpoint::yield_point;
 
 /// A concurrent cache built from `n` independently locked sequential shards.
 pub struct ShardedCache<C> {
-    shards: Box<[Mutex<Shard<C>>]>,
+    slots: Box<[Slot<C>]>,
     mask: u64,
     record_ledgers: AtomicBool,
+}
+
+/// One shard behind its lock, with its resident count mirrored beside it.
+struct Slot<C> {
+    shard: Mutex<Shard<C>>,
+    /// `shard.cache.len()` as of the last operation on the shard. Only the
+    /// holder of the shard writes it, after every mutation, so `len()`
+    /// reads it without taking any lock. `Relaxed` suffices: the count
+    /// publishes no other data.
+    resident: AtomicUsize,
 }
 
 struct Shard<C> {
     cache: C,
     ledger: Vec<(PageId, Access)>,
+}
+
+impl<C: Cache> Shard<C> {
+    /// One access, logged when `record` is on — the body both the locked
+    /// and the single-owner path run once they hold the shard.
+    #[inline]
+    fn access(&mut self, page: PageId, record: bool) -> Access {
+        let outcome = self.cache.access(page);
+        if record {
+            self.ledger.push((page, outcome));
+        }
+        outcome
+    }
+
+    /// One fused fit-check-and-access; the ledger records the access only
+    /// when it happens, so replay evidence stays exact.
+    #[inline]
+    fn access_if_fits(
+        &mut self,
+        page: PageId,
+        remaining: Time,
+        miss_penalty: u64,
+        record: bool,
+    ) -> Option<Access> {
+        let outcome = self.cache.access_if_fits(page, remaining, miss_penalty)?;
+        if record {
+            self.ledger.push((page, outcome));
+        }
+        Some(outcome)
+    }
 }
 
 /// The conventional sharded LRU — what the engine integration uses.
@@ -56,7 +111,7 @@ pub fn shard_capacity(total: usize, n: usize, i: usize) -> usize {
 impl<C: std::fmt::Debug> std::fmt::Debug for ShardedCache<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.slots.len())
             .finish_non_exhaustive()
     }
 }
@@ -79,12 +134,16 @@ impl<C: Cache> ShardedCache<C> {
     ) -> Self {
         let n = shards.next_power_of_two().max(1);
         ShardedCache {
-            shards: (0..n)
+            slots: (0..n)
                 .map(|i| {
-                    Mutex::new(Shard {
-                        cache: make(shard_capacity(capacity, n, i)),
-                        ledger: Vec::new(),
-                    })
+                    let cache = make(shard_capacity(capacity, n, i));
+                    Slot {
+                        resident: AtomicUsize::new(cache.len()),
+                        shard: Mutex::new(Shard {
+                            cache,
+                            ledger: Vec::new(),
+                        }),
+                    }
                 })
                 .collect(),
             mask: (n - 1) as u64,
@@ -94,10 +153,11 @@ impl<C: Cache> ShardedCache<C> {
 
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
     /// The shard index `page` routes to.
+    #[inline]
     pub fn shard_of(&self, page: PageId) -> usize {
         if self.mask == 0 {
             return 0; // 1-shard degenerate case: router is the identity
@@ -106,13 +166,43 @@ impl<C: Cache> ShardedCache<C> {
     }
 
     fn shard(&self, i: usize) -> std::sync::MutexGuard<'_, Shard<C>> {
-        self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
+        self.slots[i]
+            .shard
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The concurrent path to shard `i`: a yield point, the shard's lock,
+    /// `op` (told whether ledgers record), then a refresh of the resident
+    /// mirror before the lock drops.
+    #[inline]
+    fn locked<R>(&self, i: usize, op: impl FnOnce(&mut Shard<C>, bool) -> R) -> R {
+        yield_point("shard-lock");
+        let mut shard = self.shard(i);
+        let out = op(&mut shard, self.record_ledgers.load(Ordering::SeqCst));
+        self.slots[i]
+            .resident
+            .store(shard.cache.len(), Ordering::Relaxed);
+        out
+    }
+
+    /// The single-owner path to shard `i`: `&mut self` already excludes
+    /// every other caller, so the shard comes out of `Mutex::get_mut` — no
+    /// lock, no yield point, no atomic read-modify-write.
+    #[inline]
+    fn owned<R>(&mut self, i: usize, op: impl FnOnce(&mut Shard<C>, bool) -> R) -> R {
+        let record = *self.record_ledgers.get_mut();
+        let slot = &mut self.slots[i];
+        let shard = slot.shard.get_mut().unwrap_or_else(|e| e.into_inner());
+        let out = op(shard, record);
+        *slot.resident.get_mut() = shard.cache.len();
+        out
     }
 
     /// Capacity of every shard, in shard order (what a ledger replayer
     /// needs to rebuild each shard's sequential twin).
     pub fn shard_capacities(&self) -> Vec<usize> {
-        (0..self.shards.len())
+        (0..self.slots.len())
             .map(|i| self.shard(i).cache.capacity())
             .collect()
     }
@@ -126,42 +216,30 @@ impl<C: Cache> ShardedCache<C> {
 
     /// Drains and returns the per-shard ledgers accumulated so far.
     pub fn take_ledgers(&self) -> Vec<Vec<(PageId, Access)>> {
-        self.shards
-            .iter()
-            .map(|s| std::mem::take(&mut s.lock().unwrap_or_else(|e| e.into_inner()).ledger))
+        (0..self.slots.len())
+            .map(|i| std::mem::take(&mut self.shard(i).ledger))
             .collect()
     }
 
     /// Concurrent access path: routes `page` to its shard, serializes on
     /// that shard's lock only.
     pub fn access_shared(&self, page: PageId) -> Access {
-        yield_point("shard-lock");
-        let mut shard = self.shard(self.shard_of(page));
-        let outcome = shard.cache.access(page);
-        if self.record_ledgers.load(Ordering::SeqCst) {
-            shard.ledger.push((page, outcome));
-        }
-        outcome
+        self.locked(self.shard_of(page), |s, record| s.access(page, record))
     }
 
     /// Concurrent fused fit-check-and-access: one route, one lock
     /// acquisition, one shard probe — versus two of each for the default
     /// peek-then-access split (which would also be racy across the two lock
-    /// acquisitions). The ledger records the access only when it happens,
-    /// so replay evidence stays exact.
+    /// acquisitions).
     pub fn access_if_fits_shared(
         &self,
         page: PageId,
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
-        yield_point("shard-lock");
-        let mut shard = self.shard(self.shard_of(page));
-        let outcome = shard.cache.access_if_fits(page, remaining, miss_penalty)?;
-        if self.record_ledgers.load(Ordering::SeqCst) {
-            shard.ledger.push((page, outcome));
-        }
-        Some(outcome)
+        self.locked(self.shard_of(page), |s, record| {
+            s.access_if_fits(page, remaining, miss_penalty, record)
+        })
     }
 
     /// Concurrent residency probe.
@@ -170,38 +248,45 @@ impl<C: Cache> ShardedCache<C> {
         self.shard(self.shard_of(page)).cache.contains(page)
     }
 
-    /// Total resident pages across all shards (locks each shard in turn —
-    /// a moment-in-time sum, not an atomic snapshot).
+    /// Total resident pages across all shards: one relaxed load of each
+    /// shard's resident mirror, no lock — a moment-in-time sum, not an
+    /// atomic snapshot, while other threads are mid-access.
     pub fn len_shared(&self) -> usize {
-        self.shards
+        self.slots
             .iter()
-            .enumerate()
-            .map(|(i, _)| self.shard(i).cache.len())
+            .map(|s| s.resident.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Total capacity across all shards.
     pub fn capacity_shared(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, _)| self.shard(i).cache.capacity())
+        (0..self.slots.len())
+            .map(|i| self.shard(i).cache.capacity())
             .sum()
     }
 }
 
+/// The single-owner body: every `&mut self` method reaches its shard
+/// through `owned`, so it runs the same per-shard code as the `*_shared`
+/// methods without their lock and yield point.
 impl<C: Cache> Cache for ShardedCache<C> {
+    #[inline]
     fn access(&mut self, page: PageId) -> Access {
-        self.access_shared(page)
+        let i = self.shard_of(page);
+        self.owned(i, |s, record| s.access(page, record))
     }
 
+    #[inline]
     fn access_if_fits(
         &mut self,
         page: PageId,
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
-        self.access_if_fits_shared(page, remaining, miss_penalty)
+        let i = self.shard_of(page);
+        self.owned(i, |s, record| {
+            s.access_if_fits(page, remaining, miss_penalty, record)
+        })
     }
 
     fn contains(&self, page: PageId) -> bool {
@@ -217,16 +302,16 @@ impl<C: Cache> Cache for ShardedCache<C> {
     }
 
     fn resize(&mut self, capacity: usize) {
-        let n = self.shards.len();
+        let n = self.slots.len();
         for i in 0..n {
             let cap = shard_capacity(capacity, n, i);
-            self.shard(i).cache.resize(cap);
+            self.owned(i, |s, _| s.cache.resize(cap));
         }
     }
 
     fn clear(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).cache.clear();
+        for i in 0..self.slots.len() {
+            self.owned(i, |s, _| s.cache.clear());
         }
     }
 }
@@ -236,14 +321,14 @@ impl<C: Cache + Checkpoint> Checkpoint for ShardedCache<C> {
     /// shard count is construction-time configuration, not state, so a
     /// 1-shard cache's snapshot is byte-identical to its inner cache's.
     fn save(&self, w: &mut SnapWriter) {
-        for i in 0..self.shards.len() {
+        for i in 0..self.slots.len() {
             self.shard(i).cache.save(w);
         }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
-        for i in 0..self.shards.len() {
-            self.shard(i).cache.load(r)?;
+        for i in 0..self.slots.len() {
+            self.owned(i, |s, _| s.cache.load(r))?;
         }
         Ok(())
     }
@@ -353,5 +438,35 @@ mod tests {
         // can never exceed capacity and the sum of ledgers is exact.
         assert!(c.len_shared() <= 1024);
         assert!(c.len_shared() > 0);
+    }
+
+    /// The single-owner `Cache` methods never reach a yield point, and
+    /// each shared access reaches exactly one: the schedule explorer's
+    /// parking points stay on the locked path and off the engine's.
+    #[test]
+    fn yield_hook_fires_on_shared_path_only() {
+        use super::super::yieldpoint::{clear_yield_hook, set_yield_hook};
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        let hits = Rc::new(Cell::new(0usize));
+        let h = hits.clone();
+        set_yield_hook(Box::new(move |_| h.set(h.get() + 1)));
+        let mut c = ShardedCache::with_shards(8, 4);
+        for v in 0..40 {
+            c.access(p(v % 13));
+            c.access_if_fits(p(v % 11), 100, 10);
+        }
+        c.resize(3);
+        c.clear();
+        let owner_hits = hits.get();
+        for v in 0..40 {
+            c.access_shared(p(v % 13));
+            c.access_if_fits_shared(p(v % 11), 100, 10);
+        }
+        let shared_hits = hits.get() - owner_hits;
+        clear_yield_hook();
+        assert_eq!(owner_hits, 0, "single-owner path hit a yield point");
+        assert_eq!(shared_hits, 80, "one yield point per shared call");
     }
 }

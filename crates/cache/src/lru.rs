@@ -197,13 +197,21 @@ impl LruCache {
     /// Pages currently resident, most-recently-used first.
     pub fn pages_mru_first(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.len);
-        let mut cur = self.head;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            out.push(n.page);
-            cur = n.next;
-        }
+        out.extend(self.mru_walk());
         out
+    }
+
+    /// Walks the recency list in place, most-recently-used first.
+    fn mru_walk(&self) -> impl Iterator<Item = PageId> + '_ {
+        let mut cur = self.head;
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let n = &self.nodes[cur as usize];
+            cur = n.next;
+            Some(n.page)
+        })
     }
 
     /// Evicts and returns the least-recently-used page, if any.
@@ -367,11 +375,13 @@ impl Checkpoint for LruCache {
         // state is exactly (capacity, recency order). This encoding is
         // byte-identical to the pre-packed (HashMap-indexed) LRU's, which
         // is what keeps old checkpoints loadable and resume equivalence
-        // intact across the rewrite.
+        // intact across the rewrite. The list is walked in place into a
+        // writer sized once for the whole payload: capacity, length, and
+        // one u64 per page.
+        w.reserve(8 * (2 + self.len));
         w.put_usize(self.capacity);
-        let pages = self.pages_mru_first();
-        w.put_len(pages.len());
-        for p in pages {
+        w.put_len(self.len);
+        for p in self.mru_walk() {
             w.put_page(p);
         }
     }

@@ -154,6 +154,54 @@ proptest! {
     }
 }
 
+/// The format promise `LruCache::save` keeps: capacity, resident count,
+/// then the pages MRU-first — encoded here from `pages_mru_first` alone.
+fn reference_encoding(c: &LruCache) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_usize(c.capacity());
+    let pages = c.pages_mru_first();
+    w.put_len(pages.len());
+    for p in pages {
+        w.put_page(p);
+    }
+    w.into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The in-place encoder walks the recency list straight into the
+    /// writer; it must produce the reference bytes after every step of a
+    /// trace that shrinks, grows and pops, and every blob must load back
+    /// into the same recency order and re-encode identically.
+    #[test]
+    fn in_place_save_matches_reference_encoding(
+        ops in prop::collection::vec((0u8..10, 0u64..40, 0usize..24), 0..200),
+        cap in 0usize..24,
+    ) {
+        let mut c = LruCache::new(cap);
+        for (i, &(kind, page, n)) in ops.iter().enumerate() {
+            match kind {
+                0 => c.resize(n),
+                1 => {
+                    c.pop_lru();
+                }
+                _ => {
+                    c.access(PageId(page));
+                }
+            }
+            let bytes = checkpoint_bytes(&c);
+            prop_assert_eq!(&bytes, &reference_encoding(&c), "step {}", i);
+            let mut restored = LruCache::new(0);
+            restored
+                .load(&mut SnapReader::new(&bytes))
+                .map_err(|e| TestCaseError::fail(format!("step {i}: load: {e}")))?;
+            prop_assert_eq!(restored.pages_mru_first(), c.pages_mru_first(), "step {}", i);
+            prop_assert_eq!(checkpoint_bytes(&restored), bytes, "step {}: re-encode", i);
+        }
+    }
+}
+
 /// Non-proptest pin: the old implementation pre-sized at `1 << 20` and the
 /// new one must stay correct past that boundary (see
 /// `boundary_capacity_holds_every_resident` in `lru.rs` for the large-scale

@@ -7,13 +7,18 @@
 //! * with any shard count, driving the sharded cache equals driving each
 //!   shard's sequential twin with the routed subsequence;
 //! * the lock-free FIFO tracks the sequential FIFO op-for-op, snapshot
-//!   bytes included, so their blobs cross-load.
+//!   bytes included, so their blobs cross-load;
+//! * the single-owner `&mut` [`Cache`] path and the locked `*_shared` path
+//!   are one cache: same outcomes, ledgers, snapshot bytes and `len()`
+//!   after every operation, with `len()` matching a count taken under the
+//!   shard locks.
 
 use proptest::prelude::*;
 
 use parapage_cache::{
     concurrent::shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
-    LockFreeFifoCache, LruCache, PageId, ShardedCache, SnapReader, SnapWriter, TwoQueueCache,
+    LockFreeFifoCache, LruCache, PageId, ShardedCache, ShardedLru, SnapReader, SnapWriter,
+    TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -64,8 +69,110 @@ where
     Ok(())
 }
 
+/// One step of a path-equivalence trace.
+#[derive(Clone, Debug)]
+enum Op {
+    Access(PageId),
+    AccessIfFits(PageId, u64, u64),
+    Resize(usize),
+    Clear,
+    Save,
+    /// Loads the last saved blob back into both caches.
+    Load,
+    /// Loads a strict prefix (cut at this fraction, in 1/256ths) of the
+    /// last saved blob; the load must fail.
+    LoadTruncated(usize),
+}
+
+/// Mostly accesses (plain and budgeted), with resizes, clears and
+/// checkpoint traffic mixed in.
+fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
+    (0u8..20, 0..universe, 0u64..40, 1u64..12, 0usize..24).prop_map(
+        move |(kind, page, remaining, penalty, n)| match kind {
+            0..=8 => Op::Access(PageId(page)),
+            9..=13 => Op::AccessIfFits(PageId(page), remaining, penalty),
+            14 | 15 => Op::Resize(n),
+            16 => Op::Clear,
+            17 => Op::Save,
+            18 => Op::Load,
+            _ => Op::LoadTruncated(n * 256 / 24),
+        },
+    )
+}
+
+/// Resident pages counted by probing every page of the universe under its
+/// shard's lock — independent of the lock-free resident mirrors.
+fn locked_resident_count(cache: &ShardedLru, universe: u64) -> usize {
+    (0..universe)
+        .filter(|&v| cache.contains_shared(PageId(v)))
+        .count()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The single-owner path (`Cache::access`, `access_if_fits`, `len`) and
+    /// the locked path (`access_shared`, `access_if_fits_shared`,
+    /// `len_shared`) behave as one cache for 1, 2, 4 and 8 shards, ledgers
+    /// recording. Resize, clear, save and load have no shared variant and
+    /// run on both; a truncated blob must fail to load on both. After every
+    /// op `len()` must equal a count taken under the locks, which catches a
+    /// resident mirror left stale by any mutation.
+    #[test]
+    fn owner_and_shared_paths_are_one_cache(
+        ops in prop::collection::vec(op_strategy(40), 0..160),
+        cap in 0usize..20,
+        shards_exp in 0u32..4,
+    ) {
+        const UNIVERSE: u64 = 40;
+        let n = 1usize << shards_exp;
+        let mut owner = ShardedLru::with_shards(cap, n);
+        let mut twin = ShardedLru::with_shards(cap, n);
+        owner.set_ledger_recording(true);
+        twin.set_ledger_recording(true);
+        let mut blob = snapshot_bytes(&owner);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Access(page) => {
+                    prop_assert_eq!(owner.access(page), twin.access_shared(page), "step {}", step);
+                }
+                Op::AccessIfFits(page, remaining, penalty) => {
+                    prop_assert_eq!(
+                        owner.access_if_fits(page, remaining, penalty),
+                        twin.access_if_fits_shared(page, remaining, penalty),
+                        "step {}", step
+                    );
+                }
+                Op::Resize(c) => {
+                    owner.resize(c);
+                    twin.resize(c);
+                }
+                Op::Clear => {
+                    owner.clear();
+                    twin.clear();
+                }
+                Op::Save => blob = snapshot_bytes(&owner),
+                Op::Load => {
+                    owner.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                    twin.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                }
+                Op::LoadTruncated(cut) => {
+                    let prefix = &blob[..blob.len() * cut / 256];
+                    prop_assert!(owner.load(&mut SnapReader::new(prefix)).is_err(), "step {}", step);
+                    prop_assert!(twin.load(&mut SnapReader::new(prefix)).is_err(), "step {}", step);
+                }
+            }
+            prop_assert_eq!(owner.take_ledgers(), twin.take_ledgers(), "step {}: ledgers", step);
+            prop_assert_eq!(snapshot_bytes(&owner), snapshot_bytes(&twin), "step {}: bytes", step);
+            prop_assert_eq!(owner.capacity(), twin.capacity_shared(), "step {}", step);
+            let len = owner.len();
+            prop_assert_eq!(len, twin.len_shared(), "step {}: len", step);
+            prop_assert_eq!(len, locked_resident_count(&owner, UNIVERSE), "step {}: stale owner len", step);
+            prop_assert_eq!(len, locked_resident_count(&twin, UNIVERSE), "step {}: stale twin len", step);
+        }
+    }
 
     /// Satellite 1's headline: for every checkpointable policy, a 1-shard
     /// sharded cache is byte-identical to the sequential cache it wraps.

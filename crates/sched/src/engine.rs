@@ -488,10 +488,10 @@ impl<'a, C: Cache> Engine<'a, C> {
             cache.clear();
         }
         cache.resize(grant.height);
+        let resident_at_start = cache.len();
         // Pages forced out at the box boundary itself (shrink truncation,
         // or the full flush under compartmentalized semantics).
-        let boundary_evictions = (resident_before - cache.len()) as u64;
-        let resident_at_start = cache.len();
+        let boundary_evictions = (resident_before - resident_at_start) as u64;
 
         let out = if grant.height == 0 {
             // Stall: no progress; the cache (already truncated to zero)
