@@ -36,6 +36,7 @@
 //! | `ops/belady-min`      | Belady MIN simulation, requests/sec        |
 //! | `ops/green-opt`       | offline green-OPT DP, naive and Fenwick    |
 //! | `ops/generators`      | workload generators, pages/sec             |
+//! | `ops/ucp-repartition` | UCP engine runs at the monitor-ucp shape   |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
@@ -48,9 +49,12 @@
 //! unpinned: it records the byte-serial FNV-1a rate beside `ops/digest`,
 //! the digest that replaced it on the bulk byte paths. The four analysis
 //! and generator entries after it are unpinned too: they record the
-//! throughput of the offline machinery the experiments lean on. Release
-//! builds are pinned against the floors in [`OPS_FLOORS`] by
-//! `bench/tests/ops_regression.rs` and by the `parapage bench` exit gate.
+//! throughput of the offline machinery the experiments lean on.
+//! `ops/ucp-repartition` is pinned again: it counts UCP engine runs on
+//! `monitor-ucp`-shaped batches, whose cost is mostly the policy's epoch
+//! repartitions. Release builds are pinned against the floors in
+//! [`OPS_FLOORS`] by `bench/tests/ops_regression.rs` and by the
+//! `parapage bench` exit gate.
 
 use std::time::Instant;
 
@@ -999,6 +1003,55 @@ fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(seqs.iter().map(Vec::len).sum(), d.finish())
 }
 
+/// The `monitor-ucp` serve workload's batch shape (p=8, k=128, s=16,
+/// working sets twice the fitting size, 500 requests per processor): a
+/// cycle, a Zipf and a uniform stream in rotation.
+fn ucp_batch(params: &ModelParams, seed: u64) -> Workload {
+    let (k, len) = (params.k, 500);
+    let specs: Vec<SeqSpec> = (0..params.p)
+        .map(|x| match x % 3 {
+            0 => SeqSpec::Cyclic {
+                width: (k / 8).max(2) * 2,
+                len,
+            },
+            1 => SeqSpec::Zipf {
+                universe: (k / 2).max(4) * 2,
+                theta: 0.9,
+                len,
+            },
+            _ => SeqSpec::Uniform {
+                universe: (2 * k / params.p).max(2) * 2,
+                len,
+            },
+        })
+        .collect();
+    build_workload(&specs, seed)
+}
+
+/// Entry 21: UCP, the one policy whose decisions read the access streams,
+/// on a fixed pool of `monitor-ucp`-shaped batches. Each batch is one
+/// engine run with a fresh policy, as a served batch is; its epoch
+/// repartitions (a Mattson pass per processor plus the lookahead) are
+/// most of the run. `runs` counts engine runs; the digest pins every
+/// run's final allocation and makespan.
+fn entry_ops_ucp_repartition(quick: bool, seed: u64) -> EntryOut {
+    let params = ModelParams::new(8, 128, 16);
+    let pool: Vec<Workload> = (0..8).map(|b| ucp_batch(&params, seed ^ b)).collect();
+    let runs = if quick { 80 } else { 400 };
+    let mut d = Digest::new();
+    for w in pool.iter().cycle().take(runs) {
+        let mut ucp = UcpPartition::new(&params);
+        let res =
+            run_engine(&mut ucp, w.seqs(), &params, &EngineOpts::default()).expect("ops ucp run");
+        d.write(&format!(
+            "alloc={:?} makespan={}",
+            ucp.allocation(),
+            res.makespan
+        ));
+    }
+    EntryOut::plain(runs, d.finish())
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -1016,6 +1069,8 @@ pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/sharded-exclusive", 8_000_000.0),
     // Bytes per second.
     ("ops/digest", 1_800_000_000.0),
+    // Engine runs per second.
+    ("ops/ucp-repartition", 800.0),
 ];
 
 impl SuiteReport {
@@ -1106,6 +1161,7 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/belady-min", false, entry_ops_belady),
     ("ops/green-opt", false, entry_ops_green_opt),
     ("ops/generators", false, entry_ops_generators),
+    ("ops/ucp-repartition", false, entry_ops_ucp_repartition),
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the

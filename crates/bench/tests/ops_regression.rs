@@ -42,7 +42,8 @@ fn every_pinned_entry_exists_and_counts_work() {
 /// The ops entries are pure functions of (recipe size, seed): two runs
 /// must agree digest-for-digest, and the two legs of one run likewise.
 /// The locked and the single-owner sharded entries serve one stream, so
-/// their digests must agree too.
+/// their digests must agree too, and UCP's runs must decide what the
+/// full-scan UCP decided.
 #[test]
 fn ops_entries_are_deterministic() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -69,6 +70,14 @@ fn ops_entries_are_deterministic() {
         digest_of("ops/sharded-access"),
         digest_of("ops/sharded-exclusive"),
         "the locked and single-owner sharded paths served the stream differently"
+    );
+    // The frozen full-scan UCP (`parapage_core::testshim::ScanUcp`) gave
+    // this digest on the same runs: every allocation and makespan of the
+    // rebuilt repartition is the old one's.
+    assert_eq!(
+        digest_of("ops/ucp-repartition"),
+        0x3596_2d81_77d6_15df,
+        "UCP's allocations or makespans moved"
     );
 }
 

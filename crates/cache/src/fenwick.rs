@@ -1,8 +1,10 @@
 //! Fenwick (binary indexed) tree over `u64` counts.
 //!
-//! Substrate for the Mattson stack-distance pass: it maintains, for each time
-//! index, whether that index is the *most recent* access of some page, and
-//! answers "how many distinct pages were touched in `(a, b]`" in O(log n).
+//! Substrate for the Fenwick-accelerated green-OPT DP
+//! (`parapage_core::green_opt_fast`), which counts, over request
+//! positions, the hits whose reuse interval crosses a window start. The
+//! Mattson pass itself runs on [`crate::StackDistanceKernel`], whose `u32`
+//! tree counts marks per 64-time word.
 
 /// A Fenwick tree supporting point update and prefix sum over `u64`.
 #[derive(Clone, Debug)]

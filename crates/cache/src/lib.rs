@@ -19,7 +19,8 @@
 //!   lower bound that feeds the `T_OPT` lower-bound calculator.
 //! * [`mattson`] — single-pass stack-distance analysis producing the LRU miss
 //!   count for **every** cache capacity at once (the classic Mattson et al.
-//!   1970 technique), backed by the [`fenwick`] tree substrate.
+//!   1970 technique), run by one reusable [`StackDistanceKernel`]; the
+//!   [`fenwick`] tree substrate backs the green-OPT DP built on it.
 //! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
 //!   approximating the miss curve at a fraction of the cost for long
 //!   traces.
@@ -70,7 +71,7 @@ pub use fifo::FifoCache;
 pub use lfu::LfuCache;
 pub use lirs::LirsCache;
 pub use lru::LruCache;
-pub use mattson::{miss_curve, stack_distances, MissCurve};
+pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
 pub use sampling::{sampled_miss_curve, SampledCurve};
 pub use stats::CacheStats;

@@ -39,7 +39,7 @@ pub const PRESIZE_LIMIT: usize = 1 << 22;
 
 /// Fibonacci hashing constant (2^64 / φ): one multiply spreads consecutive
 /// page ids across the high bits, which linear probing then consumes.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 #[derive(Clone, Debug)]
 struct Node {

@@ -11,10 +11,7 @@
 //! Used by the analysis pipeline when estimating miss curves of multi-
 //! million-request workloads (e.g. paper-scale adversarial instances).
 
-use std::collections::HashMap;
-
-use crate::fenwick::Fenwick;
-use crate::mattson::MissCurve;
+use crate::mattson::{MissCurve, StackDistanceKernel};
 use crate::types::PageId;
 
 /// A sampled approximation of the LRU miss curve.
@@ -93,33 +90,21 @@ pub fn sampled_miss_curve(seq: &[PageId], max_capacity: usize, rate: f64) -> Sam
     let scale = 1.0 / rate;
 
     // Exact Mattson pass over the sampled accesses only.
-    let mut last: HashMap<PageId, usize> = HashMap::new();
-    let mut fw = Fenwick::new(seq.len());
     let mut hist: Vec<u64> = vec![0; max_capacity + 2];
     let mut compulsory = 0u64;
     let mut sampled = 0usize;
-    let mut sample_idx = 0usize; // dense index among sampled accesses
-    for &page in seq {
-        if hash_page(page) > threshold {
-            continue;
-        }
+    let sample = seq.iter().copied().filter(|&p| hash_page(p) <= threshold);
+    StackDistanceKernel::new().for_each(sample, |d| {
         sampled += 1;
-        match last.get(&page).copied() {
+        match d {
             None => compulsory += 1,
-            Some(prev) => {
-                let between = fw.range_sum(prev + 1, sample_idx.saturating_sub(1)) as usize;
-                let d_sampled = between + 1;
+            Some(d_sampled) => {
                 // Scale the distance back to the full trace.
                 let d = ((d_sampled as f64) * scale).round() as usize;
-                let idx = d.clamp(1, max_capacity + 1);
-                hist[idx] += 1;
-                fw.add(prev, -1);
+                hist[d.clamp(1, max_capacity + 1)] += 1;
             }
         }
-        fw.add(sample_idx, 1);
-        last.insert(page, sample_idx);
-        sample_idx += 1;
-    }
+    });
 
     let total_sampled = sampled as u64;
     let mut misses = vec![0f64; max_capacity + 1];
@@ -213,6 +198,50 @@ mod tests {
         let b = sampled_miss_curve(&seq, 64, 0.05);
         assert!(b.sampled_accesses < a.sampled_accesses);
         assert!(b.sampled_accesses > 0);
+    }
+
+    /// Order-sensitive fold of every field's bits.
+    fn fingerprint(c: &SampledCurve) -> u64 {
+        let words = c.misses.iter().map(|m| m.to_bits()).chain([
+            c.total.to_bits(),
+            c.distinct.to_bits(),
+            c.rate.to_bits(),
+            c.sampled_accesses as u64,
+            c.misses.len() as u64,
+        ]);
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(17)
+        })
+    }
+
+    /// The curves of this module's test and doc inputs, pinned bit for bit
+    /// to the values of the `HashMap` + `Fenwick` pass the shared
+    /// stack-distance kernel replaced.
+    #[test]
+    fn fields_match_the_pinned_hashmap_pass() {
+        let cases: Vec<(Vec<PageId>, usize, f64, u64)> = vec![
+            (zipfish(5000, 200), 128, 1.0, 0x4a1a_7f95_6eaf_1168),
+            (zipfish(60_000, 500), 256, 0.25, 0x05cc_3059_a662_7b4b),
+            (zipfish(20_000, 300), 128, 0.3, 0x6067_d04b_928e_469f),
+            (zipfish(30_000, 400), 64, 0.5, 0x4ccf_3122_e1a2_3bf7),
+            (zipfish(30_000, 400), 64, 0.05, 0xd8e4_f7e9_7b07_7256),
+            (Vec::new(), 16, 0.5, 0x64e2_ae12_aad7_6721),
+            (
+                (0..50_000).map(|i| PageId(i * 7 % 400)).collect(),
+                512,
+                0.5,
+                0x5044_00d6_4ed7_09ff,
+            ),
+        ];
+        for (seq, cap, rate, pinned) in &cases {
+            let c = sampled_miss_curve(seq, *cap, *rate);
+            assert_eq!(
+                fingerprint(&c),
+                *pinned,
+                "len {} cap {cap} rate {rate}",
+                seq.len()
+            );
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod distribution;
 pub mod green;
 pub mod parallel;
 pub mod policy;
+pub mod testshim;
 pub mod wellrounded;
 
 pub use boxes::{run_profile, BoxProfile, MemBox, ProfileRun};

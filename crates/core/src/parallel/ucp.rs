@@ -10,9 +10,21 @@
 //! processor values it most. Unlike the paper's oblivious algorithms, UCP
 //! reads access streams — it represents what a well-engineered system
 //! without the paper's theory would deploy, and E8 measures the gap.
+//!
+//! Two things keep a repartition cheap without changing any decision:
+//!
+//! * The Mattson passes of one repartition share one
+//!   [`StackDistanceKernel`], so its index, bitset, Fenwick tree and
+//!   histogram are sized once per epoch instead of once per processor.
+//!   The kernel lives only as long as the repartition: kept across epochs
+//!   it would add its buffers to every tenant's heap peak.
+//! * The lookahead caches, per processor, the best gain over its
+//!   extensions and the first block size reaching it (see
+//!   `UcpPartition::repartition`), instead of rescanning every
+//!   `(processor, block)` pair for each block it hands out.
 
 use parapage_cache::{
-    miss_curve, CodecError, MissCurve, PageId, ProcId, SnapReader, SnapWriter, Time,
+    CodecError, MissCurve, PageId, ProcId, SnapReader, SnapWriter, StackDistanceKernel, Time,
 };
 
 use crate::config::ModelParams;
@@ -26,6 +38,21 @@ pub struct UcpPartition {
     alloc: Vec<usize>,
     streams: Vec<Vec<PageId>>,
     active: Vec<bool>,
+}
+
+/// The best lookahead gain `Δmisses / delta` over `delta ∈ 1..=limit` for a
+/// processor holding `cur` pages, with the first `delta` that reaches it;
+/// `None` when `limit` is 0.
+fn lookahead(curve: &MissCurve, cur: usize, limit: usize) -> Option<(f64, usize)> {
+    let base = curve.misses(cur);
+    let mut best: Option<(f64, usize)> = None;
+    for delta in 1..=limit {
+        let gain = base.saturating_sub(curve.misses(cur + delta)) as f64 / delta as f64;
+        if best.is_none_or(|(g, _)| gain > g) {
+            best = Some((gain, delta));
+        }
+    }
+    best
 }
 
 impl UcpPartition {
@@ -53,18 +80,31 @@ impl UcpPartition {
     }
 
     /// Greedy lookahead partitioning from the epoch's miss curves.
+    ///
+    /// Each step hands `delta` pages to the processor `i` whose
+    /// `Δmisses/delta` is largest over every live `(i, delta)` with
+    /// `delta ≤ min(remaining, k − alloc[i])`, taking the first such pair
+    /// in `(i, delta)` order on ties, provided that gain is positive. The
+    /// first maximum of a concatenation is the first maximum of the first
+    /// part that reaches the overall maximum, so the choice decomposes:
+    /// cache each processor's `(best gain, first delta reaching it)` and
+    /// take the first live processor with the strictly greatest cached
+    /// gain. A grant changes the granted processor's `alloc`, so it is
+    /// recomputed; for everyone else only `remaining` shrank, which removes
+    /// candidates from the end of their range. Their cached maximum and
+    /// its first delta survive unless that delta is no longer in range, so
+    /// only those are recomputed. The gain is the same float expression as
+    /// a full rescan's, so ties break identically.
     fn repartition(&mut self) {
         let live: Vec<usize> = (0..self.alloc.len()).filter(|&i| self.active[i]).collect();
         if live.is_empty() {
             return;
         }
+        let mut kernel = StackDistanceKernel::new();
         let curves: Vec<Option<MissCurve>> = (0..self.alloc.len())
             .map(|i| {
-                if self.active[i] && !self.streams[i].is_empty() {
-                    Some(miss_curve(&self.streams[i], self.k))
-                } else {
-                    None
-                }
+                (self.active[i] && !self.streams[i].is_empty())
+                    .then(|| kernel.miss_curve(&self.streams[i], self.k))
             })
             .collect();
         // Everyone starts with one page; distribute the rest by lookahead
@@ -72,25 +112,36 @@ impl UcpPartition {
         for (i, a) in self.alloc.iter_mut().enumerate() {
             *a = usize::from(self.active[i]);
         }
-        let mut remaining = self.k.saturating_sub(live.len());
+        let k = self.k;
+        let mut remaining = k.saturating_sub(live.len());
+        // Per processor: (best gain, first delta reaching it), or None
+        // without a curve or room to grow.
+        let mut best: Vec<Option<(f64, usize)>> = curves
+            .iter()
+            .zip(&self.alloc)
+            .map(|(curve, &cur)| lookahead(curve.as_ref()?, cur, remaining.min(k - cur)))
+            .collect();
         while remaining > 0 {
-            let mut best: Option<(f64, usize, usize)> = None; // (gain/page, proc, delta)
+            let mut pick: Option<(f64, usize, usize)> = None; // (gain/page, proc, delta)
             for &i in &live {
-                let Some(curve) = &curves[i] else { continue };
-                let cur = self.alloc[i];
-                let base = curve.misses(cur);
-                // Lookahead: the best average gain over any extension.
-                for delta in 1..=remaining.min(self.k - cur) {
-                    let gain = base.saturating_sub(curve.misses(cur + delta)) as f64 / delta as f64;
-                    if best.map(|(g, _, _)| gain > g).unwrap_or(gain > 0.0) {
-                        best = Some((gain, i, delta));
+                if let Some((gain, delta)) = best[i] {
+                    if pick.map_or(gain > 0.0, |(g, _, _)| gain > g) {
+                        pick = Some((gain, i, delta));
                     }
                 }
             }
-            match best {
+            match pick {
                 Some((_, i, delta)) => {
                     self.alloc[i] += delta;
                     remaining -= delta;
+                    for &j in &live {
+                        if j == i || best[j].is_some_and(|(_, d)| d > remaining) {
+                            let cur = self.alloc[j];
+                            best[j] = curves[j]
+                                .as_ref()
+                                .and_then(|c| lookahead(c, cur, remaining.min(k - cur)));
+                        }
+                    }
                 }
                 None => {
                     // No measurable utility anywhere: spread evenly.
@@ -109,6 +160,13 @@ impl UcpPartition {
 }
 
 impl BoxAllocator for UcpPartition {
+    /// A grant at or past the epoch boundary repartitions once per
+    /// boundary crossed. The monitors hold the streams served since the
+    /// last repartition, and the first repartition clears them, so when
+    /// one grant crosses several boundaries the second and later
+    /// repartitions see no stream at all and fall back to an even spread
+    /// over the live processors: the epochs nobody was granted in carry no
+    /// evidence.
     fn grant(&mut self, proc: ProcId, now: Time) -> Grant {
         while now >= self.epoch_end {
             self.repartition();
@@ -253,6 +311,31 @@ mod tests {
         let b = ucp.grant(ProcId(0), 100);
         assert_eq!(a, b);
         assert_eq!(restored.allocation(), ucp.allocation());
+    }
+
+    #[test]
+    fn multi_epoch_catch_up_spreads_evenly() {
+        // Crossing one boundary: the monitors steer the split.
+        let mut one = UcpPartition::with_epoch(&params(), 100);
+        feed_cycle(&mut one, 0, 12, 240);
+        feed_cycle(&mut one, 1, 2, 240);
+        one.grant(ProcId(0), 199);
+        assert!(one.allocation()[0] >= 12, "{:?}", one.allocation());
+        // Crossing two at once (t = 200 is the second boundary): the
+        // first repartition consumes the same monitors, the second sees
+        // none and spreads the cache evenly, 1 + (16 - 2) / 2 pages each.
+        let mut two = UcpPartition::with_epoch(&params(), 100);
+        feed_cycle(&mut two, 0, 12, 240);
+        feed_cycle(&mut two, 1, 2, 240);
+        let g = two.grant(ProcId(0), 200);
+        assert_eq!(two.allocation(), &[8, 8]);
+        assert_eq!(
+            g,
+            Grant {
+                height: 8,
+                duration: 100
+            }
+        );
     }
 
     #[test]

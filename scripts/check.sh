@@ -55,4 +55,12 @@ echo "==> parapage drive --fault (recovery smoke: severed connections absorbed)"
 cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
   --batches 2 --fault cut-send --expect-clean
 
+echo "==> parapage drive --policy ucp (UCP serve smoke: repartition + checkpoint on the serve path)"
+cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
+  --batches 2 --policy ucp --expect-clean
+
+echo "==> parapage drive --policy ucp --fault (UCP recovery smoke)"
+cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
+  --batches 2 --policy ucp --fault cut-send --expect-clean
+
 echo "All checks passed."
