@@ -25,7 +25,6 @@
 //! | `checkpoint/wal-delta`| per-epoch incremental WAL delta cost       |
 //! | `server/wire-codec`   | serve protocol frame encode/verify/decode  |
 //! | `concurrent/sharded-access` | pool workers on one shared sharded LRU |
-//! | `concurrent/lockfree-index` | pool workers on one shared lock-free map |
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
 //! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
@@ -719,49 +718,7 @@ fn entry_concurrent_sharded(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(UNITS * per, d.finish())
 }
 
-/// Entry 10: the lock-free split-ordered index under pool-wide churn. Every
-/// worker insert/probe/removes over its own disjoint key range of one
-/// shared [`SplitOrderedMap`], so the CAS paths, bucket splits, and epoch
-/// reclamation all see real contention while each unit's observable
-/// results (and hence the digest) remain schedule-independent.
-fn entry_concurrent_lockfree(quick: bool, seed: u64) -> EntryOut {
-    use rayon::prelude::*;
-    const UNITS: usize = 8;
-    let per = if quick { 3_000 } else { 15_000 };
-    let map = SplitOrderedMap::with_config(4, 4);
-    let units: Vec<u64> = (0..UNITS as u64).collect();
-    let outs: Vec<(u64, u64, u64)> = units
-        .par_iter()
-        .map(|&u| {
-            let base = u << 32;
-            let (mut inserted, mut present, mut removed) = (0u64, 0u64, 0u64);
-            for i in 0..per as u64 {
-                let k = base + (i.wrapping_mul(2654435761).wrapping_add(seed)) % 4096;
-                if map.insert(PageId(k), i) {
-                    inserted += 1;
-                }
-                if map.contains(PageId(k)) {
-                    present += 1;
-                }
-                if i % 3 == 0 && map.remove(PageId(k)) {
-                    removed += 1;
-                }
-            }
-            (inserted, present, removed)
-        })
-        .collect();
-    let mut d = Digest::new();
-    for (u, (i, p, r)) in outs.iter().enumerate() {
-        d.write(&format!("unit={u} inserted={i} present={p} removed={r}"));
-    }
-    // bucket_count() stays out of the digest: grows trigger on transient
-    // global-size peaks, which are schedule-dependent across pool widths.
-    // len and the per-unit counters are fixed by the disjoint key ranges.
-    d.write(&format!("len={}", map.len()));
-    EntryOut::plain(UNITS * per, d.finish())
-}
-
-/// Entry 11: raw engine event throughput. One det-par run stepped to
+/// Entry 10: raw engine event throughput. One det-par run stepped to
 /// completion with a null sink and no checkpoint traffic; `runs` counts
 /// events processed (the engine's tick clock), so `runs_per_sec_threads1`
 /// reads as engine events per second. This is the number the batched
@@ -806,7 +763,7 @@ fn ops_access_page(x: &mut u64, capacity: u64) -> PageId {
     }
 }
 
-/// Entry 12: packed-LRU access throughput — the innermost operation of
+/// Entry 11: packed-LRU access throughput — the innermost operation of
 /// every simulated request, measured bare: one `LruCache`, one thread,
 /// a mixed hit/miss stream. `runs` counts accesses.
 fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
@@ -855,7 +812,7 @@ fn ops_sharded_with(
     EntryOut::plain(accesses, d.finish())
 }
 
-/// Entry 13: sharded-LRU access throughput on a single thread through the
+/// Entry 12: sharded-LRU access throughput on a single thread through the
 /// locked `access_shared` path that concurrent callers take: route, yield
 /// point, shard lock, access. Contention is left to
 /// `concurrent/sharded-access`. Its gap to `ops/sharded-exclusive` (same
@@ -865,7 +822,7 @@ fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
     ops_sharded_with(quick, seed, |c, page| c.access_shared(page))
 }
 
-/// Entry 14: the same stream through the single-owner `Cache::access`
+/// Entry 13: the same stream through the single-owner `Cache::access`
 /// path the engine and every tenant batch use (`Mutex::get_mut`, no lock).
 /// Its gap to `ops/lru-access` is what routing across shards costs.
 fn entry_ops_sharded_exclusive(quick: bool, seed: u64) -> EntryOut {
@@ -897,13 +854,13 @@ fn ops_digest_with(quick: bool, seed: u64, digest: fn(u64, &[u8]) -> u64) -> Ent
     EntryOut::plain(passes as usize * OPS_DIGEST_BUF, d.finish())
 }
 
-/// Entry 15: the bulk integrity digest (`digest64_seeded`) every snapshot,
+/// Entry 14: the bulk integrity digest (`digest64_seeded`) every snapshot,
 /// WAL record and wire frame goes through.
 fn entry_ops_digest(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::digest64_seeded)
 }
 
-/// Entry 16: FNV-1a over the same buffer, for the record.
+/// Entry 15: FNV-1a over the same buffer, for the record.
 fn entry_ops_digest_fnv(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::fnv1a64_seeded)
 }
@@ -924,7 +881,7 @@ fn fold_pages(seq: &[PageId]) -> u64 {
     })
 }
 
-/// Entry 17: Mattson's single-pass LRU miss curve, the stack-distance
+/// Entry 16: Mattson's single-pass LRU miss curve, the stack-distance
 /// analysis under the green-OPT DP and the lower-bound calculator.
 /// `runs` counts requests analysed.
 fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
@@ -940,7 +897,7 @@ fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(passes * seq.len(), d.finish())
 }
 
-/// Entry 18: Belady's MIN, the per-processor term of the certified
+/// Entry 17: Belady's MIN, the per-processor term of the certified
 /// `T_OPT` lower bound, on a Zipf stream and on a cyclic stream that
 /// thrashes LRU. `runs` counts requests simulated.
 fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
@@ -954,7 +911,7 @@ fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * len, d.finish())
 }
 
-/// Entry 19: the offline green-paging optimum (the `T_OPT` side of every
+/// Entry 18: the offline green-paging optimum (the `T_OPT` side of every
 /// RAND-GREEN ratio), by both the naive and the Fenwick-accelerated DP,
 /// which must agree. `runs` counts requests per DP times the two DPs.
 fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
@@ -972,7 +929,7 @@ fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * seq.len(), d.finish())
 }
 
-/// Entry 20: the workload generators — cyclic, Zipf and polluted-cycle
+/// Entry 19: the workload generators — cyclic, Zipf and polluted-cycle
 /// streams plus one Theorem-4 adversarial instance. `runs` counts pages
 /// generated.
 fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
@@ -1028,7 +985,7 @@ fn ucp_batch(params: &ModelParams, seed: u64) -> Workload {
     build_workload(&specs, seed)
 }
 
-/// Entry 21: UCP, the one policy whose decisions read the access streams,
+/// Entry 20: UCP, the one policy whose decisions read the access streams,
 /// on a fixed pool of `monitor-ucp`-shaped batches. Each batch is one
 /// engine run with a fresh policy, as a served batch is; its epoch
 /// repartitions (a Mattson pass per processor plus the lookahead) are
@@ -1183,7 +1140,6 @@ pub fn run_suite(quick: bool, seed: u64, threads_par: usize) -> SuiteReport {
         ("checkpoint/wal-delta", false, entry_ckpt_wal),
         ("server/wire-codec", false, entry_wire_codec),
         ("concurrent/sharded-access", true, entry_concurrent_sharded),
-        ("concurrent/lockfree-index", true, entry_concurrent_lockfree),
     ];
     let full: Vec<(&'static str, bool, EntryFn)> =
         recipe.iter().chain(OPS_RECIPE.iter()).copied().collect();

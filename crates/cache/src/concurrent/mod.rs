@@ -1,83 +1,17 @@
-//! Concurrently-accessible cache substrate (ROADMAP open item 3).
+//! Concurrently accessible cache: [`ShardedCache`] / [`ShardedLru`].
 //!
-//! Two concurrent cache families behind the same [`crate::Cache`] trait the
-//! sequential policies implement, so `Engine` and `Supervisor` drive them
-//! unchanged:
+//! Power-of-two shards, each a sequential policy behind its own mutex,
+//! pages routed by FNV-1a hash, behind the same [`crate::Cache`] trait the
+//! sequential policies implement, so `Engine` and `Supervisor` drive it
+//! unchanged. With one shard it degenerates to exactly the wrapped cache,
+//! snapshot bytes included.
 //!
-//! * [`ShardedCache`] / [`ShardedLru`] — the fine-grained-locking baseline:
-//!   power-of-two shards, each a sequential policy behind its own mutex,
-//!   pages routed by FNV-1a hash. With one shard it degenerates to exactly
-//!   the wrapped cache, snapshot bytes included.
-//! * [`LockFreeFifoCache`] over [`SplitOrderedMap`] — a lock-free
-//!   split-ordered hash index (Shalev–Shavit recursive split-ordering over
-//!   a Harris linked list) with a growable bucket array and epoch-based
-//!   slot reclamation ([`epoch::EpochGc`]), written in safe Rust over an
-//!   index arena with version-tagged links.
-//!
-//! Everything here is instrumented with [`yieldpoint::yield_point`] calls
-//! at each racy shared access, which is what lets the schedule explorer in
+//! The locked `*_shared` path calls [`yieldpoint::yield_point`] once before
+//! each shard-lock acquisition, which is what lets the schedule explorer in
 //! `parapage-conform` enumerate thread interleavings deterministically.
 
-pub mod epoch;
-pub mod fifo;
 pub mod sharded;
-pub mod split_order;
 pub mod yieldpoint;
 
-pub use epoch::{EpochGc, EpochGuard};
-pub use fifo::LockFreeFifoCache;
 pub use sharded::{shard_capacity, ShardedCache, ShardedLru};
-pub use split_order::SplitOrderedMap;
 pub use yieldpoint::{clear_yield_hook, set_yield_hook, yield_point, YieldHook};
-
-/// Deliberately seeded concurrency bugs, **off by default**, used to prove
-/// the schedule-exploration harness can actually fail.
-///
-/// The acceptance bar for the harness is not "ten thousand green
-/// interleavings" — it is that a real, subtle concurrency bug produces a
-/// red one. This module hosts runtime switches that re-introduce such bugs
-/// on demand; `parapage conform --concurrent` flips them on for a
-/// self-check sweep and asserts the explorer reports violations.
-pub mod sabotage {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static RESIZE_FENCE_BUG: AtomicBool = AtomicBool::new(false);
-
-    /// Enables/disables the *dropped resize fence* bug: bucket
-    /// initialization in [`super::SplitOrderedMap`] publishes a detached
-    /// dummy node without splicing it into the parent chain, so entries
-    /// that sorted into the new bucket's key range before a grow become
-    /// unreachable through the new shortcut — silent lost updates.
-    ///
-    /// Process-global: tests that flip it must run in their own process
-    /// (a dedicated integration-test binary) and restore it when done.
-    pub fn set_resize_fence_bug(on: bool) {
-        RESIZE_FENCE_BUG.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether the seeded resize-fence bug is currently enabled.
-    pub fn resize_fence_dropped() -> bool {
-        RESIZE_FENCE_BUG.load(Ordering::SeqCst)
-    }
-
-    static STALE_EPOCH_RETIRE_BUG: AtomicBool = AtomicBool::new(false);
-
-    /// Enables/disables the *stale-pin retire* bug: [`super::EpochGc`]
-    /// bins a retired slot by the retiring guard's pinned epoch instead of
-    /// the current global epoch. A pin can lag the global by one (pins at
-    /// the current epoch never block advancement), so the slot lands one
-    /// bin too early and the very next advance recycles it while a reader
-    /// pinned at the newer epoch may still hold the index — the exact
-    /// stale-index/ABA hazard the epoch scheme exists to rule out.
-    ///
-    /// Process-global; same single-process discipline as
-    /// [`set_resize_fence_bug`].
-    pub fn set_stale_epoch_retire_bug(on: bool) {
-        STALE_EPOCH_RETIRE_BUG.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether the seeded stale-pin retire bug is currently enabled.
-    pub fn stale_epoch_retire() -> bool {
-        STALE_EPOCH_RETIRE_BUG.load(Ordering::SeqCst)
-    }
-}

@@ -1,19 +1,21 @@
-//! Sharded concurrent cache: the fine-grained-locking baseline.
+//! Sharded concurrent cache: fine-grained locking over sequential shards.
 //!
 //! [`ShardedCache`] splits one logical cache into `n` (a power of two)
 //! independent shards, each a plain sequential policy behind its own
 //! `Mutex`. A page is routed to its shard by FNV-1a hash, so two threads
-//! touching different shards never contend. This is the *baseline* the
-//! lock-free substrate is judged against: trivially correct (each shard is
-//! the already-verified sequential policy, serialized by its lock) and
-//! already concurrent enough for the multi-tenant engine.
+//! touching different shards never contend. Correctness reduces to the
+//! sequential policy: each shard is the already-verified policy,
+//! serialized by its lock.
 //!
 //! Every shard is reached by one of two paths that run the same per-shard
 //! code and differ only in how they hold the shard:
 //!
-//! * **Locked** (`access_shared`, `access_if_fits_shared`, …): a yield
-//!   point, then the shard's `Mutex`. This is the path concurrent callers
-//!   and the conform schedule explorer drive.
+//! * **Locked** (`access_shared`, `access_if_fits_shared`,
+//!   `contains_shared`, …): a yield point, then the shard's `Mutex`, with
+//!   the whole per-shard body under the lock. This is the path concurrent
+//!   callers and the conform schedule explorer drive; since no yield point
+//!   falls inside a critical section, interleaving whole calls at their
+//!   yield points covers every schedule the locks admit.
 //! * **Single-owner** (the [`Cache`] impl's `&mut self` methods):
 //!   `Mutex::get_mut`, with no lock, no yield point and no atomic
 //!   read-modify-write. This is the path the engine, the supervisor and

@@ -1,10 +1,11 @@
 //! Schedule-exploration yield points.
 //!
-//! Every lock-free operation in [`crate::concurrent`] announces its shared-
-//! memory access points by calling [`yield_point`] immediately before each
-//! load or CAS that another thread could race with. In production the call
-//! is a thread-local read and a branch — there is no registered hook, so it
-//! costs a few nanoseconds and touches no shared state.
+//! Every locked operation in [`crate::concurrent`] calls [`yield_point`]
+//! immediately before it acquires a shard lock — the only point at which
+//! another thread's operation can come between two of its own. In
+//! production the call is a thread-local read and a branch — there is no
+//! registered hook, so it costs a few nanoseconds and touches no shared
+//! state.
 //!
 //! The conformance oracle's schedule explorer (`parapage-conform`'s
 //! `schedules` module) registers a per-thread hook that parks the calling
@@ -26,7 +27,7 @@ thread_local! {
 /// Installs `hook` as this thread's yield hook, replacing any previous one.
 ///
 /// Intended for schedule-exploration harnesses only; every instrumented
-/// shared-memory access on this thread will invoke the hook until
+/// lock acquisition on this thread will invoke the hook until
 /// [`clear_yield_hook`] runs.
 pub fn set_yield_hook(hook: YieldHook) {
     HOOK.with(|h| *h.borrow_mut() = Some(hook));
@@ -40,7 +41,7 @@ pub fn clear_yield_hook() {
 /// Announces an instrumented shared-memory access point.
 ///
 /// No-op unless [`set_yield_hook`] installed a hook on this thread. The
-/// `label` names the access site (`"find-load"`, `"insert-cas"`, …).
+/// `label` names the access site (`"shard-lock"`).
 #[inline]
 pub fn yield_point(label: &'static str) {
     HOOK.with(|h| {

@@ -24,10 +24,10 @@
 //! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
 //!   approximating the miss curve at a fraction of the cost for long
 //!   traces.
-//! * [`concurrent`] — concurrently-accessible caches behind the same
-//!   [`Cache`] trait: a sharded fine-grained-locking baseline plus a
-//!   lock-free split-ordered hash index with epoch-based reclamation,
-//!   instrumented with yield points for schedule exploration.
+//! * [`concurrent`] — a concurrently-accessible cache behind the same
+//!   [`Cache`] trait: [`ShardedLru`], independently locked sequential
+//!   shards, with a yield point before each shard-lock acquisition for
+//!   schedule exploration.
 //! * [`window`] — simulation of one *memory box*: run a request sequence
 //!   through an LRU cache of height `h` for a time budget, which is the inner
 //!   loop of every paging algorithm in the paper.
@@ -65,7 +65,7 @@ pub use checkpoint::{
     DIGEST_BASIS, SNAP_MAGIC, SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
 };
 pub use clock::ClockCache;
-pub use concurrent::{LockFreeFifoCache, ShardedCache, ShardedLru, SplitOrderedMap};
+pub use concurrent::{ShardedCache, ShardedLru};
 pub use fenwick::Fenwick;
 pub use fifo::FifoCache;
 pub use lfu::LfuCache;

@@ -8,8 +8,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parapage_cache::{
-    decode_framed, Cache, Checkpoint, CodecError, FifoCache, LockFreeFifoCache, PageId, ShardedLru,
-    SnapReader, SnapWriter, SNAP_MAGIC,
+    decode_framed, Cache, Checkpoint, CodecError, PageId, ShardedLru, SnapReader, SnapWriter,
+    SNAP_MAGIC,
 };
 
 fn p(v: u64) -> PageId {
@@ -71,36 +71,6 @@ fn sharded_snapshot_under_concurrent_accessors_is_valid() {
         // — in particular its residents re-route to the same shard.
         for shard_cap in restored.shard_capacities() {
             assert!(shard_cap <= 64);
-        }
-    }
-}
-
-/// Lock-free FIFO snapshots under concurrent readers decode, cross-load
-/// into the *sequential* FIFO (the byte-compatibility contract), and agree
-/// with the live structure.
-#[test]
-fn lock_free_fifo_snapshot_under_concurrent_readers_is_valid() {
-    let cache = LockFreeFifoCache::new(128);
-    for v in 0..100 {
-        cache.access_shared(p(v));
-    }
-    let blobs = with_readers(
-        4,
-        |v| {
-            cache.contains_shared(p(v % 200));
-        },
-        || (0..16).map(|_| framed_snapshot(&cache)).collect::<Vec<_>>(),
-    );
-    for (i, blob) in blobs.iter().enumerate() {
-        let payload = decode_framed(blob).unwrap_or_else(|e| panic!("snapshot {i}: {e}"));
-        let mut seq_twin = FifoCache::new(0);
-        seq_twin
-            .load(&mut SnapReader::new(payload))
-            .unwrap_or_else(|e| panic!("snapshot {i} rejected by sequential FIFO: {e}"));
-        assert_eq!(seq_twin.len(), 100, "snapshot {i}: readers changed state");
-        assert_eq!(seq_twin.capacity(), 128, "snapshot {i}");
-        for v in 0..100 {
-            assert!(seq_twin.contains(p(v)), "snapshot {i} lost page {v}");
         }
     }
 }

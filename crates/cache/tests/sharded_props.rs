@@ -6,8 +6,6 @@
 //!   traces (the degeneracy the whole test story is anchored on);
 //! * with any shard count, driving the sharded cache equals driving each
 //!   shard's sequential twin with the routed subsequence;
-//! * the lock-free FIFO tracks the sequential FIFO op-for-op, snapshot
-//!   bytes included, so their blobs cross-load;
 //! * the single-owner `&mut` [`Cache`] path and the locked `*_shared` path
 //!   are one cache: same outcomes, ledgers, snapshot bytes and `len()`
 //!   after every operation, with `len()` matching a count taken under the
@@ -17,8 +15,7 @@ use proptest::prelude::*;
 
 use parapage_cache::{
     concurrent::shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
-    LockFreeFifoCache, LruCache, PageId, ShardedCache, ShardedLru, SnapReader, SnapWriter,
-    TwoQueueCache,
+    LruCache, PageId, ShardedCache, ShardedLru, SnapReader, SnapWriter, TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -218,39 +215,5 @@ proptest! {
             t.save(&mut w);
         }
         prop_assert_eq!(snapshot_bytes(&sharded), w.into_bytes());
-    }
-
-    /// The lock-free FIFO is a drop-in for the sequential FIFO on any
-    /// single-threaded trace: same outcomes, same residents, and snapshot
-    /// blobs that load into each other.
-    #[test]
-    fn lock_free_fifo_tracks_sequential_fifo(
-        seq in seq_strategy(250, 20),
-        cap in 0usize..12,
-    ) {
-        let mut plain = FifoCache::new(cap);
-        let mut lock_free = LockFreeFifoCache::new(cap);
-        for &page in &seq {
-            prop_assert_eq!(plain.access(page), lock_free.access(page), "{:?}", page);
-        }
-        prop_assert_eq!(plain.len(), lock_free.len());
-        let (a, b) = (snapshot_bytes(&plain), snapshot_bytes(&lock_free));
-        prop_assert_eq!(&a, &b, "snapshot bytes differ");
-
-        // Cross-load both directions, then verify observable agreement.
-        let mut from_plain = LockFreeFifoCache::new(0);
-        from_plain
-            .load(&mut SnapReader::new(&a))
-            .map_err(|e| TestCaseError::fail(format!("fifo blob -> lock-free: {e}")))?;
-        let mut from_lock_free = FifoCache::new(0);
-        from_lock_free
-            .load(&mut SnapReader::new(&b))
-            .map_err(|e| TestCaseError::fail(format!("lock-free blob -> fifo: {e}")))?;
-        for &page in &seq {
-            prop_assert_eq!(from_plain.contains(page), plain.contains(page));
-            prop_assert_eq!(from_lock_free.contains(page), plain.contains(page));
-        }
-        prop_assert_eq!(snapshot_bytes(&from_plain), a);
-        prop_assert_eq!(snapshot_bytes(&from_lock_free), b);
     }
 }

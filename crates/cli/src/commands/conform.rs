@@ -145,26 +145,23 @@ pub fn exec(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `parapage conform --concurrent`: the concurrent-substrate sweep.
+/// `parapage conform --concurrent`: the concurrent-cache sweep.
 ///
 /// Four sections:
 ///
 /// 1. **Schedule exploration (exhaustive)** — DFS over thread
-///    interleavings of the core split-ordered list ops, every history
-///    checked for linearizability against a sequential set model.
+///    interleavings of `ShardedLru`'s locked `*_shared` ops, every history
+///    checked for linearizability against per-shard sequential LRU twins.
 /// 2. **Schedule exploration (random)** — seeded random sampling past the
 ///    DFS frontier of the deeper scenarios.
 /// 3. **Sharded stress cells** — real OS threads hammering a sharded LRU;
 ///    per-shard ledgers replayed exactly against the sequential policy,
 ///    aggregate misses checked against the hit/miss envelope.
-/// 4. **Sabotage self-checks** — re-enables the seeded
-///    dropped-resize-fence bug and *requires* the explorer to catch it,
-///    then re-enables the seeded stale-pin-retire bug and *requires* the
-///    deterministic epoch drive to expose the slot recycled under a live
-///    reader: a harness that cannot fail proves nothing.
+/// 4. **Sabotage self-check** — explores the scenario whose
+///    fit-checked access is split over two lock acquisitions and
+///    *requires* the explorer to catch the race: a harness that cannot
+///    fail proves nothing.
 fn exec_concurrent(args: &Args) -> Result<(), String> {
-    use parapage::cache::concurrent::{sabotage, EpochGc};
-
     let quick = args.flag("quick");
     let budget: usize = args.get("budget", if quick { 4_000 } else { 24_000 })?;
     let seed: u64 = args.get("seed", 42)?;
@@ -189,12 +186,8 @@ fn exec_concurrent(args: &Args) -> Result<(), String> {
     ] {
         for r in explore_all(share, mode) {
             distinct_total += r.distinct;
-            if !r.passed() {
-                failures += r.violations.len();
-                for v in &r.violations {
-                    details.push(v.clone());
-                }
-            }
+            failures += r.violating;
+            details.extend(r.violations.iter().cloned());
             t.row([
                 r.scenario.clone(),
                 mode_name.to_string(),
@@ -204,7 +197,7 @@ fn exec_concurrent(args: &Args) -> Result<(), String> {
                 if r.passed() {
                     "pass".to_string()
                 } else {
-                    format!("FAIL ({})", r.violations.len())
+                    format!("FAIL ({})", r.violating)
                 },
             ]);
         }
@@ -245,62 +238,25 @@ fn exec_concurrent(args: &Args) -> Result<(), String> {
     }
     println!("{t}");
 
-    // 4. Sabotage self-check: the harness must catch the seeded bug.
-    let grow_fence = scenarios()
-        .into_iter()
-        .find(|s| s.name == "grow-fence")
-        .expect("built-in grow-fence scenario");
-    sabotage::set_resize_fence_bug(true);
-    let sabotaged = explore(&grow_fence, 400, ExploreMode::Exhaustive);
-    sabotage::set_resize_fence_bug(false);
-    if sabotaged.violations.is_empty() {
+    // 4. Sabotage self-check: the harness must catch the seeded race.
+    let sabotaged = explore(
+        &parapage::conform::sabotage_scenario(),
+        400,
+        ExploreMode::Exhaustive,
+    );
+    if sabotaged.passed() {
         failures += 1;
         details.push(format!(
-            "sabotage self-check: explorer missed the seeded resize-fence bug \
-             in {} executions — the harness cannot fail",
+            "sabotage self-check: explorer missed the seeded split fit-check \
+             race in {} executions — the harness cannot fail",
             sabotaged.executions
         ));
-        println!("\nsabotage self-check: FAIL (seeded bug not caught)");
+        println!("\nsabotage self-check: FAIL (seeded race not caught)");
     } else {
         println!(
-            "\nsabotage self-check: pass (seeded resize-fence bug caught in {} \
+            "\nsabotage self-check: pass (seeded split fit-check race caught in {} \
              of {} executions)",
-            sabotaged.violations.len().min(sabotaged.executions),
-            sabotaged.executions
-        );
-    }
-
-    // 4b. Stale-pin retire self-check: with the seeded bug on, a retire
-    // under a pin that lags the global epoch by one must hand the slot
-    // back on the very next advance, while a reader pinned at the newer
-    // epoch is still live; with the bug off the slot must stay in limbo.
-    let stale_retire_drive = || {
-        let gc = EpochGc::new();
-        let stale = gc.pin();
-        let _ = gc.try_advance(); // 0 -> 1: pins at current never block
-        let reader = gc.pin(); // pinned at 1, "holds" slot 7's index
-        gc.retire(&stale, 7);
-        drop(stale);
-        let freed = gc.try_advance(); // 1 -> 2: not blocked by `reader`
-        drop(reader);
-        freed.contains(&7)
-    };
-    sabotage::set_stale_epoch_retire_bug(true);
-    let buggy_freed_early = stale_retire_drive();
-    sabotage::set_stale_epoch_retire_bug(false);
-    let fixed_freed_early = stale_retire_drive();
-    if !buggy_freed_early || fixed_freed_early {
-        failures += 1;
-        details.push(format!(
-            "stale-retire self-check: seeded bug freed early = \
-             {buggy_freed_early} (want true), fixed binning freed early = \
-             {fixed_freed_early} (want false)"
-        ));
-        println!("stale-retire self-check: FAIL");
-    } else {
-        println!(
-            "stale-retire self-check: pass (seeded stale-pin retire recycles \
-             under a live reader; global-epoch binning does not)"
+            sabotaged.violating, sabotaged.executions
         );
     }
 

@@ -49,11 +49,11 @@ COMMANDS:
                  engine-vs-reference sweep, and competitive-ratio
                  guardrails: [--quick] [--p N --k N --s N --len N]
                  [--diff N] [--seed N] (exits non-zero on any violation)
-                 --concurrent switches to the concurrent-substrate sweep:
+                 --concurrent switches to the concurrent-cache sweep:
                  schedule exploration (exhaustive + random) over the
-                 lock-free list ops with linearization checking, sharded
-                 stress cells with exact ledger replay, and sabotage
-                 self-checks that must catch two seeded concurrency bugs:
+                 sharded LRU's locked path with linearization checking,
+                 sharded stress cells with exact ledger replay, and a
+                 sabotage self-check that must catch a seeded race:
                  [--budget N] [--quick] [--seed N]
   chaos        crash-recovery matrix: every policy x fault scenario x
                  deterministic crashpoint, run under the checkpointing

@@ -30,12 +30,11 @@
 //!   from snapshots (the `parapage-sched` supervisor) must reproduce the
 //!   uninterrupted run's result and trace byte-for-byte; drives the
 //!   `parapage chaos` matrix.
-//! * [`schedules`] — loom-style schedule exploration for the concurrent
-//!   cache substrate: a token-passing virtual scheduler over the yield
-//!   points instrumented into `parapage-cache::concurrent`, DFS/random
-//!   enumeration of thread interleavings, and a Wing–Gong linearization
-//!   checker over the recorded histories; drives
-//!   `parapage conform --concurrent`.
+//! * [`schedules`] — loom-style schedule exploration for the sharded
+//!   cache's locked path: a token-passing virtual scheduler over the yield
+//!   point before each shard-lock acquisition, DFS/random enumeration of
+//!   thread interleavings, and a Wing–Gong linearization checker against
+//!   per-shard sequential LRU twins; drives `parapage conform --concurrent`.
 //! * [`walchaos`] — WAL corruption chaos: torn tails, partial tails,
 //!   mid-record truncations, bit flips, and stale-base/newer-log pairings
 //!   inflicted on the incremental checkpoint log at recovery time must be
@@ -71,7 +70,8 @@ pub use reference::run_reference;
 pub use resume::{check_corruption_rejection, check_resume, resume_matrix, ResumeCell};
 pub use schedules::{
     check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
-    run_schedule, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op, OpRecord, Scenario,
+    run_schedule, sabotage_scenario, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op,
+    OpRecord, Outcome, Scenario,
 };
 pub use walchaos::{
     check_wal_corruption, wal_chaos_matrix, SabotagedStore, WalCell, WalCorruption,

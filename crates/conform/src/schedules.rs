@@ -1,7 +1,7 @@
-//! Loom-style schedule exploration for the concurrent cache substrate.
+//! Loom-style schedule exploration for the sharded cache's locked path.
 //!
-//! The lock-free structures in `parapage-cache::concurrent` announce every
-//! racy shared-memory access through a thread-local yield hook. This module
+//! [`ShardedLru`]'s `*_shared` methods announce a yield point through a
+//! thread-local hook just before each shard-lock acquisition. This module
 //! turns those hooks into a *virtual scheduler*: worker threads run real
 //! code on real OS threads, but a token-passing controller admits exactly
 //! one thread at a time and decides, at every yield point, which thread
@@ -14,9 +14,8 @@
 //! * **The scheduler** ([`run_schedule`]) — token passing over a
 //!   mutex/condvar pair. A worker owns the token from the moment the
 //!   controller grants it until its next yield point (or completion); no
-//!   two workers ever run concurrently, so each step is atomic *between*
-//!   instrumented access points — exactly the granularity at which the
-//!   substrate's CASes can interleave.
+//!   two workers ever run concurrently. A worker that panics hands the
+//!   token back on unwind, and the panic is reported as a violation.
 //! * **The explorer** ([`explore`]) — depth-first enumeration of the
 //!   choice tree by prefix replay: run with a plan, record every decision
 //!   point and its fan-out, then increment the deepest incrementable
@@ -26,68 +25,99 @@
 //! * **The linearization checker** ([`check_linearizable`]) — Wing–Gong
 //!   style: each operation records an `(invoked, returned)` interval from
 //!   a global clock; the checker searches for a total order, consistent
-//!   with real-time precedence, under which a sequential set model
-//!   reproduces every observed result. No such order = a real concurrency
-//!   bug, reported with the exact choice sequence that triggers it.
+//!   with real-time precedence, under which per-shard sequential
+//!   [`LruCache`] twins reproduce every observed result. No such order = a
+//!   real concurrency bug, reported with the exact choice sequence that
+//!   triggers it.
 //!
-//! Soundness of the approach rests on two facts, both load-bearing enough
-//! to state: (1) the substrate is deterministic between yield points (no
-//! wall-clock, no RNG, no unannounced shared access), so a choice sequence
-//! fully determines an execution — replay *is* reproduction; and (2) the
-//! yield points cover every shared load/CAS a racing thread can observe,
-//! so the explored interleavings are exactly the sequentially-consistent
-//! executions of the instrumented operations.
+//! Soundness rests on two facts: (1) the cache is deterministic between
+//! yield points (no wall-clock, no RNG), so a choice sequence fully
+//! determines an execution — replay *is* reproduction; and (2) interleaving
+//! whole operations at their yield points is complete for the locked path:
+//! each call reaches one yield point before each lock acquisition and runs
+//! its body under the lock, so no other thread can observe it mid-body.
+//! Only an op that takes a lock twice — the seeded [`Op::SplitAccessIfFits`]
+//! — can be interrupted between its two halves.
 //!
-//! The module also carries the conform-side checks for the sharded
-//! baseline: per-shard ledgers replayed exactly against the sequential
-//! policy ([`check_sharded_ledgers`]) and an aggregate hit/miss envelope
-//! in the spirit of `envelope.rs` ([`check_concurrent_cache`]).
+//! The module also carries the conform-side checks for real-thread stress:
+//! per-shard ledgers replayed exactly against the sequential policy
+//! ([`check_sharded_ledgers`]) and an aggregate hit/miss envelope in the
+//! spirit of `envelope.rs` ([`check_concurrent_cache`]).
 
+use std::any::Any;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use parapage_cache::concurrent::{clear_yield_hook, set_yield_hook};
-use parapage_cache::{Access, Cache, LruCache, PageId, ShardedLru, SplitOrderedMap};
+use parapage_cache::concurrent::set_yield_hook;
+use parapage_cache::{Access, Cache, LruCache, PageId, ShardedLru, Time};
 
-/// One operation a virtual thread performs against the shared map.
+/// One operation a virtual thread performs against the shared cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Insert a key (value = the op's invocation stamp).
-    Insert(u64),
-    /// Remove a key.
-    Remove(u64),
-    /// Membership probe.
+    /// `access_shared(page)`.
+    Access(u64),
+    /// `contains_shared(page)`.
     Contains(u64),
-    /// Double the bucket array (the structure's resize).
-    Grow,
+    /// `access_if_fits_shared(page, remaining, miss_penalty)`: one lock
+    /// acquisition for the fit check and the access.
+    AccessIfFits(u64, Time, u64),
+    /// The seeded bug: the [`Cache`] trait's default peek-then-access split
+    /// of [`Op::AccessIfFits`] over two lock acquisitions
+    /// (`contains_shared`, then `access_shared`). Its specification is
+    /// `AccessIfFits`'s, which a page evicted between the two calls breaks.
+    SplitAccessIfFits(u64, Time, u64),
 }
 
-/// A completed operation with its real-time interval and observed result.
+impl Op {
+    /// The page the op touches.
+    fn page(self) -> PageId {
+        match self {
+            Op::Access(p)
+            | Op::Contains(p)
+            | Op::AccessIfFits(p, ..)
+            | Op::SplitAccessIfFits(p, ..) => PageId(p),
+        }
+    }
+}
+
+/// What an operation observed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// [`Op::Access`]: hit or miss.
+    Access(Access),
+    /// [`Op::Contains`]: whether the page was resident.
+    Resident(bool),
+    /// [`Op::AccessIfFits`] and [`Op::SplitAccessIfFits`]: `None` when the
+    /// access did not fit the remaining budget.
+    Fit(Option<Access>),
+}
+
+/// A completed operation with its real-time interval and observed outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct OpRecord {
     /// Virtual thread that ran the op.
     pub thread: usize,
     /// The operation.
     pub op: Op,
-    /// Observed boolean result (`true` for [`Op::Grow`]).
-    pub result: bool,
+    /// Observed outcome.
+    pub outcome: Outcome,
     /// Global-clock stamp at invocation.
     pub invoked: u64,
     /// Global-clock stamp at return.
     pub returned: u64,
 }
 
-/// A schedule-exploration scenario: a shared map configuration, sequential
-/// setup, and one op script per virtual thread.
+/// A schedule-exploration scenario: a shared cache shape, sequential setup,
+/// and one op script per virtual thread.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Display name.
     pub name: &'static str,
-    /// Initial bucket count for the map under test.
-    pub initial_buckets: usize,
-    /// Load factor (keep high so growth happens only via [`Op::Grow`]).
-    pub load_factor: usize,
+    /// Total capacity of the [`ShardedLru`] under test.
+    pub capacity: usize,
+    /// Shard count (rounded up to a power of two).
+    pub shards: usize,
     /// Ops applied sequentially before the threads start.
     pub setup: Vec<Op>,
     /// Per-thread op scripts (2–3 threads is the sweet spot).
@@ -117,25 +147,32 @@ pub struct ExploreReport {
     pub distinct: usize,
     /// Whether the full choice tree was exhausted within the budget.
     pub complete: bool,
-    /// Linearization violations (capped at [`MAX_REPORTED`] entries).
+    /// Executions that produced a violation.
+    pub violating: usize,
+    /// The first violations found (at most [`MAX_REPORTED`] of them).
     pub violations: Vec<String>,
 }
 
 impl ExploreReport {
     /// `true` when no violation was found.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.violating == 0
+    }
+
+    /// Counts one execution and its verdict.
+    fn record(&mut self, violation: Option<String>) {
+        self.executions += 1;
+        if let Some(v) = violation {
+            self.violating += 1;
+            if self.violations.len() < MAX_REPORTED {
+                self.violations.push(v);
+            }
+        }
     }
 }
 
 /// Cap on retained violation strings per report.
 pub const MAX_REPORTED: usize = 5;
-
-/// Fair-mode fallback threshold: a single execution taking more scheduler
-/// grants than this is treated as a livelock symptom; the controller
-/// switches to round-robin (which is fair, so lock-free ops terminate) and
-/// the execution is flagged.
-const STEP_CAP: usize = 100_000;
 
 // ---------------------------------------------------------------------------
 // Token-passing virtual scheduler
@@ -216,6 +253,17 @@ impl Sched {
     }
 }
 
+/// Calls [`Sched::finish`] when dropped, so a worker hands the token back
+/// for good however its script ends — including by panic, which would
+/// otherwise leave the controller waiting in [`Sched::grant`] for ever.
+struct Finish<'a>(&'a Sched, usize);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.finish(self.1);
+    }
+}
+
 fn xorshift(s: &mut u64) -> u64 {
     let mut x = *s;
     x ^= x << 13;
@@ -229,64 +277,78 @@ fn xorshift(s: &mut u64) -> u64 {
 ///
 /// `plan` fixes the first `plan.len()` choices (indices into the runnable
 /// list); past the plan, choices come from `rng` when given, else default
-/// to index 0 (the DFS left spine). Returns the full decision trace and
-/// the linearization verdict for the execution's history.
+/// to index 0 (the DFS left spine). Returns the full decision trace, the
+/// history, and the execution's violation: a worker panic, or else the
+/// linearization verdict for the history.
 pub fn run_schedule(
     scenario: &Scenario,
     plan: &[usize],
-    mut rng: Option<&mut u64>,
+    rng: Option<&mut u64>,
 ) -> (Vec<(usize, usize)>, Vec<OpRecord>, Option<String>) {
-    let map = SplitOrderedMap::with_config(scenario.initial_buckets, scenario.load_factor);
-    let mut initial = Vec::new();
+    run_with(scenario, plan, rng, apply_real)
+}
+
+/// [`run_schedule`] with the function that performs an op on the real
+/// cache as a parameter, so tests can drive a faulty one.
+fn run_with(
+    scenario: &Scenario,
+    plan: &[usize],
+    mut rng: Option<&mut u64>,
+    apply: fn(&ShardedLru, Op) -> Outcome,
+) -> (Vec<(usize, usize)>, Vec<OpRecord>, Option<String>) {
+    let cache = ShardedLru::with_shards(scenario.capacity, scenario.shards);
+    let mut twins: Vec<LruCache> = cache
+        .shard_capacities()
+        .into_iter()
+        .map(LruCache::new)
+        .collect();
     for &op in &scenario.setup {
-        apply_real(&map, op, 0);
-        apply_model(&mut initial, op);
+        apply(&cache, op);
+        apply_model(&mut twins[cache.shard_of(op.page())], op);
     }
     let sched = Arc::new(Sched::new(scenario.threads.len()));
     let clock = AtomicU64::new(1);
     let history: Mutex<Vec<OpRecord>> = Mutex::new(Vec::new());
     let mut taken: Vec<(usize, usize)> = Vec::new();
-    let mut livelock = false;
 
-    std::thread::scope(|s| {
-        for (i, script) in scenario.threads.iter().enumerate() {
-            let sched_arc = Arc::clone(&sched);
-            let (map, clock, history) = (&map, &clock, &history);
-            s.spawn(move || {
-                sched_arc.acquire(i);
-                let hook_sched = Arc::clone(&sched_arc);
-                set_yield_hook(Box::new(move |_| hook_sched.yield_back(i)));
-                for &op in script {
-                    let invoked = clock.fetch_add(1, Ordering::SeqCst);
-                    let result = apply_real(map, op, invoked);
-                    let returned = clock.fetch_add(1, Ordering::SeqCst);
-                    history
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(OpRecord {
-                            thread: i,
-                            op,
-                            result,
-                            invoked,
-                            returned,
-                        });
-                }
-                clear_yield_hook();
-                sched_arc.finish(i);
-            });
-        }
+    let panics: Vec<String> = std::thread::scope(|s| {
+        let workers: Vec<_> = scenario
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(i, script)| {
+                let sched = Arc::clone(&sched);
+                let (cache, clock, history) = (&cache, &clock, &history);
+                s.spawn(move || {
+                    sched.acquire(i);
+                    let _finish = Finish(&sched, i);
+                    let hook = Arc::clone(&sched);
+                    set_yield_hook(Box::new(move |_| hook.yield_back(i)));
+                    for &op in script {
+                        let invoked = clock.fetch_add(1, Ordering::SeqCst);
+                        let outcome = apply(cache, op);
+                        let returned = clock.fetch_add(1, Ordering::SeqCst);
+                        history
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push(OpRecord {
+                                thread: i,
+                                op,
+                                outcome,
+                                invoked,
+                                returned,
+                            });
+                    }
+                })
+            })
+            .collect();
         // Controller loop: one grant per scheduling step.
-        let mut step = 0usize;
         loop {
             let runnable = sched.runnable();
             if runnable.is_empty() {
                 break;
             }
-            step += 1;
-            let pick = if step > STEP_CAP {
-                livelock = true;
-                step % runnable.len() // fair round-robin drain
-            } else if taken.len() < plan.len() {
+            let pick = if taken.len() < plan.len() {
                 plan[taken.len()].min(runnable.len() - 1)
             } else {
                 match rng.as_deref_mut() {
@@ -294,59 +356,72 @@ pub fn run_schedule(
                     None => 0,
                 }
             };
-            // Record every decision, including round-robin picks after the
-            // livelock fallback engages: exhaustive mode's next_plan() does
-            // odometer arithmetic on this trace and Random mode dedups on
-            // it, and both mis-count on a truncated prefix.
             taken.push((pick, runnable.len()));
             sched.grant(runnable[pick]);
         }
+        workers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, w)| {
+                let payload = w.join().err()?;
+                Some(format!("T{i} panicked: {}", panic_message(&*payload)))
+            })
+            .collect()
     });
 
     let mut history = history.into_inner().unwrap_or_else(|e| e.into_inner());
     history.sort_by_key(|r| r.invoked);
-    let mut violation = check_linearizable(&initial, &history)
+    let verdict = if panics.is_empty() {
+        check_linearizable(&twins, |page| cache.shard_of(page), &history)
+    } else {
+        Err(panics.join("; "))
+    };
+    let violation = verdict
         .err()
         .map(|v| format!("{}: {v} [choices {:?}]", scenario.name, choices_of(&taken)));
-    if livelock && violation.is_none() {
-        violation = Some(format!(
-            "{}: exceeded {STEP_CAP} scheduler steps (livelock suspected)",
-            scenario.name
-        ));
-    }
     (taken, history, violation)
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 fn choices_of(taken: &[(usize, usize)]) -> Vec<usize> {
     taken.iter().map(|&(c, _)| c).collect()
 }
 
-fn apply_real(map: &SplitOrderedMap, op: Op, stamp: u64) -> bool {
+fn apply_real(cache: &ShardedLru, op: Op) -> Outcome {
+    let page = op.page();
     match op {
-        Op::Insert(k) => map.insert(PageId(k), stamp),
-        Op::Remove(k) => map.remove(PageId(k)),
-        Op::Contains(k) => map.contains(PageId(k)),
-        Op::Grow => {
-            map.grow();
-            true
+        Op::Access(_) => Outcome::Access(cache.access_shared(page)),
+        Op::Contains(_) => Outcome::Resident(cache.contains_shared(page)),
+        Op::AccessIfFits(_, remaining, penalty) => {
+            Outcome::Fit(cache.access_if_fits_shared(page, remaining, penalty))
+        }
+        Op::SplitAccessIfFits(_, remaining, penalty) => {
+            let cost = if cache.contains_shared(page) {
+                1
+            } else {
+                penalty
+            };
+            Outcome::Fit((cost <= remaining).then(|| cache.access_shared(page)))
         }
     }
 }
 
-/// Applies `op` to a sorted-vec set model (setup only: results unchecked).
-fn apply_model(state: &mut Vec<u64>, op: Op) {
+/// Applies `op` to the sequential twin of the shard its page routes to.
+fn apply_model(twin: &mut LruCache, op: Op) -> Outcome {
+    let page = op.page();
     match op {
-        Op::Insert(k) => {
-            if let Err(at) = state.binary_search(&k) {
-                state.insert(at, k);
-            }
+        Op::Access(_) => Outcome::Access(twin.access(page)),
+        Op::Contains(_) => Outcome::Resident(twin.contains(page)),
+        Op::AccessIfFits(_, remaining, penalty) | Op::SplitAccessIfFits(_, remaining, penalty) => {
+            Outcome::Fit(twin.access_if_fits(page, remaining, penalty))
         }
-        Op::Remove(k) => {
-            if let Ok(at) = state.binary_search(&k) {
-                state.remove(at);
-            }
-        }
-        Op::Contains(_) | Op::Grow => {}
     }
 }
 
@@ -355,50 +430,32 @@ fn apply_model(state: &mut Vec<u64>, op: Op) {
 // ---------------------------------------------------------------------------
 
 /// Checks that `history` (ops with real-time intervals) is linearizable
-/// against a sequential set model starting from `initial` membership.
+/// against per-shard sequential LRU twins starting from `initial`, with
+/// `shard_of` routing each op's page to its twin.
 ///
 /// Searches for a total order of the ops that (a) respects real-time
 /// precedence — if op `a` returned before op `b` was invoked, `a` comes
-/// first — and (b) makes every observed result correct under sequential
-/// set semantics. Memoized on (linearized-op set, membership state), which
-/// keeps the search polynomial-ish for the short histories the explorer
-/// generates.
-pub fn check_linearizable(initial: &[u64], history: &[OpRecord]) -> Result<(), String> {
+/// first — and (b) makes every observed outcome the one the twins produce
+/// in that order. Memoized on (linearized-op set, every twin's recency
+/// order), which keeps the search small for the short histories the
+/// explorer generates.
+pub fn check_linearizable(
+    initial: &[LruCache],
+    shard_of: impl Fn(PageId) -> usize,
+    history: &[OpRecord],
+) -> Result<(), String> {
     assert!(
         history.len() <= 63,
         "history too long for the bitmask search"
     );
-    // Canonicalize keys to bit positions for a compact memo key.
-    let mut keys: Vec<u64> = initial.to_vec();
-    for r in history {
-        if let Op::Insert(k) | Op::Remove(k) | Op::Contains(k) = r.op {
-            keys.push(k);
-        }
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    assert!(
-        keys.len() <= 64,
-        "too many distinct keys for the bitmask model"
-    );
-    let bit = |k: u64| keys.binary_search(&k).expect("key was collected") as u32;
-    let mut state0: u64 = 0;
-    for &k in initial {
-        state0 |= 1 << bit(k);
-    }
-
-    let full: u64 = if history.is_empty() {
-        0
-    } else {
-        (1u64 << history.len()) - 1
-    };
-    let mut memo: HashSet<(u64, u64)> = HashSet::new();
-    let mut stack = vec![(0u64, state0)];
-    while let Some((done, state)) = stack.pop() {
+    let full: u64 = (1u64 << history.len()) - 1;
+    let mut memo: HashSet<(u64, Vec<Vec<PageId>>)> = HashSet::new();
+    let mut stack = vec![(0u64, initial.to_vec())];
+    while let Some((done, twins)) = stack.pop() {
         if done == full {
             return Ok(());
         }
-        if !memo.insert((done, state)) {
+        if !memo.insert((done, twins.iter().map(LruCache::pages_mru_first).collect())) {
             continue;
         }
         // An undone op is a linearization candidate iff no *other* undone
@@ -414,31 +471,9 @@ pub fn check_linearizable(initial: &[u64], history: &[OpRecord]) -> Result<(), S
             if done & (1 << i) != 0 || r.invoked > min_ret {
                 continue;
             }
-            let next = match r.op {
-                Op::Insert(k) => {
-                    let b = 1u64 << bit(k);
-                    if (state & b == 0) != r.result {
-                        continue;
-                    }
-                    Some(state | b)
-                }
-                Op::Remove(k) => {
-                    let b = 1u64 << bit(k);
-                    if (state & b != 0) != r.result {
-                        continue;
-                    }
-                    Some(state & !b)
-                }
-                Op::Contains(k) => {
-                    if (state & (1u64 << bit(k)) != 0) != r.result {
-                        continue;
-                    }
-                    Some(state)
-                }
-                Op::Grow => Some(state),
-            };
-            if let Some(ns) = next {
-                stack.push((done | (1 << i), ns));
+            let mut next = twins.clone();
+            if apply_model(&mut next[shard_of(r.op.page())], r.op) == r.outcome {
+                stack.push((done | (1 << i), next));
             }
         }
     }
@@ -447,8 +482,8 @@ pub fn check_linearizable(initial: &[u64], history: &[OpRecord]) -> Result<(), S
         history
             .iter()
             .map(|r| format!(
-                "T{} {:?}={} @[{},{}]",
-                r.thread, r.op, r.result, r.invoked, r.returned
+                "T{} {:?}={:?} @[{},{}]",
+                r.thread, r.op, r.outcome, r.invoked, r.returned
             ))
             .collect::<Vec<_>>()
     ))
@@ -479,6 +514,7 @@ pub fn explore(scenario: &Scenario, budget: usize, mode: ExploreMode) -> Explore
         executions: 0,
         distinct: 0,
         complete: false,
+        violating: 0,
         violations: Vec::new(),
     };
     match mode {
@@ -489,13 +525,8 @@ pub fn explore(scenario: &Scenario, budget: usize, mode: ExploreMode) -> Explore
                     return report;
                 }
                 let (taken, _, violation) = run_schedule(scenario, &plan, None);
-                report.executions += 1;
+                report.record(violation);
                 report.distinct += 1;
-                if let Some(v) = violation {
-                    if report.violations.len() < MAX_REPORTED {
-                        report.violations.push(v);
-                    }
-                }
                 match next_plan(&taken) {
                     Some(p) => plan = p,
                     None => {
@@ -510,14 +541,9 @@ pub fn explore(scenario: &Scenario, budget: usize, mode: ExploreMode) -> Explore
             let mut seen: HashSet<Vec<usize>> = HashSet::new();
             for _ in 0..budget {
                 let (taken, _, violation) = run_schedule(scenario, &[], Some(&mut rng));
-                report.executions += 1;
+                report.record(violation);
                 if seen.insert(choices_of(&taken)) {
                     report.distinct += 1;
-                }
-                if let Some(v) = violation {
-                    if report.violations.len() < MAX_REPORTED {
-                        report.violations.push(v);
-                    }
                 }
             }
             report
@@ -525,71 +551,83 @@ pub fn explore(scenario: &Scenario, budget: usize, mode: ExploreMode) -> Explore
     }
 }
 
-/// The built-in scenario suite covering the core list operations
-/// (insert / find / delete / resize) under 2–3 virtual threads.
+/// The built-in scenario suite: `Access`, `Contains` and `AccessIfFits`
+/// under three virtual threads, on one shard and across two, ordered from
+/// the smallest choice tree to the deepest. Every scenario is clean: the
+/// locked path is linearizable.
 pub fn scenarios() -> Vec<Scenario> {
     vec![
+        // Capacity 2, one shard: every access can evict a page another
+        // thread is about to touch or probe.
         Scenario {
-            name: "insert-insert-contested",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
-            setup: vec![],
+            name: "access-contested",
+            capacity: 2,
+            shards: 1,
+            setup: vec![Op::Access(1), Op::Access(2)],
             threads: vec![
-                vec![Op::Insert(1), Op::Insert(2)],
-                vec![Op::Insert(1), Op::Contains(2)],
+                vec![Op::Access(3), Op::Access(1)],
+                vec![Op::Access(1), Op::Contains(2)],
+                vec![Op::Contains(3)],
             ],
         },
+        // The race `SplitAccessIfFits` loses, run through the fused call:
+        // page 1 fits only as a hit, and page 2 evicts it.
         Scenario {
-            name: "insert-remove-contested",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
-            setup: vec![Op::Insert(7)],
+            name: "fit-vs-evict",
+            capacity: 1,
+            shards: 1,
+            setup: vec![Op::Access(1)],
             threads: vec![
-                vec![Op::Remove(7), Op::Insert(7)],
-                vec![Op::Remove(7), Op::Contains(7)],
+                vec![Op::AccessIfFits(1, 1, 5), Op::Contains(1)],
+                vec![Op::Access(2), Op::AccessIfFits(1, 1, 5)],
+                vec![Op::Access(1)],
             ],
         },
+        // Two shards of two pages: odd pages route to shard 0, even pages
+        // to shard 1, so cross-shard ops commute and same-shard ops race.
         Scenario {
-            name: "grow-fence",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
-            setup: vec![Op::Insert(1), Op::Insert(2), Op::Insert(3), Op::Insert(4)],
+            name: "cross-shard",
+            capacity: 4,
+            shards: 2,
+            setup: vec![Op::Access(1), Op::Access(2)],
             threads: vec![
-                vec![Op::Insert(5), Op::Contains(3)],
-                vec![Op::Grow, Op::Contains(1), Op::Contains(2)],
-                vec![Op::Contains(4), Op::Remove(2)],
+                vec![Op::Access(1), Op::Access(3), Op::Contains(2)],
+                vec![Op::Access(4), Op::AccessIfFits(1, 3, 2), Op::Access(6)],
+                vec![Op::Contains(1), Op::Access(2)],
             ],
         },
-        // Forces retire-under-a-lagging-pin interleavings: the remover can
-        // pin, lose the token while the churn thread's allocations advance
-        // the global epoch (and drain limbo into the free stack), then
-        // unlink + retire with its pin one epoch stale — all while the
-        // reader thread is parked mid-walk holding the victim's slot index.
-        // In split-order, 4 precedes 2 precedes 1 (reversed-bit keys), so a
-        // recycled node(4) slot mid-walk can derail Contains(2)/Contains(1).
-        Scenario {
-            name: "reclaim-churn",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
-            setup: vec![Op::Insert(4), Op::Insert(2), Op::Insert(1)],
-            threads: vec![
-                vec![Op::Remove(4)],
-                vec![Op::Insert(3), Op::Insert(5)],
-                vec![Op::Contains(2), Op::Contains(1)],
-            ],
-        },
+        // Uneven shards (two pages and one) under every op kind.
         Scenario {
             name: "triple-mixed",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
-            setup: vec![Op::Insert(10)],
+            capacity: 3,
+            shards: 2,
+            setup: vec![Op::Access(1)],
             threads: vec![
-                vec![Op::Insert(11), Op::Remove(10)],
-                vec![Op::Contains(10), Op::Insert(12)],
-                vec![Op::Remove(11), Op::Contains(12)],
+                vec![Op::Access(1), Op::Access(2), Op::Contains(3)],
+                vec![Op::Access(3), Op::AccessIfFits(1, 2, 4), Op::Contains(2)],
+                vec![Op::Access(2), Op::Contains(1), Op::Access(4)],
             ],
         },
     ]
+}
+
+/// The self-check scenario: [`Op::SplitAccessIfFits`] on a one-page cache
+/// whose page another thread evicts. When the eviction lands between the
+/// split's two lock acquisitions, the split reports `Some(Miss)` with a
+/// budget below the miss penalty — an outcome no sequential order gives,
+/// so the explorer must report violations here.
+pub fn sabotage_scenario() -> Scenario {
+    Scenario {
+        name: "split-fit-evict",
+        capacity: 1,
+        shards: 1,
+        setup: vec![Op::Access(1)],
+        threads: vec![
+            vec![Op::SplitAccessIfFits(1, 1, 5)],
+            vec![Op::Access(2)],
+            vec![Op::Contains(1)],
+        ],
+    }
 }
 
 /// Explores every built-in scenario, splitting `budget` across them.
@@ -609,7 +647,7 @@ pub fn explore_all(budget: usize, mode: ExploreMode) -> Vec<ExploreReport> {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-baseline history checks
+// Real-thread stress checks
 // ---------------------------------------------------------------------------
 
 /// Replays each shard's access ledger through a fresh sequential LRU of the
@@ -730,6 +768,20 @@ pub fn check_concurrent_cache(
 mod tests {
     use super::*;
 
+    fn rec(thread: usize, op: Op, outcome: Outcome, invoked: u64, returned: u64) -> OpRecord {
+        OpRecord {
+            thread,
+            op,
+            outcome,
+            invoked,
+            returned,
+        }
+    }
+
+    fn one_shard(capacity: usize, history: &[OpRecord]) -> Result<(), String> {
+        check_linearizable(&[LruCache::new(capacity)], |_| 0, history)
+    }
+
     #[test]
     fn odometer_walks_the_tree_in_order() {
         assert_eq!(next_plan(&[(0, 2), (1, 2)]), Some(vec![1]));
@@ -741,83 +793,51 @@ mod tests {
 
     #[test]
     fn linearizable_history_accepted() {
-        // T0: insert(1) true, overlapping T1: contains(1) — either result
+        // T0: access(1) misses, overlapping T1: contains(1) — either answer
         // is linearizable while they overlap.
         for observed in [true, false] {
             let h = vec![
-                OpRecord {
-                    thread: 0,
-                    op: Op::Insert(1),
-                    result: true,
-                    invoked: 1,
-                    returned: 4,
-                },
-                OpRecord {
-                    thread: 1,
-                    op: Op::Contains(1),
-                    result: observed,
-                    invoked: 2,
-                    returned: 3,
-                },
+                rec(0, Op::Access(1), Outcome::Access(Access::Miss), 1, 4),
+                rec(1, Op::Contains(1), Outcome::Resident(observed), 2, 3),
             ];
-            assert!(check_linearizable(&[], &h).is_ok(), "observed={observed}");
+            assert!(one_shard(1, &h).is_ok(), "observed={observed}");
         }
     }
 
     #[test]
     fn non_linearizable_history_rejected() {
-        // contains(1) returned false strictly *after* insert(1) returned
-        // true: no legal order explains it.
+        // contains(1) returned false strictly *after* access(1) returned:
+        // no legal order explains it.
         let h = vec![
-            OpRecord {
-                thread: 0,
-                op: Op::Insert(1),
-                result: true,
-                invoked: 1,
-                returned: 2,
-            },
-            OpRecord {
-                thread: 1,
-                op: Op::Contains(1),
-                result: false,
-                invoked: 3,
-                returned: 4,
-            },
+            rec(0, Op::Access(1), Outcome::Access(Access::Miss), 1, 2),
+            rec(1, Op::Contains(1), Outcome::Resident(false), 3, 4),
         ];
-        assert!(check_linearizable(&[], &h).is_err());
+        assert!(one_shard(1, &h).is_err());
     }
 
     #[test]
     fn lost_update_history_rejected() {
-        // Both inserts of the same absent key report success with disjoint
-        // intervals — impossible for a set.
+        // Two accesses of the same page, one after the other, both miss —
+        // impossible for any cache that holds at least one page.
         let h = vec![
-            OpRecord {
-                thread: 0,
-                op: Op::Insert(5),
-                result: true,
-                invoked: 1,
-                returned: 2,
-            },
-            OpRecord {
-                thread: 1,
-                op: Op::Insert(5),
-                result: true,
-                invoked: 3,
-                returned: 4,
-            },
+            rec(0, Op::Access(5), Outcome::Access(Access::Miss), 1, 2),
+            rec(1, Op::Access(5), Outcome::Access(Access::Miss), 3, 4),
         ];
-        assert!(check_linearizable(&[], &h).is_err());
+        for capacity in [1, 2, 8] {
+            assert!(one_shard(capacity, &h).is_err(), "capacity {capacity}");
+        }
+        // A zero-capacity cache keeps nothing, so both misses are legal.
+        assert!(one_shard(0, &h).is_ok());
     }
 
     #[test]
     fn exhaustive_exploration_of_a_small_scenario_is_clean() {
         let sc = Scenario {
             name: "tiny",
-            initial_buckets: 1,
-            load_factor: 1 << 20,
+            capacity: 1,
+            shards: 1,
             setup: vec![],
-            threads: vec![vec![Op::Insert(1)], vec![Op::Insert(1)]],
+            threads: vec![vec![Op::Access(1)], vec![Op::Access(1)]],
         };
         let report = explore(&sc, 50_000, ExploreMode::Exhaustive);
         assert!(report.passed(), "{:?}", report.violations);
@@ -837,6 +857,31 @@ mod tests {
             "sampling found only {} schedules",
             a.distinct
         );
+    }
+
+    /// A worker that panics mid-script hands the token back on unwind: the
+    /// execution returns, and the panic comes back as a violation carrying
+    /// the choice sequence.
+    #[test]
+    fn panicking_worker_is_reported_not_hung() {
+        let sc = Scenario {
+            name: "panics",
+            capacity: 2,
+            shards: 1,
+            setup: vec![],
+            threads: vec![vec![Op::Access(1)], vec![Op::Access(2), Op::Contains(1)]],
+        };
+        let (taken, history, violation) = run_with(&sc, &[], None, |cache, op| match op {
+            Op::Contains(_) => panic!("injected fault"),
+            _ => apply_real(cache, op),
+        });
+        let v = violation.expect("the panic must surface as a violation");
+        assert!(v.contains("T1 panicked: injected fault"), "{v}");
+        assert!(
+            v.contains(&format!("[choices {:?}]", choices_of(&taken))),
+            "{v}"
+        );
+        assert_eq!(history.len(), 2, "both accesses completed");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Acceptance sweep for the schedule explorer: the built-in scenario suite
-//! must yield at least 10^4 distinct interleavings of the core list ops
-//! (insert / find / delete / resize) with zero linearization violations.
+//! must yield at least 10^4 distinct interleavings of `ShardedLru`'s locked
+//! ops (`Access`, `Contains`, `AccessIfFits`) with zero linearization
+//! violations, and the seeded split fit-check race must be caught.
 
-use parapage_conform::{explore, explore_all, scenarios, ExploreMode};
+use parapage_conform::{explore, explore_all, sabotage_scenario, scenarios, ExploreMode, Op};
 
 #[test]
 fn explorer_enumerates_ten_thousand_clean_interleavings() {
@@ -13,7 +14,7 @@ fn explorer_enumerates_ten_thousand_clean_interleavings() {
             r.passed(),
             "{}: {} violations, first: {}",
             r.scenario,
-            r.violations.len(),
+            r.violating,
             r.violations[0]
         );
         distinct += r.distinct;
@@ -26,18 +27,15 @@ fn explorer_enumerates_ten_thousand_clean_interleavings() {
 
 #[test]
 fn random_sampling_scales_past_the_dfs_frontier() {
-    // The grow-fence scenario has three threads and a deep tree; random
-    // sampling must keep finding *new* schedules where DFS alone would
-    // crawl the left spine.
-    let sc = scenarios()
-        .into_iter()
-        .find(|s| s.name == "grow-fence")
-        .unwrap();
+    // The last scenario has the deepest tree; random sampling must keep
+    // finding *new* schedules where DFS alone would crawl the left spine.
+    let sc = scenarios().pop().unwrap();
     let r = explore(&sc, 300, ExploreMode::Random { seed: 1234 });
-    assert!(r.passed(), "{:?}", r.violations);
+    assert!(r.passed(), "{}: {:?}", sc.name, r.violations);
     assert!(
         r.distinct * 10 >= r.executions * 9,
-        "random walk collapsed: {} distinct in {} executions",
+        "{}: random walk collapsed: {} distinct in {} executions",
+        sc.name,
         r.distinct,
         r.executions
     );
@@ -55,4 +53,44 @@ fn every_builtin_scenario_passes_a_bounded_exhaustive_sweep() {
             r.distinct
         );
     }
+}
+
+/// The self-check: with the fit check and the access split over two lock
+/// acquisitions, some interleaving evicts the page between them and the
+/// explorer must report it — while the same scenario through the fused
+/// `access_if_fits_shared` is clean, so the catch is the split's fault.
+#[test]
+fn explorer_catches_the_split_fit_check_race() {
+    let sabotaged = sabotage_scenario();
+    let caught = explore(&sabotaged, 400, ExploreMode::Exhaustive);
+    assert!(caught.complete, "the self-check tree fits the budget");
+    assert!(
+        !caught.passed(),
+        "explorer missed the split fit-check race in {} executions",
+        caught.executions
+    );
+    assert!(caught.violating <= caught.executions);
+    assert!(
+        caught.violating > caught.violations.len(),
+        "violating executions are counted past the reporting cap"
+    );
+    assert!(caught.violations[0].contains("SplitAccessIfFits"));
+    assert!(caught.violations[0].contains("Fit(Some(Miss))"));
+    assert!(caught.violations[0].contains("[choices "));
+
+    let mut fused = sabotaged;
+    for script in &mut fused.threads {
+        for op in script {
+            if let Op::SplitAccessIfFits(page, remaining, penalty) = *op {
+                *op = Op::AccessIfFits(page, remaining, penalty);
+            }
+        }
+    }
+    let clean = explore(&fused, 400, ExploreMode::Exhaustive);
+    assert!(clean.complete);
+    assert!(
+        clean.passed(),
+        "fused path must be clean: {:?}",
+        clean.violations
+    );
 }

@@ -1,23 +1,16 @@
-//! Pool-width stress for the concurrent cache substrate: the same stress
+//! Pool-width stress for the sharded concurrent cache: the same stress
 //! body runs under worker widths 1, 2, and 8 (the knob `PARAPAGE_THREADS`
-//! sets, overridden here with the scoped guard so the tests are
+//! sets, overridden here with the scoped guard so the test is
 //! self-contained). Every pool unit keeps its own op ledger; at join the
-//! ledgers are reconciled against the structure's final state and against
+//! ledgers are reconciled against the cache's final state and against
 //! the sequential policy — nothing is allowed to go missing, duplicate, or
 //! reorder in a way the sequential model cannot explain.
-//!
-//! The width override is process-global, so every test here serializes on
-//! [`POOL_LOCK`] before touching it.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
-use parapage_cache::{Access, PageId, ShardedLru, SplitOrderedMap};
+use parapage_cache::{Access, PageId, ShardedLru};
 use parapage_conform::check_sharded_ledgers;
 use rayon::pool::{self, Tasks, Unit};
-
-/// Serializes tests that set the global pool width.
-static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const UNITS: usize = 8;
@@ -49,7 +42,6 @@ type UnitLedger = (usize, Vec<(PageId, Access)>);
 /// 4. the final residency digest is identical at every width.
 #[test]
 fn sharded_stress_ledgers_reconcile_at_every_width() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut baseline: Option<(usize, usize)> = None;
     for width in THREAD_COUNTS {
         let _w = pool::threads(width);
@@ -100,125 +92,5 @@ fn sharded_stress_ledgers_reconcile_at_every_width() {
             None => baseline = Some(digest),
             Some(b) => assert_eq!(b, &digest, "width {width} diverged from width 1"),
         }
-    }
-}
-
-/// What each map unit logs: the key, whether the op was an insert (else a
-/// remove), and whether the structure said it took effect.
-type MapLedger = Vec<(u64, bool, bool)>;
-
-/// Lock-free map under fan-out with *overlapping* keys: all units fight
-/// over the same 64 keys with a per-unit mix of inserts, removes, and
-/// probes. Individual outcomes are schedule-dependent, but the
-/// linearizable-set conservation law is not: for every key, successful
-/// inserts minus successful removes must equal its final residency, and
-/// the sum of those residuals must equal `len()`.
-#[test]
-fn lock_free_map_op_ledgers_reconcile_at_every_width() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for width in THREAD_COUNTS {
-        let _w = pool::threads(width);
-        let map = SplitOrderedMap::with_config(4, 4);
-
-        let units: Vec<Unit<'_, MapLedger>> = (0..UNITS)
-            .map(|u| {
-                let map = &map;
-                Box::new(move || {
-                    let mut x = (u as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    let mut ledger = MapLedger::with_capacity(OPS);
-                    for _ in 0..OPS {
-                        let r = lcg(&mut x);
-                        let key = r % 64;
-                        match (r >> 8) % 3 {
-                            0 => ledger.push((key, true, map.insert(p(key), u as u64))),
-                            1 => ledger.push((key, false, map.remove(p(key)))),
-                            _ => {
-                                // Probes have no individually checkable
-                                // outcome under contention; they only add
-                                // traversal pressure.
-                                map.contains(p(key));
-                            }
-                        }
-                    }
-                    vec![ledger]
-                }) as Unit<'_, _>
-            })
-            .collect();
-        let ledgers = pool::execute(Tasks { units });
-        assert_eq!(ledgers.len(), UNITS, "width {width}: a unit went missing");
-
-        let mut net = [0i64; 64];
-        for ledger in &ledgers {
-            for &(key, is_insert, took_effect) in ledger {
-                if took_effect {
-                    net[key as usize] += if is_insert { 1 } else { -1 };
-                }
-            }
-        }
-        let mut residents = 0usize;
-        for (key, &n) in net.iter().enumerate() {
-            let resident = i64::from(map.contains(p(key as u64)));
-            assert_eq!(
-                n, resident,
-                "width {width}: key {key} net effect {n} but residency {resident}"
-            );
-            residents += resident as usize;
-        }
-        assert_eq!(map.len(), residents, "width {width}: len out of sync");
-        assert_eq!(
-            map.entries().len(),
-            residents,
-            "width {width}: entries out of sync"
-        );
-    }
-}
-
-/// Concurrent growth loses nothing: seven units insert disjoint ranges
-/// while an eighth forces repeated bucket-array doublings mid-stream. At
-/// join every inserted key must still be reachable — the resize fence this
-/// checks is exactly the one the sabotage switch drops.
-#[test]
-fn growth_under_stress_loses_no_members() {
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for width in THREAD_COUNTS {
-        let _w = pool::threads(width);
-        let map = SplitOrderedMap::with_config(2, 1 << 20);
-        let units: Vec<Unit<'_, u64>> = (0..UNITS)
-            .map(|u| {
-                let map = &map;
-                Box::new(move || {
-                    if u == UNITS - 1 {
-                        for _ in 0..10 {
-                            map.grow();
-                        }
-                        vec![0]
-                    } else {
-                        let base = (u as u64) * 1_000;
-                        let mut inserted = 0u64;
-                        for i in 0..200 {
-                            inserted += u64::from(map.insert(p(base + i), u as u64));
-                        }
-                        vec![inserted]
-                    }
-                }) as Unit<'_, _>
-            })
-            .collect();
-        let inserted: u64 = pool::execute(Tasks { units }).into_iter().sum();
-        assert_eq!(
-            inserted,
-            7 * 200,
-            "width {width}: an insert failed on a fresh key"
-        );
-        for u in 0..(UNITS - 1) as u64 {
-            for i in 0..200 {
-                assert!(
-                    map.contains(p(u * 1_000 + i)),
-                    "width {width}: key {} unreachable after growth",
-                    u * 1_000 + i
-                );
-            }
-        }
-        assert_eq!(map.len(), 7 * 200, "width {width}");
-        assert!(map.bucket_count() >= 2, "width {width}");
     }
 }

@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use parapage_cache::{
         min_misses, miss_curve, run_box, run_window, sampled_miss_curve, Access, ArcCache, Cache,
-        ClockCache, FifoCache, LfuCache, LirsCache, LockFreeFifoCache, LruCache, PageId, ProcId,
-        ShardedCache, ShardedLru, SplitOrderedMap, Time, TwoQueueCache,
+        ClockCache, FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache,
+        ShardedLru, Time, TwoQueueCache,
     };
     pub use parapage_conform::{
         check_concurrent_cache, check_corruption_rejection, check_resume, check_sharded_ledgers,

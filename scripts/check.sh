@@ -20,7 +20,7 @@ cargo test -q -p rayon
 echo "==> parapage conform --quick"
 cargo run -q -p parapage-cli --release -- conform --quick
 
-echo "==> parapage conform --concurrent --quick (schedule exploration)"
+echo "==> parapage conform --concurrent --quick (ShardedLru schedule exploration + sabotage self-check)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
 echo "==> parapage chaos --quick (crash-recovery matrix)"
