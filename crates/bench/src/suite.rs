@@ -22,7 +22,7 @@
 //! | `sweep/conform-matrix`| conform's policy × scenario invariant grid |
 //! | `sweep/envelope`      | Theorem-4 competitive-ratio guardrails     |
 //! | `checkpoint/full-snapshot` | per-epoch full-snapshot encoding cost |
-//! | `checkpoint/wal-delta`| per-epoch incremental WAL delta cost       |
+//! | `checkpoint/wal-delta`| per-epoch WAL record (tick + digest)       |
 //! | `server/wire-codec`   | serve protocol frame encode/verify/decode  |
 //! | `concurrent/sharded-access` | pool workers on one shared sharded LRU |
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
@@ -571,12 +571,13 @@ fn entry_envelope(quick: bool, seed: u64) -> EntryOut {
 
 /// Shared core of the two `checkpoint/*` entries: drive one det-par run
 /// tick by tick, emitting a checkpoint every `CKPT_EPOCH` ticks — either a
-/// full snapshot re-encode or an incremental WAL delta — and count the
-/// payload bytes. Byte counts are a deterministic function of the
-/// workload, so they double as the determinism digest.
+/// full snapshot re-encode or a WAL record payload (the epoch's end tick
+/// and progress digest) — and count the payload bytes. Byte counts are a
+/// deterministic function of the workload, so they double as the
+/// determinism digest.
 const CKPT_EPOCH: u64 = 8;
 
-/// Per-epoch checkpoint cost measurement; `wal` selects delta vs full.
+/// Per-epoch checkpoint cost measurement; `wal` selects record vs full.
 pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
     let params = ModelParams::new(4, 32, 8);
     let w = bench_workload(4, 32, if quick { 4000 } else { 10000 }, seed);
@@ -601,7 +602,7 @@ pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
         if ticks >= next_ckpt {
             epochs += 1;
             bytes += if wal {
-                engine.wal_delta(&alloc).expect("wal delta").encode().len() as u64
+                engine.wal_mark().encode().len() as u64
             } else {
                 engine.snapshot(&alloc).expect("snapshot").encode().len() as u64
             };
@@ -623,7 +624,7 @@ fn entry_ckpt_full(quick: bool, seed: u64) -> EntryOut {
     checkpoint_cost(quick, seed, false)
 }
 
-/// Entry 7: per-epoch incremental WAL delta cost — must stay well below
+/// Entry 7: per-epoch WAL record cost — must stay well below
 /// `checkpoint/full-snapshot`.
 fn entry_ckpt_wal(quick: bool, seed: u64) -> EntryOut {
     checkpoint_cost(quick, seed, true)

@@ -1,6 +1,6 @@
-//! Regression pin on the WAL's size advantage: the per-epoch incremental
-//! delta stream must stay well below the full-snapshot stream on the
-//! suite's own workload, and both byte counts must be deterministic.
+//! Regression pin on the WAL's size advantage: the per-epoch record stream
+//! must stay well below the full-snapshot stream on the suite's own
+//! workload, and both byte counts must be deterministic.
 
 use std::sync::Mutex;
 
@@ -22,8 +22,8 @@ fn wal_deltas_cost_less_than_half_of_full_snapshots() {
     assert!(full_bytes > 0 && wal_bytes > 0);
     assert!(
         wal_bytes * 2 < full_bytes,
-        "WAL deltas ({wal_bytes} bytes over {} epochs) must cost less than half the \
-         full snapshots ({full_bytes} bytes) — the O(changes) advantage regressed",
+        "WAL records ({wal_bytes} bytes over {} epochs) must cost less than half the \
+         full snapshots ({full_bytes} bytes) — the WAL's size advantage regressed",
         wal.runs
     );
 }

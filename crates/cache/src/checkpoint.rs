@@ -280,14 +280,14 @@ impl WordDigest {
     }
 }
 
-/// Leading magic of one framed WAL delta record (`b"ppwr"`).
+/// Leading magic of one framed WAL record (`b"ppwr"`).
 pub const WAL_RECORD_MAGIC: [u8; 4] = *b"ppwr";
 
 /// Bytes of a WAL record before the payload: magic, sequence number,
 /// payload length.
 pub const WAL_RECORD_HEADER: usize = 4 + 8 + 4;
 
-/// Frames one WAL delta record and returns `(bytes, digest)`:
+/// Frames one WAL record and returns `(bytes, digest)`:
 ///
 /// ```text
 /// WAL_RECORD_MAGIC(4) | seq u64 | payload_len u32 | payload … | digest u64

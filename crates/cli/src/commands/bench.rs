@@ -45,6 +45,17 @@ pub fn exec(args: &Args) -> Result<(), String> {
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }
+    // The report must never overwrite the baseline it is compared with;
+    // a missing `--out` file cannot be an existing baseline.
+    if let Some(path) = &baseline_path {
+        if let (Ok(a), Ok(b)) = (std::fs::canonicalize(path), std::fs::canonicalize(&out)) {
+            if a == b {
+                return Err(format!(
+                    "--out {out} names the --baseline file; write the report elsewhere"
+                ));
+            }
+        }
+    }
 
     println!(
         "benchmark suite ({}, seed {seed}): threads(1) vs threads({threads}) on {} core(s)\n",
@@ -92,7 +103,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
         ckpt_bytes("checkpoint/wal-delta"),
     ) {
         println!(
-            "checkpoint payload per run: full snapshots {full} bytes, WAL deltas {wal} bytes \
+            "checkpoint payload per run: full snapshots {full} bytes, WAL records {wal} bytes \
              ({:.1}% of full)",
             wal as f64 / full.max(1) as f64 * 100.0
         );

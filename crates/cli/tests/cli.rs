@@ -191,3 +191,34 @@ fn chaos_rejects_a_filter_matching_nothing() {
     assert!(!ok);
     assert!(stderr.contains("matched no cells"));
 }
+
+#[test]
+fn bench_refuses_to_overwrite_its_baseline() {
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json");
+    let dir = std::env::temp_dir().join(format!("parapage_bench_baseline_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let copy = dir.join("BENCH_5.json");
+    std::fs::copy(committed, &copy).unwrap();
+    let before = std::fs::read(&copy).unwrap();
+    // The same file under a second spelling: only canonical paths match.
+    let spelled = dir.join(".").join("BENCH_5.json");
+    let (ok, _, stderr) = parapage(&[
+        "bench",
+        "--quick",
+        "--baseline",
+        copy.to_str().unwrap(),
+        "--out",
+        spelled.to_str().unwrap(),
+    ]);
+    assert!(!ok, "bench must refuse --out == --baseline");
+    assert!(
+        stderr.contains("names the --baseline file"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&copy).unwrap(),
+        before,
+        "baseline was rewritten"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -67,7 +67,9 @@ pub use oracle::{
     run_reference_named, run_traced, ConformReport, DiffReport, Divergence, TracedRun,
 };
 pub use reference::run_reference;
-pub use resume::{check_corruption_rejection, check_resume, resume_matrix, ResumeCell};
+pub use resume::{
+    baseline_run, check_corruption_rejection, check_resume, resume_matrix, ResumeCell,
+};
 pub use schedules::{
     check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
     run_schedule, sabotage_scenario, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op,

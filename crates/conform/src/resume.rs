@@ -21,7 +21,7 @@
 //! The `parapage chaos` CLI subcommand drives the matrix and exits
 //! non-zero on any divergence or failed recovery.
 
-use parapage_cache::{LruCache, PageId};
+use parapage_cache::{Cache, LruCache, PageId};
 use parapage_core::{policy, FaultEvent, ModelParams};
 use parapage_sched::{
     CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, RunResult,
@@ -34,7 +34,8 @@ use crate::checkers;
 /// The uninterrupted run a recovery check diffs against, through the same
 /// steppable engine the supervisor drives: its result, its trace, and its
 /// length in engine ticks.
-pub(crate) fn baseline_run(
+#[allow(clippy::too_many_arguments)]
+pub fn baseline_run<C: Cache>(
     policy: &str,
     seqs: &[Vec<PageId>],
     params: &ModelParams,
@@ -42,10 +43,11 @@ pub(crate) fn baseline_run(
     seed: u64,
     plan: &FaultPlan,
     hardened: bool,
+    make_cache: impl FnMut(usize) -> C,
 ) -> Result<(RunResult, TraceRecorder, u64), String> {
     let mut alloc = policy::build(policy, params, seed, hardened)
         .ok_or_else(|| format!("unknown policy `{policy}`"))?;
-    let mut engine = Engine::new(&mut *alloc, seqs, params, opts, plan, |_| LruCache::new(0));
+    let mut engine = Engine::new(&mut *alloc, seqs, params, opts, plan, make_cache);
     let mut trace = TraceRecorder::new();
     loop {
         match engine.step(&mut *alloc, &mut trace) {
@@ -114,7 +116,9 @@ pub fn check_resume(
         .any(|e| matches!(e, FaultEvent::MemoryPressure { .. }));
 
     let (baseline, baseline_trace, baseline_ticks) =
-        baseline_run(policy, seqs, params, opts, seed, plan, hardened)?;
+        baseline_run(policy, seqs, params, opts, seed, plan, hardened, |_| {
+            LruCache::new(0)
+        })?;
 
     let crash_ticks: Vec<u64> = {
         let mut t: Vec<u64> = crash_ticks

@@ -111,7 +111,6 @@ fn last_record_start(base: &[u8], log: &[u8]) -> Option<usize> {
 pub struct SabotagedStore {
     inner: MemStore,
     prev_base: Option<Vec<u8>>,
-    base_shadow: Option<Vec<u8>>,
     corruption: WalCorruption,
     struck: bool,
     faithful: bool,
@@ -127,7 +126,6 @@ impl SabotagedStore {
         SabotagedStore {
             inner: MemStore::new(),
             prev_base: None,
-            base_shadow: None,
             corruption,
             struck: false,
             faithful: false,
@@ -224,8 +222,7 @@ impl SabotagedStore {
 
 impl CheckpointStore for SabotagedStore {
     fn install_base(&mut self, snapshot: Vec<u8>) {
-        self.prev_base = self.base_shadow.take();
-        self.base_shadow = Some(snapshot.clone());
+        self.prev_base = self.inner.view().map(|(base, _)| base.to_vec());
         self.inner.install_base(snapshot);
     }
 
@@ -286,7 +283,9 @@ pub fn check_wal_corruption(
     let plan = FaultPlan::none();
 
     let (baseline, baseline_trace, baseline_ticks) =
-        baseline_run(policy, seqs, params, &opts, seed, &plan, false)?;
+        baseline_run(policy, seqs, params, &opts, seed, &plan, false, |_| {
+            LruCache::new(0)
+        })?;
     if baseline_ticks < 24 {
         return Err(format!(
             "premise failed: baseline run too short ({baseline_ticks} ticks) to corrupt into"

@@ -19,9 +19,6 @@
 //!   ledger at once, *retaining* the allocated chunks, so a reused engine
 //!   (bench loops, supervisors restarting epochs) allocates only on its
 //!   first run.
-//! * **Stable suffix iteration.** [`ChunkVec::iter_from`] walks everything
-//!   past a mark without materializing a slice — exactly the WAL-delta
-//!   access pattern (`deltas[ckpt_len..]`).
 //!
 //! The element type is `Copy` (ledger entries are small PODs), which keeps
 //! `clear` trivially correct — nothing to drop.
@@ -93,17 +90,6 @@ impl<T: Copy> ChunkVec<T> {
         self.chunks.iter().flat_map(|c| c.iter())
     }
 
-    /// Iterates elements `start..len` in push order (the WAL suffix walk).
-    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = &T> {
-        let skip_chunks = start / CHUNK;
-        let skip_into = start % CHUNK;
-        self.chunks
-            .iter()
-            .skip(skip_chunks)
-            .enumerate()
-            .flat_map(move |(i, c)| c.iter().skip(if i == 0 { skip_into } else { 0 }))
-    }
-
     /// Copies the whole arena into one contiguous `Vec` (checkpoint
     /// encoding and final-result sorting want a flat buffer).
     pub fn to_vec(&self) -> Vec<T> {
@@ -145,20 +131,6 @@ mod tests {
         let collected: Vec<usize> = v.iter().copied().collect();
         assert_eq!(collected, (0..n).collect::<Vec<_>>());
         assert_eq!(v.to_vec(), collected);
-    }
-
-    #[test]
-    fn iter_from_matches_slice_semantics() {
-        let mut v = ChunkVec::new();
-        let n = CHUNK + 100;
-        for i in 0..n {
-            v.push(i as u64);
-        }
-        for start in [0, 1, 50, CHUNK - 1, CHUNK, CHUNK + 1, n - 1, n] {
-            let suffix: Vec<u64> = v.iter_from(start).copied().collect();
-            let want: Vec<u64> = (start as u64..n as u64).collect();
-            assert_eq!(suffix, want, "start={start}");
-        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use parapage_cache::{
-    run_window, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, SnapReader, SnapWriter,
-    Time,
+    digest64, run_window, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, SnapReader,
+    SnapWriter, Time,
 };
 use parapage_core::{BoxAllocator, FaultEvent, Grant, Interval, ModelParams};
 
@@ -54,7 +54,7 @@ use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
 use crate::snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
-use crate::wal::WalDelta;
+use crate::wal::WalMark;
 
 /// Default hard cap on simulated time.
 ///
@@ -173,14 +173,6 @@ pub struct Engine<'a, C: Cache> {
     remaining: usize,
     ticks: u64,
     emitted: u64,
-    // WAL checkpoint mark: how much of the grow-only state was already
-    // captured at the last checkpoint boundary, and which caches have been
-    // mutated since. `wal_delta` emits only what lies past the mark, which
-    // is what makes an incremental checkpoint O(changes) rather than
-    // O(state).
-    ckpt_deltas_len: usize,
-    ckpt_timeline_lens: Vec<usize>,
-    dirty_caches: Vec<bool>,
     // Reusable scratch for batched grant dispatch (always empty between
     // steps, so it never appears in snapshots): the timestamp batch being
     // processed, the subset actually requesting grants, and the policy's
@@ -241,9 +233,6 @@ impl<'a, C: Cache> Engine<'a, C> {
             remaining,
             ticks: 0,
             emitted: 0,
-            ckpt_deltas_len: 0,
-            ckpt_timeline_lens: vec![0; p],
-            dirty_caches: vec![false; p],
             batch: Vec::new(),
             batch_req: Vec::new(),
             batch_grants: Vec::new(),
@@ -268,16 +257,34 @@ impl<'a, C: Cache> Engine<'a, C> {
         self.heap.is_empty()
     }
 
-    /// Declares the current state a checkpoint boundary: the next
-    /// [`Engine::wal_delta`] reports changes relative to *now*. Call after
-    /// installing a full snapshot as a new WAL base.
-    pub fn reset_wal_mark(&mut self) {
-        self.ckpt_deltas_len = self.deltas.len();
-        for (n, tl) in self.ckpt_timeline_lens.iter_mut().zip(&self.timelines) {
-            *n = tl.len();
+    /// The WAL record for the current event boundary: the tick and a
+    /// digest of the engine's progress — `ticks`, `emitted`, the sequence
+    /// cursors, completions, hit/miss counters, memory integral, grants,
+    /// live usage, fault-plan position, faults delivered, processors
+    /// remaining and the audit-trace length. O(p); it encodes no cache or
+    /// policy state. Two runs of the same workload, policy and fault plan
+    /// that agree on this digest at a tick have made the same progress,
+    /// which is what a replay from the base checks at each record.
+    pub fn wal_mark(&self) -> WalMark {
+        let mut w = SnapWriter::new();
+        w.put_u64(self.ticks);
+        w.put_u64(self.emitted);
+        for (&pos, &done) in self.pos.iter().zip(&self.completions) {
+            w.put_usize(pos);
+            w.put_u64(done);
         }
-        for d in &mut self.dirty_caches {
-            *d = false;
+        w.put_u64(self.stats.hits);
+        w.put_u64(self.stats.misses);
+        w.put_u128(self.memory_integral);
+        w.put_u64(self.grants_issued);
+        w.put_usize(self.live_usage);
+        w.put_usize(self.fault_cursor.position());
+        w.put_u64(self.faults_injected);
+        w.put_usize(self.remaining);
+        w.put_usize(self.deltas.len());
+        WalMark {
+            ticks: self.ticks,
+            digest: digest64(&w.into_bytes()),
         }
     }
 
@@ -478,10 +485,6 @@ impl<'a, C: Cache> Engine<'a, C> {
             .checked_mul(self.fault_cursor.latency_factor(now))
             .ok_or(EngineError::TimeOverflow { at: now })?;
 
-        // The grant path is the only place a cache mutates (clear, resize,
-        // and the served window below), so this flag alone decides whether
-        // the next WAL delta must re-ship processor `x`'s cache blob.
-        self.dirty_caches[x] = true;
         let cache = &mut self.caches[x];
         let resident_before = cache.len();
         if self.opts.compartmentalized {
@@ -700,80 +703,6 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         })
     }
 
-    /// Captures everything that changed since the last checkpoint boundary
-    /// as a [`WalDelta`] — the payload of one WAL record — and advances the
-    /// boundary to now.
-    ///
-    /// The delta carries the engine's O(p) scalars, the suffixes of the
-    /// grow-only audit/timeline traces, the cache blobs of only the caches
-    /// mutated since the mark, and the policy's full checkpoint (bounded,
-    /// and the carrier of RNG position for the randomized policies). The
-    /// mark is reset by a successful call, by [`Engine::restore`], and by
-    /// [`Engine::reset_wal_mark`] — a supervisor resets it whenever it
-    /// installs a fresh full snapshot as the new WAL base.
-    ///
-    /// # Errors
-    /// [`SnapshotError::Codec`] when the policy does not support
-    /// checkpointing; the mark is left untouched on error.
-    pub fn wal_delta(&mut self, alloc: &dyn BoxAllocator) -> Result<WalDelta, SnapshotError> {
-        let mut w = SnapWriter::new();
-        alloc.checkpoint(&mut w)?;
-        let policy_blob = w.into_bytes();
-        let mut cache_updates = Vec::with_capacity(self.p);
-        for (x, cache) in self.caches.iter().enumerate() {
-            if self.dirty_caches[x] {
-                let mut w = SnapWriter::new();
-                cache.save(&mut w);
-                cache_updates.push((x as u32, w.into_bytes()));
-            }
-        }
-        let mut releases: Vec<(Time, usize)> = self.releases.iter().map(|&Reverse(e)| e).collect();
-        releases.sort_unstable();
-        let mut heap: Vec<(Time, u8, u32)> = self.heap.iter().map(|&Reverse(e)| e).collect();
-        heap.sort_unstable();
-        let delta = WalDelta {
-            ticks: self.ticks,
-            emitted: self.emitted,
-            pos: self.pos.clone(),
-            completions: self.completions.clone(),
-            finished: self.finished.clone(),
-            stats: self.stats,
-            memory_integral: self.memory_integral,
-            grants_issued: self.grants_issued,
-            live_usage: self.live_usage,
-            releases,
-            current_limit: self.current_limit,
-            fault_pos: self.fault_cursor.position(),
-            faults_injected: self.faults_injected,
-            heap,
-            remaining: self.remaining,
-            deltas_base: self.ckpt_deltas_len as u64,
-            deltas_suffix: self
-                .deltas
-                .iter_from(self.ckpt_deltas_len)
-                .copied()
-                .collect(),
-            timeline_bases: if self.opts.record_timelines {
-                self.ckpt_timeline_lens.iter().map(|&n| n as u64).collect()
-            } else {
-                Vec::new()
-            },
-            timeline_suffixes: if self.opts.record_timelines {
-                self.timelines
-                    .iter()
-                    .zip(&self.ckpt_timeline_lens)
-                    .map(|(tl, &n)| tl[n..].to_vec())
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            cache_updates,
-            policy_blob,
-        };
-        self.reset_wal_mark();
-        Ok(delta)
-    }
-
     /// Replaces this engine's dynamic state (and `alloc`'s, via
     /// `BoxAllocator::restore`) with a snapshot taken from an engine built
     /// on the same workload, parameters, and fault plan. After a successful
@@ -835,8 +764,6 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         self.faults_injected = snap.faults_injected;
         self.heap = snap.heap.iter().map(|&e| Reverse(e)).collect();
         self.remaining = snap.remaining;
-        // The restored state *is* the new checkpoint boundary.
-        self.reset_wal_mark();
         Ok(())
     }
 }

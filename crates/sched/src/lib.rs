@@ -26,10 +26,12 @@
 //! * [`supervisor`] — crash recovery: [`Supervisor`] runs the engine in
 //!   bounded epochs under panic isolation with a watchdog, resuming from the
 //!   last good snapshot after a crash.
-//! * [`wal`] — incremental checkpoints: a write-ahead delta log between
-//!   full snapshots ([`WalDelta`] records, digest-chained framing, and the
-//!   torn-write-tolerant [`recover`] scan) drops per-epoch checkpoint cost
-//!   from O(state) to O(changes).
+//! * [`wal`] — incremental checkpoints: between full snapshots, each epoch
+//!   appends a fixed-size [`WalMark`] record (the epoch's end tick and a
+//!   progress digest) under digest-chained framing; recovery reads marks
+//!   with the torn-write-tolerant [`recover`] scan and replays the engine
+//!   from the base, checking each mark, so a per-epoch checkpoint costs
+//!   O(1) instead of O(state).
 //! * [`trace`] — the conformance trace stream: [`Engine::run`] emits
 //!   every grant, served window, fault delivery, and completion as a
 //!   [`TraceEvent`] through a caller-supplied [`TraceSink`] (zero-cost when
@@ -68,6 +70,6 @@ pub use supervisor::{
 };
 pub use trace::{DigestSink, NullSink, TraceEvent, TraceRecorder, TraceSink};
 pub use wal::{
-    recover, wal_chain_seed, CheckpointStore, MemStore, WalCursor, WalDelta, WalRecovery,
-    WalTruncation,
+    recover, wal_chain_seed, CheckpointStore, MemStore, WalCursor, WalMark, WalRecovery,
+    WalTruncation, WAL_MARK_LEN,
 };

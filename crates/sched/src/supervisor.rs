@@ -6,29 +6,37 @@
 //! 1. Step the engine for one *epoch* (a bounded number of events) inside
 //!    [`std::panic::catch_unwind`], with a wall-clock watchdog.
 //! 2. At each epoch boundary, checkpoint into a
-//!    [`CheckpointStore`](crate::wal::CheckpointStore): by default an
-//!    O(changes) WAL delta record appended after the current base snapshot
-//!    (see [`crate::wal`]), with a fresh O(state) full snapshot installed
-//!    as a new base every [`SupervisorOpts::full_snapshot_every`] epochs —
-//!    or every epoch when [`SupervisorOpts::wal`] is off.
+//!    [`CheckpointStore`](crate::wal::CheckpointStore): a fixed-size WAL
+//!    record — the epoch's end tick and a progress digest, a
+//!    [`WalMark`] — appended after the current base snapshot (see
+//!    [`crate::wal`]), with a fresh O(state) full snapshot installed as a
+//!    new base every [`SupervisorOpts::full_snapshot_every`] epochs (every
+//!    epoch when it is 0).
 //! 3. On a crash (panic) or watchdog expiry, discard the poisoned engine
 //!    and policy, wait out an exponential backoff, build a **fresh** policy
 //!    from the caller's factory, and recover from the store: decode the
-//!    base, replay the delta log, and truncate at the first record whose
+//!    base, read the record marks, and truncate at the first record whose
 //!    frame, digest, or chain breaks (a torn write loses only the tail; an
-//!    unusable base restarts from scratch). The first epoch boundary after
-//!    a recovery installs a fresh base, so new records never append after
-//!    a torn tail.
+//!    unusable base restarts from scratch). Then restore the base and step
+//!    on. Every epoch boundary up to the last mark is *verify-only*: the
+//!    engine's tick and progress digest must equal the mark's, or the run
+//!    fails with [`SupervisorError::Divergence`]; nothing is written, no
+//!    epoch is counted and the control callback is not called there. The
+//!    first boundary after the last mark installs a fresh base, so new
+//!    records never append after a torn tail.
 //! 4. Give up with [`SupervisorError::RetriesExhausted`] once the crash
 //!    budget is spent.
 //!
-//! Recovery is *exact*: because a snapshot captures the run's full dynamic
-//! state — engine counters, event heap, caches, fault-plan position, and
-//! the policy's own state including its RNG — a recovered run produces the
-//! same [`RunResult`] and the same trace stream as an uninterrupted one.
-//! Events re-emitted while replaying the gap between the last checkpoint
-//! and the crash are deduplicated against the engine's monotone emission
-//! counter, so the caller's [`TraceSink`] sees every event exactly once.
+//! Recovery is *exact*: a snapshot captures the run's full dynamic state —
+//! engine counters, event heap, caches, fault-plan position, and the
+//! policy's own state including its RNG — and the run from there is a
+//! pure function of that state, the sequences and the fault plan. So a
+//! recovered run produces the same [`RunResult`] and the same trace stream
+//! as an uninterrupted one, and the replay after a crash is at most
+//! `full_snapshot_every` × `epoch_ticks` ticks plus the crashed epoch.
+//! Events re-emitted while replaying are deduplicated against the engine's
+//! monotone emission counter, so the caller's [`TraceSink`] sees every
+//! event exactly once.
 //! The `parapage-conform` resume checker and the `parapage chaos` CLI
 //! subcommand verify this byte-for-byte.
 //!
@@ -49,7 +57,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
 use crate::snapshot::SnapshotError;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::wal::{recover, CheckpointStore, WalCursor};
+use crate::wal::{recover, CheckpointStore, WalCursor, WalMark};
 
 /// Capped exponential backoff: `base * 2^attempt`, saturating at `cap`.
 /// `attempt` is 0-based (the first retry waits `base`). This is the one
@@ -116,13 +124,10 @@ pub struct SupervisorOpts {
     /// (they would otherwise spray backtraces over test output). Real
     /// panics still propagate as crashes either way.
     pub silence_panics: bool,
-    /// Checkpoint incrementally: append an O(changes) WAL delta record at
-    /// each epoch boundary instead of encoding the full O(state) snapshot
-    /// (default `true`; see [`crate::wal`]). Off, every boundary installs
-    /// a full snapshot — the pre-WAL behaviour.
-    pub wal: bool,
-    /// With [`SupervisorOpts::wal`] on, install a fresh full snapshot as a
-    /// new base every this many epochs, bounding recovery-scan length.
+    /// Between full snapshots, each epoch boundary appends a WAL record;
+    /// a fresh full snapshot becomes the new base after this many records,
+    /// bounding the replay after a crash to about this many epochs. `0`
+    /// installs a full snapshot at every boundary and writes no records.
     pub full_snapshot_every: u64,
 }
 
@@ -135,7 +140,6 @@ impl Default for SupervisorOpts {
             backoff_cap: Duration::from_millis(50),
             watchdog: Duration::from_secs(30),
             silence_panics: true,
-            wal: true,
             full_snapshot_every: 16,
         }
     }
@@ -150,6 +154,18 @@ pub enum SupervisorError {
     Engine(EngineError),
     /// A snapshot failed to encode, decode, or restore.
     Snapshot(SnapshotError),
+    /// Replaying from the base disagreed with an intact WAL record: at the
+    /// record's epoch boundary the engine reached a different tick or
+    /// progress digest. A deterministic replay cannot do that, so the log
+    /// does not describe this run; like an engine error this fails fast,
+    /// never resumes and never retries.
+    Divergence {
+        /// The record the replay was checking.
+        expected: WalMark,
+        /// Where the replay was at that boundary (or at the end of the
+        /// run, if it ended first).
+        found: WalMark,
+    },
     /// The crash budget is spent.
     RetriesExhausted {
         /// Crashes observed (including the final one).
@@ -164,6 +180,12 @@ impl std::fmt::Display for SupervisorError {
         match self {
             SupervisorError::Engine(e) => write!(f, "engine error: {e}"),
             SupervisorError::Snapshot(e) => write!(f, "snapshot error: {e}"),
+            SupervisorError::Divergence { expected, found } => write!(
+                f,
+                "replay diverged from the wal: record at tick {} (digest {:#018x}), \
+                 replay at tick {} (digest {:#018x})",
+                expected.ticks, expected.digest, found.ticks, found.digest
+            ),
             SupervisorError::RetriesExhausted {
                 crashes,
                 last_crash,
@@ -207,9 +229,9 @@ pub enum EpochControl {
     Continue,
     /// Tear the current engine and policy down and rebuild them from the
     /// checkpoint just written — a live migration onto a fresh engine via
-    /// the `snapshot()/restore()` path. Not counted as a crash; recovery
-    /// determinism makes the migrated run byte-identical to an
-    /// unmigrated one.
+    /// the recovery path (restore the base, replay to the last record).
+    /// Not counted as a crash; recovery determinism makes the migrated run
+    /// byte-identical to an unmigrated one.
     Migrate,
 }
 
@@ -228,12 +250,12 @@ pub struct RecoveryReport {
     pub epochs: u64,
     /// Total engine ticks of the finished run.
     pub ticks: u64,
-    /// Total checkpoint bytes written (full-snapshot bases plus WAL delta
+    /// Total checkpoint bytes written (full-snapshot bases plus WAL
     /// records) — the deterministic cost the bench suite regression-pins.
     pub checkpoint_bytes: u64,
-    /// WAL delta records appended across the run.
+    /// WAL records appended across the run.
     pub wal_records: u64,
-    /// Recovery scans that had to truncate: a torn or corrupt delta log
+    /// Recovery scans that had to truncate: a torn or corrupt record log
     /// (resumed from the last intact record) or an unusable base snapshot
     /// (restarted from scratch).
     pub wal_truncations: u32,
@@ -241,25 +263,6 @@ pub struct RecoveryReport {
     /// callback returned [`EpochControl::Migrate`] and the run moved onto
     /// a freshly built engine restored from the checkpoint just written.
     pub migrations: u64,
-}
-
-impl RecoveryReport {
-    /// One-line human summary.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{} | {} ticks, {} epochs, {} crashes ({} resumed), \
-             {} migrations, {} ckpt bytes ({} wal records, {} truncations)",
-            self.result.summary_line(),
-            self.ticks,
-            self.epochs,
-            self.crashes,
-            self.resumes,
-            self.migrations,
-            self.checkpoint_bytes,
-            self.wal_records,
-            self.wal_truncations
-        )
-    }
 }
 
 /// How one isolated stretch of stepping ended.
@@ -372,19 +375,24 @@ impl Supervisor {
     /// instead of starting over.
     ///
     /// At every epoch boundary, immediately *after* that epoch's checkpoint
-    /// reached the store, `control` inspects the run's [`EpochStatus`] and
-    /// may order [`EpochControl::Migrate`] — the supervisor then discards
-    /// the live engine and policy wholesale and rebuilds both from the
-    /// checkpoint just written, exactly the `snapshot()/restore()` recovery
-    /// path, without burning a retry. This is the live-migration seam the
-    /// `parapage serve` tenant sessions use to move a tenant onto a fresh
-    /// engine mid-run; recovery determinism keeps the migrated run's result
-    /// and trace byte-identical to an unmigrated one. Pass
+    /// reached the store, `control` inspects the run's [`EpochStatus`] —
+    /// once per boundary tick, in increasing tick order, however often a
+    /// recovery re-passes the boundary — and may order
+    /// [`EpochControl::Migrate`]: the supervisor then discards the live
+    /// engine and policy wholesale and rebuilds both from the checkpoint
+    /// just written, exactly the crash-recovery path (restore the base,
+    /// replay to the last record), without burning a retry. This is the
+    /// live-migration seam the `parapage serve` tenant sessions use to
+    /// move a tenant onto a fresh engine mid-run; recovery determinism
+    /// keeps the migrated run's result and trace byte-identical to an
+    /// unmigrated one. Pass
     /// `|_| EpochControl::Continue` to never migrate.
     ///
     /// # Errors
     /// [`SupervisorError::Engine`] immediately on a typed engine error
     /// (those are deterministic, retrying cannot help);
+    /// [`SupervisorError::Divergence`] immediately when a replay from the
+    /// base misses an intact WAL record's tick or digest;
     /// [`SupervisorError::Snapshot`] when checkpoint/restore fails (e.g. a
     /// policy without checkpoint support); otherwise
     /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
@@ -413,6 +421,11 @@ impl Supervisor {
         let mut wal_records = 0u64;
         let mut wal_truncations = 0u32;
         let mut migrations = 0u64;
+        // Highest boundary tick handed to `control`. A recovery that lost
+        // records (a torn tail, a stale or unusable base) re-executes
+        // boundaries past its last intact mark; those are checkpointed
+        // again but not reported again.
+        let mut controlled_through = 0u64;
         // Whether the next attempt follows a crash (and a successful
         // restore should count as a resume) rather than a migration or the
         // initial entry.
@@ -422,11 +435,14 @@ impl Supervisor {
             let mut alloc = policy_factory();
             let mut engine =
                 Engine::new(&mut *alloc, seqs, params, opts, faults, &mut cache_factory);
-            // Recover from the store: decode the base snapshot, replay the
-            // delta log, truncate at the first tear. An unusable base means
-            // restart from scratch — deterministic replay plus the gated
-            // sink keep even that byte-identical, just slower.
+            // Recover from the store: decode the base snapshot and read the
+            // marks of the intact records, which the replay from the base
+            // must then pass in order; the scan truncates at the first
+            // tear. An unusable base means restart from scratch —
+            // deterministic replay plus the gated sink keep even that
+            // byte-identical, just slower.
             let mut restored = false;
+            let mut marks = Vec::new().into_iter();
             if let Some((base, log)) = store.view() {
                 match recover(base, log) {
                     Ok(rec) => {
@@ -434,6 +450,7 @@ impl Supervisor {
                             wal_truncations += 1;
                         }
                         engine.restore(&rec.snapshot, &mut *alloc)?;
+                        marks = rec.marks.into_iter();
                         restored = true;
                     }
                     Err(_) => {
@@ -446,8 +463,9 @@ impl Supervisor {
             }
             resuming_from_crash = false;
             // Always re-base after an attempt starts: the first epoch
-            // boundary below installs a fresh full snapshot, so records are
-            // never appended after a (possibly torn) old log tail.
+            // boundary past the last mark installs a fresh full snapshot,
+            // so records are never appended after a (possibly torn) old
+            // log tail.
             let mut cursor: Option<WalCursor> = None;
             let mut epochs_since_base = 0u64;
             gate.resync(engine.emitted());
@@ -493,6 +511,12 @@ impl Supervisor {
 
                 let crash_note = match stretch {
                     Ok(Ok(Stretch::Done)) => {
+                        if let Some(expected) = marks.next() {
+                            return Err(SupervisorError::Divergence {
+                                expected,
+                                found: engine.wal_mark(),
+                            });
+                        }
                         let ticks = engine.ticks();
                         let result = engine.into_result(&*alloc);
                         return Ok(RecoveryReport {
@@ -508,16 +532,24 @@ impl Supervisor {
                         });
                     }
                     Ok(Ok(Stretch::EpochBoundary)) => {
+                        // Verify-only: this boundary was checkpointed before
+                        // the store was last read. Check the replay against
+                        // its record; write nothing, count nothing.
+                        if let Some(expected) = marks.next() {
+                            let found = engine.wal_mark();
+                            if found != expected {
+                                return Err(SupervisorError::Divergence { expected, found });
+                            }
+                            continue;
+                        }
                         epochs += 1;
-                        let incremental = self.opts.wal
-                            && cursor.is_some()
-                            && epochs_since_base < self.opts.full_snapshot_every;
+                        let incremental =
+                            cursor.is_some() && epochs_since_base < self.opts.full_snapshot_every;
                         if incremental {
-                            let delta = engine.wal_delta(&*alloc)?;
                             let record = cursor
                                 .as_mut()
                                 .expect("incremental implies a base is installed")
-                                .frame(&delta.encode());
+                                .frame(&engine.wal_mark().encode());
                             checkpoint_bytes += record.len() as u64;
                             store.append_record(record);
                             wal_records += 1;
@@ -527,20 +559,20 @@ impl Supervisor {
                             checkpoint_bytes += bytes.len() as u64;
                             cursor = Some(WalCursor::at_base(&bytes));
                             store.install_base(bytes);
-                            engine.reset_wal_mark();
                             epochs_since_base = 0;
                         }
                         // The checkpoint for this epoch is durable; let the
-                        // controller migrate onto a fresh engine restored
-                        // from it. Not a crash: no retry burned, no resume
-                        // counted, no backoff slept.
-                        if control(EpochStatus {
-                            epochs,
-                            ticks: engine.ticks(),
-                        }) == EpochControl::Migrate
-                        {
-                            migrations += 1;
-                            continue 'attempt;
+                        // controller, if it has not seen this boundary yet,
+                        // migrate onto a fresh engine restored from it. Not
+                        // a crash: no retry burned, no resume counted, no
+                        // backoff slept.
+                        let ticks = engine.ticks();
+                        if ticks > controlled_through {
+                            controlled_through = ticks;
+                            if control(EpochStatus { epochs, ticks }) == EpochControl::Migrate {
+                                migrations += 1;
+                                continue 'attempt;
+                            }
                         }
                         continue;
                     }
@@ -862,12 +894,13 @@ mod tests {
 
     #[test]
     fn wal_checkpoints_cost_less_than_full_snapshots() {
-        // Same workload, same epoch cadence, crash-free: incremental delta
-        // records must be much cheaper than a full snapshot per epoch, and
-        // the result must be identical either way. Deterministic byte
-        // counts, so the margin is pinned without timing flakiness. A run
-        // long enough for the grow-only audit trace to dominate a full
-        // snapshot — the regime the WAL exists for.
+        // Same workload, same epoch cadence, crash-free: WAL records must
+        // be much cheaper than a full snapshot per epoch
+        // (`full_snapshot_every: 0`), and the result must be identical
+        // either way. Deterministic byte counts, so the margin is pinned
+        // without timing flakiness. A run long enough for the grow-only
+        // audit trace to dominate a full snapshot — the regime the WAL
+        // exists for.
         let seqs: Vec<Vec<PageId>> = (0..4usize)
             .map(|x| {
                 (0..4000usize)
@@ -875,9 +908,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let run = |wal: bool| {
+        let run = |full_snapshot_every: u64| {
             supervise(
-                SupervisorOpts { wal, ..tiny_opts() },
+                SupervisorOpts {
+                    full_snapshot_every,
+                    ..tiny_opts()
+                },
                 &seqs,
                 &FaultPlan::none(),
                 CrashPlan::none(),
@@ -886,8 +922,8 @@ mod tests {
             )
             .expect("supervised run")
         };
-        let full = run(false);
-        let wal = run(true);
+        let full = run(0);
+        let wal = run(tiny_opts().full_snapshot_every);
         assert_eq!(full.result, wal.result);
         assert_eq!(full.epochs, wal.epochs);
         assert_eq!(full.wal_records, 0);
@@ -898,6 +934,69 @@ mod tests {
             wal.checkpoint_bytes,
             full.checkpoint_bytes
         );
+    }
+
+    #[test]
+    fn forged_wal_record_is_a_typed_divergence() {
+        // A crashed process leaves a base and several records behind.
+        // Re-framing that log with one record's tick or digest altered
+        // keeps every frame and the digest chain valid, so only the replay
+        // check can catch the forgery.
+        let seqs = seqs();
+        let (want, _) = uninterrupted(&seqs, &FaultPlan::none());
+        let opts = SupervisorOpts {
+            epoch_ticks: 4,
+            full_snapshot_every: u64::MAX,
+            max_retries: 0,
+            ..tiny_opts()
+        };
+        let run = |store: &mut MemStore, crashes: CrashPlan| {
+            Supervisor::new(opts).run_controlled(
+                &seqs,
+                &params(),
+                &EngineOpts::default(),
+                &FaultPlan::none(),
+                &crashes,
+                || Box::new(DetPar::new(&params())),
+                |_| LruCache::new(0),
+                &mut crate::trace::NullSink,
+                store,
+                |_| EpochControl::Continue,
+            )
+        };
+        let mut crashed = MemStore::new();
+        let err = run(&mut crashed, CrashPlan::at_ticks(vec![20])).expect_err("fatal crash");
+        assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
+        let (base, log) = crashed.view().expect("checkpointed before the crash");
+        let marks = recover(base, log).expect("intact base").marks;
+        assert!(marks.len() >= 3, "premise: several records");
+        // Record 1 re-framed with `dt` added to its tick and `dd` xored
+        // into its digest.
+        let forged_store = |dt: u64, dd: u64| {
+            let mut store = MemStore::new();
+            let mut cursor = WalCursor::at_base(base);
+            store.install_base(base.to_vec());
+            for (i, &mark) in marks.iter().enumerate() {
+                let (dt, dd) = if i == 1 { (dt, dd) } else { (0, 0) };
+                let mark = WalMark {
+                    ticks: mark.ticks + dt,
+                    digest: mark.digest ^ dd,
+                };
+                store.append_record(cursor.frame(&mark.encode()));
+            }
+            store
+        };
+        // The re-framing itself is faithful: an unaltered log resumes.
+        let report = run(&mut forged_store(0, 0), CrashPlan::none()).expect("faithful log");
+        assert_eq!(report.result, want);
+        for (dt, dd) in [(0, 1), (1, 0)] {
+            match run(&mut forged_store(dt, dd), CrashPlan::none()) {
+                Err(SupervisorError::Divergence { expected, found }) => {
+                    assert_ne!(expected, found);
+                }
+                other => panic!("forgery (+{dt} ticks, ^{dd} digest) not caught: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub struct ServerStats {
     pub restarts: u64,
     /// Live migrations performed at epoch boundaries.
     pub migrations: u64,
-    /// WAL delta records appended across all tenant runs.
+    /// WAL records appended across all tenant runs.
     pub wal_records: u64,
     /// Checkpoint bytes written across all tenant runs.
     pub checkpoint_bytes: u64,

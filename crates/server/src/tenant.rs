@@ -6,13 +6,15 @@
 //! run of the existing [`Supervisor`]: the policy is rebuilt from the
 //! tenant's declared configuration and a batch-mixed seed, the caches are
 //! the PR-8 [`ShardedLru`](parapage::cache::ShardedLru), and checkpoints go
-//! to the tenant's in-memory [`MemStore`] as per-epoch WAL deltas. A
+//! to the tenant's in-memory [`MemStore`] as a base snapshot plus one
+//! fixed-size WAL record (end tick and progress digest) per epoch. A
 //! [`Frame::Kill`](crate::protocol::Frame::Kill) becomes a deterministic
-//! [`CrashPlan`] tick — the supervisor absorbs the panic and resumes from
-//! the WAL — and a [`Frame::Migrate`](crate::protocol::Frame::Migrate)
-//! becomes an [`EpochControl::Migrate`] order at the first epoch boundary
+//! [`CrashPlan`] tick — the supervisor absorbs the panic, restores the
+//! base and replays to the last record — and a
+//! [`Frame::Migrate`](crate::protocol::Frame::Migrate) becomes an
+//! [`EpochControl::Migrate`] order at the first epoch boundary
 //! at-or-after the requested tick, tearing the engine down and rebuilding
-//! it through the `snapshot()/restore()` path mid-batch.
+//! it through the same restore-and-replay path mid-batch.
 //!
 //! Because supervised recovery is byte-exact (the chaos matrix pins this),
 //! the tenant's [`Frame::BatchDone`](crate::protocol::Frame::BatchDone)

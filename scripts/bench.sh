@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Perf-trajectory benchmark: builds the release CLI and runs the fixed
-# `parapage bench` recipe, writing BENCH_5.json at the repo root.
+# `parapage bench` recipe, writing the JSON report to --out (default
+# BENCH_5.json at the repo root; `parapage bench` refuses an --out that
+# names the --baseline file).
 #
 # Usage: scripts/bench.sh [--quick] [--threads N] [--seed N] [--out FILE]
 #                         [--baseline BENCH_n.json] [--profile]
