@@ -80,8 +80,11 @@ impl std::error::Error for CodecError {}
 /// [`digest64`]; FNV stays where its values are pinned or drive behaviour
 /// (reply chains, shard routing, fault decisions, chain-seed constants).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a64_seeded(FNV_BASIS, bytes)
 }
+
+/// The FNV-1a 64-bit offset basis, [`fnv1a64`]'s starting state.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit hash continued from an arbitrary `seed` state.
 ///
@@ -469,9 +472,25 @@ impl SnapWriter {
         self.put_u64(v.0);
     }
 
+    /// Writes `pages` back to back, exactly the bytes of a
+    /// [`SnapWriter::put_page`] loop, with one resize instead of a
+    /// capacity check per page. No length prefix: callers write their own.
+    pub fn put_pages(&mut self, pages: &[PageId]) {
+        let start = self.buf.len();
+        self.buf.resize(start + pages.len() * 8, 0);
+        for (out, pg) in self.buf[start..].chunks_exact_mut(8).zip(pages) {
+            out.copy_from_slice(&pg.0.to_le_bytes());
+        }
+    }
+
     /// Writes raw bytes, length-prefixed.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_len(v.len());
+        self.buf.extend_from_slice(v);
+    }
+
+    /// Appends raw bytes with no length prefix (already-encoded fields).
+    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 }
@@ -573,6 +592,22 @@ impl<'a> SnapReader<'a> {
     /// Reads a [`PageId`].
     pub fn get_page(&mut self) -> Result<PageId, CodecError> {
         Ok(PageId(self.get_u64()?))
+    }
+
+    /// Reads `n` pages as written by [`SnapWriter::put_pages`] or a
+    /// [`SnapWriter::put_page`] loop. `n * 8` is bounded
+    /// by the remaining bytes before anything is reserved, so a hostile
+    /// count is a typed error, never a large allocation or an overflow.
+    pub fn get_pages(&mut self, n: usize) -> Result<Vec<PageId>, CodecError> {
+        let bytes = n
+            .checked_mul(8)
+            .filter(|&b| b <= self.remaining())
+            .ok_or(CodecError::Invalid("page list length exceeds payload"))?;
+        let raw = self.take(bytes)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| PageId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+            .collect())
     }
 
     /// Reads length-prefixed raw bytes.

@@ -42,7 +42,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::checkpoint::{fnv1a64, Checkpoint, CodecError, SnapReader, SnapWriter};
+use crate::checkpoint::{fnv1a64, Checkpoint, CodecError, SnapReader, SnapWriter, FNV_BASIS};
 use crate::lru::LruCache;
 use crate::policy::{Access, Cache};
 use crate::types::{PageId, Time};
@@ -158,11 +158,26 @@ impl<C: Cache> ShardedCache<C> {
         self.slots.len()
     }
 
-    /// The shard index `page` routes to.
+    /// The shard index `page` routes to: the low bits of
+    /// `fnv1a64(page.to_le_bytes())`.
+    ///
+    /// Up to 16 shards, only the hash's low 4 bits are kept. Xor and
+    /// multiplication mod 2^m depend only on their operands mod 2^m, and
+    /// the FNV prime `0x100000001b3` is 3 mod 16, so those bits equal the
+    /// same recurrence run in `u32` from the basis' low word with
+    /// `h = (h ^ byte) * 3`: an xor and a `lea` per byte instead of a
+    /// 64-bit multiply. Wider masks take the full hash.
     #[inline]
     pub fn shard_of(&self, page: PageId) -> usize {
         if self.mask == 0 {
             return 0; // 1-shard degenerate case: router is the identity
+        }
+        if self.mask < 16 {
+            let mut h = FNV_BASIS as u32;
+            for b in page.0.to_le_bytes() {
+                h = (h ^ u32::from(b)).wrapping_mul(3);
+            }
+            return (u64::from(h) & self.mask) as usize;
         }
         (fnv1a64(&page.0.to_le_bytes()) & self.mask) as usize
     }

@@ -124,6 +124,25 @@ fn an_oversized_collection_length_is_invalid_not_an_allocation() {
 }
 
 #[test]
+fn a_hostile_page_count_is_invalid_not_an_allocation_or_overflow() {
+    // `n * 8` overflows usize: get_pages must bound it with checked
+    // arithmetic and answer with the typed error before reserving.
+    let buf = [0u8; 64];
+    let mut r = SnapReader::new(&buf);
+    assert_eq!(
+        r.get_pages(usize::MAX / 4),
+        Err(CodecError::Invalid("page list length exceeds payload"))
+    );
+    // One page more than the bytes hold is refused the same way.
+    let mut r = SnapReader::new(&buf);
+    assert_eq!(
+        r.get_pages(9),
+        Err(CodecError::Invalid("page list length exceeds payload"))
+    );
+    assert_eq!(r.remaining(), 64, "a refused read consumes nothing");
+}
+
+#[test]
 fn reading_past_the_end_is_unexpected_eof() {
     let mut w = SnapWriter::new();
     w.put_u32(7);

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use parapage_cache::{
     min_misses, miss_curve, run_window, ArcCache, Cache, ClockCache, FifoCache, LfuCache,
-    LirsCache, LruCache, PageId, TwoQueueCache,
+    LirsCache, LruCache, PageId, SnapReader, SnapWriter, TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -209,5 +209,29 @@ proptest! {
         let after = lru.pages_mru_first();
         let expect: Vec<PageId> = before.into_iter().take(new_cap).collect();
         prop_assert_eq!(after, expect);
+    }
+
+    /// The bulk page codec is the per-page codec, byte for byte, both ways.
+    #[test]
+    fn bulk_page_lists_equal_the_per_page_codec(
+        pages in prop::collection::vec(any::<u64>().prop_map(PageId), 0..200),
+        prefix in any::<u8>(),
+    ) {
+        let (mut bulk, mut single) = (SnapWriter::new(), SnapWriter::new());
+        bulk.put_u8(prefix);
+        single.put_u8(prefix);
+        bulk.put_pages(&pages);
+        for &pg in &pages {
+            single.put_page(pg);
+        }
+        let bytes = bulk.into_bytes();
+        prop_assert_eq!(&bytes, &single.into_bytes());
+
+        let mut r = SnapReader::new(&bytes[1..]);
+        prop_assert_eq!(r.get_pages(pages.len()).unwrap(), pages.clone());
+        prop_assert!(r.is_exhausted());
+        let mut r = SnapReader::new(&bytes[1..]);
+        let per_page: Vec<PageId> = (0..pages.len()).map(|_| r.get_page().unwrap()).collect();
+        prop_assert_eq!(per_page, pages);
     }
 }

@@ -14,8 +14,9 @@
 use proptest::prelude::*;
 
 use parapage_cache::{
-    concurrent::shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
-    LruCache, PageId, ShardedCache, ShardedLru, SnapReader, SnapWriter, TwoQueueCache,
+    concurrent::shard_capacity, fnv1a64, ArcCache, Cache, Checkpoint, ClockCache, FifoCache,
+    LfuCache, LruCache, PageId, ProcId, ShardedCache, ShardedLru, SnapReader, SnapWriter,
+    TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -215,5 +216,26 @@ proptest! {
             t.save(&mut w);
         }
         prop_assert_eq!(snapshot_bytes(&sharded), w.into_bytes());
+    }
+
+    /// The router is exactly the low bits of FNV-1a over the page's
+    /// little-endian bytes, at every power-of-two shard count, whichever
+    /// arithmetic `shard_of` uses for a given mask width.
+    #[test]
+    fn shard_of_is_the_low_bits_of_fnv1a(
+        random in prop::collection::vec(any::<u64>(), 0..64),
+        procs in prop::collection::vec((0u32..1 << 16, 0u64..1 << 48), 0..16),
+    ) {
+        let mut pages: Vec<PageId> = random.into_iter().map(PageId).collect();
+        pages.extend([PageId(0), PageId(u64::MAX)]);
+        pages.extend(procs.into_iter().map(|(p, l)| PageId::namespaced(ProcId(p), l)));
+        for exp in 0..=6 {
+            let n = 1usize << exp;
+            let cache = ShardedLru::with_shards(n, n);
+            for &page in &pages {
+                let want = (fnv1a64(&page.0.to_le_bytes()) & (n as u64 - 1)) as usize;
+                prop_assert_eq!(cache.shard_of(page), want, "n={} page={:?}", n, page);
+            }
+        }
     }
 }

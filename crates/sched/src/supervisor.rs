@@ -44,6 +44,17 @@
 //! ticks at which the supervised run panics (each at most once per
 //! supervised run, however often the surrounding ticks replay), which is
 //! how the chaos harness exercises every recovery path without randomness.
+//!
+//! Panic silencing ([`SupervisorOpts::silence_panics`]) never swaps the
+//! process panic hook per run. The first silenced run installs, once, a
+//! delegating hook that forwards every panic to the hook installed before
+//! it, except panics raised on a thread that is inside a silenced run
+//! (a thread-local depth the run raises on entry and lowers on exit). So
+//! the embedding program's hook keeps firing after supervised runs, and
+//! concurrent supervisors cannot race each other into printing injected
+//! crashes or leaving the hook silenced. A hook the program installs
+//! *after* the first silenced run replaces the delegate; from then on
+//! injected crashes reach that hook.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -120,9 +131,11 @@ pub struct SupervisorOpts {
     pub backoff_cap: Duration,
     /// Per-attempt wall-clock deadline; expiry is treated as a crash.
     pub watchdog: Duration,
-    /// Suppress the default panic hook while injected crashes are caught
-    /// (they would otherwise spray backtraces over test output). Real
-    /// panics still propagate as crashes either way.
+    /// Keep the process panic hook quiet for panics raised on the running
+    /// thread while the run is in progress (injected crashes would
+    /// otherwise spray backtraces over test output). Other threads' panics
+    /// and every panic after the run still reach the program's hook (see
+    /// the module docs). Real panics still propagate as crashes either way.
     pub silence_panics: bool,
     /// Between full snapshots, each epoch boundary appends a WAL record;
     /// a fresh full snapshot becomes the new base after this many records,
@@ -312,7 +325,15 @@ impl<S: TraceSink> TraceSink for GatedSink<'_, S> {
     }
 }
 
-/// Restores the previous panic hook on drop (see
+thread_local! {
+    /// How many silenced supervised runs enclose this thread's current
+    /// point; the process hook stays quiet for panics raised while it is
+    /// above zero.
+    static SILENCED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Marks this thread as inside a silenced supervised run while it lives,
+/// installing the delegating process hook on first use (module docs,
 /// [`SupervisorOpts::silence_panics`]).
 struct HookGuard {
     active: bool,
@@ -321,7 +342,16 @@ struct HookGuard {
 impl HookGuard {
     fn install(silence: bool) -> Self {
         if silence {
-            std::panic::set_hook(Box::new(|_| {}));
+            static DELEGATE: std::sync::Once = std::sync::Once::new();
+            DELEGATE.call_once(|| {
+                let previous = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    if SILENCED.try_with(|d| d.get()).unwrap_or(0) == 0 {
+                        previous(info);
+                    }
+                }));
+            });
+            SILENCED.with(|d| d.set(d.get() + 1));
         }
         HookGuard { active: silence }
     }
@@ -330,7 +360,7 @@ impl HookGuard {
 impl Drop for HookGuard {
     fn drop(&mut self) {
         if self.active {
-            let _ = std::panic::take_hook();
+            SILENCED.with(|d| d.set(d.get() - 1));
         }
     }
 }

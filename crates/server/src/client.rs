@@ -14,6 +14,7 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use parapage::cache::PageId;
 use parapage::conform::NetFaultPlan;
 
 use crate::chaosnet::FaultyTransport;
@@ -95,6 +96,17 @@ impl Client {
     /// Transport, framing, or decode failures as [`WireError`].
     pub fn call(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         self.send(frame)?;
+        self.recv()
+    }
+
+    /// Sends a `Batch` of borrowed sequences and returns the server's
+    /// reply: [`Client::call`] of the equal [`Frame::Batch`], byte for
+    /// byte, without copying the pages into one.
+    ///
+    /// # Errors
+    /// Transport, framing, or decode failures as [`WireError`].
+    pub fn call_batch(&mut self, batch: u64, seqs: &[Vec<PageId>]) -> Result<Frame, WireError> {
+        self.send.write_batch(&mut self.stream, batch, seqs)?;
         self.recv()
     }
 

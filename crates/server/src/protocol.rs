@@ -293,6 +293,12 @@ impl Frame {
     /// wire frame.
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends the payload (tag byte + body) to `w`.
+    fn encode_into(&self, w: &mut SnapWriter) {
         match self {
             Frame::Hello { proto, config } => {
                 w.put_u8(tag::HELLO);
@@ -319,17 +325,7 @@ impl Frame {
                 w.put_u64(*next_batch);
                 w.put_u64(*reply_chain);
             }
-            Frame::Batch { batch, seqs } => {
-                w.put_u8(tag::BATCH);
-                w.put_u64(*batch);
-                w.put_len(seqs.len());
-                for seq in seqs {
-                    w.put_len(seq.len());
-                    for &pg in seq {
-                        w.put_page(pg);
-                    }
-                }
-            }
+            Frame::Batch { batch, seqs } => encode_batch(w, *batch, seqs),
             Frame::BatchDone {
                 batch,
                 makespan,
@@ -397,7 +393,6 @@ impl Frame {
                 w.put_u64(*batch);
             }
         }
-        w.into_bytes()
     }
 
     /// Decodes a payload produced by [`Frame::encode_payload`]. Rejects
@@ -441,22 +436,21 @@ impl Frame {
             tag::BATCH => {
                 let batch = r.get_u64()?;
                 let nseqs = r.get_len()?;
+                // get_len bounds the count by the remaining *bytes*, but
+                // each sequence carries an 8-byte length and occupies 24
+                // bytes as a `Vec`: tighten before reserving so a hostile
+                // count cannot inflate the allocation 24x.
+                if nseqs > r.remaining() / 8 {
+                    return Err(CodecError::Invalid(
+                        "sequence count exceeds remaining payload",
+                    ));
+                }
                 let mut seqs = Vec::with_capacity(nseqs);
                 for _ in 0..nseqs {
+                    // get_pages bounds the page count by the bytes present
+                    // (8 per page) before it reserves.
                     let n = r.get_len()?;
-                    // get_len bounds n by the remaining *bytes*, but each
-                    // page occupies 8 of them: tighten before reserving so
-                    // a hostile length cannot inflate the allocation 8x.
-                    if n > r.remaining() / 8 {
-                        return Err(CodecError::Invalid(
-                            "page list length exceeds remaining payload",
-                        ));
-                    }
-                    let mut seq = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        seq.push(r.get_page()?);
-                    }
-                    seqs.push(seq);
+                    seqs.push(r.get_pages(n)?);
                 }
                 Frame::Batch { batch, seqs }
             }
@@ -520,6 +514,25 @@ impl Frame {
     }
 }
 
+/// Encodes a `Batch` payload: the tag, the batch number, then each
+/// sequence as its length and its pages. The one encoder of the body,
+/// whether the pages sit in a [`Frame::Batch`] or are borrowed by
+/// [`WireState::write_batch`].
+fn encode_batch(w: &mut SnapWriter, batch: u64, seqs: &[Vec<PageId>]) {
+    w.put_u8(tag::BATCH);
+    w.put_u64(batch);
+    w.put_len(seqs.len());
+    for seq in seqs {
+        w.put_len(seq.len());
+        w.put_pages(seq);
+    }
+}
+
+/// Payload bytes of a `Batch` frame over `seqs`.
+fn batch_payload_len(seqs: &[Vec<PageId>]) -> usize {
+    1 + 8 + 8 + seqs.iter().map(|s| 8 + 8 * s.len()).sum::<usize>()
+}
+
 /// Reads a length-prefixed UTF-8 string, bounding its length *before* any
 /// copy.
 fn get_name(r: &mut SnapReader<'_>, max: usize) -> Result<String, CodecError> {
@@ -532,17 +545,40 @@ fn get_name(r: &mut SnapReader<'_>, max: usize) -> Result<String, CodecError> {
 
 /// Frames `payload` as one wire frame and returns `(bytes, digest)`, the
 /// digest being the chain seed for the direction's next frame.
+///
+/// # Panics
+/// If `payload` exceeds [`MAX_FRAME`].
 pub fn frame_wire(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    debug_assert!(payload.len() <= MAX_FRAME, "oversized outgoing frame");
-    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32");
-    let mut out = Vec::with_capacity(WIRE_HEADER + payload.len() + 8);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_in_place(seq, chain, payload.len(), |w| w.put_raw(payload))
+        .expect("frame_wire payload exceeds MAX_FRAME")
+}
+
+/// Builds one wire frame in a single buffer: the header with a zero length,
+/// then `encode` writes the payload straight behind it (`payload_hint`
+/// bytes are reserved up front), then the length is patched and the chained
+/// digest appended. Returns `(bytes, digest)` as [`frame_wire`] does, or
+/// the typed error for a payload beyond [`MAX_FRAME`].
+fn frame_in_place(
+    seq: u64,
+    chain: u64,
+    payload_hint: usize,
+    encode: impl FnOnce(&mut SnapWriter),
+) -> Result<(Vec<u8>, u64), WireError> {
+    let mut w = SnapWriter::new();
+    w.reserve(WIRE_HEADER + payload_hint + 8);
+    w.put_raw(&WIRE_MAGIC);
+    w.put_u64(seq);
+    w.put_u32(0); // payload length, patched below
+    encode(&mut w);
+    let mut out = w.into_bytes();
+    let len = out.len() - WIRE_HEADER;
+    if len > MAX_FRAME {
+        return Err(oversized());
+    }
+    out[12..WIRE_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
     let digest = digest64_seeded(chain, &out[4..]);
     out.extend_from_slice(&digest.to_le_bytes());
-    (out, digest)
+    Ok((out, digest))
 }
 
 /// One decoded wire frame: the payload slice, the chained digest (= next
@@ -667,19 +703,45 @@ impl WireState {
         }
     }
 
-    /// Frames and writes one message, advancing the chain.
+    /// Frames and writes one message, advancing the chain. The payload is
+    /// encoded in place behind the header, into the one buffer written.
     pub fn write_frame(
         &mut self,
         w: &mut impl std::io::Write,
         frame: &Frame,
     ) -> Result<(), WireError> {
-        let payload = frame.encode_payload();
-        if payload.len() > MAX_FRAME {
-            return Err(WireError::Codec(CodecError::Invalid(
-                "frame length exceeds MAX_FRAME",
-            )));
+        match frame {
+            Frame::Batch { batch, seqs } => self.write_batch(w, *batch, seqs),
+            // Every other frame is a few dozen bytes; a longer `Error`
+            // message just grows the buffer.
+            _ => self.write_encoded(w, 64, |sw| frame.encode_into(sw)),
         }
-        let (bytes, digest) = frame_wire(self.seq, self.chain, &payload);
+    }
+
+    /// Frames and writes a `Batch` from borrowed sequences: the same bytes
+    /// and chain as [`WireState::write_frame`] of the equal
+    /// [`Frame::Batch`], without building one.
+    pub fn write_batch(
+        &mut self,
+        w: &mut impl std::io::Write,
+        batch: u64,
+        seqs: &[Vec<PageId>],
+    ) -> Result<(), WireError> {
+        // Oversized batches are refused from their sizes, before encoding.
+        let len = batch_payload_len(seqs);
+        if len > MAX_FRAME {
+            return Err(oversized());
+        }
+        self.write_encoded(w, len, |sw| encode_batch(sw, batch, seqs))
+    }
+
+    fn write_encoded(
+        &mut self,
+        w: &mut impl std::io::Write,
+        payload_hint: usize,
+        encode: impl FnOnce(&mut SnapWriter),
+    ) -> Result<(), WireError> {
+        let (bytes, digest) = frame_in_place(self.seq, self.chain, payload_hint, encode)?;
         w.write_all(&bytes)?;
         w.flush()?;
         self.seq += 1;
@@ -694,15 +756,14 @@ impl WireState {
     /// cannot force an over-allocation; a clean EOF before the first
     /// header byte is [`WireError::Closed`].
     pub fn read_frame(&mut self, r: &mut impl std::io::Read) -> Result<Frame, WireError> {
-        let mut buf = vec![0u8; WIRE_HEADER];
-        read_exact_or_closed(r, &mut buf, false)?;
-        let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+        let mut header = [0u8; WIRE_HEADER];
+        read_exact_or_closed(r, &mut header, false)?;
+        let len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
-            return Err(WireError::Codec(CodecError::Invalid(
-                "frame length exceeds MAX_FRAME",
-            )));
+            return Err(oversized());
         }
-        buf.resize(WIRE_HEADER + len + 8, 0);
+        let mut buf = vec![0u8; WIRE_HEADER + len + 8];
+        buf[..WIRE_HEADER].copy_from_slice(&header);
         read_exact_or_closed(r, &mut buf[WIRE_HEADER..], true)?;
         let wf = parse_wire(&buf, self.chain, self.seq)?;
         let frame = Frame::decode_payload(wf.payload)?;
@@ -710,6 +771,11 @@ impl WireState {
         self.chain = wf.digest;
         Ok(frame)
     }
+}
+
+/// The typed error for a payload beyond [`MAX_FRAME`], on either end.
+fn oversized() -> WireError {
+    WireError::Codec(CodecError::Invalid("frame length exceeds MAX_FRAME"))
 }
 
 /// `read_exact`, except a clean EOF before the first byte is

@@ -374,10 +374,7 @@ impl ResilientClient {
             }));
         }
 
-        let reply = match att.client.call(&Frame::Batch {
-            batch,
-            seqs: seqs.to_vec(),
-        }) {
+        let reply = match att.client.call_batch(batch, seqs) {
             Ok(f) => f,
             Err(e) => return Err(self.transient(e, "batch")),
         };

@@ -129,6 +129,32 @@ fn every_frame_round_trips_through_the_framed_stream() {
     assert!(matches!(rx.read_frame(&mut cursor), Err(WireError::Closed)));
 }
 
+/// `digest64` of the wire bytes of [`all_frames`] followed by a `Batch`
+/// whose pages use all 64 bits, written in order on one client→server
+/// stream. Computed with the per-page encoder and the copy-through frame
+/// builder that preceded in-place framing; a change here means protocol
+/// v3's bytes moved.
+const WIRE_GOLDEN: u64 = 0x52bd_dd7e_07de_09e1;
+
+#[test]
+fn wire_bytes_of_every_frame_type_match_the_v3_golden_digest() {
+    let mut frames = all_frames();
+    frames.push(Frame::Batch {
+        batch: u64::MAX,
+        seqs: vec![
+            vec![PageId(u64::MAX), PageId(0x0123_4567_89ab_cdef), PageId(0)],
+            vec![],
+            vec![PageId(1 << 63)],
+        ],
+    });
+    let mut tx = WireState::new(c2s_chain_seed());
+    let mut buf = Vec::new();
+    for frame in &frames {
+        tx.write_frame(&mut buf, frame).expect("write");
+    }
+    assert_eq!(digest64(&buf), WIRE_GOLDEN, "{:#x}", digest64(&buf));
+}
+
 #[test]
 fn directions_are_chain_separated() {
     // A server reply stream cannot be read with the client-direction
@@ -227,6 +253,37 @@ fn hostile_page_count_is_rejected_before_allocation() {
     w.put_len((1u64 << 40) as usize); // claiming 2^40 pages
     let err = Frame::decode_payload(&w.into_bytes()).expect_err("hostile count");
     assert!(matches!(err, CodecError::Invalid(_)), "{err}");
+}
+
+#[test]
+fn hostile_sequence_count_is_rejected_before_allocation() {
+    // A Batch payload declaring as many sequences as there are bytes left:
+    // get_len accepts the count, but every sequence carries an 8-byte
+    // length, so the decoder must refuse it before reserving 24 bytes of
+    // `Vec` header per declared sequence.
+    use parapage::cache::SnapWriter;
+    let body = 800;
+    let mut w = SnapWriter::new();
+    w.put_u8(3); // BATCH tag
+    w.put_u64(0); // batch
+    w.put_len(body); // one "sequence" per remaining byte
+    w.put_raw(&vec![0u8; body]);
+    let err = Frame::decode_payload(&w.into_bytes()).expect_err("hostile count");
+    assert!(matches!(err, CodecError::Invalid(_)), "{err}");
+
+    // The bound is exact: that many bytes do hold body / 8 empty sequences.
+    let mut w = SnapWriter::new();
+    w.put_u8(3);
+    w.put_u64(0);
+    w.put_len(body / 8);
+    w.put_raw(&vec![0u8; body]);
+    assert_eq!(
+        Frame::decode_payload(&w.into_bytes()).expect("empty sequences"),
+        Frame::Batch {
+            batch: 0,
+            seqs: vec![Vec::new(); body / 8],
+        }
+    );
 }
 
 #[test]
@@ -431,6 +488,36 @@ proptest! {
         tx.write_frame(&mut buf, &frame).unwrap();
         let mut rx = WireState::new(s2c_chain_seed());
         prop_assert_eq!(rx.read_frame(&mut Cursor::new(buf)).unwrap(), frame);
+    }
+
+    /// The borrowed batch send writes exactly the bytes and chain of the
+    /// owned frame: empty batches, empty sequences, and pages using all 64
+    /// bits, over a few frames of one stream.
+    #[test]
+    fn borrowed_batch_send_equals_the_owned_frame(
+        batches in prop::collection::vec(
+            (
+                any::<u64>(),
+                prop::collection::vec(
+                    prop::collection::vec(any::<u64>().prop_map(PageId), 0..12),
+                    0..5,
+                ),
+            ),
+            1..4,
+        ),
+    ) {
+        let (mut owned_tx, mut borrowed_tx) =
+            (WireState::new(c2s_chain_seed()), WireState::new(c2s_chain_seed()));
+        let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
+        for (batch, seqs) in batches {
+            borrowed_tx.write_batch(&mut borrowed, batch, &seqs).unwrap();
+            owned_tx.write_frame(&mut owned, &Frame::Batch { batch, seqs }).unwrap();
+            prop_assert_eq!(&borrowed, &owned);
+        }
+        // Equal chains: one more frame from each state still agrees.
+        owned_tx.write_frame(&mut owned, &Frame::Stats).unwrap();
+        borrowed_tx.write_frame(&mut borrowed, &Frame::Stats).unwrap();
+        prop_assert_eq!(borrowed, owned);
     }
 
     /// The workload fingerprint is the bulk digest of exactly the bytes a

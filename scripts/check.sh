@@ -41,6 +41,10 @@ cargo test -q -p parapage-bench --release --test ops_regression
 echo "==> servebench tests (smoke-size workloads, replica digest checks)"
 cargo test -q --offline --manifest-path crates/bench/src/bin/servebench/Cargo.toml
 
+echo "==> servebench --seed 42 (pinned reply chains, all six workloads)"
+cargo run --offline --release -q --manifest-path crates/bench/src/bin/servebench/Cargo.toml -- \
+  --seed 42 --seconds 1 --trace 0
+
 echo "==> parapage bench --quick (smoke + determinism + ops-floor gate)"
 cargo run -q -p parapage-cli --release -- bench --quick --out /tmp/parapage-bench-smoke.json
 
