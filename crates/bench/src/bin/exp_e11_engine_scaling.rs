@@ -5,7 +5,8 @@
 use std::time::Instant;
 
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli, recipes};
+use parapage::workloads::family;
+use parapage_bench::{emit, parse_cli};
 
 fn main() {
     let cli = parse_cli();
@@ -27,7 +28,7 @@ fn main() {
     for &p in ps {
         let k = 8 * p;
         let params = ModelParams::new(p, k, 16);
-        let w = build_workload(&recipes::mixed_specs(p, k, len), cli.seed);
+        let w = build_workload(&family::mixed(p, k, len), cli.seed);
         let total = w.total_requests() as f64;
         let opts = EngineOpts::default();
 

@@ -8,7 +8,8 @@
 //! factors only.
 
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli, recipes};
+use parapage::workloads::family;
+use parapage_bench::{emit, parse_cli};
 use rayon::prelude::*;
 
 fn run_with(w: &Workload, params: &ModelParams, name: &str) -> u64 {
@@ -51,9 +52,9 @@ fn main() {
         "workload", "LRU", "FIFO", "Clock", "LFU", "ARC", "2Q", "LIRS", "max/min",
     ]);
     for (fam, specs) in [
-        ("mixed", recipes::mixed_specs(p, k, len)),
-        ("skewed", recipes::skewed_specs(p, k, len)),
-        ("uniform", recipes::uniform_specs(p, k, len)),
+        ("mixed", family::mixed(p, k, len)),
+        ("skewed", family::skewed(p, k, len)),
+        ("uniform", family::uniform(p, k, len)),
     ] {
         let w = build_workload(&specs, cli.seed);
         // One engine run per replacement policy; the pool returns them in

@@ -9,7 +9,8 @@
 
 use parapage::analysis::{static_opt_makespan, static_opt_total_time};
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli, recipes};
+use parapage::workloads::family;
+use parapage_bench::{emit, parse_cli};
 
 fn main() {
     let cli = parse_cli();
@@ -30,8 +31,8 @@ fn main() {
     ]);
 
     for (fam, specs) in [
-        ("mixed", recipes::mixed_specs(p, k, len)),
-        ("skewed", recipes::skewed_specs(p, k, len)),
+        ("mixed", family::mixed(p, k, len)),
+        ("skewed", family::skewed(p, k, len)),
         ("phase-shift", {
             // Workload designed so NO static split is good: every processor
             // needs a lot of cache, but at different times.

@@ -5,6 +5,7 @@
 //! predicts at most linear growth in `log p`.
 
 use parapage::prelude::*;
+use parapage::workloads::family;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
@@ -23,7 +24,7 @@ fn main() {
             let k = 16 * p;
             let params = ModelParams::new(p, k, 16);
             let len = 3000;
-            let w = build_workload(&recipes::mixed_specs(p, k, len), cli.seed);
+            let w = build_workload(&family::mixed(p, k, len), cli.seed);
             let lb = opt_lower_bound(w.seqs(), k, params.s);
             let ratios: Vec<f64> = (0..seeds)
                 .into_par_iter()

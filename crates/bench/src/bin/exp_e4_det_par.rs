@@ -2,6 +2,7 @@
 //! deterministically, and head-to-head it matches or beats RAND-PAR.
 
 use parapage::prelude::*;
+use parapage::workloads::family;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
@@ -19,7 +20,7 @@ fn main() {
             let k = 16 * p;
             let params = ModelParams::new(p, k, 16);
             let len = 3000;
-            let w = build_workload(&recipes::mixed_specs(p, k, len), cli.seed);
+            let w = build_workload(&family::mixed(p, k, len), cli.seed);
             let lb = opt_lower_bound(w.seqs(), k, params.s);
             let mut det = DetPar::new(&params);
             let res = recipes::run_policy(&mut det, &w, &params);

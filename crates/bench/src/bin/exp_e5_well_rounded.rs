@@ -6,7 +6,8 @@
 //! resource augmentation used.
 
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli, recipes};
+use parapage::workloads::family;
+use parapage_bench::{emit, parse_cli};
 use rayon::prelude::*;
 
 fn main() {
@@ -32,9 +33,9 @@ fn main() {
             let params = ModelParams::new(p, k, 16);
             let len = if cli.quick { 1200 } else { 3000 };
             let specs = match fam {
-                "mixed" => recipes::mixed_specs(p, k, len),
-                "skewed" => recipes::skewed_specs(p, k, len),
-                _ => recipes::uniform_specs(p, k, len),
+                "mixed" => family::mixed(p, k, len),
+                "skewed" => family::skewed(p, k, len),
+                _ => family::uniform(p, k, len),
             };
             let w = build_workload(&specs, cli.seed);
             let mut det = DetPar::new(&params);

@@ -8,6 +8,7 @@
 
 use parapage::core::policy;
 use parapage::prelude::*;
+use parapage::workloads::family;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
@@ -21,7 +22,7 @@ fn main() {
             let k = 16 * p;
             let params = ModelParams::new(p, k, 16);
             let len = 3000;
-            let w = build_workload(&recipes::mixed_specs(p, k, len), cli.seed);
+            let w = build_workload(&family::mixed(p, k, len), cli.seed);
             let mean_floor: f64 = w
                 .seqs()
                 .iter()

@@ -5,6 +5,7 @@
 
 use parapage::core::policy;
 use parapage::prelude::*;
+use parapage::workloads::family;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
@@ -17,9 +18,9 @@ fn main() {
     let params = ModelParams::new(p, k, s);
 
     let families: Vec<(&str, Vec<SeqSpec>)> = vec![
-        ("mixed", recipes::mixed_specs(p, k, len)),
-        ("skewed", recipes::skewed_specs(p, k, len)),
-        ("uniform", recipes::uniform_specs(p, k, len)),
+        ("mixed", family::mixed(p, k, len)),
+        ("skewed", family::skewed(p, k, len)),
+        ("uniform", family::uniform(p, k, len)),
         (
             "fresh-heavy",
             (0..p)

@@ -8,6 +8,7 @@
 
 use parapage::core::RandParConfig;
 use parapage::prelude::*;
+use parapage::workloads::family;
 use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
@@ -51,7 +52,7 @@ fn rand_par_ablation(cli: &parapage_bench::Cli) {
     let k = 16 * p;
     let params = ModelParams::new(p, k, 16);
     let len = if cli.quick { 1500 } else { 4000 };
-    let w = build_workload(&recipes::mixed_specs(p, k, len), cli.seed);
+    let w = build_workload(&family::mixed(p, k, len), cli.seed);
     let lb = opt_lower_bound(w.seqs(), k, params.s);
 
     let configs: Vec<(String, RandParConfig)> = vec![

@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use parapage::cache::{CodecError, SnapReader, SnapWriter, WindowOutcome};
 use parapage::prelude::*;
+use parapage::workloads::family::conformance_mix;
 
 use crate::suite::Digest;
 
@@ -222,18 +223,7 @@ pub fn profile_run(quick: bool, seed: u64) -> PhaseProfile {
     let t0 = Instant::now();
     let params = ModelParams::new(8, 128, 16);
     let len = if quick { 4000 } else { 20000 };
-    let specs: Vec<SeqSpec> = (0..8)
-        .map(|x| match x % 3 {
-            0 => SeqSpec::Cyclic { width: 16, len },
-            1 => SeqSpec::Cyclic { width: 64, len },
-            _ => SeqSpec::Zipf {
-                universe: 64,
-                theta: 0.9,
-                len,
-            },
-        })
-        .collect();
-    let w = build_workload(&specs, seed);
+    let w = build_workload(&conformance_mix(8, 128, len), seed);
     let opts = EngineOpts::default();
     let plan = FaultPlan::none();
     let mut alloc = TimingAlloc {

@@ -3,56 +3,6 @@
 
 use parapage::prelude::*;
 
-/// The standard heterogeneous mix: small loops, big loops, Zipf hotspots,
-/// and phase changers — one of each class per group of four processors.
-pub fn mixed_specs(p: usize, k: usize, len: usize) -> Vec<SeqSpec> {
-    (0..p)
-        .map(|x| match x % 4 {
-            0 => SeqSpec::Cyclic {
-                width: (k / 16).max(2),
-                len,
-            },
-            1 => SeqSpec::Cyclic { width: k / 2, len },
-            2 => SeqSpec::Zipf {
-                universe: (k / 2).max(4),
-                theta: 0.9,
-                len,
-            },
-            _ => SeqSpec::Phased {
-                phases: vec![((k / 16).max(2), len / 2), (k / 2, len - len / 2)],
-            },
-        })
-        .collect()
-}
-
-/// One cache-hungry processor among tiny loops: the workload where a static
-/// equal partition is maximally wrong.
-pub fn skewed_specs(p: usize, k: usize, len: usize) -> Vec<SeqSpec> {
-    (0..p)
-        .map(|x| {
-            if x == 0 {
-                SeqSpec::Cyclic {
-                    width: 3 * k / 4,
-                    len,
-                }
-            } else {
-                SeqSpec::Cyclic { width: 4, len }
-            }
-        })
-        .collect()
-}
-
-/// Balanced small uniform working sets (each `2k/p` wide): everyone is
-/// mildly memory-hungry.
-pub fn uniform_specs(p: usize, k: usize, len: usize) -> Vec<SeqSpec> {
-    (0..p)
-        .map(|_| SeqSpec::Uniform {
-            universe: (2 * k / p).max(2),
-            len,
-        })
-        .collect()
-}
-
 /// A phase-changing single-processor sequence for green paging experiments:
 /// tiny loop → large loop → medium loop.
 pub fn green_sequence(k: usize, seed: u64) -> Vec<PageId> {

@@ -59,6 +59,7 @@ use std::time::Instant;
 
 use parapage::core::policy;
 use parapage::prelude::*;
+use parapage::workloads::family::conformance_mix;
 use rayon::pool;
 
 /// FNV-1a 64-bit running digest over result summaries; collision
@@ -473,23 +474,9 @@ fn run_policy(name: &str, w: &Workload, params: &ModelParams, seed: u64) -> RunR
     run_engine(&mut *alloc, w.seqs(), params, &EngineOpts::default()).expect("bench run")
 }
 
-/// The standard heterogeneous bench workload (mirrors the CLI's `mixed`).
+/// The bench workload: the conformance mix.
 fn bench_workload(p: usize, k: usize, len: usize, seed: u64) -> Workload {
-    let specs: Vec<SeqSpec> = (0..p)
-        .map(|x| match x % 3 {
-            0 => SeqSpec::Cyclic {
-                width: (k / 8).max(2),
-                len,
-            },
-            1 => SeqSpec::Cyclic { width: k / 2, len },
-            _ => SeqSpec::Zipf {
-                universe: (k / 2).max(4),
-                theta: 0.9,
-                len,
-            },
-        })
-        .collect();
-    build_workload(&specs, seed)
+    build_workload(&conformance_mix(p, k, len), seed)
 }
 
 /// Entry 1: the single-threaded engine hot path — no pool involvement, so
@@ -545,15 +532,16 @@ fn entry_differential(quick: bool, seed: u64) -> EntryOut {
 fn entry_conform_matrix(quick: bool, seed: u64) -> EntryOut {
     let params = ModelParams::new(4, 32, 10);
     let w = bench_workload(4, 32, if quick { 300 } else { 800 }, seed);
-    let reports = conform_matrix(w.seqs(), &params, seed, 4000).expect("conform matrix");
+    let matrix = conform_matrix(w.seqs(), &params, seed, 4000);
     let mut d = Digest::new();
-    for r in &reports {
+    for c in &matrix.cells {
+        let r = c.outcome.as_ref().expect("conform matrix cell");
         d.write(&format!(
             "{}/{} hardened={} outcome={} events={} violations={:?}",
             r.policy, r.scenario, r.hardened, r.outcome, r.events, r.violations
         ));
     }
-    EntryOut::plain(reports.len(), d.finish())
+    EntryOut::plain(matrix.cells.len(), d.finish())
 }
 
 /// Entry 5: the Theorem-4 competitive-ratio guardrails.

@@ -9,6 +9,7 @@ pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
     used: std::cell::RefCell<Vec<String>>,
+    finished: std::cell::Cell<bool>,
 }
 
 impl Args {
@@ -38,6 +39,7 @@ impl Args {
             values,
             flags,
             used: std::cell::RefCell::new(Vec::new()),
+            finished: std::cell::Cell::new(false),
         })
     }
 
@@ -73,8 +75,10 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Errors on any flag the command never consulted.
+    /// Errors on any flag the command has not consulted. Every command
+    /// calls it after reading its flags and before doing any work.
     pub fn finish(&self) -> Result<(), String> {
+        self.finished.set(true);
         let used = self.used.borrow();
         for k in self.values.keys().chain(self.flags.iter()) {
             if !used.iter().any(|u| u == k) {
@@ -82,6 +86,11 @@ impl Args {
             }
         }
         Ok(())
+    }
+
+    /// `true` once [`Args::finish`] has run.
+    pub fn finished(&self) -> bool {
+        self.finished.get()
     }
 }
 

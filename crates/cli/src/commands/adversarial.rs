@@ -13,6 +13,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let s: u64 = args.get("s", k as u64)?;
     let alpha: f64 = args.get("alpha", 0.05)?;
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
     if !p.is_power_of_two() || p < 4 {
         return Err("--p must be a power of two >= 4".into());
     }

@@ -9,8 +9,10 @@ use crate::common::{model_from, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let slack: f64 = args.get("slack", 4.0)?;
+    args.finish()?;
+    let w = workload(&params)?;
 
     let mut det = DetPar::new(&params);
     let opts = EngineOpts {

@@ -42,6 +42,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let out = args
         .opt("out")
         .unwrap_or_else(|| format!("{BENCH_ID}.json"));
+    args.finish()?;
     if threads < 1 {
         return Err("--threads must be at least 1".into());
     }

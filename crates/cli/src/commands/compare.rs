@@ -9,8 +9,10 @@ use crate::common::{model_from, run_named_policy, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
+    let w = workload(&params)?;
     let opts = EngineOpts::default();
     let lb = opt_lower_bound(w.seqs(), params.k, params.s);
 

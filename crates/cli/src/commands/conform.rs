@@ -13,10 +13,12 @@
 //!
 //! Exits non-zero on any violation, divergence, or envelope excursion.
 
+use parapage::conform::fault_horizon;
+use parapage::conform::matrix::Totals;
 use parapage::prelude::*;
+use parapage::workloads::family::conformance_mix;
 
 use crate::args::Args;
-use crate::common::run_named_policy_faults;
 
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
@@ -36,38 +38,14 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let len: usize = args.get("len", if quick { 600 } else { 2000 })?;
     let diff: usize = args.get("diff", if quick { 150 } else { 1000 })?;
+    args.finish()?;
     let params = ModelParams::new(p, k, s);
 
-    // The matrix workload mirrors the `mixed` family: heterogeneous
-    // working-set widths so phases, strips, and partitions all get
-    // exercised.
-    let specs: Vec<SeqSpec> = (0..p)
-        .map(|x| match x % 3 {
-            0 => SeqSpec::Cyclic {
-                width: (k / 8).max(2),
-                len,
-            },
-            1 => SeqSpec::Cyclic { width: k / 2, len },
-            _ => SeqSpec::Zipf {
-                universe: (k / 2).max(4),
-                theta: 0.9,
-                len,
-            },
-        })
-        .collect();
-    let w = build_workload(&specs, seed);
+    // The conformance mix: heterogeneous working-set widths so phases,
+    // strips, and partitions all get exercised.
+    let w = build_workload(&conformance_mix(p, k, len), seed);
 
-    let clean = run_named_policy_faults(
-        "det-par",
-        &w,
-        &params,
-        &EngineOpts::default(),
-        seed,
-        &FaultPlan::none(),
-        false,
-    )?
-    .map_err(|e| format!("clean det-par run failed: {e}"))?;
-    let horizon = clean.makespan.max(1);
+    let horizon = fault_horizon(w.seqs(), &params)?;
 
     println!(
         "conformance oracle: {} ({} requests, fault horizon {})\n",
@@ -76,38 +54,12 @@ pub fn exec(args: &Args) -> Result<(), String> {
         horizon
     );
 
-    let mut failures = 0usize;
-
     // 1. Invariant matrix.
     println!("invariant matrix (engine policies x fault scenarios):");
-    let reports = conform_matrix(w.seqs(), &params, seed, horizon)?;
-    let mut t = Table::new(["policy", "scenario", "mode", "outcome", "events", "verdict"]);
-    let mut details: Vec<String> = Vec::new();
-    for r in &reports {
-        let verdict = if r.passed() {
-            "pass".to_string()
-        } else {
-            format!("FAIL ({})", r.violations.len())
-        };
-        if !r.passed() {
-            failures += r.violations.len();
-            for v in &r.violations {
-                details.push(format!("{}/{}: {v}", r.policy, r.scenario));
-            }
-        }
-        t.row([
-            r.policy.clone(),
-            r.scenario.clone(),
-            if r.hardened { "hardened" } else { "raw" }.to_string(),
-            r.outcome.clone(),
-            r.events.to_string(),
-            verdict,
-        ]);
-    }
-    println!("{t}");
-    for d in &details {
-        println!("  violation: {d}");
-    }
+    let invariants = conform_matrix(w.seqs(), &params, seed, horizon);
+    print!("{}", invariants.render());
+    let mut totals = Totals::default();
+    totals.add(&invariants);
 
     // 2. Differential sweep.
     let sweep = differential_sweep(diff, seed);
@@ -119,7 +71,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     for d in sweep.divergences.iter().take(10) {
         println!("  divergence: {} — {}", d.recipe, d.detail);
     }
-    failures += sweep.divergences.len();
+    totals.failures += sweep.divergences.len();
 
     // 3. Competitive envelope.
     let env = competitive_envelope(quick, seed)?;
@@ -136,11 +88,10 @@ pub fn exec(args: &Args) -> Result<(), String> {
         ]);
     }
     println!("{t}");
-    failures += env.violations().len();
+    totals.failures += env.violations().len();
 
-    if failures > 0 {
-        return Err(format!("conformance FAILED: {failures} violation(s)"));
-    }
+    // The shared failure summary; the passing line is conform's own.
+    totals.verdict("conformance", "checked")?;
     println!("conformance: all checks passed");
     Ok(())
 }
@@ -165,6 +116,7 @@ fn exec_concurrent(args: &Args) -> Result<(), String> {
     let quick = args.flag("quick");
     let budget: usize = args.get("budget", if quick { 4_000 } else { 24_000 })?;
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
 
     println!("concurrent conformance: schedule exploration budget {budget}\n");
     let mut failures = 0usize;

@@ -58,6 +58,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
     let spawn = args.flag("spawn");
 
     let addr = args.opt("addr");
+    args.finish()?;
     let local = match &addr {
         Some(a) => {
             if spawn {

@@ -19,9 +19,11 @@ use crate::common::{model_from, run_named_policy_faults, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let policy = args.opt("policy").unwrap_or_else(|| "det-par".into());
     let seed: u64 = args.get("seed", 42)?;
+    args.finish()?;
+    let w = workload(&params)?;
     let opts = EngineOpts::default();
 
     let clean =

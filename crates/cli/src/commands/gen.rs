@@ -6,8 +6,10 @@ use crate::common::{model_from, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let out = args.require("out")?;
+    args.finish()?;
+    let w = workload(&params)?;
     parapage::workloads::trace::save(&w, std::path::Path::new(&out))
         .map_err(|e| format!("--out {out}: {e}"))?;
     println!(

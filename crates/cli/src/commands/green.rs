@@ -9,8 +9,10 @@ use crate::common::{model_from, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let seeds: u64 = args.get("seeds", 8)?;
+    args.finish()?;
+    let w = workload(&params)?;
     let seq = &w.seqs()[0];
 
     let opt = green_opt_fast_normalized(seq, &params);

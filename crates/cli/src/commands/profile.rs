@@ -9,9 +9,11 @@ use crate::common::{model_from, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let seed: u64 = args.get("seed", 42)?;
     let width: usize = args.get("width", 72)?;
+    args.finish()?;
+    let w = workload(&params)?;
     let seq = &w.seqs()[0];
 
     let opt = green_opt_fast_normalized(seq, &params);

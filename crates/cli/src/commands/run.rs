@@ -8,7 +8,7 @@ use crate::common::{model_from, run_named_policy, workload_from};
 /// Executes the subcommand.
 pub fn exec(args: &Args) -> Result<(), String> {
     let params = model_from(args)?;
-    let w = workload_from(args, &params)?;
+    let workload = workload_from(args)?;
     let policy = args.opt("policy").unwrap_or_else(|| "det-par".into());
     let seed: u64 = args.get("seed", 42)?;
     let want_gantt = args.flag("gantt");
@@ -17,6 +17,8 @@ pub fn exec(args: &Args) -> Result<(), String> {
         compartmentalized: args.flag("compartmentalized"),
         ..Default::default()
     };
+    args.finish()?;
+    let w = workload(&params)?;
 
     let res = run_named_policy(&policy, &w, &params, &opts, seed)?;
     let lb = per_proc_bound(w.seqs(), params.k, params.s);

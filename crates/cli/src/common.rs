@@ -3,6 +3,7 @@
 
 use parapage::core::policy;
 use parapage::prelude::*;
+use parapage::workloads::family;
 
 use crate::args::Args;
 
@@ -20,68 +21,43 @@ pub fn model_from(args: &Args) -> Result<ModelParams, String> {
     Ok(ModelParams::new(p, k, s))
 }
 
-/// Builds the named workload family (`--workload`, default `mixed`).
-pub fn workload_from(args: &Args, params: &ModelParams) -> Result<Workload, String> {
+/// Reads the workload flags (`--workload`, default `mixed`, `--len`,
+/// `--seed`, `--trace`) and returns the builder for that workload, so a
+/// command can check its flags ([`Args::finish`]) before building it.
+pub fn workload_from(
+    args: &Args,
+) -> Result<impl Fn(&ModelParams) -> Result<Workload, String>, String> {
     let name = args.opt("workload").unwrap_or_else(|| "mixed".into());
     let len: usize = args.get("len", 5000)?;
     let seed: u64 = args.get("seed", 42)?;
-    if let Some(path) = args.opt("trace") {
-        return parapage::workloads::trace::load(std::path::Path::new(&path))
-            .map_err(|e| format!("--trace {path}: {e}"));
-    }
-    let (p, k) = (params.p, params.k);
-    let specs: Vec<SeqSpec> = match name.as_str() {
-        "mixed" => (0..p)
-            .map(|x| match x % 4 {
-                0 => SeqSpec::Cyclic {
-                    width: (k / 16).max(2),
-                    len,
-                },
-                1 => SeqSpec::Cyclic { width: k / 2, len },
-                2 => SeqSpec::Zipf {
-                    universe: (k / 2).max(4),
+    let trace = args.opt("trace");
+    Ok(move |params: &ModelParams| {
+        if let Some(path) = &trace {
+            return parapage::workloads::trace::load(std::path::Path::new(path))
+                .map_err(|e| format!("--trace {path}: {e}"));
+        }
+        let (p, k) = (params.p, params.k);
+        let specs: Vec<SeqSpec> = match name.as_str() {
+            "mixed" => family::mixed(p, k, len),
+            "skewed" => family::skewed(p, k, len),
+            "uniform" => family::uniform(p, k, len),
+            "fresh" => (0..p).map(|_| SeqSpec::Fresh { len }).collect(),
+            "zipf" => (0..p)
+                .map(|_| SeqSpec::Zipf {
+                    universe: k,
                     theta: 0.9,
                     len,
-                },
-                _ => SeqSpec::Phased {
-                    phases: vec![((k / 16).max(2), len / 2), (k / 2, len - len / 2)],
-                },
-            })
-            .collect(),
-        "skewed" => (0..p)
-            .map(|x| {
-                if x == 0 {
-                    SeqSpec::Cyclic {
-                        width: 3 * k / 4,
-                        len,
-                    }
-                } else {
-                    SeqSpec::Cyclic { width: 4, len }
-                }
-            })
-            .collect(),
-        "uniform" => (0..p)
-            .map(|_| SeqSpec::Uniform {
-                universe: (2 * k / p).max(2),
-                len,
-            })
-            .collect(),
-        "fresh" => (0..p).map(|_| SeqSpec::Fresh { len }).collect(),
-        "zipf" => (0..p)
-            .map(|_| SeqSpec::Zipf {
-                universe: k,
-                theta: 0.9,
-                len,
-            })
-            .collect(),
-        other => {
-            return Err(format!(
-                "unknown --workload `{other}` (mixed|skewed|uniform|fresh|zipf, \
-                 or --trace FILE)"
-            ))
-        }
-    };
-    Ok(build_workload(&specs, seed))
+                })
+                .collect(),
+            other => {
+                return Err(format!(
+                    "unknown --workload `{other}` (mixed|skewed|uniform|fresh|zipf, \
+                     or --trace FILE)"
+                ))
+            }
+        };
+        Ok(build_workload(&specs, seed))
+    })
 }
 
 /// Runs the named policy (any of [`policy::NAMES`], or `shared-lru`) on

@@ -49,13 +49,16 @@ fn main() -> ExitCode {
         "drive" => commands::drive::exec(&parsed),
         "analyze" => commands::analyze::exec(&parsed),
         "gen" => commands::gen::exec(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => parsed.finish().map(|()| println!("{}", commands::USAGE)),
         other => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
     };
-    match result.and_then(|()| parsed.finish()) {
+    // Each command calls `finish` once it has read its flags and before
+    // it does any work, so a mistyped flag never runs the command.
+    debug_assert!(
+        result.is_err() || parsed.finished(),
+        "`{cmd}` never checked for unknown flags"
+    );
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

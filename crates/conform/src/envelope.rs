@@ -18,7 +18,7 @@ use parapage_analysis::{lemma8_makespan, per_proc_bound};
 use parapage_core::{BoxAllocator, DetPar, ModelParams, RandPar};
 use parapage_sched::{run_engine, EngineOpts};
 use parapage_workloads::{
-    build_workload, AdversarialConfig, AdversarialInstance, SeqSpec, Workload,
+    build_workload, family::conformance_mix, AdversarialConfig, AdversarialInstance, Workload,
 };
 use rayon::prelude::*;
 
@@ -138,21 +138,7 @@ pub fn competitive_envelope(quick: bool, seed: u64) -> Result<EnvelopeReport, St
             // bound: ratios here must be far smaller than on the
             // adversarial family.
             let len = 2000usize;
-            let specs: Vec<SeqSpec> = (0..p)
-                .map(|x| match x % 3 {
-                    0 => SeqSpec::Cyclic {
-                        width: (k / 8).max(2),
-                        len,
-                    },
-                    1 => SeqSpec::Cyclic { width: k / 2, len },
-                    _ => SeqSpec::Zipf {
-                        universe: (k / 2).max(4),
-                        theta: 0.9,
-                        len,
-                    },
-                })
-                .collect();
-            let w = build_workload(&specs, seed);
+            let w = build_workload(&conformance_mix(p, k, len), seed);
             let wparams = ModelParams::new(p, k, 16);
             let lb = per_proc_bound(w.seqs(), wparams.k, wparams.s);
             SizeInput {

@@ -28,8 +28,8 @@
 //!   inside a `c·log p` envelope.
 //! * [`resume`] — resume equivalence: a run that crashes and recovers
 //!   from snapshots (the `parapage-sched` supervisor) must reproduce the
-//!   uninterrupted run's result and trace byte-for-byte; drives the
-//!   `parapage chaos` matrix.
+//!   uninterrupted run's result and trace byte-for-byte; its
+//!   [`resume::resume_matrix`] is `parapage chaos`'s crash-recovery grid.
 //! * [`schedules`] — loom-style schedule exploration for the sharded
 //!   cache's locked path: a token-passing virtual scheduler over the yield
 //!   point before each shard-lock acquisition, DFS/random enumeration of
@@ -39,7 +39,10 @@
 //!   mid-record truncations, bit flips, and stale-base/newer-log pairings
 //!   inflicted on the incremental checkpoint log at recovery time must be
 //!   detected as typed truncations and still recover byte-identically;
-//!   drives `parapage chaos --wal`.
+//!   its [`walchaos::wal_chaos_matrix`] is the WAL section that
+//!   `parapage chaos` and `parapage chaos --wal` run.
+//! * [`matrix`] — the one runner behind every verdict matrix: the
+//!   `--cells` filter, `pass` / `FAIL (n)` / `ERROR` cells, tables, totals.
 //!
 //! The `parapage conform` CLI subcommand drives all of this; it is also
 //! wired into `scripts/check.sh` as a pre-PR gate.
@@ -49,6 +52,7 @@
 
 pub mod checkers;
 pub mod envelope;
+pub mod matrix;
 pub mod netfault;
 pub mod oracle;
 pub mod reference;
@@ -61,14 +65,17 @@ pub use checkers::{
     check_run_consistency, check_stream_order, merge_phases,
 };
 pub use envelope::{competitive_envelope, EnvelopeEntry, EnvelopeReport};
+pub use matrix::{Cell, CellFilter, CellRow, Matrix, Totals};
 pub use netfault::{net_cells, NetCell, NetFaultKind, NetFaultPlan};
 pub use oracle::{
-    conform_matrix, conform_run, differential_sweep, memory_envelope, outcome_divergence,
-    run_reference_named, run_traced, ConformReport, DiffReport, Divergence, TracedRun,
+    conform_matrix, conform_run, differential_sweep, fault_horizon, memory_envelope,
+    outcome_divergence, run_reference_named, run_traced, ConformReport, DiffReport, Divergence,
+    TracedRun,
 };
 pub use reference::run_reference;
 pub use resume::{
-    baseline_run, check_corruption_rejection, check_resume, resume_matrix, ResumeCell,
+    baseline_run, check_corruption_rejection, check_resume, corruption_rejection_matrix,
+    resume_matrix, ResumeCell,
 };
 pub use schedules::{
     check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,

@@ -12,7 +12,7 @@
 use parapage_cache::{LruCache, PageId};
 use parapage_core::{policy, DetPar, FaultEvent, ModelParams, PhaseRecord};
 use parapage_sched::{
-    Engine, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
+    run_engine, Engine, EngineError, EngineOpts, FaultPlan, RunResult, TraceEvent, TraceRecorder,
 };
 use parapage_workloads::{build_workload, fault_scenario, SeqSpec, FAULT_SCENARIOS};
 use rand::rngs::StdRng;
@@ -20,6 +20,7 @@ use rand::{RngExt, SeedableRng};
 use rayon::prelude::*;
 
 use crate::checkers;
+use crate::matrix::{Cell, CellRow, Matrix};
 use crate::reference::run_reference;
 
 /// One traced run: the outcome, the full event stream, and (for DET-PAR)
@@ -49,10 +50,15 @@ pub struct ConformReport {
     pub violations: Vec<String>,
 }
 
-impl ConformReport {
-    /// `true` when no checker flagged anything.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl CellRow for ConformReport {
+    fn columns(&self) -> Vec<String> {
+        let mode = if self.hardened { "hardened" } else { "raw" };
+        [mode, &self.outcome, &self.events.to_string()]
+            .map(String::from)
+            .to_vec()
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 }
 
@@ -309,38 +315,53 @@ pub fn conform_run(
     })
 }
 
+/// The horizon fault scenarios place their events within: the clean
+/// DET-PAR makespan on the workload (at least 1).
+pub fn fault_horizon(seqs: &[Vec<PageId>], params: &ModelParams) -> Result<u64, String> {
+    let opts = EngineOpts::default();
+    let clean = run_engine(&mut DetPar::new(params), seqs, params, &opts)
+        .map_err(|e| format!("clean det-par run failed: {e}"))?;
+    Ok(clean.makespan.max(1))
+}
+
+/// Every (policy, named fault scenario) pair, policy-major: the grid of
+/// the invariant and resume matrices.
+pub(crate) fn policy_scenarios() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let per_policy = |p: &'static str| FAULT_SCENARIOS.iter().map(move |&s| (p, s));
+    policy::NAMES.iter().flat_map(move |&p| per_policy(p))
+}
+
 /// Runs the full invariant matrix: every policy in [`policy::NAMES`]
 /// under every named fault scenario, on the given workload.
 ///
 /// The (policy, scenario) cells are independent, so they run on the
 /// pool; each cell writes its report into its pre-assigned grid slot, so
 /// the returned order (policy-major, scenario-minor) is identical for
-/// every thread count.
+/// every thread count. A cell that cannot run is an erroring cell of the
+/// matrix, not an error of the sweep.
 pub fn conform_matrix(
     seqs: &[Vec<PageId>],
     params: &ModelParams,
     seed: u64,
     horizon: u64,
-) -> Result<Vec<ConformReport>, String> {
-    let cells: Vec<(&str, &str)> = policy::NAMES
-        .iter()
-        .flat_map(|&policy| {
-            FAULT_SCENARIOS
-                .iter()
-                .map(move |&scenario| (policy, scenario))
+) -> Matrix<ConformReport> {
+    let cells: Vec<(&str, &str)> = policy_scenarios().collect();
+    let cells = cells
+        .par_iter()
+        .map(|&(policy, scenario)| Cell {
+            key: vec![policy.to_string(), scenario.to_string()],
+            outcome: fault_scenario(scenario, params.p, params.k, horizon, seed)
+                .ok_or_else(|| format!("unknown scenario `{scenario}`"))
+                .and_then(|e| {
+                    conform_run(policy, seqs, params, seed, scenario, &FaultPlan::new(e))
+                }),
         })
         .collect();
-    cells
-        .par_iter()
-        .map(|&(policy, scenario)| {
-            let events = fault_scenario(scenario, params.p, params.k, horizon, seed)
-                .ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
-            let plan = FaultPlan::new(events);
-            conform_run(policy, seqs, params, seed, scenario, &plan)
-        })
-        .collect::<Vec<Result<ConformReport, String>>>()
-        .into_iter()
-        .collect()
+    Matrix {
+        headers: &["policy", "scenario", "mode", "outcome", "events"],
+        cells,
+        skipped: 0,
+    }
 }
 
 /// One divergence found by the differential sweep.

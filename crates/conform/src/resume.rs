@@ -9,27 +9,29 @@
 //! * [`check_resume`] — one cell: runs a policy uninterrupted through the
 //!   steppable engine (capturing result, trace, and tick count), then
 //!   re-runs it under the [`Supervisor`] with deterministic crashes
-//!   injected at the requested ticks, and diffs the two runs field by
-//!   field and event by event.
+//!   injected at ticks chosen from that baseline's length, and diffs the
+//!   two runs field by field and event by event.
 //! * [`resume_matrix`] — the chaos grid: every checkpoint-capable policy ×
 //!   every named fault scenario × a set of crashpoints expressed as
 //!   fractions of the baseline run's tick count.
 //! * [`check_corruption_rejection`] — a snapshot with a flipped byte must
 //!   be rejected with a typed error (never a panic, never a silent
-//!   mis-restore).
+//!   mis-restore); [`corruption_rejection_matrix`] runs it per policy.
 //!
-//! The `parapage chaos` CLI subcommand drives the matrix and exits
-//! non-zero on any divergence or failed recovery.
+//! `parapage chaos` runs both matrices through the [`crate::matrix`]
+//! runner and exits non-zero on any divergence or failed recovery.
 
 use parapage_cache::{Cache, LruCache, PageId};
 use parapage_core::{policy, FaultEvent, ModelParams};
 use parapage_sched::{
     CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, RunResult,
-    SnapshotError, Supervisor, SupervisorOpts, TraceRecorder,
+    Supervisor, SupervisorOpts, TraceRecorder,
 };
-use parapage_workloads::{fault_scenario, FAULT_SCENARIOS};
+use parapage_workloads::fault_scenario;
 
 use crate::checkers;
+use crate::matrix::{CellFilter, CellRow, Matrix};
+use crate::oracle::policy_scenarios;
 
 /// The uninterrupted run a recovery check diffs against, through the same
 /// steppable engine the supervisor drives: its result, its trace, and its
@@ -60,12 +62,25 @@ pub fn baseline_run<C: Cache>(
     Ok((engine.into_result(&*alloc), trace, ticks))
 }
 
+/// How a recovered run differs from the uninterrupted `baseline`: its
+/// result field by field, then its trace event by event.
+pub(crate) fn recovery_divergences(
+    (baseline, baseline_trace): (&RunResult, &TraceRecorder),
+    (recovered, recovered_trace): (&RunResult, &TraceRecorder),
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    if recovered != baseline {
+        violations.push(format!(
+            "RunResult diverged: recovered {recovered:?} vs baseline {baseline:?}"
+        ));
+    }
+    let trace = checkers::check_replay(baseline_trace.events(), recovered_trace.events());
+    violations.extend(trace.into_iter().map(|v| format!("trace: {v}")));
+    violations
+}
+
 /// The verdict of one resume-equivalence cell.
 pub struct ResumeCell {
-    /// Policy name.
-    pub policy: String,
-    /// Fault scenario name.
-    pub scenario: String,
     /// Engine ticks the injected crashes fired at.
     pub crash_ticks: Vec<u64>,
     /// Baseline run length in engine ticks.
@@ -77,10 +92,12 @@ pub struct ResumeCell {
     pub violations: Vec<String>,
 }
 
-impl ResumeCell {
-    /// `true` when recovery was exact.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl CellRow for ResumeCell {
+    fn columns(&self) -> Vec<String> {
+        vec![self.baseline_ticks.to_string(), self.crashes.to_string()]
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 }
 
@@ -97,18 +114,17 @@ fn checker_sup_opts(crashes: usize) -> SupervisorOpts {
 
 /// One resume-equivalence check: uninterrupted vs crash-and-recover.
 ///
-/// `crash_ticks` are absolute engine ticks; ticks beyond the baseline
-/// run's length never fire and are dropped from the comparison.
-#[allow(clippy::too_many_arguments)] // one cell = the full run recipe; a struct would just rename the args
+/// `crash_ticks` maps the baseline's length in ticks to the ticks to crash
+/// at, so one baseline run both places and judges the crashes; ticks past
+/// the baseline never fire and are dropped from the comparison.
 pub fn check_resume(
     policy: &str,
     seqs: &[Vec<PageId>],
     params: &ModelParams,
     opts: &EngineOpts,
     seed: u64,
-    scenario: &str,
     plan: &FaultPlan,
-    crash_ticks: &[u64],
+    crash_ticks: impl FnOnce(u64) -> Vec<u64>,
 ) -> Result<ResumeCell, String> {
     let hardened = plan
         .events()
@@ -121,9 +137,8 @@ pub fn check_resume(
         })?;
 
     let crash_ticks: Vec<u64> = {
-        let mut t: Vec<u64> = crash_ticks
-            .iter()
-            .copied()
+        let mut t: Vec<u64> = crash_ticks(baseline_ticks)
+            .into_iter()
             .filter(|&t| t >= 1 && t <= baseline_ticks)
             .collect();
         t.sort_unstable();
@@ -162,23 +177,14 @@ pub fn check_resume(
                     report.crashes
                 ));
             }
-            if report.result != baseline {
-                violations.push(format!(
-                    "RunResult diverged: recovered {:?} vs baseline {:?}",
-                    report.result, baseline
-                ));
-            }
-            violations.extend(
-                checkers::check_replay(baseline_trace.events(), recovered_trace.events())
-                    .into_iter()
-                    .map(|v| format!("trace: {v}")),
-            );
+            violations.extend(recovery_divergences(
+                (&baseline, &baseline_trace),
+                (&report.result, &recovered_trace),
+            ));
         }
     }
 
     Ok(ResumeCell {
-        policy: policy.to_string(),
-        scenario: scenario.to_string(),
         crash_ticks,
         baseline_ticks,
         crashes,
@@ -187,51 +193,57 @@ pub fn check_resume(
 }
 
 /// The chaos grid: every policy in [`policy::NAMES`] × every named
-/// fault scenario × one crashpoint per entry of `crash_fracs` (a fraction
-/// in `(0, 1)` of the cell's baseline tick count; each cell injects all
-/// its crashpoints into a single supervised run).
+/// fault scenario that `filter` keeps (label `policy/scenario`) × one
+/// crashpoint per entry of `crash_fracs` (a fraction in `(0, 1)` of the
+/// cell's baseline tick count; each cell injects all its crashpoints into
+/// a single supervised run).
 pub fn resume_matrix(
     seqs: &[Vec<PageId>],
     params: &ModelParams,
     seed: u64,
     horizon: u64,
     crash_fracs: &[f64],
-) -> Result<Vec<ResumeCell>, String> {
-    let mut cells = Vec::new();
-    for &policy in policy::NAMES {
-        for &scenario in FAULT_SCENARIOS {
-            let events = fault_scenario(scenario, params.p, params.k, horizon, seed)
+    filter: &CellFilter,
+) -> Matrix<ResumeCell> {
+    let opts = EngineOpts::default();
+    let crash_ticks = |ticks: u64| -> Vec<u64> {
+        let at = |f: &f64| ((ticks as f64 * f) as u64).max(1);
+        crash_fracs.iter().map(at).collect()
+    };
+    Matrix::run(
+        &["policy", "scenario", "ticks", "crashes"],
+        filter,
+        policy_scenarios(),
+        |&(policy, scenario)| vec![policy.to_string(), scenario.to_string()],
+        |&(policy, scenario)| {
+            let plan = fault_scenario(scenario, params.p, params.k, horizon, seed)
+                .map(FaultPlan::new)
                 .ok_or_else(|| format!("unknown scenario `{scenario}`"))?;
-            let plan = FaultPlan::new(events);
-            // Probe the baseline length first with no crashes, then place
-            // the crashpoints at the requested fractions of it.
-            let probe = check_resume(
-                policy,
-                seqs,
-                params,
-                &EngineOpts::default(),
-                seed,
-                scenario,
-                &plan,
-                &[],
-            )?;
-            let crash_ticks: Vec<u64> = crash_fracs
-                .iter()
-                .map(|f| ((probe.baseline_ticks as f64 * f) as u64).max(1))
-                .collect();
-            cells.push(check_resume(
-                policy,
-                seqs,
-                params,
-                &EngineOpts::default(),
-                seed,
-                scenario,
-                &plan,
-                &crash_ticks,
-            )?);
-        }
-    }
-    Ok(cells)
+            check_resume(policy, seqs, params, &opts, seed, &plan, crash_ticks)
+        },
+    )
+}
+
+/// [`check_corruption_rejection`] for every policy `filter` keeps; a
+/// cell's violation is the corruption that got through.
+pub fn corruption_rejection_matrix(
+    seqs: &[Vec<PageId>],
+    params: &ModelParams,
+    seed: u64,
+    filter: &CellFilter,
+) -> Matrix<Vec<String>> {
+    Matrix::run(
+        &["policy"],
+        filter,
+        policy::NAMES.iter().copied(),
+        |policy| vec![policy.to_string()],
+        |policy| {
+            Ok(check_corruption_rejection(policy, seqs, params, seed)
+                .err()
+                .into_iter()
+                .collect())
+        },
+    )
 }
 
 /// Verifies that a corrupted snapshot is rejected with a typed error: for
@@ -273,18 +285,12 @@ pub fn check_corruption_rejection(
     for i in (0..bytes.len()).step_by(stride) {
         let mut bad = bytes.clone();
         bad[i] ^= 0x40;
-        match EngineSnapshot::decode(&bad) {
-            Err(SnapshotError::Codec(_)) | Err(SnapshotError::Shape(_)) => {}
-            Err(other) => {
-                // Workload-mismatch is also a typed rejection; accept it.
-                let _ = other;
-            }
-            Ok(_) => {
-                return Err(format!(
-                    "snapshot with byte {i} flipped decoded successfully — \
-                     the integrity digest missed a corruption"
-                ))
-            }
+        // Any typed error is a rejection (a workload mismatch included).
+        if EngineSnapshot::decode(&bad).is_ok() {
+            return Err(format!(
+                "snapshot with byte {i} flipped decoded successfully — \
+                 the integrity digest missed a corruption"
+            ));
         }
     }
     // Truncation must also be typed.
@@ -297,7 +303,7 @@ pub fn check_corruption_rejection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapage_workloads::{build_workload, SeqSpec};
+    use parapage_workloads::{build_workload, fault_scenario, SeqSpec};
 
     fn workload(p: usize, len: usize, k: usize) -> Vec<Vec<PageId>> {
         let specs: Vec<SeqSpec> = (0..p)
@@ -328,9 +334,8 @@ mod tests {
             &params,
             &EngineOpts::default(),
             7,
-            "stalls",
             &plan,
-            &[],
+            |_| Vec::new(),
         )
         .expect("probe");
         assert!(probe.passed(), "probe violations: {:?}", probe.violations);
@@ -341,9 +346,8 @@ mod tests {
             &params,
             &EngineOpts::default(),
             7,
-            "stalls",
             &plan,
-            &[2, mid, probe.baseline_ticks - 1],
+            |ticks| vec![2, mid, ticks - 1],
         )
         .expect("cell");
         assert!(cell.passed(), "violations: {:?}", cell.violations);
@@ -362,9 +366,8 @@ mod tests {
             &params,
             &EngineOpts::default(),
             11,
-            "chaos",
             &plan,
-            &[],
+            |_| Vec::new(),
         )
         .expect("probe");
         let t = probe.baseline_ticks;
@@ -374,9 +377,8 @@ mod tests {
             &params,
             &EngineOpts::default(),
             11,
-            "chaos",
             &plan,
-            &[t / 10 + 1, t / 3 + 1, (2 * t) / 3 + 1],
+            |_| vec![t / 10 + 1, t / 3 + 1, (2 * t) / 3 + 1],
         )
         .expect("cell");
         assert!(cell.passed(), "violations: {:?}", cell.violations);

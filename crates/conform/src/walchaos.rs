@@ -17,8 +17,9 @@
 //! follows an injected crash — then [`check_wal_corruption`] diffs the
 //! recovered run against the uninterrupted baseline field by field and
 //! event by event. [`wal_chaos_matrix`] sweeps every checkpoint-capable
-//! policy (RNG-backed ones included) across every corruption kind. The
-//! `parapage chaos --wal` CLI subcommand drives it.
+//! policy (RNG-backed ones included) across every corruption kind, and is
+//! what `parapage chaos` and `parapage chaos --wal` run for their WAL
+//! corruption section.
 
 use parapage_cache::{parse_wal_record, LruCache, PageId, WalRecordStep, WAL_RECORD_HEADER};
 use parapage_core::{policy, ModelParams};
@@ -27,8 +28,8 @@ use parapage_sched::{
     NullSink, Supervisor, SupervisorOpts, TraceRecorder,
 };
 
-use crate::checkers;
-use crate::resume::baseline_run;
+use crate::matrix::{CellFilter, CellRow, Matrix};
+use crate::resume::{baseline_run, recovery_divergences};
 
 /// The corruption a [`SabotagedStore`] inflicts on the recovery read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -246,10 +247,6 @@ impl CheckpointStore for SabotagedStore {
 
 /// The verdict of one WAL corruption cell.
 pub struct WalCell {
-    /// Policy name.
-    pub policy: String,
-    /// Corruption kind.
-    pub corruption: WalCorruption,
     /// Engine tick the injected crash fired at.
     pub crash_tick: u64,
     /// Recovery truncations the supervisor reported.
@@ -261,10 +258,13 @@ pub struct WalCell {
     pub violations: Vec<String>,
 }
 
-impl WalCell {
-    /// `true` when recovery was exact despite the corruption.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl CellRow for WalCell {
+    fn columns(&self) -> Vec<String> {
+        let counts = [self.crash_tick, self.wal_records, self.truncations.into()];
+        counts.map(|n: u64| n.to_string()).to_vec()
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
     }
 }
 
@@ -427,23 +427,14 @@ pub fn check_wal_corruption(
                     store.strike_note
                 ));
             }
-            if report.result != baseline {
-                violations.push(format!(
-                    "RunResult diverged: recovered {:?} vs baseline {:?}",
-                    report.result, baseline
-                ));
-            }
-            violations.extend(
-                checkers::check_replay(baseline_trace.events(), recovered_trace.events())
-                    .into_iter()
-                    .map(|v| format!("trace: {v}")),
-            );
+            violations.extend(recovery_divergences(
+                (&baseline, &baseline_trace),
+                (&report.result, &recovered_trace),
+            ));
         }
     }
 
     Ok(WalCell {
-        policy: policy.to_string(),
-        corruption,
         crash_tick,
         truncations,
         wal_records,
@@ -451,34 +442,30 @@ pub fn check_wal_corruption(
     })
 }
 
-/// The WAL corruption matrix: every policy in `policies` (all of
-/// [`policy::NAMES`] when empty) × every [`WalCorruption`] kind.
+/// The WAL corruption matrix: every policy in [`policy::NAMES`] × every
+/// [`WalCorruption`] kind that `filter` keeps (label `policy/corruption`).
 pub fn wal_chaos_matrix(
     seqs: &[Vec<PageId>],
     params: &ModelParams,
     seed: u64,
-    policies: &[&str],
-) -> Result<Vec<WalCell>, String> {
-    let policies: Vec<&str> = if policies.is_empty() {
-        policy::NAMES.to_vec()
-    } else {
-        policies.to_vec()
-    };
-    let mut cells = Vec::new();
-    for policy in policies {
-        for corruption in WalCorruption::ALL {
-            cells.push(check_wal_corruption(
-                policy, seqs, params, seed, corruption,
-            )?);
-        }
-    }
-    Ok(cells)
+    filter: &CellFilter,
+) -> Matrix<WalCell> {
+    let cells = policy::NAMES
+        .iter()
+        .flat_map(|&policy| WalCorruption::ALL.map(|corruption| (policy, corruption)));
+    Matrix::run(
+        &["policy", "cell", "crash@", "records", "truncs"],
+        filter,
+        cells,
+        |&(policy, corruption)| vec![policy.to_string(), corruption.name().to_string()],
+        |&(policy, corruption)| check_wal_corruption(policy, seqs, params, seed, corruption),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapage_workloads::{build_workload, SeqSpec};
+    use parapage_workloads::{build_workload, family::conformance_mix, SeqSpec};
 
     fn workload(p: usize, len: usize, k: usize) -> Vec<Vec<PageId>> {
         let specs: Vec<SeqSpec> = (0..p)
@@ -529,25 +516,14 @@ mod tests {
     }
 
     /// The full-size `parapage chaos --wal` stale-base cell for DET-PAR
-    /// (p=8, k=64, s=10, 2000 requests per processor of the CLI's mixed
-    /// workload, seed 42). Batched grant dispatch makes its epochs
+    /// (p=8, k=64, s=10, 2000 requests per processor of the conformance
+    /// mix, seed 42). Batched grant dispatch makes its epochs
     /// overshoot, so boundary `n` sits past `n * epoch_ticks`; the crash
     /// must still land where a previous base and a non-empty log exist.
     #[test]
     fn batching_policy_stale_base_at_full_length() {
         let (p, k, len) = (8, 64, 2000);
-        let specs: Vec<SeqSpec> = (0..p)
-            .map(|x| match x % 3 {
-                0 => SeqSpec::Cyclic { width: k / 8, len },
-                1 => SeqSpec::Cyclic { width: k / 2, len },
-                _ => SeqSpec::Zipf {
-                    universe: k / 2,
-                    theta: 0.9,
-                    len,
-                },
-            })
-            .collect();
-        let seqs = build_workload(&specs, 42).seqs().to_vec();
+        let seqs = build_workload(&conformance_mix(p, k, len), 42).into_seqs();
         let params = ModelParams::new(p, k, 10);
         let cell = check_wal_corruption("det-par", &seqs, &params, 42, WalCorruption::StaleBase)
             .expect("stale-base cell");

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use parapage_conform::{
     competitive_envelope, conform_matrix, differential_sweep, ConformReport, DiffReport,
-    EnvelopeReport,
+    EnvelopeReport, Matrix,
 };
 use parapage_core::{DetPar, ModelParams};
 use parapage_sched::{run_engine, EngineOpts};
@@ -32,10 +32,12 @@ fn render_diff(report: &DiffReport) -> String {
     out
 }
 
-fn render_matrix(reports: &[ConformReport]) -> String {
-    reports
+fn render_matrix(matrix: &Matrix<ConformReport>) -> String {
+    matrix
+        .cells
         .iter()
-        .map(|r| {
+        .map(|c| {
+            let r = c.outcome.as_ref().expect("matrix cell");
             format!(
                 "{}/{} hardened={} outcome={} events={} violations={:?}\n",
                 r.policy, r.scenario, r.hardened, r.outcome, r.events, r.violations
@@ -111,7 +113,7 @@ fn conform_matrix_is_thread_count_invariant() {
     .makespan
     .max(1);
     assert_identical_across_widths("conform_matrix", || {
-        render_matrix(&conform_matrix(w.seqs(), &params, 7, horizon).expect("matrix"))
+        render_matrix(&conform_matrix(w.seqs(), &params, 7, horizon))
     });
 }
 

@@ -27,7 +27,7 @@
 use parapage_conform::{memory_envelope, run_traced};
 use parapage_core::{DetPar, ModelParams};
 use parapage_sched::{run_engine, EngineOpts, FaultPlan};
-use parapage_workloads::{build_workload, fault_scenario, SeqSpec};
+use parapage_workloads::{build_workload, family::conformance_mix, fault_scenario};
 
 /// The documented envelope constants themselves — a change here must be
 /// deliberate, with the doc comment on `memory_envelope` updated to match.
@@ -63,21 +63,7 @@ fn envelope_constants_are_pinned() {
 fn stall_desync_peak_stays_inside_documented_band() {
     let (p, k, len) = (8usize, 64usize, 2000usize);
     let params = ModelParams::new(p, k, 10);
-    let specs: Vec<SeqSpec> = (0..p)
-        .map(|x| match x % 3 {
-            0 => SeqSpec::Cyclic {
-                width: (k / 8).max(2),
-                len,
-            },
-            1 => SeqSpec::Cyclic { width: k / 2, len },
-            _ => SeqSpec::Zipf {
-                universe: (k / 2).max(4),
-                theta: 0.9,
-                len,
-            },
-        })
-        .collect();
-    let w = build_workload(&specs, 42);
+    let w = build_workload(&conformance_mix(p, k, len), 42);
     let opts = EngineOpts::default();
     let horizon = run_engine(&mut DetPar::new(&params), w.seqs(), &params, &opts)
         .expect("clean det-par run")

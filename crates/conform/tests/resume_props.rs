@@ -6,7 +6,9 @@
 use proptest::prelude::*;
 
 use parapage_cache::{Cache, Checkpoint, LruCache, PageId, ShardedLru};
-use parapage_conform::{baseline_run, check_replay, check_resume, SabotagedStore, WalCorruption};
+use parapage_conform::{
+    baseline_run, check_replay, check_resume, CellRow, SabotagedStore, WalCorruption,
+};
 use parapage_core::{policy, BoxAllocator, ModelParams};
 use parapage_sched::{
     CrashPlan, Engine, EngineOpts, EngineSnapshot, EpochControl, FaultPlan, MemStore, NullSink,
@@ -63,13 +65,13 @@ proptest! {
         let opts = EngineOpts::default();
         // Probe the baseline length, then crash at the sampled fraction.
         let probe = check_resume(
-            policy, &seqs, &params, &opts, seed, scenario, &plan, &[],
+            policy, &seqs, &params, &opts, seed, &plan, |_| Vec::new(),
         ).unwrap();
         prop_assert!(probe.passed(), "{}/{}: {:?}", policy, scenario, probe.violations);
         let crash = ((probe.baseline_ticks as f64 * crash_frac) as u64)
             .clamp(1, probe.baseline_ticks);
         let cell = check_resume(
-            policy, &seqs, &params, &opts, seed, scenario, &plan, &[crash],
+            policy, &seqs, &params, &opts, seed, &plan, |_| vec![crash],
         ).unwrap();
         prop_assert!(
             cell.passed(),

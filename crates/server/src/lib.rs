@@ -44,7 +44,7 @@ pub mod tenant;
 pub use chaosnet::FaultyTransport;
 pub use client::Client;
 pub use drive::{drive, DriveCfg, DriveReport, LatencyUs};
-pub use netchaos::{net_chaos_matrix, NetChaosOpts, NetChaosReport};
+pub use netchaos::{net_chaos_matrix, NetCellOutcome};
 pub use protocol::{
     error_code, Frame, ServerStats, TenantConfig, WireError, WireState, MAX_FRAME, PROTO_VERSION,
 };

@@ -23,10 +23,12 @@
 //! client through a connection-capped server and requires the typed
 //! [`Frame::Busy`] path to absorb the overload.
 
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use parapage::cache::fnv1a64_seeded;
+use parapage::conform::matrix::{CellFilter, CellRow, Matrix};
 use parapage::conform::{net_cells, NetCell, NetFaultPlan};
 
 use crate::client::Client;
@@ -35,80 +37,67 @@ use crate::protocol::Frame;
 use crate::resilient::{ResilientClient, RetryCounters, RetryOpts};
 use crate::server::{serve, ServeOpts};
 
-/// Matrix tuning.
+/// One cell's row: the recovery work its clients performed, and why it
+/// missed the bar (at most one reason; empty on a pass).
 #[derive(Clone, Debug)]
-pub struct NetChaosOpts {
-    /// Base seed; every cell derives its fault schedule from it.
-    pub seed: u64,
-    /// Reduced grid (one cut fraction, one tenant count) for CI smoke.
-    pub quick: bool,
-    /// Batches per tenant per run.
-    pub batches: u64,
-    /// Total page requests per run (spread across tenants and batches).
-    pub requests: u64,
-    /// Only run cells whose label contains one of these (lower-cased)
-    /// substrings; empty runs everything.
-    pub filters: Vec<String>,
+pub struct NetCellOutcome {
+    /// Recovery work the clients performed.
+    pub retry: RetryCounters,
+    /// The failure reason, if the cell failed.
+    pub violations: Vec<String>,
 }
 
-impl Default for NetChaosOpts {
-    fn default() -> Self {
-        NetChaosOpts {
-            seed: 42,
-            quick: false,
-            batches: 3,
-            requests: 3_000,
-            filters: Vec::new(),
+impl NetCellOutcome {
+    fn failed(retry: RetryCounters, reason: String) -> Self {
+        NetCellOutcome {
+            retry,
+            violations: vec![reason],
         }
     }
 }
 
-/// One cell's verdict.
-#[derive(Clone, Debug)]
-pub struct NetCellOutcome {
-    /// Cell label (`kind/tN@frac`, `idle-expiry`, or `shed`).
-    pub label: String,
-    /// Whether the cell met the bar.
-    pub passed: bool,
-    /// Failure reason, or a short pass note.
-    pub detail: String,
-    /// Recovery work the clients performed.
-    pub retry: RetryCounters,
-}
-
-/// The whole matrix's outcome.
-#[derive(Clone, Debug, Default)]
-pub struct NetChaosReport {
-    /// Every cell run, in order.
-    pub cells: Vec<NetCellOutcome>,
-    /// Cells excluded by the label filter.
-    pub skipped: usize,
-}
-
-impl NetChaosReport {
-    /// `true` when every cell passed.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(|c| c.passed)
+impl CellRow for NetCellOutcome {
+    fn columns(&self) -> Vec<String> {
+        let r = &self.retry;
+        [r.reconnects, r.retries, r.replays, r.sheds, r.timeouts]
+            .iter()
+            .map(u64::to_string)
+            .collect()
     }
+    fn violations(&self) -> &[String] {
+        &self.violations
+    }
+}
 
-    /// Number of failed cells.
-    pub fn failures(&self) -> usize {
-        self.cells.iter().filter(|c| !c.passed).count()
+/// A matrix cell: a transport fault cell or one of the two special cells.
+enum Candidate {
+    Fault(NetCell),
+    IdleExpiry,
+    Shed,
+}
+
+impl Candidate {
+    fn label(&self) -> String {
+        match self {
+            Candidate::Fault(cell) => cell.label(),
+            Candidate::IdleExpiry => "idle-expiry/t1".into(),
+            Candidate::Shed => "shed/t1".into(),
+        }
     }
 }
 
 /// The small, fast engine configuration every cell drives.
-fn drive_cfg(addr: SocketAddr, tenants: usize, opts: &NetChaosOpts) -> DriveCfg {
+fn drive_cfg(addr: SocketAddr, tenants: usize, seed: u64) -> DriveCfg {
     DriveCfg {
         addr,
         tenants,
-        batches: opts.batches,
-        requests: opts.requests,
+        batches: 3,
+        requests: 3_000,
         p: 2,
         k: 16,
         s: 8,
         policy: "det-par".into(),
-        seed: opts.seed,
+        seed,
         shards: 2,
         shutdown: false,
         fault: None,
@@ -183,11 +172,11 @@ fn run_group(cfg: &DriveCfg, plans: &[Option<NetFaultPlan>], seed: u64) -> Vec<T
 }
 
 /// Boots a server, runs a clean baseline, and returns its per-tenant runs.
-fn clean_baseline(tenants: usize, opts: &NetChaosOpts) -> Result<Vec<TenantRun>, String> {
+fn clean_baseline(tenants: usize, seed: u64) -> Result<Vec<TenantRun>, String> {
     let handle =
         serve("127.0.0.1:0", cell_serve_opts()).map_err(|e| format!("clean baseline bind: {e}"))?;
-    let cfg = drive_cfg(handle.addr(), tenants, opts);
-    let runs = run_group(&cfg, &vec![None; tenants], opts.seed);
+    let cfg = drive_cfg(handle.addr(), tenants, seed);
+    let runs = run_group(&cfg, &vec![None; tenants], seed);
     // Shut down through the handle, not the wire: a wire `Shutdown` is
     // admission-gated, so a still-draining connection slot could shed it
     // (`Busy`) and strand the join.
@@ -203,21 +192,9 @@ fn clean_baseline(tenants: usize, opts: &NetChaosOpts) -> Result<Vec<TenantRun>,
 
 /// Runs one fault cell against a fresh server and judges it against the
 /// clean baseline.
-fn run_cell(cell: &NetCell, clean: &[TenantRun], opts: &NetChaosOpts) -> NetCellOutcome {
-    let mut out = NetCellOutcome {
-        label: cell.label(),
-        passed: false,
-        detail: String::new(),
-        retry: RetryCounters::default(),
-    };
-    let handle = match serve("127.0.0.1:0", cell_serve_opts()) {
-        Ok(h) => h,
-        Err(e) => {
-            out.detail = format!("bind: {e}");
-            return out;
-        }
-    };
-    let cfg = drive_cfg(handle.addr(), cell.tenants, opts);
+fn run_cell(cell: &NetCell, clean: &[TenantRun], seed: u64) -> Result<NetCellOutcome, String> {
+    let handle = serve("127.0.0.1:0", cell_serve_opts()).map_err(|e| format!("bind: {e}"))?;
+    let cfg = drive_cfg(handle.addr(), cell.tenants, seed);
     let plans: Vec<Option<NetFaultPlan>> = (0..cell.tenants)
         .map(|t| {
             // Write-side faults cut against the clean run's sent bytes,
@@ -228,7 +205,7 @@ fn run_cell(cell: &NetCell, clean: &[TenantRun], opts: &NetChaosOpts) -> NetCell
             } else {
                 clean[t].sent
             };
-            let cell_seed = fnv1a64_seeded(opts.seed, cell.label().as_bytes()) ^ t as u64;
+            let cell_seed = fnv1a64_seeded(seed, cell.label().as_bytes()) ^ t as u64;
             Some(NetFaultPlan::new(
                 cell.kind,
                 cell_seed,
@@ -237,79 +214,57 @@ fn run_cell(cell: &NetCell, clean: &[TenantRun], opts: &NetChaosOpts) -> NetCell
             ))
         })
         .collect();
-    let runs = run_group(&cfg, &plans, opts.seed ^ 0xbeef);
+    let runs = run_group(&cfg, &plans, seed ^ 0xbeef);
     handle.shutdown();
     handle.join();
 
-    let mut reconnects = 0u64;
+    let mut retry = RetryCounters::default();
     for (t, run) in runs.iter().enumerate() {
-        out.retry.absorb(&run.retry);
-        reconnects += run.retry.reconnects;
+        retry.absorb(&run.retry);
         if let Some(e) = &run.error {
-            out.detail = format!("tenant {t} unrecovered: {e}");
-            return out;
+            return Ok(NetCellOutcome::failed(
+                retry,
+                format!("tenant {t} unrecovered: {e}"),
+            ));
         }
         if run.replies != clean[t].replies {
-            out.detail = format!(
+            let reason = format!(
                 "tenant {t} reply stream diverged from clean run ({} vs {} replies)",
                 run.replies.len(),
                 clean[t].replies.len()
             );
-            return out;
+            return Ok(NetCellOutcome::failed(retry, reason));
         }
     }
-    if cell.kind.severs() && reconnects == 0 {
-        out.detail = "severing fault produced no reconnects (cut never landed)".into();
-        return out;
+    if cell.kind.severs() && retry.reconnects == 0 {
+        let reason = "severing fault produced no reconnects (cut never landed)".to_string();
+        return Ok(NetCellOutcome::failed(retry, reason));
     }
-    out.passed = true;
-    out.detail = format!("recovered {} events", out.retry.recovered());
-    out
+    Ok(NetCellOutcome {
+        retry,
+        violations: Vec::new(),
+    })
 }
 
 /// The idle-expiry cell: a tenant goes idle past the TTL, is retired to
 /// its checkpoint blob, and a re-attach must *continue* the session —
-/// same reply chain, byte-identical `BatchDone`s — with at least one
-/// expiry counted.
-fn run_expiry_cell(opts: &NetChaosOpts) -> NetCellOutcome {
-    let mut out = NetCellOutcome {
-        label: "idle-expiry/t1".into(),
-        passed: false,
-        detail: String::new(),
-        retry: RetryCounters::default(),
-    };
-    let fail = |out: &mut NetCellOutcome, d: String| {
-        out.detail = d;
-    };
-
-    // Control: both batches over one unbroken session.
-    let control = match clean_baseline(1, opts) {
-        Ok(runs) => runs,
-        Err(e) => {
-            fail(&mut out, e);
-            return out;
-        }
-    };
+/// same reply chain, byte-identical `BatchDone`s as the one-tenant clean
+/// run `control` — with at least one expiry counted.
+fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, String> {
     if control[0].replies.len() < 2 {
-        fail(&mut out, "control run produced fewer than 2 batches".into());
-        return out;
+        return Err("control run produced fewer than 2 batches".into());
     }
 
     let ttl = Duration::from_millis(30);
-    let handle = match serve(
+    let handle = serve(
         "127.0.0.1:0",
         ServeOpts {
             idle_ttl: Some(ttl),
             ..cell_serve_opts()
         },
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            fail(&mut out, format!("bind: {e}"));
-            return out;
-        }
-    };
-    let cfg = drive_cfg(handle.addr(), 1, opts);
+    )
+    .map_err(|e| format!("bind: {e}"))?;
+    let cfg = drive_cfg(handle.addr(), 1, seed);
     let verdict = (|| -> Result<(), String> {
         // Batch 0 on a first connection, then detach.
         let mut c = Client::connect(cfg.addr).map_err(|e| format!("connect: {e}"))?;
@@ -373,53 +328,28 @@ fn run_expiry_cell(opts: &NetChaosOpts) -> NetCellOutcome {
         let _ = c.call(&Frame::Goodbye);
         Ok(())
     })();
-    let expiries = handle.stats().expiries;
     handle.shutdown();
     handle.join();
-    match verdict {
-        Ok(()) => {
-            out.passed = true;
-            out.detail = format!("restored after {expiries} expiry(ies), chain continued");
-        }
-        Err(e) => fail(&mut out, e),
-    }
-    out
+    Ok(NetCellOutcome {
+        retry: RetryCounters::default(),
+        violations: verdict.err().into_iter().collect(),
+    })
 }
 
 /// The shed cell: a connection-capped server answers overload with a
 /// typed [`Frame::Busy`]; the resilient client absorbs the shed notices
-/// and still gets the clean run's reply.
-fn run_shed_cell(opts: &NetChaosOpts) -> NetCellOutcome {
-    let mut out = NetCellOutcome {
-        label: "shed/t1".into(),
-        passed: false,
-        detail: String::new(),
-        retry: RetryCounters::default(),
-    };
-
-    let control = match clean_baseline(1, opts) {
-        Ok(runs) => runs,
-        Err(e) => {
-            out.detail = e;
-            return out;
-        }
-    };
-
-    let handle = match serve(
+/// and still gets the one-tenant clean run's (`control`) replies.
+fn run_shed_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, String> {
+    let handle = serve(
         "127.0.0.1:0",
         ServeOpts {
             max_conns: 1,
             busy_retry_ms: 5,
             ..cell_serve_opts()
         },
-    ) {
-        Ok(h) => h,
-        Err(e) => {
-            out.detail = format!("bind: {e}");
-            return out;
-        }
-    };
-    let cfg = drive_cfg(handle.addr(), 1, opts);
+    )
+    .map_err(|e| format!("bind: {e}"))?;
+    let cfg = drive_cfg(handle.addr(), 1, seed);
 
     // Occupy the single connection slot, then release it mid-retry.
     let occupier = Client::connect(cfg.addr);
@@ -431,7 +361,7 @@ fn run_shed_cell(opts: &NetChaosOpts) -> NetCellOutcome {
         });
         let retry_opts = RetryOpts {
             max_attempts: 16,
-            seed: opts.seed,
+            seed,
             ..RetryOpts::default()
         };
         let mut client = ResilientClient::new(cfg.addr, cfg.tenant_config(0), retry_opts);
@@ -457,66 +387,51 @@ fn run_shed_cell(opts: &NetChaosOpts) -> NetCellOutcome {
     let shed = handle.stats().shed;
     handle.shutdown();
     handle.join();
-    match verdict {
-        Ok(counters) => {
-            out.retry = counters;
-            if shed == 0 {
-                out.detail = "server counted no shed connections".into();
-            } else {
-                out.passed = true;
-                out.detail = format!("absorbed {} Busy notices ({} shed)", counters.sheds, shed);
-            }
+    Ok(match verdict {
+        Ok(retry) if shed == 0 => {
+            NetCellOutcome::failed(retry, "server counted no shed connections".into())
         }
-        Err(e) => out.detail = e,
-    }
-    out
+        Ok(retry) => NetCellOutcome {
+            retry,
+            violations: Vec::new(),
+        },
+        Err(e) => NetCellOutcome::failed(RetryCounters::default(), e),
+    })
 }
 
-/// Runs the full matrix (or the `quick` reduction) and collects a report.
-///
-/// # Errors
-/// Only infrastructure failures (a clean baseline that cannot run); cell
-/// failures land in the report.
-pub fn net_chaos_matrix(opts: &NetChaosOpts) -> Result<NetChaosReport, String> {
-    let tenant_counts: &[usize] = if opts.quick { &[2] } else { &[1, 3] };
-    let fracs: &[f64] = if opts.quick {
-        &[0.6]
-    } else {
-        &[0.25, 0.6, 0.9]
-    };
-    let keep = |label: &str| {
-        opts.filters.is_empty()
-            || opts
-                .filters
-                .iter()
-                .any(|f| label.to_ascii_lowercase().contains(f))
-    };
-
-    let mut report = NetChaosReport::default();
-    for &tenants in tenant_counts {
-        let cells: Vec<NetCell> = net_cells(&[tenants], fracs);
-        if cells.iter().all(|c| !keep(&c.label())) {
-            report.skipped += cells.len();
-            continue;
-        }
-        let clean = clean_baseline(tenants, opts)?;
-        for cell in &cells {
-            if !keep(&cell.label()) {
-                report.skipped += 1;
-                continue;
+/// Runs the full matrix (or the `quick` reduction: one cut fraction, one
+/// tenant count) over the cells `filter` keeps, every fault schedule
+/// derived from `seed`. Each tenant count's clean baseline runs once,
+/// before the first kept cell that needs it; when it cannot run, the
+/// cells that need it are erroring cells.
+pub fn net_chaos_matrix(seed: u64, quick: bool, filter: &CellFilter) -> Matrix<NetCellOutcome> {
+    let tenant_counts: &[usize] = if quick { &[2] } else { &[1, 3] };
+    let fracs: &[f64] = if quick { &[0.6] } else { &[0.25, 0.6, 0.9] };
+    let candidates = net_cells(tenant_counts, fracs)
+        .into_iter()
+        .map(Candidate::Fault)
+        .chain([Candidate::IdleExpiry, Candidate::Shed]);
+    let mut baselines = HashMap::new();
+    Matrix::run(
+        &["cell", "reconn", "retry", "replay", "shed", "t/o"],
+        filter,
+        candidates,
+        |c| vec![c.label()],
+        |c| {
+            let tenants = match c {
+                Candidate::Fault(cell) => cell.tenants,
+                Candidate::IdleExpiry | Candidate::Shed => 1,
+            };
+            let clean = baselines
+                .entry(tenants)
+                .or_insert_with(|| clean_baseline(tenants, seed))
+                .as_ref()
+                .map_err(Clone::clone)?;
+            match c {
+                Candidate::Fault(cell) => run_cell(cell, clean, seed),
+                Candidate::IdleExpiry => run_expiry_cell(clean, seed),
+                Candidate::Shed => run_shed_cell(clean, seed),
             }
-            report.cells.push(run_cell(cell, &clean, opts));
-        }
-    }
-    if keep("idle-expiry") {
-        report.cells.push(run_expiry_cell(opts));
-    } else {
-        report.skipped += 1;
-    }
-    if keep("shed") {
-        report.cells.push(run_shed_cell(opts));
-    } else {
-        report.skipped += 1;
-    }
-    Ok(report)
+        },
+    )
 }

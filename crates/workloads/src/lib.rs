@@ -9,7 +9,8 @@
 //! to exercise the engines on realistic inputs. [`adversarial`] builds the
 //! full Theorem-4 lower-bound instances (prefix families `F_i` with rising
 //! pollution levels, plus all-fresh suffixes). [`spec`] offers a declarative
-//! way to assemble per-processor mixes, and [`trace`] a plain-text trace
+//! way to assemble per-processor mixes, [`family`] the named mixes the
+//! CLI, the conformance oracle and the benchmarks share, and [`trace`] a plain-text trace
 //! format for persisting workloads. [`fault`] generates deterministic
 //! fault scenarios (processor stalls, latency spikes, memory pressure) for
 //! the engine's fault-injection layer.
@@ -22,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
+pub mod family;
 pub mod fault;
 pub mod gen;
 pub mod hpc;

@@ -23,17 +23,11 @@ cargo run -q -p parapage-cli --release -- conform --quick
 echo "==> parapage conform --concurrent --quick (ShardedLru schedule exploration + sabotage self-check)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
-echo "==> parapage chaos --quick (crash-recovery matrix)"
+echo "==> parapage chaos --quick (crash-recovery + WAL corruption matrices)"
 cargo run -q -p parapage-cli --release -- chaos --quick
 
-echo "==> parapage chaos --quick --wal (WAL corruption matrix)"
-cargo run -q -p parapage-cli --release -- chaos --quick --wal
-
-echo "==> parapage chaos (full-size crash-recovery + WAL matrices)"
+echo "==> parapage chaos (full-size crash-recovery + WAL corruption matrices)"
 cargo run -q -p parapage-cli --release -- chaos
-
-echo "==> parapage chaos --wal (full-size WAL corruption matrix)"
-cargo run -q -p parapage-cli --release -- chaos --wal
 
 echo "==> ops regression floors (release microbench pins)"
 cargo test -q -p parapage-bench --release --test ops_regression
