@@ -664,16 +664,16 @@ fn entry_wire_codec(quick: bool, seed: u64) -> EntryOut {
 }
 
 /// Entry 9: concurrent sharded-cache access. Pool workers hammer one
-/// *shared* [`ShardedLru`]; each work unit owns the shards whose index
-/// matches its own (pages are rejection-sampled onto owned shards), so
-/// per-unit hit/miss counts are independent of interleaving and the
-/// digest stays byte-identical across pool widths while the shard mutexes
-/// and routing still run under real multi-thread traffic.
+/// *shared* [`ShardedCache<LruCache>`]; each work unit owns the shards
+/// whose index matches its own (pages are rejection-sampled onto owned
+/// shards), so per-unit hit/miss counts are independent of interleaving
+/// and the digest stays byte-identical across pool widths while the shard
+/// mutexes and routing still run under real multi-thread traffic.
 fn entry_concurrent_sharded(quick: bool, seed: u64) -> EntryOut {
     use rayon::prelude::*;
     const UNITS: usize = 8;
     let per = if quick { 4_000 } else { 20_000 };
-    let cache = ShardedLru::with_shards(256, UNITS);
+    let cache = ShardedCache::<LruCache>::with_shards(256, UNITS);
     let units: Vec<usize> = (0..UNITS).collect();
     let outs: Vec<(usize, usize)> = units
         .par_iter()
@@ -774,22 +774,22 @@ fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
-/// Runs the `ops/lru-access` stream through a [`ShardedLru`] of 8 shards,
-/// each request served by `access`; `runs` counts accesses. Both sharded
-/// entries write the same digest string, so equal digests prove the two
-/// paths served the stream identically.
-fn ops_sharded_with(
+/// Runs the `ops/lru-access` stream through `cache`, a sharded LRU of 8
+/// shards, each request served by `access`; `runs` counts accesses. Both
+/// sharded entries write the same digest string, so equal digests prove
+/// the locked reference and the served one-arena cache served the stream
+/// identically.
+fn ops_sharded_with<C: Cache>(
     quick: bool,
     seed: u64,
-    access: fn(&mut ShardedLru, PageId) -> Access,
+    mut cache: C,
+    access: fn(&mut C, PageId) -> Access,
 ) -> EntryOut {
-    const K: usize = 256;
     let accesses = if quick { 150_000 } else { 750_000 };
-    let mut cache = ShardedLru::with_shards(K, 8);
     let (mut hits, mut misses) = (0u64, 0u64);
     let mut x = seed | 1;
     for _ in 0..accesses {
-        let page = ops_access_page(&mut x, K as u64);
+        let page = ops_access_page(&mut x, OPS_SHARDED_K as u64);
         if access(&mut cache, page).is_hit() {
             hits += 1;
         } else {
@@ -801,21 +801,26 @@ fn ops_sharded_with(
     EntryOut::plain(accesses, d.finish())
 }
 
+/// Capacity of both `ops/sharded-*` entries' cache.
+const OPS_SHARDED_K: usize = 256;
+
 /// Entry 12: sharded-LRU access throughput on a single thread through the
-/// locked `access_shared` path that concurrent callers take: route, yield
-/// point, shard lock, access. Contention is left to
-/// `concurrent/sharded-access`. Its gap to `ops/sharded-exclusive` (same
-/// stream, same digest) is what the lock, the yield point and the atomic
-/// ledger-flag load cost per access.
+/// locked `access_shared` path of `ShardedCache<LruCache>` that concurrent
+/// callers take: route, yield point, shard lock, access. Contention is
+/// left to `concurrent/sharded-access`. Its gap to `ops/sharded-exclusive`
+/// (same stream, same digest) is what the per-shard caches, the lock, the
+/// yield point and the atomic ledger-flag load cost per access.
 fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
-    ops_sharded_with(quick, seed, |c, page| c.access_shared(page))
+    let cache = ShardedCache::<LruCache>::with_shards(OPS_SHARDED_K, 8);
+    ops_sharded_with(quick, seed, cache, |c, page| c.access_shared(page))
 }
 
-/// Entry 13: the same stream through the single-owner `Cache::access`
-/// path the engine and every tenant batch use (`Mutex::get_mut`, no lock).
-/// Its gap to `ops/lru-access` is what routing across shards costs.
+/// Entry 13: the same stream through the served [`ShardedLru`]: one arena,
+/// one index, 8 recency lists, the path the engine and every tenant batch
+/// use. Its gap to `ops/lru-access` is what per-shard LRU semantics cost.
 fn entry_ops_sharded_exclusive(quick: bool, seed: u64) -> EntryOut {
-    ops_sharded_with(quick, seed, |c, page| c.access(page))
+    let cache = ShardedLru::with_shards(OPS_SHARDED_K, 8);
+    ops_sharded_with(quick, seed, cache, |c, page| c.access(page))
 }
 
 /// Size of the buffer the `ops/digest*` entries hash repeatedly.

@@ -7,6 +7,13 @@
 //! sequential policy: each shard is the already-verified policy,
 //! serialized by its lock.
 //!
+//! Nothing served takes these locks: tenant batches, the engine and the
+//! supervisor run on the single-owner [`ShardedLru`](crate::ShardedLru).
+//! `ShardedCache<LruCache>` is what the conform schedule explorer, the
+//! concurrent stress cells and `concurrent/sharded-access` drive, and the
+//! reference `ShardedLru` is tested against (same router, same capacity
+//! split, same snapshot bytes).
+//!
 //! Every shard is reached by one of two paths that run the same per-shard
 //! code and differ only in how they hold the shard:
 //!
@@ -18,8 +25,8 @@
 //!   yield points covers every schedule the locks admit.
 //! * **Single-owner** (the [`Cache`] impl's `&mut self` methods):
 //!   `Mutex::get_mut`, with no lock, no yield point and no atomic
-//!   read-modify-write. This is the path the engine, the supervisor and
-//!   every tenant batch drive, one thread per cache.
+//!   read-modify-write, for the sequential twins and setup of the tests
+//!   that drive the locked path.
 //!
 //! Each shard's resident count is mirrored in an `AtomicUsize` beside its
 //! lock. Whoever holds the shard rewrites the mirror after every mutation,
@@ -42,9 +49,10 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::checkpoint::{fnv1a64, Checkpoint, CodecError, SnapReader, SnapWriter, FNV_BASIS};
+use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::lru::LruCache;
 use crate::policy::{Access, Cache};
+use crate::sharded_lru::{route, shard_capacity};
 use crate::types::{PageId, Time};
 
 use super::yieldpoint::yield_point;
@@ -101,15 +109,6 @@ impl<C: Cache> Shard<C> {
     }
 }
 
-/// The conventional sharded LRU — what the engine integration uses.
-pub type ShardedLru = ShardedCache<LruCache>;
-
-/// Capacity of shard `i` when `total` pages are split across `n` shards:
-/// `total / n`, with the first `total % n` shards holding one extra page.
-pub fn shard_capacity(total: usize, n: usize, i: usize) -> usize {
-    total / n + usize::from(i < total % n)
-}
-
 impl<C: std::fmt::Debug> std::fmt::Debug for ShardedCache<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCache")
@@ -121,7 +120,7 @@ impl<C: std::fmt::Debug> std::fmt::Debug for ShardedCache<C> {
 impl ShardedCache<LruCache> {
     /// A sharded LRU with `capacity` total pages across `shards` shards
     /// (rounded up to a power of two).
-    pub fn with_shards(capacity: usize, shards: usize) -> ShardedLru {
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         ShardedCache::with_shards_by(capacity, shards, LruCache::new)
     }
 }
@@ -159,27 +158,11 @@ impl<C: Cache> ShardedCache<C> {
     }
 
     /// The shard index `page` routes to: the low bits of
-    /// `fnv1a64(page.to_le_bytes())`.
-    ///
-    /// Up to 16 shards, only the hash's low 4 bits are kept. Xor and
-    /// multiplication mod 2^m depend only on their operands mod 2^m, and
-    /// the FNV prime `0x100000001b3` is 3 mod 16, so those bits equal the
-    /// same recurrence run in `u32` from the basis' low word with
-    /// `h = (h ^ byte) * 3`: an xor and a `lea` per byte instead of a
-    /// 64-bit multiply. Wider masks take the full hash.
+    /// `fnv1a64(page.to_le_bytes())`, as [`ShardedLru`](crate::ShardedLru)
+    /// routes it.
     #[inline]
     pub fn shard_of(&self, page: PageId) -> usize {
-        if self.mask == 0 {
-            return 0; // 1-shard degenerate case: router is the identity
-        }
-        if self.mask < 16 {
-            let mut h = FNV_BASIS as u32;
-            for b in page.0.to_le_bytes() {
-                h = (h ^ u32::from(b)).wrapping_mul(3);
-            }
-            return (u64::from(h) & self.mask) as usize;
-        }
-        (fnv1a64(&page.0.to_le_bytes()) & self.mask) as usize
+        route(self.mask, page)
     }
 
     fn shard(&self, i: usize) -> std::sync::MutexGuard<'_, Shard<C>> {

@@ -24,10 +24,13 @@
 //! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
 //!   approximating the miss curve at a fraction of the cost for long
 //!   traces.
+//! * [`ShardedLru`] — the tenant's sharded LRU: `n` per-shard recency
+//!   lists, routed by page hash, over one node arena and one page index
+//!   shared with [`LruCache`]'s code.
 //! * [`concurrent`] — a concurrently-accessible cache behind the same
-//!   [`Cache`] trait: [`ShardedLru`], independently locked sequential
-//!   shards, with a yield point before each shard-lock acquisition for
-//!   schedule exploration.
+//!   [`Cache`] trait: [`ShardedCache`], independently locked sequential
+//!   shards with a yield point before each shard-lock acquisition, which
+//!   the schedule explorer drives and [`ShardedLru`] is tested against.
 //! * [`window`] — simulation of one *memory box*: run a request sequence
 //!   through an LRU cache of height `h` for a time budget, which is the inner
 //!   loop of every paging algorithm in the paper.
@@ -50,7 +53,9 @@ pub mod lirs;
 pub mod lru;
 pub mod mattson;
 pub mod policy;
+mod recency;
 pub mod sampling;
+pub mod sharded_lru;
 pub mod stats;
 pub mod testshim;
 pub mod two_queue;
@@ -65,7 +70,7 @@ pub use checkpoint::{
     DIGEST_BASIS, SNAP_MAGIC, SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
 };
 pub use clock::ClockCache;
-pub use concurrent::{ShardedCache, ShardedLru};
+pub use concurrent::ShardedCache;
 pub use fenwick::Fenwick;
 pub use fifo::FifoCache;
 pub use lfu::LfuCache;
@@ -74,6 +79,7 @@ pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
 pub use sampling::{sampled_miss_curve, SampledCurve};
+pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS};
 pub use stats::CacheStats;
 pub use testshim::MapLru;
 pub use two_queue::TwoQueueCache;

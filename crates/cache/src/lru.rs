@@ -1,52 +1,30 @@
-//! O(1) least-recently-used cache: a packed intrusive doubly-linked list
-//! over one contiguous node array, indexed by an open-addressing hash table.
+//! O(1) least-recently-used cache: one recency list over a packed node
+//! arena and an open-addressing page index (the crate's private `recency`
+//! module, which [`ShardedLru`](crate::ShardedLru) shares).
 //!
 //! LRU is the replacement policy the paper fixes (WLOG, its §2) inside every
 //! memory box, so this structure is the innermost loop of the whole
-//! workspace. The layout is chosen for that loop:
+//! workspace. A hit is one index probe and a splice of at most three
+//! 16-byte nodes; nothing allocates once the arena has warmed up, because
+//! evicted slots are recycled through a free list.
 //!
-//! * **Packed nodes.** Every resident page is one 16-byte `Node` in a
-//!   contiguous `Vec` (`page: u64, prev: u32, next: u32`); recency order is
-//!   an intrusive list threaded through `u32` slot indices, so a hit's
-//!   splice touches at most three adjacent-in-memory nodes and never
-//!   allocates.
-//! * **Open-addressing index.** page → slot lookups go through a
-//!   power-of-two linear-probing table of `slot + 1` words (0 = empty) with
-//!   Fibonacci hashing and backward-shift deletion — no `HashMap`, no
-//!   SipHash, no per-entry boxes, no tombstone buildup.
-//! * **Honest sizing.** The index is pre-sized to hold `capacity` residents
-//!   below the ¾ load ceiling for any capacity up to [`PRESIZE_LIMIT`];
-//!   beyond that it starts at the limit and doubles as residents actually
-//!   arrive, so a `k > 1M` cache is never silently under-provisioned (the
-//!   old implementation clamped its pre-size at `1 << 20` and left larger
-//!   caches to rehash mid-run).
-//!
-//! Accesses never allocate once the arena has warmed up: evicted slots are
-//! recycled through a free list, and the index only grows when the resident
-//! count approaches its load ceiling.
+//! **Honest sizing.** The index is pre-sized to hold `capacity` residents
+//! below the ¾ load ceiling for any capacity up to [`PRESIZE_LIMIT`];
+//! beyond that it starts at the limit and doubles as residents actually
+//! arrive, so a `k > 1M` cache is never silently under-provisioned (the old
+//! implementation clamped its pre-size at `1 << 20` and left larger caches
+//! to rehash mid-run).
 
 use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
+use crate::recency::{Arena, List};
 use crate::types::{PageId, Time};
-
-const NIL: u32 = u32::MAX;
 
 /// Largest capacity the index is eagerly pre-sized for; larger caches start
 /// here and grow on demand (a 2^22-word table is 16 MiB — pre-allocating
 /// proportionally for a pathological `capacity` in the billions would be
 /// worse than the amortized doubling it avoids).
 pub const PRESIZE_LIMIT: usize = 1 << 22;
-
-/// Fibonacci hashing constant (2^64 / φ): one multiply spreads consecutive
-/// page ids across the high bits, which linear probing then consumes.
-pub(crate) const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-#[derive(Clone, Debug)]
-struct Node {
-    page: PageId,
-    prev: u32,
-    next: u32,
-}
 
 /// A resizable LRU cache.
 ///
@@ -65,254 +43,49 @@ struct Node {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LruCache {
-    capacity: usize,
-    /// Packed node arena; recency list threaded through prev/next.
-    nodes: Vec<Node>,
-    /// Recycled arena slots.
-    free: Vec<u32>,
-    /// Resident count (the index stores exactly this many entries).
-    len: usize,
-    /// most-recently-used slot
-    head: u32,
-    /// least-recently-used slot
-    tail: u32,
-    /// Open-addressing page → slot index: `slot + 1`, 0 = empty. Length is
-    /// always a power of two.
-    index: Vec<u32>,
-    /// Bits to right-shift a Fibonacci-hashed page id by to get an index
-    /// position (`64 - log2(index.len())`).
-    shift: u32,
-}
-
-/// Index length (a power of two) that keeps `residents` under a ¾ load
-/// factor, floored at 8 so the zero-capacity streaming cache costs 32 bytes.
-fn index_len_for(residents: usize) -> usize {
-    (residents + residents / 2 + 1).next_power_of_two().max(8)
+    arena: Arena,
+    /// The one recency list; its capacity is the cache's.
+    list: List,
 }
 
 impl LruCache {
     /// Creates an empty cache holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
-        let index_len = index_len_for(capacity.min(PRESIZE_LIMIT));
         LruCache {
-            capacity,
-            nodes: Vec::with_capacity(capacity.min(PRESIZE_LIMIT)),
-            free: Vec::new(),
-            len: 0,
-            head: NIL,
-            tail: NIL,
-            index: vec![0; index_len],
-            shift: 64 - index_len.trailing_zeros(),
-        }
-    }
-
-    #[inline(always)]
-    fn home(&self, page: PageId) -> usize {
-        (page.0.wrapping_mul(HASH_MUL) >> self.shift) as usize
-    }
-
-    /// Probes for `page`: `Ok(pos)` when resident at index position `pos`,
-    /// `Err(())` when absent.
-    #[inline(always)]
-    fn find(&self, page: PageId) -> Result<usize, ()> {
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(page);
-        loop {
-            let entry = self.index[pos];
-            if entry == 0 {
-                return Err(());
-            }
-            if self.nodes[(entry - 1) as usize].page == page {
-                return Ok(pos);
-            }
-            pos = (pos + 1) & mask;
-        }
-    }
-
-    /// Inserts `slot + 1` for a page *known absent* at its probe end.
-    #[inline]
-    fn index_insert(&mut self, page: PageId, slot: u32) {
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(page);
-        while self.index[pos] != 0 {
-            pos = (pos + 1) & mask;
-        }
-        self.index[pos] = slot + 1;
-    }
-
-    /// Removes the entry at `pos` with backward-shift deletion: later
-    /// same-run entries slide back so probe sequences stay unbroken without
-    /// tombstones.
-    fn index_remove_at(&mut self, mut pos: usize) {
-        let mask = self.index.len() - 1;
-        loop {
-            let mut probe = pos;
-            loop {
-                probe = (probe + 1) & mask;
-                let entry = self.index[probe];
-                if entry == 0 {
-                    self.index[pos] = 0;
-                    return;
-                }
-                let home = self.home(self.nodes[(entry - 1) as usize].page);
-                // The entry at `probe` may fill `pos` iff its home position
-                // does not lie in the cyclic range (pos, probe].
-                let in_range = if pos <= probe {
-                    pos < home && home <= probe
-                } else {
-                    home > pos || home <= probe
-                };
-                if !in_range {
-                    break;
-                }
-            }
-            self.index[pos] = self.index[probe];
-            pos = probe;
-        }
-    }
-
-    /// Doubles the index when the next insert would cross the ¾ load
-    /// ceiling (only ever reached past [`PRESIZE_LIMIT`] residents, or when
-    /// `resize` grew the capacity after construction).
-    #[inline]
-    fn maybe_grow_index(&mut self) {
-        if (self.len + 1) * 4 >= self.index.len() * 3 {
-            self.grow_index();
-        }
-    }
-
-    #[cold]
-    fn grow_index(&mut self) {
-        let new_len = self.index.len() * 2;
-        self.index = vec![0; new_len];
-        self.shift = 64 - new_len.trailing_zeros();
-        let mut cur = self.head;
-        while cur != NIL {
-            let page = self.nodes[cur as usize].page;
-            self.index_insert(page, cur);
-            cur = self.nodes[cur as usize].next;
+            arena: Arena::new(capacity),
+            list: List::new(capacity),
         }
     }
 
     /// Pages currently resident, most-recently-used first.
     pub fn pages_mru_first(&self) -> Vec<PageId> {
-        let mut out = Vec::with_capacity(self.len);
-        out.extend(self.mru_walk());
+        let mut out = Vec::with_capacity(self.list.len);
+        out.extend(self.arena.walk(&self.list));
         out
-    }
-
-    /// Walks the recency list in place, most-recently-used first.
-    fn mru_walk(&self) -> impl Iterator<Item = PageId> + '_ {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let n = &self.nodes[cur as usize];
-            cur = n.next;
-            Some(n.page)
-        })
     }
 
     /// Evicts and returns the least-recently-used page, if any.
     pub fn pop_lru(&mut self) -> Option<PageId> {
-        if self.tail == NIL {
-            return None;
-        }
-        let slot = self.tail;
-        let page = self.nodes[slot as usize].page;
-        self.unlink(slot);
-        let pos = self.find(page).expect("resident page must be indexed");
-        self.index_remove_at(pos);
-        self.free.push(slot);
-        self.len -= 1;
-        Some(page)
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[slot as usize];
-            (n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        {
-            let n = &mut self.nodes[slot as usize];
-            n.prev = NIL;
-            n.next = self.head;
-        }
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Moves a resident slot to the MRU position.
-    #[inline]
-    fn touch(&mut self, slot: u32) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-    }
-
-    /// Admits an absent page (capacity > 0, eviction already done): arena
-    /// slot, index entry, MRU position.
-    fn admit(&mut self, page: PageId) {
-        self.maybe_grow_index();
-        let slot = if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = Node {
-                page,
-                prev: NIL,
-                next: NIL,
-            };
-            slot
-        } else {
-            let slot = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                page,
-                prev: NIL,
-                next: NIL,
-            });
-            slot
-        };
-        self.index_insert(page, slot);
-        self.push_front(slot);
-        self.len += 1;
+        self.arena.pop_lru(&mut self.list)
     }
 
     /// The miss path of `access`, shared with `access_if_fits`.
     fn admit_with_eviction(&mut self, page: PageId) -> Access {
-        if self.capacity == 0 {
+        if self.list.capacity == 0 {
             return Access::Miss;
         }
-        if self.len >= self.capacity {
-            self.pop_lru();
+        if self.list.len >= self.list.capacity {
+            self.arena.pop_lru(&mut self.list);
         }
-        self.admit(page);
+        self.arena.admit(&mut self.list, page);
         Access::Miss
     }
 }
 
 impl Cache for LruCache {
     fn access(&mut self, page: PageId) -> Access {
-        if let Ok(pos) = self.find(page) {
-            let slot = self.index[pos] - 1;
-            self.touch(slot);
+        if let Some(slot) = self.arena.slot(page) {
+            self.arena.touch(&mut self.list, slot);
             return Access::Hit;
         }
         self.admit_with_eviction(page)
@@ -326,12 +99,11 @@ impl Cache for LruCache {
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
-        if let Ok(pos) = self.find(page) {
+        if let Some(slot) = self.arena.slot(page) {
             if remaining == 0 {
                 return None;
             }
-            let slot = self.index[pos] - 1;
-            self.touch(slot);
+            self.arena.touch(&mut self.list, slot);
             return Some(Access::Hit);
         }
         if miss_penalty > remaining {
@@ -341,31 +113,27 @@ impl Cache for LruCache {
     }
 
     fn contains(&self, page: PageId) -> bool {
-        self.find(page).is_ok()
+        self.arena.slot(page).is_some()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.list.len
     }
 
     fn capacity(&self) -> usize {
-        self.capacity
+        self.list.capacity
     }
 
     fn resize(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.len > capacity {
-            self.pop_lru();
+        self.list.capacity = capacity;
+        while self.list.len > capacity {
+            self.arena.pop_lru(&mut self.list);
         }
     }
 
     fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.len = 0;
-        self.head = NIL;
-        self.tail = NIL;
-        self.index.fill(0);
+        self.arena.clear();
+        self.list.reset();
     }
 }
 
@@ -378,10 +146,10 @@ impl Checkpoint for LruCache {
         // intact across the rewrite. The list is walked in place into a
         // writer sized once for the whole payload: capacity, length, and
         // one u64 per page.
-        w.reserve(8 * (2 + self.len));
-        w.put_usize(self.capacity);
-        w.put_len(self.len);
-        for p in self.mru_walk() {
+        w.reserve(8 * (2 + self.list.len));
+        w.put_usize(self.list.capacity);
+        w.put_len(self.list.len);
+        for p in self.arena.walk(&self.list) {
             w.put_page(p);
         }
     }
@@ -397,7 +165,7 @@ impl Checkpoint for LruCache {
             pages.push(r.get_page()?);
         }
         self.clear();
-        self.capacity = capacity;
+        self.list.capacity = capacity;
         // Re-access LRU → MRU rebuilds the exact recency order.
         for &p in pages.iter().rev() {
             if self.access(p) == Access::Hit {

@@ -15,7 +15,7 @@
 //! * property tests asserting the direct [`crate::LruCache`] simulator agrees
 //!   with the analytic curve for every capacity.
 
-use crate::lru::HASH_MUL;
+use crate::recency::HASH_MUL;
 use crate::types::PageId;
 
 /// One slot of the kernel's page index: a page and `1 +` the time of its

@@ -1,0 +1,296 @@
+//! The tenant's sharded LRU: `n` per-shard LRUs sharing one arena and one
+//! index.
+//!
+//! [`ShardedLru`] splits one logical cache into `n` (a power of two) shards
+//! by page hash, each an LRU over its own share of the capacity
+//! ([`shard_capacity`]). Rather than `n` separate caches, it keeps one
+//! recency arena — one node array, one open-addressing page index — with a
+//! per-slot list tag and `n` intrusive recency lists, each with its own
+//! ends, length and capacity:
+//!
+//! * a **hit** finds the slot in the one index, reads its tag and splices
+//!   that list — no routing;
+//! * a **miss** routes once and evicts from its own list's tail;
+//! * **resize** and **clear** touch one index and `n` list headers.
+//!
+//! Every outcome and every snapshot byte is what `n` separate
+//! [`LruCache`](crate::LruCache)s fed their routed subsequences produce,
+//! which is what the locked [`ShardedCache<LruCache>`](crate::ShardedCache)
+//! still is; the `sharded_props` differential proptest pins the two
+//! together under access, budget, resize, clear and checkpoint churn. With
+//! one shard it is byte-identical to a plain `LruCache`.
+
+use crate::checkpoint::{fnv1a64, Checkpoint, CodecError, SnapReader, SnapWriter, FNV_BASIS};
+use crate::policy::{Access, Cache};
+use crate::recency::{Arena, List};
+use crate::types::{PageId, Time};
+
+/// Most shards a [`ShardedLru`] holds: each slot's list tag is one byte.
+pub const MAX_SHARDS: usize = 256;
+
+/// Capacity of shard `i` when `total` pages are split across `n` shards:
+/// `total / n`, with the first `total % n` shards holding one extra page.
+pub fn shard_capacity(total: usize, n: usize, i: usize) -> usize {
+    total / n + usize::from(i < total % n)
+}
+
+/// The shard `page` routes to among `mask + 1` (a power of two): the low
+/// bits of `fnv1a64(page.to_le_bytes())`.
+///
+/// Up to 16 shards, only the hash's low 4 bits are kept. Xor and
+/// multiplication mod 2^m depend only on their operands mod 2^m, and the
+/// FNV prime `0x100000001b3` is 3 mod 16, so those bits equal the same
+/// recurrence run in `u32` from the basis' low word with
+/// `h = (h ^ byte) * 3`: an xor and a `lea` per byte instead of a 64-bit
+/// multiply. Wider masks take the full hash.
+#[inline]
+pub(crate) fn route(mask: u64, page: PageId) -> usize {
+    if mask == 0 {
+        return 0; // 1-shard degenerate case: router is the identity
+    }
+    if mask < 16 {
+        let mut h = FNV_BASIS as u32;
+        for b in page.0.to_le_bytes() {
+            h = (h ^ u32::from(b)).wrapping_mul(3);
+        }
+        return (u64::from(h) & mask) as usize;
+    }
+    (fnv1a64(&page.0.to_le_bytes()) & mask) as usize
+}
+
+/// A single-owner sharded LRU: `n` recency lists over one arena.
+///
+/// ```
+/// use parapage_cache::{Access, Cache, PageId, ShardedLru};
+/// let mut c = ShardedLru::with_shards(8, 4);
+/// assert_eq!(c.shard_count(), 4);
+/// assert_eq!(c.access(PageId(1)), Access::Miss);
+/// assert_eq!(c.access(PageId(1)), Access::Hit);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ShardedLru {
+    arena: Arena,
+    /// Shard (list index) of every arena slot.
+    tags: Vec<u8>,
+    lists: Box<[List]>,
+    mask: u64,
+}
+
+impl ShardedLru {
+    /// A sharded LRU with `capacity` total pages across `shards` shards
+    /// (rounded up to a power of two).
+    ///
+    /// # Panics
+    /// When the rounded shard count exceeds [`MAX_SHARDS`].
+    pub fn with_shards(capacity: usize, shards: usize) -> ShardedLru {
+        let n = shards.next_power_of_two().max(1);
+        assert!(
+            n <= MAX_SHARDS,
+            "{shards} shards exceed the limit of {MAX_SHARDS}"
+        );
+        ShardedLru {
+            arena: Arena::new(capacity),
+            tags: Vec::new(),
+            lists: (0..n)
+                .map(|i| List::new(shard_capacity(capacity, n, i)))
+                .collect(),
+            mask: (n - 1) as u64,
+        }
+    }
+
+    /// Number of shards (a power of two).
+    pub fn shard_count(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// The shard index `page` routes to: the low bits of
+    /// `fnv1a64(page.to_le_bytes())`.
+    #[inline]
+    pub fn shard_of(&self, page: PageId) -> usize {
+        route(self.mask, page)
+    }
+
+    /// Hits splice the slot's own list, wherever the page routes.
+    #[inline]
+    fn hit(&mut self, slot: u32) -> Access {
+        let list = &mut self.lists[usize::from(self.tags[slot as usize])];
+        self.arena.touch(list, slot);
+        Access::Hit
+    }
+
+    /// The miss path: route once, evict from that shard's tail, admit.
+    fn miss(&mut self, page: PageId) -> Access {
+        let i = self.shard_of(page);
+        let list = &mut self.lists[i];
+        if list.capacity == 0 {
+            return Access::Miss;
+        }
+        if list.len >= list.capacity {
+            self.arena.pop_lru(list);
+        }
+        self.admit(i, page);
+        Access::Miss
+    }
+
+    /// Admits an absent page at shard `i`'s MRU end (room already made)
+    /// and tags its slot with `i`.
+    fn admit(&mut self, i: usize, page: PageId) {
+        let slot = self.arena.admit(&mut self.lists[i], page) as usize;
+        // `with_shards` bounds the shard count at `MAX_SHARDS`.
+        let tag = i as u8;
+        if slot == self.tags.len() {
+            self.tags.push(tag);
+        } else {
+            self.tags[slot] = tag;
+        }
+    }
+}
+
+impl Cache for ShardedLru {
+    #[inline]
+    fn access(&mut self, page: PageId) -> Access {
+        match self.arena.slot(page) {
+            Some(slot) => self.hit(slot),
+            None => self.miss(page),
+        }
+    }
+
+    #[inline]
+    fn access_if_fits(
+        &mut self,
+        page: PageId,
+        remaining: Time,
+        miss_penalty: u64,
+    ) -> Option<Access> {
+        match self.arena.slot(page) {
+            Some(_) if remaining == 0 => None,
+            Some(slot) => Some(self.hit(slot)),
+            None if miss_penalty > remaining => None,
+            None => Some(self.miss(page)),
+        }
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.arena.slot(page).is_some()
+    }
+
+    fn len(&self) -> usize {
+        self.lists.iter().map(|l| l.len).sum()
+    }
+
+    fn capacity(&self) -> usize {
+        self.lists.iter().map(|l| l.capacity).sum()
+    }
+
+    fn resize(&mut self, capacity: usize) {
+        let n = self.lists.len();
+        for (i, list) in self.lists.iter_mut().enumerate() {
+            list.capacity = shard_capacity(capacity, n, i);
+            while list.len > list.capacity {
+                self.arena.pop_lru(list);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.tags.clear();
+        self.lists.iter_mut().for_each(List::reset);
+    }
+}
+
+impl Checkpoint for ShardedLru {
+    /// Each shard's LRU payload — capacity, length, pages MRU first — in
+    /// shard order with **no header**: the bytes of `n` [`LruCache`]
+    /// snapshots concatenated, so one shard's snapshot is exactly an
+    /// `LruCache`'s.
+    ///
+    /// [`LruCache`]: crate::LruCache
+    fn save(&self, w: &mut SnapWriter) {
+        w.reserve(8 * (2 * self.lists.len() + self.len()));
+        for list in self.lists.iter() {
+            w.put_usize(list.capacity);
+            w.put_len(list.len);
+            for p in self.arena.walk(list) {
+                w.put_page(p);
+            }
+        }
+    }
+
+    /// Reads and checks every shard payload before touching the cache, so
+    /// a short blob, a count past its capacity or a misplaced page leaves
+    /// the cache as it was. A page stored under a shard it does not route
+    /// to is invalid: one index cannot hold the state `n` separate caches
+    /// would.
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
+        let mut shards = Vec::with_capacity(self.lists.len());
+        let mut pages = Vec::new();
+        for i in 0..self.lists.len() {
+            let capacity = r.get_usize()?;
+            let n = r.get_len()?;
+            if n > capacity {
+                return Err(CodecError::Invalid("LRU resident count exceeds capacity"));
+            }
+            for _ in 0..n {
+                let page = r.get_page()?;
+                if self.shard_of(page) != i {
+                    return Err(CodecError::Invalid("page stored outside its shard"));
+                }
+                pages.push(page);
+            }
+            shards.push((capacity, n));
+        }
+        self.clear();
+        let mut rest = &pages[..];
+        for (i, (capacity, n)) in shards.into_iter().enumerate() {
+            self.lists[i].capacity = capacity;
+            let (mine, tail) = rest.split_at(n);
+            rest = tail;
+            // Re-admit LRU → MRU: rebuilds the exact recency order.
+            for &page in mine.iter().rev() {
+                if self.contains(page) {
+                    return Err(CodecError::Invalid("duplicate page in LRU checkpoint"));
+                }
+                self.admit(i, page);
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn p(v: u64) -> PageId {
+        PageId(v)
+    }
+
+    #[test]
+    fn foreign_pages_in_a_shard_payload_are_invalid() {
+        let mut c = ShardedLru::with_shards(8, 2);
+        let stray = (0..64).map(p).find(|&v| c.shard_of(v) == 1).unwrap();
+        let mut w = SnapWriter::new();
+        w.put_usize(4);
+        w.put_len(1);
+        w.put_page(stray);
+        w.put_usize(4);
+        w.put_len(0);
+        let bytes = w.into_bytes();
+        c.access(p(99));
+        assert_eq!(
+            c.load(&mut SnapReader::new(&bytes)),
+            Err(CodecError::Invalid("page stored outside its shard"))
+        );
+        assert!(
+            c.contains(p(99)),
+            "a rejected blob leaves the cache as it was"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit")]
+    fn too_many_shards_is_refused_before_allocating() {
+        ShardedLru::with_shards(0, MAX_SHARDS + 1);
+    }
+}

@@ -4,8 +4,9 @@
 //! greps for must stay stable.
 
 use parapage_cache::{
-    decode_framed, fnv1a64, frame_wal_record, parse_wal_record, CodecError, SnapReader, SnapWriter,
-    WalRecordStep, SNAP_MAGIC, SNAP_VERSION, WAL_RECORD_HEADER,
+    decode_framed, fnv1a64, frame_wal_record, parse_wal_record, Cache, Checkpoint, CodecError,
+    PageId, ShardedLru, SnapReader, SnapWriter, WalRecordStep, SNAP_MAGIC, SNAP_VERSION,
+    WAL_RECORD_HEADER,
 };
 
 /// A small framed blob with a known payload.
@@ -140,6 +141,49 @@ fn a_hostile_page_count_is_invalid_not_an_allocation_or_overflow() {
         Err(CodecError::Invalid("page list length exceeds payload"))
     );
     assert_eq!(r.remaining(), 64, "a refused read consumes nothing");
+}
+
+/// A sharded-LRU payload whose shard claims more residents than its
+/// capacity, or that stops short, is a typed error, and the cache it was
+/// loaded into is unchanged.
+#[test]
+fn malformed_sharded_lru_payloads_are_typed_errors() {
+    let mut cache = ShardedLru::with_shards(8, 2);
+    for v in 0..6 {
+        cache.access(PageId(v));
+    }
+    let mut w = SnapWriter::new();
+    cache.save(&mut w);
+    let good = w.into_bytes();
+
+    // Shard 0 claims one resident past its capacity of 4.
+    let mut w = SnapWriter::new();
+    w.put_usize(4);
+    w.put_len(5);
+    for _ in 0..5 {
+        w.put_page(PageId(0));
+    }
+    w.put_usize(4);
+    w.put_len(0);
+    let over = w.into_bytes();
+    let mut victim = ShardedLru::with_shards(8, 2);
+    victim.load(&mut SnapReader::new(&good)).unwrap();
+    assert_eq!(
+        victim.load(&mut SnapReader::new(&over)),
+        Err(CodecError::Invalid("LRU resident count exceeds capacity"))
+    );
+    // A cut inside the last shard's pages, and one between the shards.
+    let first_shard = (0..6).filter(|&v| cache.shard_of(PageId(v)) == 0).count();
+    for cut in [good.len() - 3, 8 * (2 + first_shard)] {
+        assert_eq!(
+            victim.load(&mut SnapReader::new(&good[..cut])),
+            Err(CodecError::UnexpectedEof),
+            "cut at {cut}"
+        );
+    }
+    let mut w = SnapWriter::new();
+    victim.save(&mut w);
+    assert_eq!(w.into_bytes(), good, "a refused payload changed the cache");
 }
 
 #[test]

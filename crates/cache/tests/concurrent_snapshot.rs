@@ -1,15 +1,15 @@
-//! Checkpoint coverage for the concurrent caches: snapshots taken while
-//! other threads are live must decode, load, and uphold the same
-//! invariants as quiescent ones — and a corrupted concurrent-cache blob
-//! must fail with exactly the typed [`CodecError`] the sequential codec
-//! promises (flip a byte → `DigestMismatch`, cut the tail →
-//! `UnexpectedEof`), never a panic or a silently wrong cache.
+//! Checkpoint coverage for the sharded caches: snapshots of the locked
+//! [`ShardedCache`] taken while other threads are live must decode, load,
+//! and uphold the same invariants as quiescent ones — and a corrupted
+//! [`ShardedLru`] blob must fail with exactly the typed [`CodecError`] the
+//! sequential codec promises (flip a byte → `DigestMismatch`, cut the tail
+//! → `UnexpectedEof`), never a panic or a silently wrong cache.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use parapage_cache::{
-    decode_framed, Cache, Checkpoint, CodecError, PageId, ShardedLru, SnapReader, SnapWriter,
-    SNAP_MAGIC,
+    decode_framed, Cache, Checkpoint, CodecError, LruCache, PageId, ShardedCache, ShardedLru,
+    SnapReader, SnapWriter, SNAP_MAGIC,
 };
 
 fn p(v: u64) -> PageId {
@@ -48,7 +48,7 @@ fn with_readers<R>(readers: usize, probe: impl Fn(u64) + Sync, f: impl FnOnce() 
 /// and loadable, and every loaded state is a legal cache state.
 #[test]
 fn sharded_snapshot_under_concurrent_accessors_is_valid() {
-    let cache = ShardedLru::with_shards(64, 4);
+    let cache = ShardedCache::<LruCache>::with_shards(64, 4);
     for v in 0..48 {
         cache.access_shared(p(v));
     }
@@ -61,11 +61,19 @@ fn sharded_snapshot_under_concurrent_accessors_is_valid() {
     );
     for (i, blob) in blobs.iter().enumerate() {
         let payload = decode_framed(blob).unwrap_or_else(|e| panic!("snapshot {i}: {e}"));
-        let mut restored = ShardedLru::with_shards(64, 4);
+        let mut restored = ShardedCache::<LruCache>::with_shards(64, 4);
         restored
             .load(&mut SnapReader::new(payload))
             .unwrap_or_else(|e| panic!("snapshot {i} failed to load: {e}"));
         assert!(restored.len() <= restored.capacity(), "snapshot {i}");
+        // The tenant's cache accepts the same bytes and re-encodes them.
+        let mut served = ShardedLru::with_shards(0, 4);
+        served
+            .load(&mut SnapReader::new(payload))
+            .unwrap_or_else(|e| panic!("snapshot {i} failed to load into ShardedLru: {e}"));
+        let mut w = SnapWriter::new();
+        served.save(&mut w);
+        assert_eq!(w.into_bytes(), payload, "snapshot {i}");
         // Each shard payload was written under that shard's lock, so the
         // restored shard must be a state sequential LRU can actually reach
         // — in particular its residents re-route to the same shard.

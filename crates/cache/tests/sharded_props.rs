@@ -1,22 +1,27 @@
-//! Property pins for the sharded concurrent cache:
+//! Property pins for the sharded caches:
 //!
+//! * the single-owner [`ShardedLru`] and the locked reference
+//!   [`ShardedCache<LruCache>`] are one cache: same outcomes, `len`,
+//!   `capacity`, residency and snapshot bytes after every access, budgeted
+//!   access, resize, clear, save and load, at every shard count from 1 to
+//!   32 (both router branches) and at capacities down to zero;
 //! * a **1-shard** [`ShardedCache`] is indistinguishable — access outcome
 //!   by access outcome *and* snapshot byte by snapshot byte — from the
 //!   sequential cache it wraps, for every checkpointable policy and random
-//!   traces (the degeneracy the whole test story is anchored on);
-//! * with any shard count, driving the sharded cache equals driving each
+//!   traces (the degeneracy the whole test story is anchored on), and so is
+//!   a 1-shard [`ShardedLru`] from an [`LruCache`];
+//! * with any shard count, driving [`ShardedLru`] equals driving each
 //!   shard's sequential twin with the routed subsequence;
-//! * the single-owner `&mut` [`Cache`] path and the locked `*_shared` path
-//!   are one cache: same outcomes, ledgers, snapshot bytes and `len()`
-//!   after every operation, with `len()` matching a count taken under the
-//!   shard locks.
+//! * the locked reference's single-owner `&mut` [`Cache`] path and its
+//!   locked `*_shared` path are one cache: same outcomes, ledgers, snapshot
+//!   bytes and `len()` after every operation, with `len()` matching a count
+//!   taken under the shard locks.
 
 use proptest::prelude::*;
 
 use parapage_cache::{
-    concurrent::shard_capacity, fnv1a64, ArcCache, Cache, Checkpoint, ClockCache, FifoCache,
-    LfuCache, LruCache, PageId, ProcId, ShardedCache, ShardedLru, SnapReader, SnapWriter,
-    TwoQueueCache,
+    fnv1a64, shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
+    LruCache, PageId, ProcId, ShardedCache, ShardedLru, SnapReader, SnapWriter, TwoQueueCache,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -100,7 +105,7 @@ fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
 
 /// Resident pages counted by probing every page of the universe under its
 /// shard's lock — independent of the lock-free resident mirrors.
-fn locked_resident_count(cache: &ShardedLru, universe: u64) -> usize {
+fn locked_resident_count(cache: &ShardedCache<LruCache>, universe: u64) -> usize {
     (0..universe)
         .filter(|&v| cache.contains_shared(PageId(v)))
         .count()
@@ -124,8 +129,8 @@ proptest! {
     ) {
         const UNIVERSE: u64 = 40;
         let n = 1usize << shards_exp;
-        let mut owner = ShardedLru::with_shards(cap, n);
-        let mut twin = ShardedLru::with_shards(cap, n);
+        let mut owner = ShardedCache::with_shards(cap, n);
+        let mut twin = ShardedCache::with_shards(cap, n);
         owner.set_ledger_recording(true);
         twin.set_ledger_recording(true);
         let mut blob = snapshot_bytes(&owner);
@@ -186,9 +191,23 @@ proptest! {
         assert_one_shard_identical("lfu", LfuCache::new, cap, &seq)?;
         assert_one_shard_identical("arc", ArcCache::new, cap, &seq)?;
         assert_one_shard_identical("2q", TwoQueueCache::new, cap, &seq)?;
+
+        // The tenant's one-arena sharded LRU degenerates the same way.
+        let mut plain = LruCache::new(cap);
+        let mut one = ShardedLru::with_shards(cap, 1);
+        for &page in &seq {
+            prop_assert_eq!(plain.access(page), one.access(page));
+        }
+        let bytes = snapshot_bytes(&plain);
+        prop_assert_eq!(&bytes, &snapshot_bytes(&one), "ShardedLru(1) bytes differ");
+        let mut restored = ShardedLru::with_shards(0, 1);
+        restored
+            .load(&mut SnapReader::new(&bytes))
+            .map_err(|e| TestCaseError::fail(format!("ShardedLru(1) cross-load: {e}")))?;
+        prop_assert_eq!(snapshot_bytes(&restored), bytes);
     }
 
-    /// With any power-of-two shard count, the sharded cache behaves exactly
+    /// With any power-of-two shard count, [`ShardedLru`] behaves exactly
     /// like `n` independent sequential caches fed the routed subsequences —
     /// the router partitions, it never mixes.
     #[test]
@@ -198,7 +217,7 @@ proptest! {
         shards_exp in 0u32..4,
     ) {
         let n = 1usize << shards_exp;
-        let mut sharded = ShardedCache::with_shards(cap, n);
+        let mut sharded = ShardedLru::with_shards(cap, n);
         let mut twins: Vec<LruCache> =
             (0..n).map(|i| LruCache::new(shard_capacity(cap, n, i))).collect();
         for &page in &seq {
@@ -220,7 +239,8 @@ proptest! {
 
     /// The router is exactly the low bits of FNV-1a over the page's
     /// little-endian bytes, at every power-of-two shard count, whichever
-    /// arithmetic `shard_of` uses for a given mask width.
+    /// arithmetic `shard_of` uses for a given mask width, and the locked
+    /// reference routes every page the same way.
     #[test]
     fn shard_of_is_the_low_bits_of_fnv1a(
         random in prop::collection::vec(any::<u64>(), 0..64),
@@ -229,12 +249,147 @@ proptest! {
         let mut pages: Vec<PageId> = random.into_iter().map(PageId).collect();
         pages.extend([PageId(0), PageId(u64::MAX)]);
         pages.extend(procs.into_iter().map(|(p, l)| PageId::namespaced(ProcId(p), l)));
-        for exp in 0..=6 {
+        for exp in 0..=8 {
             let n = 1usize << exp;
             let cache = ShardedLru::with_shards(n, n);
+            let reference = ShardedCache::with_shards(n, n);
             for &page in &pages {
                 let want = (fnv1a64(&page.0.to_le_bytes()) & (n as u64 - 1)) as usize;
                 prop_assert_eq!(cache.shard_of(page), want, "n={} page={:?}", n, page);
+                prop_assert_eq!(reference.shard_of(page), want, "n={} page={:?}", n, page);
+            }
+        }
+    }
+}
+
+/// One step of the differential trace: like [`Op`], with resizes wide
+/// enough to cross every shard count's capacity split.
+fn diff_op_strategy(universe: u64) -> impl Strategy<Value = Op> {
+    (
+        0u8..20,
+        0..universe,
+        0u64..40,
+        1u64..12,
+        0usize..48,
+        0usize..256,
+    )
+        .prop_map(move |(kind, page, remaining, penalty, n, cut)| match kind {
+            0..=8 => Op::Access(PageId(page)),
+            9..=13 => Op::AccessIfFits(PageId(page), remaining, penalty),
+            14 | 15 => Op::Resize(n),
+            16 => Op::Clear,
+            17 => Op::Save,
+            18 => Op::Load,
+            _ => Op::LoadTruncated(cut),
+        })
+}
+
+/// Asserts `fast` and `reference` hold one state: `len`, `capacity`,
+/// residency of every page in `0..universe`, and snapshot bytes.
+fn assert_same_state(
+    fast: &ShardedLru,
+    reference: &ShardedCache<LruCache>,
+    universe: u64,
+    step: usize,
+) -> Result<Vec<u8>, TestCaseError> {
+    prop_assert_eq!(fast.len(), reference.len(), "step {}: len", step);
+    prop_assert_eq!(
+        fast.capacity(),
+        reference.capacity(),
+        "step {}: capacity",
+        step
+    );
+    for v in 0..universe {
+        let page = PageId(v);
+        prop_assert_eq!(
+            fast.contains(page),
+            reference.contains(page),
+            "step {}: contains {}",
+            step,
+            v
+        );
+    }
+    let bytes = snapshot_bytes(fast);
+    prop_assert_eq!(&bytes, &snapshot_bytes(reference), "step {}: bytes", step);
+    Ok(bytes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The tenant's one-arena [`ShardedLru`] against the locked
+    /// `ShardedCache<LruCache>` it replaced on the served path: equal
+    /// outcomes, refusals, `len`, `capacity`, residency and snapshot bytes
+    /// after every step, for 1 to 32 requested shards (so both router
+    /// branches run) and capacities from 0 past the shard count. Every
+    /// snapshot loads into a fresh `ShardedLru` that re-encodes it and
+    /// serves the next request as the reference does; a truncated snapshot
+    /// fails on both with the same error.
+    #[test]
+    fn sharded_lru_matches_the_locked_reference(
+        ops in prop::collection::vec(diff_op_strategy(96), 0..200),
+        cap in 0usize..48,
+        shards in 1usize..=32,
+    ) {
+        const UNIVERSE: u64 = 96;
+        let mut fast = ShardedLru::with_shards(cap, shards);
+        let mut reference = ShardedCache::with_shards(cap, shards);
+        prop_assert_eq!(fast.shard_count(), reference.shard_count());
+        let mut blob = assert_same_state(&fast, &reference, UNIVERSE, 0)?;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Access(page) => {
+                    prop_assert_eq!(fast.access(page), reference.access(page), "step {}", step);
+                }
+                Op::AccessIfFits(page, remaining, penalty) => {
+                    prop_assert_eq!(
+                        fast.access_if_fits(page, remaining, penalty),
+                        reference.access_if_fits(page, remaining, penalty),
+                        "step {}", step
+                    );
+                }
+                Op::Resize(c) => {
+                    fast.resize(c);
+                    reference.resize(c);
+                }
+                Op::Clear => {
+                    fast.clear();
+                    reference.clear();
+                }
+                Op::Save => blob = snapshot_bytes(&fast),
+                Op::Load => {
+                    fast.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                    reference.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                }
+                Op::LoadTruncated(cut) => {
+                    // The reference keeps the shards it loaded before the
+                    // cut; the one-arena cache refuses up front. Both must
+                    // refuse alike, then both reload the whole blob.
+                    let prefix = &blob[..blob.len() * cut / 256];
+                    let a = fast.load(&mut SnapReader::new(prefix));
+                    let b = reference.load(&mut SnapReader::new(prefix));
+                    prop_assert!(a.is_err(), "step {}: truncated load succeeded", step);
+                    prop_assert_eq!(a, b, "step {}: truncated load errors differ", step);
+                    fast.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: reload: {e}")))?;
+                    reference.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: reload: {e}")))?;
+                }
+            }
+            let bytes = assert_same_state(&fast, &reference, UNIVERSE, step)?;
+
+            // Those bytes restore the state: a fresh cache loads them,
+            // re-encodes them, and serves the next page as the reference.
+            let mut restored = ShardedLru::with_shards(0, shards);
+            restored.load(&mut SnapReader::new(&bytes))
+                .map_err(|e| TestCaseError::fail(format!("step {step}: restore: {e}")))?;
+            prop_assert_eq!(snapshot_bytes(&restored), bytes, "step {}: re-encode", step);
+            if let Some(&Op::Access(next)) = ops.get(step + 1) {
+                let mut live = fast.clone();
+                prop_assert_eq!(restored.access(next), live.access(next), "step {}: restored", step);
+                prop_assert_eq!(snapshot_bytes(&restored), snapshot_bytes(&live), "step {}: restored", step);
             }
         }
     }

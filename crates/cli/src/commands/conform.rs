@@ -101,8 +101,9 @@ pub fn exec(args: &Args) -> Result<(), String> {
 /// Four sections:
 ///
 /// 1. **Schedule exploration (exhaustive)** — DFS over thread
-///    interleavings of `ShardedLru`'s locked `*_shared` ops, every history
-///    checked for linearizability against per-shard sequential LRU twins.
+///    interleavings of `ShardedCache<LruCache>`'s locked `*_shared` ops,
+///    every history checked for linearizability against per-shard
+///    sequential LRU twins.
 /// 2. **Schedule exploration (random)** — seeded random sampling past the
 ///    DFS frontier of the deeper scenarios.
 /// 3. **Sharded stress cells** — real OS threads hammering a sharded LRU;

@@ -1,7 +1,8 @@
 //! Loom-style schedule exploration for the sharded cache's locked path.
 //!
-//! [`ShardedLru`]'s `*_shared` methods announce a yield point through a
-//! thread-local hook just before each shard-lock acquisition. This module
+//! [`ShardedCache<LruCache>`]'s `*_shared` methods announce a yield point
+//! through a thread-local hook just before each shard-lock acquisition
+//! (the served [`parapage_cache::ShardedLru`] takes no locks). This module
 //! turns those hooks into a *virtual scheduler*: worker threads run real
 //! code on real OS threads, but a token-passing controller admits exactly
 //! one thread at a time and decides, at every yield point, which thread
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use parapage_cache::concurrent::set_yield_hook;
-use parapage_cache::{Access, Cache, LruCache, PageId, ShardedLru, Time};
+use parapage_cache::{Access, Cache, LruCache, PageId, ShardedCache, Time};
 
 /// One operation a virtual thread performs against the shared cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,7 +115,7 @@ pub struct OpRecord {
 pub struct Scenario {
     /// Display name.
     pub name: &'static str,
-    /// Total capacity of the [`ShardedLru`] under test.
+    /// Total capacity of the [`ShardedCache<LruCache>`] under test.
     pub capacity: usize,
     /// Shard count (rounded up to a power of two).
     pub shards: usize,
@@ -294,9 +295,9 @@ fn run_with(
     scenario: &Scenario,
     plan: &[usize],
     mut rng: Option<&mut u64>,
-    apply: fn(&ShardedLru, Op) -> Outcome,
+    apply: fn(&ShardedCache<LruCache>, Op) -> Outcome,
 ) -> (Vec<(usize, usize)>, Vec<OpRecord>, Option<String>) {
-    let cache = ShardedLru::with_shards(scenario.capacity, scenario.shards);
+    let cache = ShardedCache::with_shards(scenario.capacity, scenario.shards);
     let mut twins: Vec<LruCache> = cache
         .shard_capacities()
         .into_iter()
@@ -394,7 +395,7 @@ fn choices_of(taken: &[(usize, usize)]) -> Vec<usize> {
     taken.iter().map(|&(c, _)| c).collect()
 }
 
-fn apply_real(cache: &ShardedLru, op: Op) -> Outcome {
+fn apply_real(cache: &ShardedCache<LruCache>, op: Op) -> Outcome {
     let page = op.page();
     match op {
         Op::Access(_) => Outcome::Access(cache.access_shared(page)),
@@ -693,8 +694,8 @@ impl ConcurrentCell {
     }
 }
 
-/// Hammers one [`ShardedLru`] from `threads` real OS threads and checks the
-/// history two ways: exact per-shard ledger replay, and an aggregate
+/// Hammers one [`ShardedCache<LruCache>`] from `threads` real OS threads
+/// and checks the history two ways: exact per-shard ledger replay, and an aggregate
 /// hit/miss envelope — total misses must be at least the cold-start floor
 /// (every distinct page faults once) and at most the sequential
 /// worst-case over any serialization (each thread's private trace run
@@ -706,7 +707,7 @@ pub fn check_concurrent_cache(
     shards: usize,
     seed: u64,
 ) -> ConcurrentCell {
-    let cache = ShardedLru::with_shards(capacity, shards);
+    let cache = ShardedCache::with_shards(capacity, shards);
     cache.set_ledger_recording(true);
     let traces: Vec<Vec<PageId>> = (0..threads as u64)
         .map(|t| {
@@ -747,7 +748,7 @@ pub fn check_concurrent_cache(
     let solo_sum: usize = traces
         .iter()
         .map(|trace| {
-            let mut solo = ShardedLru::with_shards(capacity, shards);
+            let mut solo = ShardedCache::with_shards(capacity, shards);
             trace.iter().filter(|&&p| !solo.access(p).is_hit()).count()
         })
         .sum();

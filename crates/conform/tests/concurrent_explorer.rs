@@ -1,7 +1,8 @@
 //! Acceptance sweep for the schedule explorer: the built-in scenario suite
-//! must yield at least 10^4 distinct interleavings of `ShardedLru`'s locked
-//! ops (`Access`, `Contains`, `AccessIfFits`) with zero linearization
-//! violations, and the seeded split fit-check race must be caught.
+//! must yield at least 10^4 distinct interleavings of the locked ops
+//! (`Access`, `Contains`, `AccessIfFits`) of `ShardedCache<LruCache>` with
+//! zero linearization violations, and the seeded split fit-check race must
+//! be caught.
 
 use parapage_conform::{explore, explore_all, sabotage_scenario, scenarios, ExploreMode, Op};
 

@@ -1,14 +1,14 @@
-//! Pool-width stress for the sharded concurrent cache: the same stress
-//! body runs under worker widths 1, 2, and 8 (the knob `PARAPAGE_THREADS`
-//! sets, overridden here with the scoped guard so the test is
-//! self-contained). Every pool unit keeps its own op ledger; at join the
+//! Pool-width stress for the locked sharded cache, `ShardedCache<LruCache>`:
+//! the same stress body runs under worker widths 1, 2, and 8 (the knob
+//! `PARAPAGE_THREADS` sets, overridden here with the scoped guard so the
+//! test is self-contained). Every pool unit keeps its own op ledger; at join the
 //! ledgers are reconciled against the cache's final state and against
 //! the sequential policy — nothing is allowed to go missing, duplicate, or
 //! reorder in a way the sequential model cannot explain.
 
 use std::collections::HashSet;
 
-use parapage_cache::{Access, PageId, ShardedLru};
+use parapage_cache::{Access, LruCache, PageId, ShardedCache};
 use parapage_conform::check_sharded_ledgers;
 use rayon::pool::{self, Tasks, Unit};
 
@@ -45,7 +45,7 @@ fn sharded_stress_ledgers_reconcile_at_every_width() {
     let mut baseline: Option<(usize, usize)> = None;
     for width in THREAD_COUNTS {
         let _w = pool::threads(width);
-        let cache = ShardedLru::with_shards(4096, 8);
+        let cache = ShardedCache::<LruCache>::with_shards(4096, 8);
         cache.set_ledger_recording(true);
 
         let units: Vec<Unit<'_, UnitLedger>> = (0..UNITS)

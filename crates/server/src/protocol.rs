@@ -65,6 +65,13 @@ pub fn s2c_chain_seed() -> u64 {
 /// Longest tenant name the server admits.
 pub const MAX_TENANT_NAME: usize = 256;
 
+/// Most cache shards a tenant may declare: the limit of the
+/// [`parapage::cache::ShardedLru`] every batch builds, whose per-page shard
+/// tag is one byte. Admission refuses a larger [`TenantConfig::shards`], so
+/// a `Hello` cannot make every batch allocate per-shard state without
+/// bound.
+pub const MAX_SHARDS: usize = parapage::cache::MAX_SHARDS;
+
 /// Application error codes carried by [`Frame::Error`].
 pub mod error_code {
     /// Protocol version mismatch in `Hello`.
@@ -128,7 +135,8 @@ pub struct TenantConfig {
     pub policy: String,
     /// Base RNG seed; batch `b` uses `seed ^ mix(b)`.
     pub seed: u64,
-    /// Shard count of the tenant's [`parapage::cache::ShardedLru`].
+    /// Shard count of the tenant's [`parapage::cache::ShardedLru`], from 1
+    /// to [`MAX_SHARDS`] (rounded up to a power of two).
     pub shards: usize,
 }
 

@@ -48,7 +48,7 @@ use parapage::core::policy;
 
 use crate::protocol::{
     c2s_chain_seed, error_code, s2c_chain_seed, Frame, ServerStats, TenantConfig, WireError,
-    WireState, MAX_FRAME, MAX_TENANT_NAME, PROTO_VERSION,
+    WireState, MAX_FRAME, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
 };
 use crate::tenant::{TenantCounters, TenantOpts, TenantSession};
 
@@ -558,8 +558,11 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
             ),
         ));
     }
-    if config.shards == 0 {
-        return Err((error_code::BAD_FRAME, "shards must be positive".into()));
+    if config.shards == 0 || config.shards > MAX_SHARDS {
+        return Err((
+            error_code::BAD_FRAME,
+            format!("shards must be in 1..={MAX_SHARDS}, got {}", config.shards),
+        ));
     }
     let mut tenants = state.tenants.lock().expect("tenant table poisoned");
     if let Some(entry) = tenants.get_mut(&config.tenant) {

@@ -4,8 +4,10 @@
 //!
 //! Each [`Frame::Batch`](crate::protocol::Frame::Batch) is executed as one
 //! run of the existing [`Supervisor`]: the policy is rebuilt from the
-//! tenant's declared configuration and a batch-mixed seed, the caches are
-//! the PR-8 [`ShardedLru`](parapage::cache::ShardedLru), and checkpoints go
+//! tenant's declared configuration and a batch-mixed seed, each
+//! processor's cache is a single-owner
+//! [`ShardedLru`](parapage::cache::ShardedLru) of the tenant's `shards`
+//! (one arena, one index, one recency list per shard), and checkpoints go
 //! to the tenant's in-memory [`MemStore`] as a base snapshot plus one
 //! fixed-size WAL record (end tick and progress digest) per epoch. A
 //! [`Frame::Kill`](crate::protocol::Frame::Kill) becomes a deterministic
@@ -32,7 +34,7 @@ use parapage::sched::{
     SupervisorOpts,
 };
 
-use crate::protocol::{error_code, Frame, TenantConfig};
+use crate::protocol::{error_code, Frame, TenantConfig, MAX_SHARDS};
 
 /// Chain seed of a tenant's `BatchDone` reply chain.
 pub(crate) fn reply_chain_seed(tenant: &str) -> u64 {
@@ -356,7 +358,8 @@ impl TenantSession {
     ///
     /// # Errors
     /// A rendered decode error on any corruption (the blob is framed and
-    /// digest-checked end to end).
+    /// digest-checked end to end), and on a shard count admission would
+    /// refuse.
     pub fn restore(blob: &[u8], opts: TenantOpts) -> Result<TenantSession, String> {
         let payload = decode_framed(blob).map_err(|e| format!("session blob: {e}"))?;
         let mut r = SnapReader::new(payload);
@@ -371,6 +374,9 @@ impl TenantSession {
         let policy = get_string(&mut r, "policy name")?;
         let seed = r.get_u64().map_err(|e| format!("seed: {e}"))?;
         let shards = r.get_usize().map_err(|e| format!("shards: {e}"))?;
+        if shards == 0 || shards > MAX_SHARDS {
+            return Err(format!("shards: {shards} outside 1..={MAX_SHARDS}"));
+        }
         let budget_left = r.get_u64().map_err(|e| format!("budget: {e}"))?;
         let next_batch = r.get_u64().map_err(|e| format!("next_batch: {e}"))?;
         let chain = r.get_u64().map_err(|e| format!("chain: {e}"))?;

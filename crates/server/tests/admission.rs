@@ -4,9 +4,9 @@
 //! connection that stays usable.
 
 use parapage::cache::PageId;
-use parapage_server::protocol::{error_code, Frame, TenantConfig, PROTO_VERSION};
+use parapage_server::protocol::{error_code, Frame, TenantConfig, MAX_SHARDS, PROTO_VERSION};
 use parapage_server::server::{serve, ServeOpts};
-use parapage_server::Client;
+use parapage_server::{Client, TenantOpts, TenantSession};
 
 fn config(tenant: &str) -> TenantConfig {
     TenantConfig {
@@ -123,6 +123,65 @@ fn hello_validation_rejects_bad_versions_policies_and_models() {
 
     let _ = client.call(&Frame::Shutdown);
     handle.join();
+}
+
+/// A `Hello` declaring more shards than a tenant cache holds is refused
+/// at admission, before any batch could build per-shard state for it, and
+/// other tenants keep being served. `MAX_SHARDS` itself is admitted and
+/// serves a batch.
+#[test]
+fn an_unbounded_shard_count_is_refused_at_admission() {
+    let handle = serve("127.0.0.1:0", ServeOpts::default()).expect("bind");
+    let addr = handle.addr();
+
+    let mut hostile = Client::connect(addr).expect("connect");
+    let mut cfg = config("wide");
+    cfg.shards = 1 << 40;
+    expect_error(hostile.hello(cfg).expect("hello"), error_code::BAD_FRAME);
+    cfg = config("wide");
+    cfg.shards = MAX_SHARDS + 1;
+    expect_error(hostile.hello(cfg).expect("hello"), error_code::BAD_FRAME);
+
+    let mut other = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        other.hello(config("other")).expect("hello"),
+        Frame::HelloAck { .. }
+    ));
+    assert!(matches!(
+        other.call(&batch(0, 8)).expect("call"),
+        Frame::BatchDone { .. }
+    ));
+
+    let mut widest = Client::connect(addr).expect("connect");
+    cfg = config("widest");
+    cfg.shards = MAX_SHARDS;
+    assert!(matches!(
+        widest.hello(cfg).expect("hello"),
+        Frame::HelloAck { .. }
+    ));
+    assert!(matches!(
+        widest.call(&batch(0, 8)).expect("call"),
+        Frame::BatchDone { .. }
+    ));
+
+    let _ = other.call(&Frame::Shutdown);
+    handle.join();
+}
+
+/// A session checkpoint carrying a shard count admission would refuse does
+/// not restore.
+#[test]
+fn a_checkpoint_with_too_many_shards_does_not_restore() {
+    let mut cfg = config("blob");
+    cfg.shards = MAX_SHARDS;
+    let blob = TenantSession::new(cfg.clone(), TenantOpts::default()).checkpoint();
+    assert!(TenantSession::restore(&blob, TenantOpts::default()).is_ok());
+    cfg.shards = 1 << 40;
+    let blob = TenantSession::new(cfg, TenantOpts::default()).checkpoint();
+    let Err(err) = TenantSession::restore(&blob, TenantOpts::default()) else {
+        panic!("an oversized shard count must not restore");
+    };
+    assert!(err.starts_with("shards:"), "{err}");
 }
 
 #[test]

@@ -20,7 +20,7 @@ cargo test -q -p rayon
 echo "==> parapage conform --quick"
 cargo run -q -p parapage-cli --release -- conform --quick
 
-echo "==> parapage conform --concurrent --quick (ShardedLru schedule exploration + sabotage self-check)"
+echo "==> parapage conform --concurrent --quick (ShardedCache<LruCache> schedule exploration + sabotage self-check)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
 echo "==> parapage chaos --quick (crash-recovery + WAL corruption matrices)"
@@ -48,6 +48,10 @@ cargo run -q -p parapage-cli --release -- chaos --quick --net
 echo "==> parapage drive (serve smoke: in-process server, clean shutdown)"
 cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
   --batches 2 --expect-clean
+
+echo "==> parapage drive --shards 32 (wide-router serve smoke: shard_of's full-hash branch)"
+cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
+  --batches 2 --shards 32 --expect-clean
 
 echo "==> parapage drive --fault (recovery smoke: severed connections absorbed)"
 cargo run -q -p parapage-cli --release -- drive --requests 50000 --tenants 3 \
