@@ -36,6 +36,7 @@
 //! | `ops/green-opt`       | offline green-OPT DP, naive and Fenwick    |
 //! | `ops/generators`      | workload generators, pages/sec             |
 //! | `ops/ucp-repartition` | UCP engine runs at the monitor-ucp shape   |
+//! | `ops/lru-thrash`      | served miss path: resized sharded LRU      |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
@@ -51,7 +52,10 @@
 //! throughput of the offline machinery the experiments lean on.
 //! `ops/ucp-repartition` is pinned again: it counts UCP engine runs on
 //! `monitor-ucp`-shaped batches, whose cost is mostly the policy's epoch
-//! repartitions. Release builds are pinned against the floors in
+//! repartitions. `ops/lru-thrash` is pinned too: it isolates the served
+//! miss path (lookup, victim delete, admit over a small, often-resized
+//! sharded LRU), which the warm, presized `ops/*-access` streams do not.
+//! Release builds are pinned against the floors in
 //! [`OPS_FLOORS`] by `bench/tests/ops_regression.rs` and by the
 //! `parapage bench` exit gate.
 
@@ -1003,6 +1007,39 @@ fn entry_ops_ucp_repartition(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(runs, d.finish())
 }
 
+/// Entry 21: the served miss path. A tenant's sharded LRU under
+/// RAND-PAR's boxes on `thrash-randpar`: 4 shards built at capacity 0,
+/// resized every 16 requests — nine times in ten to height 16, else to
+/// 256 — while a seeded uniform stream runs over a working set four times
+/// the tallest height, so nearly every request misses, evicts and admits.
+/// `runs` counts accesses.
+fn entry_ops_lru_thrash(quick: bool, seed: u64) -> EntryOut {
+    const TALL: u64 = 256;
+    let accesses = if quick { 200_000 } else { 1_000_000 };
+    let mut cache = ShardedLru::with_shards(0, 4);
+    let (mut hits, mut misses) = (0u64, 0u64);
+    let mut x = seed | 1;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    for i in 0..accesses {
+        if i % 16 == 0 {
+            cache.resize(if draw() % 10 == 0 { TALL as usize } else { 16 });
+        }
+        if cache.access(PageId(draw() % (4 * TALL))).is_hit() {
+            hits += 1;
+        } else {
+            misses += 1;
+        }
+    }
+    let mut d = Digest::new();
+    d.write(&format!("hits={hits} misses={misses} len={}", cache.len()));
+    EntryOut::plain(accesses, d.finish())
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -1022,6 +1059,8 @@ pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/digest", 1_800_000_000.0),
     // Engine runs per second.
     ("ops/ucp-repartition", 800.0),
+    // Accesses per second through the resized, miss-heavy sharded LRU.
+    ("ops/lru-thrash", 5_000_000.0),
 ];
 
 impl SuiteReport {
@@ -1113,6 +1152,7 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/green-opt", false, entry_ops_green_opt),
     ("ops/generators", false, entry_ops_generators),
     ("ops/ucp-repartition", false, entry_ops_ucp_repartition),
+    ("ops/lru-thrash", false, entry_ops_lru_thrash),
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the

@@ -8,12 +8,15 @@
 //! 16-byte nodes; nothing allocates once the arena has warmed up, because
 //! evicted slots are recycled through a free list.
 //!
-//! **Honest sizing.** The index is pre-sized to hold `capacity` residents
-//! below the ¾ load ceiling for any capacity up to [`PRESIZE_LIMIT`];
-//! beyond that it starts at the limit and doubles as residents actually
-//! arrive, so a `k > 1M` cache is never silently under-provisioned (the old
-//! implementation clamped its pre-size at `1 << 20` and left larger caches
-//! to rehash mid-run).
+//! **Honest sizing.** The index is kept at most ¼ full: short probe runs
+//! are what make a miss cheap, and most served requests under RAND-PAR and
+//! UCP are misses. [`LruCache::new`] pre-sizes it for `capacity` residents
+//! up to [`PRESIZE_LIMIT`]; beyond that, and in a cache built small and
+//! resized up (every engine's caches start at capacity 0), it doubles as
+//! residents actually arrive — never on `resize` — so a `k > 1M` cache is
+//! never silently under-provisioned and a huge `k` with few residents
+//! costs a small index. A checkpoint load sizes the index once for the
+//! resident count it restores.
 
 use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
 use crate::policy::{Access, Cache};
@@ -21,10 +24,11 @@ use crate::recency::{Arena, List};
 use crate::types::{PageId, Time};
 
 /// Largest capacity the index is eagerly pre-sized for; larger caches start
-/// here and grow on demand (a 2^22-word table is 16 MiB — pre-allocating
+/// here and grow on demand. At the ¼ load ceiling its index is 2^23 `u32`
+/// words (32 MiB) beside a 32 MiB node reservation — pre-allocating
 /// proportionally for a pathological `capacity` in the billions would be
-/// worse than the amortized doubling it avoids).
-pub const PRESIZE_LIMIT: usize = 1 << 22;
+/// worse than the amortized doubling it avoids.
+pub const PRESIZE_LIMIT: usize = 1 << 21;
 
 /// A resizable LRU cache.
 ///
@@ -62,6 +66,12 @@ impl LruCache {
         let mut out = Vec::with_capacity(self.list.len);
         out.extend(self.arena.walk(&self.list));
         out
+    }
+
+    /// The arena, for the index-sizing tests in `recency`.
+    #[cfg(test)]
+    pub(crate) fn arena(&self) -> &Arena {
+        &self.arena
     }
 
     /// Evicts and returns the least-recently-used page, if any.
@@ -164,8 +174,8 @@ impl Checkpoint for LruCache {
         for _ in 0..n {
             pages.push(r.get_page()?);
         }
-        self.clear();
-        self.list.capacity = capacity;
+        self.arena.clear_for(n);
+        self.list = List::new(capacity);
         // Re-access LRU → MRU rebuilds the exact recency order.
         for &p in pages.iter().rev() {
             if self.access(p) == Access::Hit {

@@ -98,6 +98,12 @@ impl ShardedLru {
         }
     }
 
+    /// The arena, for the index-sizing tests in `recency`.
+    #[cfg(test)]
+    pub(crate) fn arena(&self) -> &Arena {
+        &self.arena
+    }
+
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
         self.lists.len()
@@ -130,6 +136,14 @@ impl ShardedLru {
         }
         self.admit(i, page);
         Access::Miss
+    }
+
+    /// Empties every shard, keeping their capacities, with the index sized
+    /// for `residents` about to be re-admitted.
+    fn clear_for(&mut self, residents: usize) {
+        self.arena.clear_for(residents);
+        self.tags.clear();
+        self.lists.iter_mut().for_each(List::reset);
     }
 
     /// Admits an absent page at shard `i`'s MRU end (room already made)
@@ -193,9 +207,7 @@ impl Cache for ShardedLru {
     }
 
     fn clear(&mut self) {
-        self.arena.clear();
-        self.tags.clear();
-        self.lists.iter_mut().for_each(List::reset);
+        self.clear_for(0);
     }
 }
 
@@ -240,7 +252,7 @@ impl Checkpoint for ShardedLru {
             }
             shards.push((capacity, n));
         }
-        self.clear();
+        self.clear_for(pages.len());
         let mut rest = &pages[..];
         for (i, (capacity, n)) in shards.into_iter().enumerate() {
             self.lists[i].capacity = capacity;

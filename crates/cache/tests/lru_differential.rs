@@ -6,10 +6,18 @@
 //! (checked via `pop_lru` order and resident sets), same checkpoint bytes,
 //! and same behaviour through resize/clear churn. Random request streams
 //! drive both side by side and compare after every single operation.
+//!
+//! The growth traces at the end start at capacity 0 and resize past
+//! several doublings of the page index over a 4096-page universe whose
+//! probe runs wrap the table; they also drive the one-arena
+//! [`ShardedLru`] against the locked [`ShardedCache<LruCache>`], since
+//! both share that index.
 
 use proptest::prelude::*;
 
-use parapage_cache::{Cache, Checkpoint, LruCache, MapLru, PageId, SnapReader, SnapWriter};
+use parapage_cache::{
+    Cache, Checkpoint, LruCache, MapLru, PageId, ShardedCache, ShardedLru, SnapReader, SnapWriter,
+};
 
 fn checkpoint_bytes<C: Checkpoint>(c: &C) -> Vec<u8> {
     let mut w = SnapWriter::new();
@@ -225,4 +233,149 @@ fn large_capacity_agrees_with_oracle() {
     }
     assert_eq!(packed.pages_mru_first(), oracle.pages_mru_first());
     assert_eq!(checkpoint_bytes(&packed), checkpoint_bytes(&oracle));
+}
+
+/// One step of a growth trace.
+#[derive(Clone, Debug)]
+enum GrowthOp {
+    /// Accesses the page at this position of [`growth_universe`].
+    Access(usize),
+    Resize(usize),
+    Clear,
+    /// Loads the cache's own snapshot back into it.
+    Reload,
+}
+
+/// Mostly accesses over [`growth_universe`] (nearly all misses, so the
+/// index fills as fast as capacity allows); resizes spread over twelve
+/// powers of two, six in seven of them to 64 or more; rare clears; and
+/// reloads of the cache's own snapshot.
+fn growth_op_strategy() -> impl Strategy<Value = GrowthOp> {
+    (0u16..512, 0usize..4096, 0u32..6, 0usize..4096).prop_map(|(kind, page, exp, jitter)| {
+        let height = |exp: u32| (1 << exp) + jitter % (1 << exp);
+        match kind {
+            0..=5 => GrowthOp::Resize(height(exp + 6)),
+            6 => GrowthOp::Resize(height(exp)),
+            7 => GrowthOp::Clear,
+            8..=13 => GrowthOp::Reload,
+            _ => GrowthOp::Access(page),
+        }
+    })
+}
+
+/// The index's Fibonacci multiplier (`recency::HASH_MUL`).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// 4096 pages: 1024 whose hash lands in the top 1/64 of the index at every
+/// length (the last slot of a 16-entry floor, the last 64 of 4096), so
+/// their probe runs keep wrapping past the end of the table, then pages
+/// 1024..4096, spread evenly.
+fn growth_universe() -> Vec<PageId> {
+    let tail = (4096u64..)
+        .filter(|v| v.wrapping_mul(HASH_MUL) >> 58 == 0x3f)
+        .take(1024);
+    tail.chain(1024..4096).map(PageId).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// From capacity 0 through resizes up to 4095, the packed index
+    /// doubles from its 16-entry floor several times while residents
+    /// arrive, and its probe runs wrap the table; the packed cache and the
+    /// oracle still agree on every outcome, `len`, recency order and save
+    /// bytes after every step, and those bytes load into a fresh cache of
+    /// each kind that re-encodes them.
+    #[test]
+    fn growth_across_index_doublings_is_identical(
+        ops in prop::collection::vec(growth_op_strategy(), 300..1500),
+    ) {
+        let universe = growth_universe();
+        let mut packed = LruCache::new(0);
+        let mut oracle = MapLru::new(0);
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                GrowthOp::Access(at) => {
+                    let page = universe[at];
+                    prop_assert_eq!(packed.access(page), oracle.access(page), "access #{}", i);
+                }
+                GrowthOp::Resize(cap) => {
+                    packed.resize(cap);
+                    oracle.resize(cap);
+                }
+                GrowthOp::Clear => {
+                    packed.clear();
+                    oracle.clear();
+                }
+                GrowthOp::Reload => {
+                    let bytes = checkpoint_bytes(&packed);
+                    packed.load(&mut SnapReader::new(&bytes)).unwrap();
+                    oracle.load(&mut SnapReader::new(&bytes)).unwrap();
+                }
+            }
+            assert_same_state(&packed, &oracle, &format!("step {i}"));
+            let bytes = checkpoint_bytes(&packed);
+            let mut restored_packed = LruCache::new(0);
+            restored_packed.load(&mut SnapReader::new(&bytes)).unwrap();
+            let mut restored_oracle = MapLru::new(0);
+            restored_oracle.load(&mut SnapReader::new(&bytes)).unwrap();
+            assert_same_state(&restored_packed, &restored_oracle, &format!("step {i} restored"));
+            prop_assert_eq!(checkpoint_bytes(&restored_packed), bytes, "step {}: re-encode", i);
+        }
+    }
+
+    /// From capacity 0 through resizes up to 4095, the one-arena cache's
+    /// shared index doubles from its 16-entry floor several times while
+    /// residents arrive, and its probe runs wrap the table; it and the
+    /// locked reference still agree on every outcome, `len`, `capacity`
+    /// and save bytes (which carry every shard's recency order) after every
+    /// step, and those bytes load into a fresh cache of each kind that
+    /// re-encodes them.
+    #[test]
+    fn growth_across_index_doublings_matches_the_locked_reference(
+        ops in prop::collection::vec(growth_op_strategy(), 300..1500),
+        shards in 1usize..=32,
+    ) {
+        let universe = growth_universe();
+        let mut fast = ShardedLru::with_shards(0, shards);
+        let mut reference = ShardedCache::<LruCache>::with_shards(0, shards);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                GrowthOp::Access(at) => {
+                    let page = universe[at];
+                    prop_assert_eq!(fast.access(page), reference.access(page), "step {}", step);
+                }
+                GrowthOp::Resize(c) => {
+                    fast.resize(c);
+                    reference.resize(c);
+                }
+                GrowthOp::Clear => {
+                    fast.clear();
+                    reference.clear();
+                }
+                GrowthOp::Reload => {
+                    let bytes = checkpoint_bytes(&fast);
+                    fast.load(&mut SnapReader::new(&bytes))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: reload: {e}")))?;
+                    reference.load(&mut SnapReader::new(&bytes))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: reload: {e}")))?;
+                }
+            }
+            prop_assert_eq!(fast.len(), reference.len(), "step {}: len", step);
+            prop_assert_eq!(fast.capacity(), reference.capacity(), "step {}: capacity", step);
+            let bytes = checkpoint_bytes(&fast);
+            prop_assert_eq!(&bytes, &checkpoint_bytes(&reference), "step {}: bytes", step);
+            let mut restored = ShardedLru::with_shards(0, shards);
+            restored.load(&mut SnapReader::new(&bytes))
+                .map_err(|e| TestCaseError::fail(format!("step {step}: restore: {e}")))?;
+            let mut restored_reference = ShardedCache::<LruCache>::with_shards(0, shards);
+            restored_reference.load(&mut SnapReader::new(&bytes))
+                .map_err(|e| TestCaseError::fail(format!("step {step}: restore: {e}")))?;
+            prop_assert_eq!(restored.len(), restored_reference.len(), "step {}: restored len", step);
+            prop_assert_eq!(&checkpoint_bytes(&restored), &bytes, "step {}: re-encode", step);
+            prop_assert_eq!(
+                checkpoint_bytes(&restored_reference), bytes, "step {}: reference re-encode", step
+            );
+        }
+    }
 }

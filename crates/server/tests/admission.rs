@@ -168,6 +168,40 @@ fn an_unbounded_shard_count_is_refused_at_admission() {
     handle.join();
 }
 
+/// A `Hello` with an unbounded cache capacity is admitted and serves a
+/// batch under every servable policy: the tenant's caches start empty and
+/// their page index grows with residents, never with `k`, so `k = 2^40`
+/// costs what the 32 requests it serves cost.
+#[test]
+fn an_unbounded_capacity_is_admitted_and_serves() {
+    let handle = serve("127.0.0.1:0", ServeOpts::default()).expect("bind");
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    for &policy in parapage::core::policy::NAMES {
+        let mut cfg = config(&format!("huge-{policy}"));
+        cfg.p = 4;
+        cfg.k = 1 << 40;
+        cfg.policy = policy.into();
+        let mut tenant = Client::connect(addr).expect("connect");
+        assert!(
+            matches!(tenant.hello(cfg).expect("hello"), Frame::HelloAck { .. }),
+            "{policy}: k = 2^40 refused"
+        );
+        let seqs = (0..4)
+            .map(|x| (0..8).map(|i| PageId(x * 8 + i)).collect())
+            .collect();
+        assert!(
+            matches!(
+                tenant.call(&Frame::Batch { batch: 0, seqs }).expect("call"),
+                Frame::BatchDone { .. }
+            ),
+            "{policy}: a 4x8 batch at k = 2^40 was not served"
+        );
+    }
+    let _ = client.call(&Frame::Shutdown);
+    handle.join();
+}
+
 /// A session checkpoint carrying a shard count admission would refuse does
 /// not restore.
 #[test]
