@@ -9,7 +9,7 @@
 //! timed as a whole, yielding four coarse buckets:
 //!
 //! * **alloc** — run setup: workload generation plus engine construction
-//!   (event heap, per-processor caches, arena ledgers);
+//!   (event heap, per-processor caches);
 //! * **policy** — time inside `BoxAllocator` calls (`grant`,
 //!   `grant_batch`, completion/fault notifications);
 //! * **cache** — time inside `Cache` calls (`access`, `access_if_fits`,
@@ -18,7 +18,7 @@
 //!   sweep shape; includes its own policy/cache time — it is a separate
 //!   measurement, not a disjoint slice of the engine run);
 //! * **other** — the engine run's remainder (event heap, window
-//!   bookkeeping, ledger pushes) = run wall time − policy − cache.
+//!   bookkeeping, usage accounting) = run wall time − policy − cache.
 //!
 //! The shims cost one `Instant::now` pair per call, which inflates the
 //! phases they wrap by a few percent — acceptable for a coarse profile,
@@ -176,7 +176,7 @@ pub struct PhaseProfile {
     pub cache_secs: f64,
     /// Wall time of the pool-driven policy × seed grid.
     pub pool_secs: f64,
-    /// Engine-run remainder (heap, windows, ledgers).
+    /// Engine-run remainder (heap, windows, usage accounting).
     pub other_secs: f64,
     /// Total wall time of the profiled engine run (= policy + cache +
     /// other).

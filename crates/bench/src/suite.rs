@@ -611,7 +611,8 @@ pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
 }
 
 /// Entry 6: per-epoch full-snapshot encoding cost (the pre-WAL supervisor
-/// cadence).
+/// cadence). A snapshot is O(p·k + policy) bytes, so `bytes` tracks the
+/// caches and the policy state, not the run length.
 fn entry_ckpt_full(quick: bool, seed: u64) -> EntryOut {
     checkpoint_cost(quick, seed, false)
 }
@@ -715,7 +716,7 @@ fn entry_concurrent_sharded(quick: bool, seed: u64) -> EntryOut {
 /// completion with a null sink and no checkpoint traffic; `runs` counts
 /// events processed (the engine's tick clock), so `runs_per_sec_threads1`
 /// reads as engine events per second. This is the number the batched
-/// grant dispatch and arena-backed ledgers move.
+/// grant dispatch moves.
 fn entry_ops_engine_step(quick: bool, seed: u64) -> EntryOut {
     let repeats = if quick { 3 } else { 8 };
     let params = ModelParams::new(8, 128, 16);

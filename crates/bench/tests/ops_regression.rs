@@ -1,8 +1,8 @@
 //! Regression pins on the single-thread `ops/*` microbench entries.
 //!
 //! The hot-path rewrite (packed intrusive LRU, fused `access_if_fits`,
-//! batched grant dispatch, arena-backed ledgers) is only worth its
-//! complexity while the throughput it bought stays bought. The floors in
+//! batched grant dispatch) is only worth its complexity while the
+//! throughput it bought stays bought. The floors in
 //! [`OPS_FLOORS`] pin that: a release build whose `ops/*` rate drops
 //! below its floor fails here and in the `parapage bench` exit gate.
 //!

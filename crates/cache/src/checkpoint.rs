@@ -283,35 +283,114 @@ impl WordDigest {
     }
 }
 
+/// Bytes of a chained frame before the payload: magic, sequence number,
+/// payload length.
+pub const CHAINED_HEADER: usize = 4 + 8 + 4;
+
+/// Builds one chained frame in a single buffer and returns
+/// `(bytes, digest)`; the WAL records and the server's wire frames are
+/// both this format, told apart by their magic:
+///
+/// ```text
+/// magic(4) | seq u64 | payload_len u32 | payload … | digest u64
+/// ```
+///
+/// where `digest = digest64_seeded(chain, seq ‖ payload_len ‖ payload)`.
+/// `encode` writes the payload behind the header (`payload_hint` bytes
+/// are reserved up front). `chain` is the previous frame's digest (or the
+/// stream's seed), so the returned digest seeds the next frame, and a
+/// frame verifies only in the exact position it was written at.
+///
+/// # Panics
+/// If the payload exceeds `u32::MAX` bytes.
+pub fn frame_chained(
+    magic: [u8; 4],
+    seq: u64,
+    chain: u64,
+    payload_hint: usize,
+    encode: impl FnOnce(&mut SnapWriter),
+) -> (Vec<u8>, u64) {
+    let mut w = SnapWriter::new();
+    w.reserve(CHAINED_HEADER + payload_hint + 8);
+    w.put_raw(&magic);
+    w.put_u64(seq);
+    w.put_u32(0); // payload length, patched below
+    encode(&mut w);
+    let mut out = w.into_bytes();
+    let len = u32::try_from(out.len() - CHAINED_HEADER).expect("chained payload exceeds u32");
+    out[12..CHAINED_HEADER].copy_from_slice(&len.to_le_bytes());
+    let digest = digest64_seeded(chain, &out[4..]);
+    out.extend_from_slice(&digest.to_le_bytes());
+    (out, digest)
+}
+
+/// One chained frame parsed off the front of a buffer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChainedFrame<'a> {
+    /// Sequence number stored in the header.
+    pub seq: u64,
+    /// The payload bytes.
+    pub payload: &'a [u8],
+    /// The frame's chained digest (= the next chain seed).
+    pub digest: u64,
+    /// Framed bytes consumed from the buffer.
+    pub consumed: usize,
+}
+
+/// Parses one [`frame_chained`] frame off the front of `buf`, verifying
+/// its magic and its chained digest against `chain`. `check` sees the
+/// header's `(seq, payload_len)` before the length is trusted, so a caller
+/// can refuse a hostile length or a sequence break from the header alone.
+///
+/// Never panics and never allocates: a short buffer is
+/// [`CodecError::UnexpectedEof`], wrong leading bytes are
+/// [`CodecError::BadMagic`], and a flipped byte or chain break is
+/// [`CodecError::DigestMismatch`].
+pub fn parse_chained(
+    buf: &[u8],
+    magic: [u8; 4],
+    chain: u64,
+    check: impl FnOnce(u64, usize) -> Result<(), CodecError>,
+) -> Result<ChainedFrame<'_>, CodecError> {
+    if buf.len() < CHAINED_HEADER {
+        return Err(CodecError::UnexpectedEof);
+    }
+    if buf[..4] != magic {
+        return Err(CodecError::BadMagic);
+    }
+    let seq = u64::from_le_bytes(buf[4..12].try_into().unwrap());
+    let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
+    check(seq, len)?;
+    let total = CHAINED_HEADER + len + 8;
+    if buf.len() < total {
+        return Err(CodecError::UnexpectedEof);
+    }
+    let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
+    let computed = digest64_seeded(chain, &buf[4..total - 8]);
+    if computed != stored {
+        return Err(CodecError::DigestMismatch { computed, stored });
+    }
+    Ok(ChainedFrame {
+        seq,
+        payload: &buf[CHAINED_HEADER..total - 8],
+        digest: computed,
+        consumed: total,
+    })
+}
+
 /// Leading magic of one framed WAL record (`b"ppwr"`).
 pub const WAL_RECORD_MAGIC: [u8; 4] = *b"ppwr";
 
 /// Bytes of a WAL record before the payload: magic, sequence number,
 /// payload length.
-pub const WAL_RECORD_HEADER: usize = 4 + 8 + 4;
+pub const WAL_RECORD_HEADER: usize = CHAINED_HEADER;
 
-/// Frames one WAL record and returns `(bytes, digest)`:
-///
-/// ```text
-/// WAL_RECORD_MAGIC(4) | seq u64 | payload_len u32 | payload … | digest u64
-/// ```
-///
-/// where `digest = digest64_seeded(chain, seq ‖ payload_len ‖ payload)`.
-/// `chain` is the previous record's digest (or the base snapshot's trailer
-/// digest for the first record), so the returned digest is the chain
-/// seed for the *next* record. A record therefore only verifies in the
-/// exact position it was appended at: against a different base, a reordered
-/// log, or a gap, the chain breaks and [`parse_wal_record`] reports a tear.
+/// Frames one WAL record ([`frame_chained`] with [`WAL_RECORD_MAGIC`]);
+/// the first record's `chain` is the base snapshot's trailer digest.
 pub fn frame_wal_record(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    let len = u32::try_from(payload.len()).expect("WAL record payload exceeds u32");
-    let mut out = Vec::with_capacity(WAL_RECORD_HEADER + payload.len() + 8);
-    out.extend_from_slice(&WAL_RECORD_MAGIC);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    let digest = digest64_seeded(chain, &out[4..]);
-    out.extend_from_slice(&digest.to_le_bytes());
-    (out, digest)
+    frame_chained(WAL_RECORD_MAGIC, seq, chain, payload.len(), |w| {
+        w.put_raw(payload)
+    })
 }
 
 /// Outcome of parsing one WAL record off the front of a log buffer.
@@ -337,42 +416,21 @@ pub enum WalRecordStep<'a> {
     Torn(CodecError),
 }
 
-/// Parses one WAL record off the front of `buf`, verifying its chained
-/// digest against `chain` (the previous record's digest, or the base
-/// snapshot digest for the first record).
-///
-/// Never panics: every malformed shape maps onto a typed [`CodecError`]
-/// inside [`WalRecordStep::Torn`] — a short buffer (torn write or partial
-/// tail mid-header or mid-payload) is [`CodecError::UnexpectedEof`], wrong
-/// leading bytes are [`CodecError::BadMagic`], and any byte flip or
-/// chain/ordering break is [`CodecError::DigestMismatch`].
+/// Parses one WAL record off the front of `buf` with [`parse_chained`]:
+/// an empty buffer is a clean [`WalRecordStep::End`], any malformed shape
+/// a [`WalRecordStep::Torn`] with the typed reason.
 pub fn parse_wal_record(buf: &[u8], chain: u64) -> WalRecordStep<'_> {
     if buf.is_empty() {
         return WalRecordStep::End;
     }
-    if buf.len() < WAL_RECORD_HEADER {
-        return WalRecordStep::Torn(CodecError::UnexpectedEof);
-    }
-    if buf[..4] != WAL_RECORD_MAGIC {
-        return WalRecordStep::Torn(CodecError::BadMagic);
-    }
-    let seq = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-    let total = WAL_RECORD_HEADER + len + 8;
-    if buf.len() < total {
-        return WalRecordStep::Torn(CodecError::UnexpectedEof);
-    }
-    let payload = &buf[WAL_RECORD_HEADER..WAL_RECORD_HEADER + len];
-    let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
-    let computed = digest64_seeded(chain, &buf[4..total - 8]);
-    if computed != stored {
-        return WalRecordStep::Torn(CodecError::DigestMismatch { computed, stored });
-    }
-    WalRecordStep::Record {
-        seq,
-        payload,
-        digest: computed,
-        consumed: total,
+    match parse_chained(buf, WAL_RECORD_MAGIC, chain, |_, _| Ok(())) {
+        Ok(f) => WalRecordStep::Record {
+            seq: f.seq,
+            payload: f.payload,
+            digest: f.digest,
+            consumed: f.consumed,
+        },
+        Err(reason) => WalRecordStep::Torn(reason),
     }
 }
 

@@ -48,7 +48,6 @@ use parapage_cache::{
 };
 use parapage_core::{BoxAllocator, FaultEvent, Grant, Interval, ModelParams};
 
-use crate::arena::ChunkVec;
 use crate::error::EngineError;
 use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
@@ -81,8 +80,9 @@ pub struct EngineOpts {
     pub max_time: Time,
     /// When set, the engine *enforces* this bound on concurrently allocated
     /// height at grant time (returning
-    /// [`EngineError::MemoryLimitExceeded`] on violation), instead of only
-    /// reporting the peak post-hoc. Use it to pin a policy's resource
+    /// [`EngineError::MemoryLimitExceeded`] on violation). The same live
+    /// usage it is checked against yields [`RunResult::peak_memory`], which
+    /// is reported either way. Use it to pin a policy's resource
     /// augmentation `ξ·k` in tests. A
     /// [`FaultEvent::MemoryPressure`] event tightens (or, when unset,
     /// activates) this limit mid-run.
@@ -156,15 +156,13 @@ pub struct Engine<'a, C: Cache> {
     memory_integral: u128,
     grants_issued: u64,
     timelines: Vec<Vec<Interval>>,
-    // Height deltas for the peak-memory audit: (time, delta); at equal
-    // times, releases (< 0) sort before acquisitions (post-hoc sort).
-    // Chunked bump storage: the ledger grows for the whole run, and the
-    // arena appends without ever recopying the history.
-    deltas: ChunkVec<(Time, i64)>,
-    // Online usage tracking for memory-limit enforcement. The enforced
-    // limit starts at `opts.memory_limit` and only tightens: a
+    // Online usage tracking: `live_usage` is the concurrently allocated
+    // height, `releases` the pending (time, height) returns, and `peak`
+    // the largest `live_usage` seen — the run's `peak_memory`. The
+    // enforced limit starts at `opts.memory_limit` and only tightens: a
     // MemoryPressure fault activates (or shrinks) it mid-run.
     live_usage: usize,
+    peak: usize,
     releases: BinaryHeap<Reverse<(Time, usize)>>,
     current_limit: Option<usize>,
     fault_cursor: FaultCursor<'a>,
@@ -223,8 +221,8 @@ impl<'a, C: Cache> Engine<'a, C> {
             memory_integral: 0,
             grants_issued: 0,
             timelines: vec![Vec::new(); p],
-            deltas: ChunkVec::new(),
             live_usage: 0,
+            peak: 0,
             releases: BinaryHeap::new(),
             current_limit: opts.memory_limit,
             fault_cursor: FaultCursor::new(faults),
@@ -261,7 +259,7 @@ impl<'a, C: Cache> Engine<'a, C> {
     /// digest of the engine's progress — `ticks`, `emitted`, the sequence
     /// cursors, completions, hit/miss counters, memory integral, grants,
     /// live usage, fault-plan position, faults delivered, processors
-    /// remaining and the audit-trace length. O(p); it encodes no cache or
+    /// remaining and the peak usage. O(p); it encodes no cache or
     /// policy state. Two runs of the same workload, policy and fault plan
     /// that agree on this digest at a tick have made the same progress,
     /// which is what a replay from the base checks at each record.
@@ -281,7 +279,7 @@ impl<'a, C: Cache> Engine<'a, C> {
         w.put_usize(self.fault_cursor.position());
         w.put_u64(self.faults_injected);
         w.put_usize(self.remaining);
-        w.put_usize(self.deltas.len());
+        w.put_usize(self.peak);
         WalMark {
             ticks: self.ticks,
             digest: digest64(&w.into_bytes()),
@@ -556,8 +554,9 @@ impl<'a, C: Cache> Engine<'a, C> {
             },
         );
         if grant.height > 0 {
-            self.deltas.push((now, grant.height as i64));
-            self.deltas.push((release_at, -(grant.height as i64)));
+            // Releases due at or before `now` return first, so a box ending
+            // exactly when another starts never counts twice toward the
+            // peak.
             while let Some(&Reverse((t, h))) = self.releases.peek() {
                 if t <= now {
                     self.releases.pop();
@@ -567,6 +566,7 @@ impl<'a, C: Cache> Engine<'a, C> {
                 }
             }
             self.live_usage += grant.height;
+            self.peak = self.peak.max(self.live_usage);
             self.releases.push(Reverse((release_at, grant.height)));
             if let Some(limit) = self.current_limit {
                 if self.live_usage > limit {
@@ -622,23 +622,13 @@ impl<'a, C: Cache> Engine<'a, C> {
         debug_assert!(self.heap.is_empty());
         debug_assert_eq!(self.remaining, 0);
 
-        // Peak concurrent memory from the delta trace.
-        let mut deltas = self.deltas.to_vec();
-        deltas.sort_unstable_by_key(|&(t, d)| (t, d));
-        let mut cur = 0i64;
-        let mut peak = 0i64;
-        for &(_, d) in &deltas {
-            cur += d;
-            peak = peak.max(cur);
-        }
-
         let makespan = self.completions.iter().copied().max().unwrap_or(0);
         RunResult {
             completions: self.completions,
             makespan,
             stats: self.stats,
             memory_integral: self.memory_integral,
-            peak_memory: peak as usize,
+            peak_memory: self.peak,
             grants_issued: self.grants_issued,
             faults_injected: self.faults_injected,
             degraded_grants: alloc.degraded_grants(),
@@ -690,8 +680,8 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
             } else {
                 Vec::new()
             },
-            deltas: self.deltas.to_vec(),
             live_usage: self.live_usage,
+            peak: self.peak,
             releases,
             current_limit: self.current_limit,
             fault_pos: self.fault_cursor.position(),
@@ -739,6 +729,9 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
                 return Err(SnapshotError::Shape("sequence cursor out of range"));
             }
         }
+        if snap.peak < snap.live_usage {
+            return Err(SnapshotError::Shape("peak below live usage"));
+        }
         for (cache, blob) in self.caches.iter_mut().zip(&snap.cache_blobs) {
             cache.load(&mut SnapReader::new(blob))?;
         }
@@ -756,8 +749,8 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         } else {
             snap.timelines.clone()
         };
-        self.deltas.assign(&snap.deltas);
         self.live_usage = snap.live_usage;
+        self.peak = snap.peak;
         self.releases = snap.releases.iter().map(|&e| Reverse(e)).collect();
         self.current_limit = snap.current_limit;
         self.fault_cursor.set_position(snap.fault_pos);
@@ -1018,6 +1011,37 @@ mod tests {
         let res = run_engine(&mut alloc, &seqs, &params, &EngineOpts::default()).unwrap();
         assert_eq!(res.memory_integral, 4 * 40);
         assert_eq!(res.grants_issued, 1);
+    }
+
+    #[test]
+    fn snapshots_stay_small_and_restore_checks_the_peak() {
+        // Without timelines a snapshot is O(p·k + policy): four times the
+        // ticks cost at most a few words. A peak below the live usage is
+        // no run's state, and restore refuses it.
+        let params = ModelParams::new(4, 32, 8);
+        let seqs = cyclic_seqs(4, 20_000, 48);
+        let (plan, opts) = (FaultPlan::none(), EngineOpts::default());
+        let mut alloc = DetPar::new(&params);
+        let lru = |_| LruCache::new(0);
+        let mut engine = Engine::new(&mut alloc, &seqs, &params, &opts, &plan, lru);
+        let mut sizes = Vec::new();
+        for tick in [200, 800] {
+            while engine.ticks() < tick {
+                assert!(engine.step(&mut alloc, &mut NullSink).unwrap());
+            }
+            sizes.push(engine.snapshot(&alloc).unwrap().encode().len());
+        }
+        assert!(
+            sizes[1] <= sizes[0] + 256,
+            "bytes at ticks 200, 800: {sizes:?}"
+        );
+        let mut snap = engine.snapshot(&alloc).unwrap();
+        snap.peak = snap.live_usage - 1;
+        let mut fresh = Engine::new(&mut alloc, &seqs, &params, &opts, &plan, lru);
+        assert_eq!(
+            fresh.restore(&snap, &mut alloc),
+            Err(SnapshotError::Shape("peak below live usage"))
+        );
     }
 }
 

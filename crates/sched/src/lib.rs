@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -56,7 +55,6 @@ pub mod supervisor;
 pub mod trace;
 pub mod wal;
 
-pub use arena::ChunkVec;
 pub use engine::{run_engine, Engine, EngineOpts, DEFAULT_MAX_TIME};
 pub use error::EngineError;
 pub use fault::FaultPlan;

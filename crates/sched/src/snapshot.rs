@@ -4,8 +4,8 @@
 //!
 //! A snapshot captures *everything* the engine needs to resume
 //! byte-identically: the event-heap contents, per-processor sequence
-//! cursors and completion state, aggregate counters, the peak-memory delta
-//! trace, the fault-plan delivery position, the per-processor replacement
+//! cursors and completion state, aggregate counters, the live and peak
+//! memory usage with the pending releases, the fault-plan delivery position, the per-processor replacement
 //! cache contents (via `parapage_cache::Checkpoint`), and the policy's own
 //! state (via `BoxAllocator::checkpoint` — RNG position included for the
 //! randomized policies). The resume-equivalence contract — a run resumed
@@ -117,10 +117,11 @@ pub struct EngineSnapshot {
     pub grants_issued: u64,
     /// Per-processor allocation timelines (empty unless recording).
     pub timelines: Vec<Vec<Interval>>,
-    /// Height deltas for the peak-memory audit, in emission order.
-    pub deltas: Vec<(Time, i64)>,
     /// Concurrently-allocated height at the snapshot instant.
     pub live_usage: usize,
+    /// Largest concurrently-allocated height so far (never below
+    /// `live_usage`).
+    pub peak: usize,
     /// Pending releases `(time, height)`, sorted.
     pub releases: Vec<(Time, usize)>,
     /// The enforced memory limit currently in effect.
@@ -171,12 +172,8 @@ impl EngineSnapshot {
                 w.put_usize(iv.height);
             }
         }
-        w.put_len(self.deltas.len());
-        for &(t, d) in &self.deltas {
-            w.put_u64(t);
-            w.put_i64(d);
-        }
         w.put_usize(self.live_usage);
+        w.put_usize(self.peak);
         w.put_len(self.releases.len());
         for &(t, h) in &self.releases {
             w.put_u64(t);
@@ -253,14 +250,8 @@ impl EngineSnapshot {
             }
             timelines.push(tl);
         }
-        let n_deltas = r.get_len()?;
-        let mut deltas = Vec::with_capacity(n_deltas);
-        for _ in 0..n_deltas {
-            let t = r.get_u64()?;
-            let d = r.get_i64()?;
-            deltas.push((t, d));
-        }
         let live_usage = r.get_usize()?;
+        let peak = r.get_usize()?;
         let n_rel = r.get_len()?;
         let mut releases = Vec::with_capacity(n_rel);
         for _ in 0..n_rel {
@@ -309,8 +300,8 @@ impl EngineSnapshot {
             memory_integral,
             grants_issued,
             timelines,
-            deltas,
             live_usage,
+            peak,
             releases,
             current_limit,
             fault_pos,
@@ -349,8 +340,8 @@ mod tests {
                 }],
                 vec![],
             ],
-            deltas: vec![(0, 4), (40, -4)],
             live_usage: 4,
+            peak: 4,
             releases: vec![(40, 4)],
             current_limit: Some(16),
             fault_pos: 1,

@@ -121,7 +121,8 @@ impl CrashPlan {
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorOpts {
     /// Events per epoch: the snapshot cadence. Smaller epochs bound the
-    /// replay after a crash but checkpoint more often.
+    /// replay after a crash but checkpoint more often. An epoch steps at
+    /// least one event, so `0` runs as `1`.
     pub epoch_ticks: u64,
     /// Crashes tolerated before [`SupervisorError::RetriesExhausted`].
     pub max_retries: u32,
@@ -511,8 +512,10 @@ impl Supervisor {
                     // An epoch is `epoch_ticks` *events* on the engine's
                     // logical clock, not `epoch_ticks` step() calls: one
                     // step may process a whole timestamp batch, so the
-                    // boundary can overshoot by at most one batch.
-                    let epoch_end = engine.ticks() + self.opts.epoch_ticks;
+                    // boundary can overshoot by at most one batch. At least
+                    // one event per epoch, or a 0-tick epoch would
+                    // checkpoint forever without stepping.
+                    let epoch_end = engine.ticks() + self.opts.epoch_ticks.max(1);
                     let mut step = 0usize;
                     while engine.ticks() < epoch_end {
                         if !engine.step(&mut *alloc, &mut gate)? {
@@ -727,6 +730,33 @@ mod tests {
     }
 
     #[test]
+    fn zero_tick_epochs_still_step() {
+        // An epoch that steps nothing would checkpoint forever: run on a
+        // thread so a regression fails instead of hanging the suite.
+        let seqs = seqs();
+        let (want, _) = uninterrupted(&seqs, &FaultPlan::none());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let report = supervise(
+                SupervisorOpts {
+                    epoch_ticks: 0,
+                    ..tiny_opts()
+                },
+                &seqs,
+                &FaultPlan::none(),
+                CrashPlan::none(),
+                || Box::new(DetPar::new(&params())),
+                &mut crate::trace::NullSink,
+            );
+            let _ = tx.send(report);
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run finishes");
+        assert_eq!(report.expect("supervised run").result, want);
+    }
+
+    #[test]
     fn recovery_is_byte_identical_across_injected_crashes() {
         let seqs = seqs();
         let faults = FaultPlan::new(vec![
@@ -928,9 +958,8 @@ mod tests {
         // be much cheaper than a full snapshot per epoch
         // (`full_snapshot_every: 0`), and the result must be identical
         // either way. Deterministic byte counts, so the margin is pinned
-        // without timing flakiness. A run long enough for the grow-only
-        // audit trace to dominate a full snapshot — the regime the WAL
-        // exists for.
+        // without timing flakiness. A full snapshot carries every cache
+        // and the policy state, O(p·k); a record is a fixed 16-byte mark.
         let seqs: Vec<Vec<PageId>> = (0..4usize)
             .map(|x| {
                 (0..4000usize)

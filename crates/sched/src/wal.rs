@@ -1,9 +1,9 @@
 //! Write-ahead log of epoch ends between full snapshots.
 //!
-//! A full [`EngineSnapshot`] costs O(state) to encode — and the state
-//! grows with the run (the peak-memory audit trace and the optional
-//! timelines accumulate one entry per grant forever), so snapshotting
-//! every epoch trades checkpoint frequency directly against throughput.
+//! A full [`EngineSnapshot`] costs O(state) to encode: O(p·k) of cache
+//! contents plus the policy's own state, and more with every grant when
+//! timelines are recorded. Snapshotting every epoch therefore trades
+//! checkpoint frequency directly against throughput.
 //! A supervised run is a pure function of its base snapshot, its request
 //! sequences and its fault plan (the policies are deterministic, and the
 //! randomized ones carry their RNG in their checkpoint), so between full
@@ -281,8 +281,8 @@ mod tests {
             memory_integral: 100,
             grants_issued: 4,
             timelines: Vec::new(),
-            deltas: vec![(0, 4), (8, -4)],
             live_usage: 4,
+            peak: 4,
             releases: vec![(12, 4)],
             current_limit: None,
             fault_pos: 0,

@@ -1,15 +1,8 @@
-//! The `parapage serve` wire protocol: length-prefixed, digest-chained
-//! frames in the mould of the WAL record framing
-//! (`parapage_cache::checkpoint::frame_wal_record`), with its own magic so
-//! a wire capture can never be confused with a checkpoint log:
-//!
-//! ```text
-//! WIRE_MAGIC(4) | seq u64 | payload_len u32 | payload … | digest u64
-//! ```
-//!
-//! where `digest = digest64_seeded(chain, seq ‖ payload_len ‖ payload)` and
-//! `chain` is the previous frame's digest in the *same direction* (seeded
-//! per direction from [`C2S_CHAIN_SEED`]/[`S2C_CHAIN_SEED`]). Sequence
+//! The `parapage serve` wire protocol: the digest-chained frames of
+//! `parapage_cache::checkpoint::frame_chained`, the WAL records' codec,
+//! under their own magic [`WIRE_MAGIC`] so a wire capture can never be
+//! confused with a checkpoint log. Each direction chains its own frames
+//! from its seed ([`c2s_chain_seed`]/[`s2c_chain_seed`]), and sequence
 //! numbers start at 0 per direction and must be contiguous, so a dropped,
 //! reordered, replayed, or bit-flipped frame breaks the chain and surfaces
 //! as a typed [`CodecError`] — never a panic.
@@ -20,7 +13,10 @@
 //! (and [`MAX_FRAME`]) *before* any buffer is reserved, so a hostile
 //! length prefix cannot over-allocate.
 
-use parapage::cache::{digest64_seeded, fnv1a64, CodecError, PageId, SnapReader, SnapWriter};
+use parapage::cache::{
+    fnv1a64, frame_chained, parse_chained, ChainedFrame, CodecError, PageId, SnapReader,
+    SnapWriter, CHAINED_HEADER,
+};
 
 /// Leading magic of one wire frame (`b"ppwf"` — parallel paging wire
 /// frame; distinct from the checkpoint log's `b"ppwr"`).
@@ -43,9 +39,6 @@ pub const WIRE_MAGIC: [u8; 4] = *b"ppwf";
 /// payload is read: the server answers a v2 `Hello` with a typed
 /// `BAD_FRAME` error (a digest mismatch) and closes that connection.
 pub const PROTO_VERSION: u16 = 3;
-
-/// Bytes of a wire frame before the payload: magic, sequence, length.
-pub const WIRE_HEADER: usize = 4 + 8 + 4;
 
 /// Hard cap on a frame's declared payload length (4 MiB). Enforced before
 /// any allocation on both ends; oversized declarations are rejected as
@@ -557,50 +550,13 @@ fn get_name(r: &mut SnapReader<'_>, max: usize) -> Result<String, CodecError> {
 /// # Panics
 /// If `payload` exceeds [`MAX_FRAME`].
 pub fn frame_wire(seq: u64, chain: u64, payload: &[u8]) -> (Vec<u8>, u64) {
-    frame_in_place(seq, chain, payload.len(), |w| w.put_raw(payload))
-        .expect("frame_wire payload exceeds MAX_FRAME")
-}
-
-/// Builds one wire frame in a single buffer: the header with a zero length,
-/// then `encode` writes the payload straight behind it (`payload_hint`
-/// bytes are reserved up front), then the length is patched and the chained
-/// digest appended. Returns `(bytes, digest)` as [`frame_wire`] does, or
-/// the typed error for a payload beyond [`MAX_FRAME`].
-fn frame_in_place(
-    seq: u64,
-    chain: u64,
-    payload_hint: usize,
-    encode: impl FnOnce(&mut SnapWriter),
-) -> Result<(Vec<u8>, u64), WireError> {
-    let mut w = SnapWriter::new();
-    w.reserve(WIRE_HEADER + payload_hint + 8);
-    w.put_raw(&WIRE_MAGIC);
-    w.put_u64(seq);
-    w.put_u32(0); // payload length, patched below
-    encode(&mut w);
-    let mut out = w.into_bytes();
-    let len = out.len() - WIRE_HEADER;
-    if len > MAX_FRAME {
-        return Err(oversized());
-    }
-    out[12..WIRE_HEADER].copy_from_slice(&(len as u32).to_le_bytes());
-    let digest = digest64_seeded(chain, &out[4..]);
-    out.extend_from_slice(&digest.to_le_bytes());
-    Ok((out, digest))
-}
-
-/// One decoded wire frame: the payload slice, the chained digest (= next
-/// chain seed), and the framed bytes consumed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireFrame<'a> {
-    /// Sequence number carried in the header.
-    pub seq: u64,
-    /// The payload bytes (tag + body).
-    pub payload: &'a [u8],
-    /// Chained digest of this frame.
-    pub digest: u64,
-    /// Total framed length consumed from the buffer.
-    pub consumed: usize,
+    assert!(
+        payload.len() <= MAX_FRAME,
+        "frame_wire payload exceeds MAX_FRAME"
+    );
+    frame_chained(WIRE_MAGIC, seq, chain, payload.len(), |w| {
+        w.put_raw(payload)
+    })
 }
 
 /// Parses one wire frame off the front of `buf`, verifying magic, the
@@ -611,36 +567,15 @@ pub struct WireFrame<'a> {
 /// flipped byte — maps onto a typed [`CodecError`]. The length cap is
 /// checked *before* the length is trusted for anything, so a hostile
 /// 4 GiB declaration is rejected without reserving a byte.
-pub fn parse_wire(buf: &[u8], chain: u64, expect_seq: u64) -> Result<WireFrame<'_>, CodecError> {
-    if buf.len() < WIRE_HEADER {
-        return Err(CodecError::UnexpectedEof);
-    }
-    if buf[..4] != WIRE_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let seq = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(CodecError::Invalid("frame length exceeds MAX_FRAME"));
-    }
-    if seq != expect_seq {
-        return Err(CodecError::Invalid("frame sequence break"));
-    }
-    let total = WIRE_HEADER + len + 8;
-    if buf.len() < total {
-        return Err(CodecError::UnexpectedEof);
-    }
-    let payload = &buf[WIRE_HEADER..WIRE_HEADER + len];
-    let stored = u64::from_le_bytes(buf[total - 8..total].try_into().unwrap());
-    let computed = digest64_seeded(chain, &buf[4..total - 8]);
-    if computed != stored {
-        return Err(CodecError::DigestMismatch { computed, stored });
-    }
-    Ok(WireFrame {
-        seq,
-        payload,
-        digest: computed,
-        consumed: total,
+pub fn parse_wire(buf: &[u8], chain: u64, expect_seq: u64) -> Result<ChainedFrame<'_>, CodecError> {
+    parse_chained(buf, WIRE_MAGIC, chain, |seq, len| {
+        if len > MAX_FRAME {
+            Err(CodecError::Invalid("frame length exceeds MAX_FRAME"))
+        } else if seq != expect_seq {
+            Err(CodecError::Invalid("frame sequence break"))
+        } else {
+            Ok(())
+        }
     })
 }
 
@@ -743,13 +678,18 @@ impl WireState {
         self.write_encoded(w, len, |sw| encode_batch(sw, batch, seqs))
     }
 
+    /// Frames the payload `encode` writes behind the header and writes the
+    /// frame, refusing a payload beyond [`MAX_FRAME`].
     fn write_encoded(
         &mut self,
         w: &mut impl std::io::Write,
         payload_hint: usize,
         encode: impl FnOnce(&mut SnapWriter),
     ) -> Result<(), WireError> {
-        let (bytes, digest) = frame_in_place(self.seq, self.chain, payload_hint, encode)?;
+        let (bytes, digest) = frame_chained(WIRE_MAGIC, self.seq, self.chain, payload_hint, encode);
+        if bytes.len() - CHAINED_HEADER - 8 > MAX_FRAME {
+            return Err(oversized());
+        }
         w.write_all(&bytes)?;
         w.flush()?;
         self.seq += 1;
@@ -764,15 +704,15 @@ impl WireState {
     /// cannot force an over-allocation; a clean EOF before the first
     /// header byte is [`WireError::Closed`].
     pub fn read_frame(&mut self, r: &mut impl std::io::Read) -> Result<Frame, WireError> {
-        let mut header = [0u8; WIRE_HEADER];
+        let mut header = [0u8; CHAINED_HEADER];
         read_exact_or_closed(r, &mut header, false)?;
         let len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
             return Err(oversized());
         }
-        let mut buf = vec![0u8; WIRE_HEADER + len + 8];
-        buf[..WIRE_HEADER].copy_from_slice(&header);
-        read_exact_or_closed(r, &mut buf[WIRE_HEADER..], true)?;
+        let mut buf = vec![0u8; CHAINED_HEADER + len + 8];
+        buf[..CHAINED_HEADER].copy_from_slice(&header);
+        read_exact_or_closed(r, &mut buf[CHAINED_HEADER..], true)?;
         let wf = parse_wire(&buf, self.chain, self.seq)?;
         let frame = Frame::decode_payload(wf.payload)?;
         self.seq += 1;

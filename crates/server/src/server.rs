@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,8 +95,15 @@ impl Default for ServeOpts {
 }
 
 /// One live tenant plus its attachment bookkeeping for idle expiry.
+///
+/// Lock order: the `tenants` table, then `retired`, then a session — and
+/// no path *waits* on a session lock while it holds either table, because
+/// a batch holds its session's lock for the whole run. The session's
+/// config is copied here so a re-attaching `Hello` can be checked without
+/// one.
 struct TenantEntry {
     session: Arc<Mutex<TenantSession>>,
+    config: TenantConfig,
     /// Connections currently attached via `Hello`.
     attached: usize,
     /// When `attached` last dropped to zero (meaningful only then).
@@ -138,7 +145,6 @@ struct ServerState {
 
 impl ServerState {
     fn stats(&self) -> ServerStats {
-        let tenants = self.tenants.lock().expect("tenant table poisoned");
         let mut s = ServerStats {
             tenants: self.admitted.load(Ordering::SeqCst),
             expiries: self.expiries.load(Ordering::SeqCst),
@@ -153,23 +159,16 @@ impl ServerState {
             s.wal_records += c.wal_records;
             s.checkpoint_bytes += c.checkpoint_bytes;
         };
-        for entry in tenants.values() {
-            fold(
-                entry
-                    .session
-                    .lock()
-                    .expect("tenant session poisoned")
-                    .counters(),
-            );
-        }
-        drop(tenants);
-        for retired in self
-            .retired
-            .lock()
-            .expect("retired table poisoned")
-            .values()
-        {
-            fold(retired.counters);
+        // One consistent membership under both table locks; the sessions
+        // are locked only after the tables are released.
+        let sessions: Vec<Arc<Mutex<TenantSession>>> = {
+            let tenants = self.tenants.lock().expect("tenant table poisoned");
+            let retired = self.retired.lock().expect("retired table poisoned");
+            retired.values().for_each(|r| fold(r.counters));
+            tenants.values().map(|e| Arc::clone(&e.session)).collect()
+        };
+        for session in sessions {
+            fold(session.lock().expect("tenant session poisoned").counters());
         }
         s
     }
@@ -331,17 +330,23 @@ fn reaper_loop(state: Arc<ServerState>, ttl: Duration) {
         }
         let mut retired = state.retired.lock().expect("retired table poisoned");
         for name in expired {
-            let Some(entry) = tenants.remove(&name) else {
+            let Some(entry) = tenants.get(&name) else {
                 continue;
             };
-            let session = entry.session.lock().expect("tenant session poisoned");
-            retired.insert(
-                name,
-                RetiredTenant {
-                    blob: session.checkpoint(),
-                    counters: session.counters(),
-                },
-            );
+            let session = match entry.session.try_lock() {
+                Ok(session) => session,
+                // Someone holds the session (a `Stats` fold): not idle
+                // after all; look again next tick.
+                Err(TryLockError::WouldBlock) => continue,
+                Err(TryLockError::Poisoned(_)) => panic!("tenant session poisoned"),
+            };
+            let parked = RetiredTenant {
+                blob: session.checkpoint(),
+                counters: session.counters(),
+            };
+            drop(session);
+            tenants.remove(&name);
+            retired.insert(name, parked);
             state.expiries.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -566,25 +571,27 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
     }
     let mut tenants = state.tenants.lock().expect("tenant table poisoned");
     if let Some(entry) = tenants.get_mut(&config.tenant) {
-        let session = Arc::clone(&entry.session);
-        let guard = session.lock().expect("tenant session poisoned");
-        if *guard.config() != config {
+        if entry.config != config {
             return Err((
                 error_code::CONFIG_MISMATCH,
                 format!("tenant `{}` exists with a different config", config.tenant),
             ));
         }
-        let admitted = Admitted {
+        // Attached now, so the reaper leaves it alone; the resume
+        // coordinates wait for a running batch, but not under the table
+        // lock, so other tenants' `Hello`s do not wait with them.
+        entry.attached += 1;
+        let session = Arc::clone(&entry.session);
+        drop(tenants);
+        let guard = session.lock().expect("tenant session poisoned");
+        return Ok(Admitted {
             id: state.next_session.fetch_add(1, Ordering::SeqCst),
-            name: config.tenant.clone(),
-            session: Arc::clone(&session),
+            name: config.tenant,
             budget_left: guard.budget_left(),
             next_batch: guard.next_batch(),
             reply_chain: guard.chain(),
-        };
-        drop(guard);
-        entry.attached += 1;
-        return Ok(admitted);
+            session: Arc::clone(&session),
+        });
     }
     let opts = TenantOpts {
         epoch_ticks: state.opts.epoch_ticks,
@@ -632,25 +639,16 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
     let admitted = Admitted {
         id: state.next_session.fetch_add(1, Ordering::SeqCst),
         name: config.tenant.clone(),
+        budget_left: session.budget_left(),
+        next_batch: session.next_batch(),
+        reply_chain: session.chain(),
         session: Arc::new(Mutex::new(session)),
-        budget_left: 0,
-        next_batch: 0,
-        reply_chain: 0,
-    };
-    let (budget_left, next_batch, reply_chain) = {
-        let guard = admitted.session.lock().expect("tenant session poisoned");
-        (guard.budget_left(), guard.next_batch(), guard.chain())
-    };
-    let admitted = Admitted {
-        budget_left,
-        next_batch,
-        reply_chain,
-        ..admitted
     };
     tenants.insert(
-        config.tenant,
+        config.tenant.clone(),
         TenantEntry {
             session: Arc::clone(&admitted.session),
+            config,
             attached: 1,
             idle_since: Instant::now(),
         },
