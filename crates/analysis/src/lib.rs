@@ -16,8 +16,7 @@
 //!   demonstrate value from reallocating over time.
 //! * [`micro_opt`] — the exact optimum over round-synchronized schedules,
 //!   for micro instances (a certified upper bound on `T_OPT` there).
-//! * [`report`] — aligned ASCII tables and CSV export for the experiment
-//!   binaries.
+//! * [`report`] — aligned ASCII tables for the experiments and commands.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +37,6 @@ pub use lower_bounds::{impact_bound_estimate, opt_lower_bound, per_proc_bound};
 pub use micro_opt::micro_opt_makespan;
 pub use opt_schedule::{lemma8_makespan, Lemma8Schedule};
 pub use regression::{fit_linear, LinearFit};
-pub use report::{to_csv, Table};
+pub use report::Table;
 pub use static_opt::{static_opt_makespan, static_opt_total_time, StaticPartitionOpt};
-pub use stats::{bootstrap_ci_mean, median, quantile, summarize, Summary};
+pub use stats::{median, quantile, summarize, Summary};

@@ -1,7 +1,7 @@
 //! Least-squares line fitting.
 //!
 //! Every upper-bound theorem in the paper predicts a quantity that grows
-//! like `a + b·log₂ p`; the experiment binaries fit measured ratios against
+//! like `a + b·log₂ p`; the experiments fit measured ratios against
 //! `log₂ p` and report the slope and `R²` so the *shape* claim is checked
 //! numerically, not by eyeball.
 

@@ -1,4 +1,4 @@
-//! Aligned ASCII tables and CSV export for the experiment binaries.
+//! Aligned ASCII tables, as every experiment and command prints them.
 
 use std::fmt;
 
@@ -24,31 +24,6 @@ impl Table {
         assert_eq!(row.len(), self.headers.len(), "row/header arity mismatch");
         self.rows.push(row);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// Renders the table as CSV (headers first).
-    pub fn csv(&self) -> String {
-        to_csv(&self.headers, &self.rows)
     }
 }
 
@@ -83,32 +58,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Renders headers + rows as CSV with minimal quoting (fields containing
-/// commas or quotes are quoted, quotes doubled).
-pub fn to_csv(headers: &[String], rows: &[Vec<String>]) -> String {
-    fn field(s: &str) -> String {
-        if s.contains(',') || s.contains('"') || s.contains('\n') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    }
-    let mut out = String::new();
-    out.push_str(
-        &headers
-            .iter()
-            .map(|h| field(h))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,23 +79,5 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn rejects_misshapen_rows() {
         Table::new(["a", "b"]).row(["only-one"]);
-    }
-
-    #[test]
-    fn csv_quotes_when_needed() {
-        let csv = to_csv(
-            &["a".into(), "b".into()],
-            &[vec!["1,5".into(), "say \"hi\"".into()]],
-        );
-        assert_eq!(csv, "a,b\n\"1,5\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn table_csv_roundtrip_shape() {
-        let mut t = Table::new(["x"]);
-        t.row(["1"]).row(["2"]);
-        assert_eq!(t.csv(), "x\n1\n2\n");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
     }
 }

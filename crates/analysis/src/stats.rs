@@ -114,75 +114,3 @@ mod tests {
         quantile(&[1.0], 1.5);
     }
 }
-
-/// Nonparametric bootstrap confidence interval for the mean: resamples
-/// `xs` with replacement `iters` times and returns the
-/// `((1−conf)/2, (1+conf)/2)` quantiles of the resampled means.
-///
-/// Used for the randomized algorithms' ratio estimates, where the
-/// normal-approximation CI of [`summarize`] is dubious at small `n`.
-/// Deterministic given `seed` (xorshift64*; no external RNG dependency in
-/// this crate).
-pub fn bootstrap_ci_mean(xs: &[f64], iters: usize, seed: u64, conf: f64) -> Option<(f64, f64)> {
-    if xs.is_empty() || !(0.0..1.0).contains(&conf) {
-        return None;
-    }
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545F4914F6CDD1D)
-    };
-    let n = xs.len();
-    let mut means = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let mut acc = 0.0;
-        for _ in 0..n {
-            acc += xs[(next() % n as u64) as usize];
-        }
-        means.push(acc / n as f64);
-    }
-    let lo = quantile(&means, (1.0 - conf) / 2.0)?;
-    let hi = quantile(&means, (1.0 + conf) / 2.0)?;
-    Some((lo, hi))
-}
-
-#[cfg(test)]
-mod bootstrap_tests {
-    use super::*;
-
-    #[test]
-    fn interval_brackets_the_mean() {
-        let xs: Vec<f64> = (0..50).map(|i| 10.0 + (i % 7) as f64).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let (lo, hi) = bootstrap_ci_mean(&xs, 500, 42, 0.95).unwrap();
-        assert!(lo <= mean && mean <= hi, "({lo}, {hi}) vs {mean}");
-        assert!(hi - lo < 2.0, "interval too wide: {}", hi - lo);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let xs = [1.0, 5.0, 9.0, 2.0, 2.5];
-        assert_eq!(
-            bootstrap_ci_mean(&xs, 200, 7, 0.9),
-            bootstrap_ci_mean(&xs, 200, 7, 0.9)
-        );
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        assert!(bootstrap_ci_mean(&[], 100, 1, 0.95).is_none());
-        assert!(bootstrap_ci_mean(&[1.0], 100, 1, 1.5).is_none());
-        let (lo, hi) = bootstrap_ci_mean(&[3.0], 100, 1, 0.95).unwrap();
-        assert_eq!((lo, hi), (3.0, 3.0));
-    }
-
-    #[test]
-    fn wider_confidence_gives_wider_interval() {
-        let xs: Vec<f64> = (0..30).map(|i| (i * i % 17) as f64).collect();
-        let (l1, h1) = bootstrap_ci_mean(&xs, 800, 3, 0.5).unwrap();
-        let (l2, h2) = bootstrap_ci_mean(&xs, 800, 3, 0.99).unwrap();
-        assert!(h2 - l2 >= h1 - l1);
-    }
-}

@@ -7,14 +7,16 @@
 use std::collections::BTreeMap;
 
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli, recipes};
 
-fn main() {
-    let cli = parse_cli();
+use super::{run_policy, section, Opts, Report};
+
+const CLAIM: &str = "both overall ratios in [1/2, 2]";
+
+pub(super) fn run(o: Opts) -> Report {
     let p = 32usize;
     let k = 16 * p;
     let params = ModelParams::new(p, k, 16);
-    let len = if cli.quick { 1500 } else { 5000 };
+    let len = if o.quick { 1500 } else { 5000 };
     // Uniform lengths with varied widths so completions stagger and several
     // phases occur.
     let specs: Vec<SeqSpec> = (0..p)
@@ -23,10 +25,10 @@ fn main() {
             len: len * (1 + x % 3),
         })
         .collect();
-    let w = build_workload(&specs, cli.seed);
+    let w = build_workload(&specs, o.seed);
 
-    let mut rp = RandPar::new(&params, cli.seed);
-    let _ = recipes::run_policy(&mut rp, &w, &params);
+    let mut rp = RandPar::new(&params, o.seed);
+    let _ = run_policy(&mut rp, w.seqs(), &params);
 
     // Group chunks by r (active processors at chunk start).
     let mut by_r: BTreeMap<usize, (u128, u128, u128, u128, usize)> = BTreeMap::new();
@@ -57,10 +59,9 @@ fn main() {
             format!("{:.3}", *i2 as f64 / *i1 as f64),
         ]);
     }
-    emit(
+    let mut text = section(
         "E10: RAND-PAR chunk balance by active count r (Observation 1)",
         &table,
-        &cli,
     );
 
     let tot: (u128, u128, u128, u128) = rp.chunks().iter().fold((0, 0, 0, 0), |acc, c| {
@@ -71,11 +72,18 @@ fn main() {
             acc.3 + c.secondary_impact,
         )
     });
-    println!(
-        "overall: {} chunks, E[l2]/l1 = {:.3}, E[impact2]/impact1 = {:.3} \
-         (Observation 1 predicts Θ(1) for both)",
+    let len_ratio = tot.1 as f64 / tot.0 as f64;
+    let impact_ratio = tot.3 as f64 / tot.2 as f64;
+    text += &format!(
+        "overall: {} chunks, E[l2]/l1 = {len_ratio:.3}, E[impact2]/impact1 = {impact_ratio:.3} \
+         (Observation 1 predicts Θ(1) for both)\n",
         rp.chunks().len(),
-        tot.1 as f64 / tot.0 as f64,
-        tot.3 as f64 / tot.2 as f64
     );
+
+    // Today: 1.355 and 1.497 full, 1.021 and 1.023 quick (1.34x slack).
+    let within = |r: f64| (0.5..=2.0).contains(&r);
+    let measured = format!("l2/l1 {len_ratio:.3}, impact {impact_ratio:.3}");
+    Report::new(text, CLAIM, measured)
+        .check(within(len_ratio), "l2/l1 outside [1/2, 2]")
+        .check(within(impact_ratio), "impact outside [1/2, 2]")
 }

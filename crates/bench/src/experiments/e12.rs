@@ -5,14 +5,16 @@
 //! LRU deduplicates them — quantifying the gap the open problem is about.
 
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli};
 
-fn main() {
-    let cli = parse_cli();
-    let p = if cli.quick { 8 } else { 16 };
+use super::{run_policy, section, Opts, Report};
+
+const CLAIM: &str = "DET-PAR makespan grows with sharing";
+
+pub(super) fn run(o: Opts) -> Report {
+    let p = if o.quick { 8 } else { 16 };
     let k = 16 * p;
     let s = 16u64;
-    let len = if cli.quick { 3000 } else { 8000 };
+    let len = if o.quick { 3000 } else { 8000 };
     let params = ModelParams::new(p, k, s);
 
     // Sweep the sharing intensity: share_every = ∞ (disjoint) … 2 (half the
@@ -25,6 +27,7 @@ fn main() {
         "SHARED-LRU",
         "DET/SHARED",
     ]);
+    let mut det = Vec::new();
     for &(every, label) in &[
         (usize::MAX, "never"),
         (8usize, "1/8"),
@@ -37,7 +40,7 @@ fn main() {
             // Disjoint control with the same request volume.
             (0..p)
                 .map(|x| {
-                    let mut b = SeqBuilder::new(ProcId(x as u32), cli.seed);
+                    let mut b = SeqBuilder::new(ProcId(x as u32), o.seed);
                     b.cyclic(private_width, len);
                     b.build()
                 })
@@ -46,15 +49,11 @@ fn main() {
             shared_hotset_workload(p, private_width, shared_width, every, len)
         };
 
-        let opts = EngineOpts::default();
-        let mut det = DetPar::new(&params);
-        let det_ms = run_engine(&mut det, &seqs, &params, &opts)
-            .unwrap()
-            .makespan;
-        let mut st = StaticPartition::new(&params);
-        let st_ms = run_engine(&mut st, &seqs, &params, &opts).unwrap().makespan;
+        let det_ms = run_policy(&mut DetPar::new(&params), &seqs, &params).makespan;
+        let st_ms = run_policy(&mut StaticPartition::new(&params), &seqs, &params).makespan;
         let sh_ms = run_shared_lru(&seqs, k, s).makespan;
 
+        det.push(det_ms);
         table.row([
             label.to_string(),
             shared_width.to_string(),
@@ -64,17 +63,18 @@ fn main() {
             format!("{:.2}", det_ms as f64 / sh_ms as f64),
         ]);
     }
-    emit(
+    let mut text = section(
         "E12: page sharing (paper §5 future work) — partitioning replicates, \
          a shared cache deduplicates",
         &table,
-        &cli,
     );
-    println!(
-        "Sharing hurts every policy: partitioning replicates the hot set in\n\
-         every partition (DET-PAR's makespan grows several-fold), while the\n\
-         shared cache deduplicates it but loses isolation on the private\n\
-         sets. Neither dominates across the sweep — which is exactly why the\n\
-         paper's conclusion calls paging with shared pages an open problem."
-    );
+    text += "Sharing hurts every policy: partitioning replicates the hot set in\n\
+             every partition (DET-PAR's makespan grows several-fold), while the\n\
+             shared cache deduplicates it but loses isolation on the private\n\
+             sets. Neither dominates across the sweep — which is exactly why the\n\
+             paper's conclusion calls paging with shared pages an open problem.\n";
+
+    let grows = det.windows(2).all(|w| w[1] > w[0]);
+    let measured = format!("DET-PAR {det:?}");
+    Report::new(text, CLAIM, measured).check(grows, "makespan does not grow")
 }

@@ -11,14 +11,16 @@
 
 use parapage::analysis::micro_opt_makespan;
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli};
 use rayon::prelude::*;
 
-fn main() {
-    let cli = parse_cli();
+use super::{run_policy, section, Opts, Report};
+
+const CLAIM: &str = "LB ≤ T_OPT UB on every instance";
+
+pub(super) fn run(o: Opts) -> Report {
     let s = 10u64;
     let k = 8usize;
-    let len = if cli.quick { 60 } else { 120 };
+    let len = if o.quick { 60 } else { 120 };
 
     let instances: Vec<(&str, Vec<SeqSpec>)> = vec![
         (
@@ -70,22 +72,20 @@ fn main() {
     ]);
     // The exhaustive micro-OPT search dominates each instance, and the
     // instances are independent — fan them out; rows land in slot order.
-    let rows: Vec<[String; 6]> = instances
+    let rows: Vec<([String; 6], bool)> = instances
         .par_iter()
         .map(|(name, specs)| {
-            let w = build_workload(specs, cli.seed);
+            let w = build_workload(specs, o.seed);
             let params = ModelParams::new(specs.len(), k, s);
             let lb = per_proc_bound(w.seqs(), k, s);
             let ub = micro_opt_makespan(w.seqs(), k, s);
             let mut det = DetPar::new(&params);
-            let det_ms = run_engine(&mut det, w.seqs(), &params, &EngineOpts::default())
-                .unwrap()
-                .makespan;
+            let det_ms = run_policy(&mut det, w.seqs(), &params).makespan;
             // Every feasible schedule upper-bounds T_OPT — including
             // DET-PAR's own run, so the certified interval is
             // [LB, min(micro, DET)].
             let tight_ub = ub.min(det_ms);
-            [
+            let row = [
                 name.to_string(),
                 lb.to_string(),
                 tight_ub.to_string(),
@@ -96,23 +96,25 @@ fn main() {
                     det_ms as f64 / tight_ub as f64,
                     det_ms as f64 / lb.max(1) as f64
                 ),
-            ]
+            ];
+            (row, lb <= tight_ub)
         })
         .collect();
-    for row in rows {
+    let mut crossed = 0;
+    for (row, sandwiched) in rows {
+        crossed += usize::from(!sandwiched);
         table.row(row);
     }
-    emit(
+    let mut text = section(
         "E16: certified T_OPT sandwich on micro instances (p=2-3, k=8)",
         &table,
-        &cli,
     );
-    println!(
-        "T_OPT is certified inside [LB, UB] (UB = min(micro-OPT, DET-PAR's\n\
-         own feasible run)), so the last column brackets DET-PAR's *true*\n\
-         competitive ratio with no estimation. Per the paper's framework,\n\
-         DET-PAR runs with O(1) resource augmentation while OPT does not.\n\
-         At p=2 DET-PAR matches the lower bound exactly; contention appears\n\
-         from p=3."
-    );
+    text += "T_OPT is certified inside [LB, UB] (UB = min(micro-OPT, DET-PAR's\n\
+             own feasible run)), so the last column brackets DET-PAR's *true*\n\
+             competitive ratio with no estimation. Per the paper's framework,\n\
+             DET-PAR runs with O(1) resource augmentation while OPT does not.\n\
+             At p=2 DET-PAR matches the lower bound exactly; contention appears\n\
+             from p=3.\n";
+    let measured = format!("{crossed} crossed");
+    Report::new(text, CLAIM, measured).check(crossed == 0, "an LB above its UB")
 }

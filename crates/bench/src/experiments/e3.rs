@@ -6,17 +6,19 @@
 
 use parapage::prelude::*;
 use parapage::workloads::family;
-use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
-fn main() {
-    let cli = parse_cli();
-    let ps: &[usize] = if cli.quick {
+use super::{fit_line, least, run_policy, section, Opts, Report};
+
+const CLAIM: &str = "1 ≤ RAND-PAR/LB ≤ 4·log2 p";
+
+pub(super) fn run(o: Opts) -> Report {
+    let ps: &[usize] = if o.quick {
         &[4, 8, 16]
     } else {
         &[4, 8, 16, 32, 64]
     };
-    let seeds: u64 = if cli.quick { 3 } else { 8 };
+    let seeds: u64 = if o.quick { 3 } else { 8 };
 
     let rows: Vec<(usize, u64, f64, f64)> = ps
         .par_iter()
@@ -24,13 +26,13 @@ fn main() {
             let k = 16 * p;
             let params = ModelParams::new(p, k, 16);
             let len = 3000;
-            let w = build_workload(&family::mixed(p, k, len), cli.seed);
+            let w = build_workload(&family::mixed(p, k, len), o.seed);
             let lb = opt_lower_bound(w.seqs(), k, params.s);
             let ratios: Vec<f64> = (0..seeds)
                 .into_par_iter()
                 .map(|seed| {
-                    let mut rp = RandPar::new(&params, cli.seed ^ seed);
-                    let ms = recipes::run_policy(&mut rp, &w, &params).makespan;
+                    let mut rp = RandPar::new(&params, o.seed ^ seed);
+                    let ms = run_policy(&mut rp, w.seqs(), &params).makespan;
                     ms as f64 / lb as f64
                 })
                 .collect();
@@ -51,15 +53,16 @@ fn main() {
             format!("{ci:.3}"),
         ]);
     }
-    emit(
-        "E3: RAND-PAR makespan ratio vs log p (Theorem 2)",
-        &table,
-        &cli,
-    );
-    if let Some(fit) = fit_linear(&points) {
-        println!(
-            "fit: ratio = {:.3} + {:.3}·log2(p)   (R² = {:.3})",
-            fit.intercept, fit.slope, fit.r2
-        );
+    let mut text = section("E3: RAND-PAR makespan ratio vs log p (Theorem 2)", &table);
+    if let Some(f) = fit_linear(&points) {
+        text += &fit_line("fit", &f);
     }
+
+    let min = least(points.iter().map(|pt| pt.1));
+    let per_log = points.iter().map(|pt| pt.1 / pt.0).fold(0.0, f64::max);
+    // ratio/log2 p today: at most 2.52 full, 2.87 quick (1.39x slack).
+    let measured = format!("min {min:.3}, max/log2 p {per_log:.3}");
+    Report::new(text, CLAIM, measured)
+        .check(min >= 1.0, "RAND-PAR/LB below 1")
+        .check(per_log <= 4.0, "RAND-PAR/LB above 4·log2 p")
 }

@@ -9,12 +9,14 @@
 use parapage::core::policy;
 use parapage::prelude::*;
 use parapage::workloads::family;
-use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
-fn main() {
-    let cli = parse_cli();
-    let ps: &[usize] = if cli.quick { &[4, 8] } else { &[4, 8, 16, 32] };
+use super::{fit_line, least, run_policy, section, Opts, Report};
+
+const CLAIM: &str = "every ratio ≥ 1, DET-PAR slope ≤ 2";
+
+pub(super) fn run(o: Opts) -> Report {
+    let ps: &[usize] = if o.quick { &[4, 8] } else { &[4, 8, 16, 32] };
 
     let rows: Vec<(usize, f64, Vec<f64>)> = ps
         .par_iter()
@@ -22,7 +24,7 @@ fn main() {
             let k = 16 * p;
             let params = ModelParams::new(p, k, 16);
             let len = 3000;
-            let w = build_workload(&family::mixed(p, k, len), cli.seed);
+            let w = build_workload(&family::mixed(p, k, len), o.seed);
             let mean_floor: f64 = w
                 .seqs()
                 .iter()
@@ -33,8 +35,9 @@ fn main() {
             let mut ratios: Vec<f64> = ["det-par", "rand-par", "static", "prop-miss"]
                 .iter()
                 .map(|name| {
-                    let mut alloc = policy::build(name, &params, cli.seed, false).unwrap();
-                    recipes::run_policy(&mut *alloc, &w, &params).mean_completion() / mean_floor
+                    let mut alloc =
+                        policy::build(name, &params, o.seed, false).expect("an engine policy");
+                    run_policy(&mut *alloc, w.seqs(), &params).mean_completion() / mean_floor
                 })
                 .collect();
             ratios.push(run_shared_lru(w.seqs(), k, params.s).mean_completion() / mean_floor);
@@ -64,15 +67,20 @@ fn main() {
             format!("{:.2}", ratios[4]),
         ]);
     }
-    emit(
+    let mut text = section(
         "E6: mean completion time / mean floor (Corollary 3)",
         &table,
-        &cli,
     );
-    if let Some(fit) = fit_linear(&det_points) {
-        println!(
-            "DET-PAR fit: ratio = {:.3} + {:.3}·log2(p)   (R² = {:.3})",
-            fit.intercept, fit.slope, fit.r2
-        );
+    let fit = fit_linear(&det_points);
+    if let Some(f) = &fit {
+        text += &fit_line("DET-PAR fit", f);
     }
+
+    let slope = fit.map_or(f64::NAN, |f| f.slope);
+    let min = least(rows.iter().flat_map(|r| r.2.iter().copied()));
+    // Slope today: 0.956 full, 0.897 quick (2.1x slack).
+    let measured = format!("min {min:.3}, slope {slope:.3}");
+    Report::new(text, CLAIM, measured)
+        .check(min >= 1.0, "a ratio below the floor")
+        .check(slope <= 2.0, "DET-PAR fit slope above 2")
 }

@@ -10,12 +10,14 @@
 
 use parapage::core::policy;
 use parapage::prelude::*;
-use parapage_bench::{emit, parse_cli};
 use rayon::prelude::*;
 
-fn main() {
-    let cli = parse_cli();
-    let pks: &[(usize, usize)] = if cli.quick {
+use super::{least, run_policy, section, Opts, Report};
+
+const CLAIM: &str = "online/OPT ≥ 1, growing with p";
+
+pub(super) fn run(o: Opts) -> Report {
+    let pks: &[(usize, usize)] = if o.quick {
         &[(8, 32), (16, 64)]
     } else {
         &[(8, 32), (16, 64), (32, 128), (64, 256), (128, 512)]
@@ -30,15 +32,13 @@ fn main() {
             let inst = AdversarialInstance::build(cfg);
             let params = cfg.params();
             let seqs = inst.workload.seqs();
-            let opts = EngineOpts::default();
 
             let sched = lemma8_makespan(&inst);
 
             let makespan = |name| {
-                let mut alloc = policy::build(name, &params, cli.seed, false).unwrap();
-                run_engine(&mut *alloc, seqs, &params, &opts)
-                    .unwrap()
-                    .makespan
+                let mut alloc =
+                    policy::build(name, &params, o.seed, false).expect("an engine policy");
+                run_policy(&mut *alloc, seqs, &params).makespan
             };
             let (det_ms, rnd_ms, bb_ms) = (
                 makespan("det-par"),
@@ -68,28 +68,38 @@ fn main() {
         "RAND/OPT",
         "logp/loglogp",
     ]);
+    let mut columns = [Vec::new(), Vec::new(), Vec::new()];
     for &(p, pre, suf, opt, bb, det, rnd) in &rows {
         let lg = (p as f64).log2();
         let theory = lg / lg.log2().max(1.0);
+        let ratios = [bb, det, rnd].map(|ms| ms as f64 / opt as f64);
+        for (col, r) in columns.iter_mut().zip(ratios) {
+            col.push(r);
+        }
         table.row([
             p.to_string(),
             pre.to_string(),
             suf.to_string(),
             opt.to_string(),
-            format!("{:.3}", bb as f64 / opt as f64),
-            format!("{:.3}", det as f64 / opt as f64),
-            format!("{:.3}", rnd as f64 / opt as f64),
+            format!("{:.3}", ratios[0]),
+            format!("{:.3}", ratios[1]),
+            format!("{:.3}", ratios[2]),
             format!("{theory:.2}"),
         ]);
     }
-    emit(
+    let mut text = section(
         "E7: adversarial instances — green-ness forces growing ratios (Theorem 4)",
         &table,
-        &cli,
     );
-    println!(
-        "All online columns must be ≥ 1 and grow with p; Corollaries 1-2 put\n\
-         DET-PAR/RAND-PAR in the theorem's scope too — their O(log p) upper\n\
-         bound caps how fast the growth can be."
-    );
+    text += "All online columns must be ≥ 1 and grow with p; Corollaries 1-2 put\n\
+             DET-PAR/RAND-PAR in the theorem's scope too — their O(log p) upper\n\
+             bound caps how fast the growth can be.\n";
+
+    let min = least(columns.iter().flatten().copied());
+    let grows = |c: &Vec<f64>| c.windows(2).all(|w| w[1] >= w[0]) && c[c.len() - 1] > c[0];
+    let growing = columns.iter().filter(|c| grows(c)).count();
+    let measured = format!("min {min:.3}, {growing}/3 grow");
+    Report::new(text, CLAIM, measured)
+        .check(min >= 1.0, "an online ratio below 1")
+        .check(growing == 3, "a column does not grow with p")
 }

@@ -6,15 +6,17 @@
 use parapage::core::policy;
 use parapage::prelude::*;
 use parapage::workloads::family;
-use parapage_bench::{emit, parse_cli, recipes};
 use rayon::prelude::*;
 
-fn main() {
-    let cli = parse_cli();
-    let p = if cli.quick { 8 } else { 16 };
+use super::{run_policy, section, Opts, Report};
+
+const CLAIM: &str = "every makespan ≥ the certified LB";
+
+pub(super) fn run(o: Opts) -> Report {
+    let p = if o.quick { 8 } else { 16 };
     let k = 16 * p;
     let s = 16u64;
-    let len = if cli.quick { 2000 } else { 6000 };
+    let len = if o.quick { 2000 } else { 6000 };
     let params = ModelParams::new(p, k, s);
 
     let families: Vec<(&str, Vec<SeqSpec>)> = vec![
@@ -35,8 +37,9 @@ fn main() {
         ),
     ];
 
+    let (mut text, mut below_lb) = (String::new(), 0);
     for (fam, specs) in families {
-        let w = build_workload(&specs, cli.seed);
+        let w = build_workload(&specs, o.seed);
         let lb = opt_lower_bound(w.seqs(), k, s);
 
         let names = [
@@ -49,16 +52,15 @@ fn main() {
         ];
         let results: Vec<RunResult> = names
             .par_iter()
-            .map(
-                |&name| match policy::build(name, &params, cli.seed, false) {
-                    Some(mut alloc) => recipes::run_policy(&mut *alloc, &w, &params),
-                    None => run_shared_lru(w.seqs(), k, s),
-                },
-            )
+            .map(|&name| match policy::build(name, &params, o.seed, false) {
+                Some(mut alloc) => run_policy(&mut *alloc, w.seqs(), &params),
+                None => run_shared_lru(w.seqs(), k, s),
+            })
             .collect();
 
         let mut table = Table::new(["policy", "makespan", "vs LB", "mean compl", "miss %"]);
         for (name, r) in names.iter().zip(&results) {
+            below_lb += usize::from(r.makespan < lb);
             table.row([
                 name.to_ascii_uppercase(),
                 r.makespan.to_string(),
@@ -67,10 +69,9 @@ fn main() {
                 format!("{:.1}", 100.0 * r.stats.miss_ratio()),
             ]);
         }
-        emit(
-            &format!("E8: workload `{fam}` (p={p}, k={k}, LB={lb})"),
-            &table,
-            &cli,
-        );
+        let title = format!("E8: workload `{fam}` (p={p}, k={k}, LB={lb})");
+        text += &section(&title, &table);
     }
+    let measured = format!("{below_lb} below LB");
+    Report::new(text, CLAIM, measured).check(below_lb == 0, "a makespan below the LB")
 }

@@ -916,7 +916,7 @@ fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
 fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
     let params = ModelParams::new(16, 128, 16);
     let heights = params.box_heights();
-    let mut seq = crate::recipes::green_sequence(params.k, seed);
+    let mut seq = crate::experiments::green_sequence(params.k, seed);
     if quick {
         seq.truncate(1_000);
     }

@@ -21,9 +21,6 @@
 //!   count for **every** cache capacity at once (the classic Mattson et al.
 //!   1970 technique), run by one reusable [`StackDistanceKernel`]; the
 //!   [`fenwick`] tree substrate backs the green-OPT DP built on it.
-//! * [`sampling`] — SHARDS-style spatially-hashed sampled stack distances,
-//!   approximating the miss curve at a fraction of the cost for long
-//!   traces.
 //! * [`ShardedLru`] — the tenant's sharded LRU: `n` per-shard recency
 //!   lists, routed by page hash, over one node arena and one page index
 //!   shared with [`LruCache`]'s code.
@@ -54,7 +51,6 @@ pub mod lru;
 pub mod mattson;
 pub mod policy;
 mod recency;
-pub mod sampling;
 pub mod sharded_lru;
 pub mod stats;
 pub mod testshim;
@@ -79,7 +75,6 @@ pub use lirs::LirsCache;
 pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
-pub use sampling::{sampled_miss_curve, SampledCurve};
 pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS};
 pub use stats::CacheStats;
 pub use testshim::MapLru;

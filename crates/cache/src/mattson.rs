@@ -52,9 +52,8 @@ const MAX_TIMES: usize = 1 << 31;
 ///   in a closed word, and once per 64 accesses when a word closes.
 ///
 /// Every miss curve in the workspace comes out of this one pass:
-/// [`stack_distances`] and [`miss_curve`] wrap it, the SHARDS sampler
-/// feeds it a filtered stream, and a UCP repartition runs every
-/// processor's pass on one kernel.
+/// [`stack_distances`] and [`miss_curve`] wrap it, and a UCP repartition
+/// runs every processor's pass on one kernel.
 #[derive(Clone, Debug, Default)]
 pub struct StackDistanceKernel {
     /// Open-addressing page index; its length is zero or a power of two.

@@ -8,6 +8,7 @@ pub mod chaos;
 pub mod compare;
 pub mod conform;
 pub mod drive;
+pub mod experiments;
 pub mod faults;
 pub mod gen;
 pub mod green;
@@ -73,6 +74,12 @@ COMMANDS:
                  plus idle-expiry (checkpointed tenant state restored on
                  re-attach) and load-shedding (typed Busy) cells:
                  [--quick] [--seed N] [--cells SUBSTR[,SUBSTR..]]
+  experiments  the experiment index E1-E16 (DESIGN.md §5) as one verdict
+                 matrix: each cell prints its table and checks the shape
+                 its paper claim predicts on those numbers:
+                 [--quick] [--seed N] [--cells SUBSTR[,SUBSTR..]]
+                 [--out DIR] (writes DIR/eN.txt instead of printing)
+                 (exits non-zero when a claim fails)
   profile      visualize green box profiles (OPT vs RAND-GREEN):
                  --p N --k N [--seed N] [--width N]
   analyze      miss-ratio curves of a trace file: --trace FILE [--max-cap N]

@@ -5,6 +5,7 @@
 //! parapage compare     --p 8 --k 128 --workload skewed
 //! parapage adversarial --p 32 --k 128 [--alpha 0.05]
 //! parapage bench       [--quick] [--threads N] [--out BENCH_5.json]
+//! parapage experiments [--cells e4] [--quick] [--out experiment_logs]
 //! parapage faults      --policy det-par --p 8 --k 128 --workload mixed
 //! parapage green       --p 8 --k 64 --workload mixed [--seeds 8]
 //! parapage analyze     --trace FILE [--max-cap 256]
@@ -42,6 +43,7 @@ fn main() -> ExitCode {
         "bench" => commands::bench::exec(&parsed),
         "chaos" => commands::chaos::exec(&parsed),
         "conform" => commands::conform::exec(&parsed),
+        "experiments" => commands::experiments::exec(&parsed),
         "faults" => commands::faults::exec(&parsed),
         "green" => commands::green::exec(&parsed),
         "profile" => commands::profile::exec(&parsed),

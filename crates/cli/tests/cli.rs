@@ -201,6 +201,42 @@ fn chaos_rejects_a_filter_matching_nothing() {
     }
 }
 
+#[test]
+fn experiments_rejects_a_filter_matching_nothing() {
+    let (ok, stdout, stderr) = parapage(&["experiments", "--quick", "--cells", "nope"]);
+    assert!(!ok, "an empty selection passed");
+    assert!(stderr.contains("matched no cells (16 skipped)"), "{stderr}");
+    assert_eq!(stdout, "");
+}
+
+/// `--out DIR` writes one `eN.txt` per kept cell; an unknown flag (the
+/// dropped `--csv` among them) is refused before `DIR` is made or any
+/// cell runs.
+#[test]
+fn experiments_writes_kept_cells_and_refuses_unknown_flags_first() {
+    let dir = std::env::temp_dir().join(format!("parapage_experiments_{}", std::process::id()));
+    let out = dir.to_str().unwrap();
+    let (ok, stdout, stderr) = parapage(&["experiments", "--quick", "--out", out, "--csv"]);
+    assert!(!ok && stderr.contains("unknown flag --csv"), "{stderr}");
+    assert_eq!(stdout, "");
+    assert!(
+        !dir.exists(),
+        "--out was created before the flags were checked"
+    );
+
+    let (ok, stdout, stderr) =
+        parapage(&["experiments", "--quick", "--cells", "e15", "--out", out]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("1 cells hold their claims (15 filtered out by --cells)"));
+    let text = std::fs::read_to_string(dir.join("e15.txt")).unwrap();
+    assert!(
+        text.starts_with("== E15: the fixed-rate (interleaved) model"),
+        "{text}"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Unknown flags, and flags the chosen mode ignores, are rejected before
 /// the command does any work.
 #[test]

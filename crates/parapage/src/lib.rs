@@ -69,9 +69,9 @@ pub mod prelude {
         quantile, sparkline, summarize, Table,
     };
     pub use parapage_cache::{
-        min_misses, miss_curve, run_box, run_window, sampled_miss_curve, Access, ArcCache, Cache,
-        ClockCache, FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache,
-        ShardedLru, Time, TwoQueueCache,
+        min_misses, miss_curve, run_box, run_window, Access, ArcCache, Cache, ClockCache,
+        FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache, ShardedLru, Time,
+        TwoQueueCache,
     };
     pub use parapage_conform::{
         check_concurrent_cache, check_corruption_rejection, check_resume, check_sharded_ledgers,

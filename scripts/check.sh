@@ -23,6 +23,9 @@ cargo run -q -p parapage-cli --release -- conform --quick
 echo "==> parapage conform --concurrent --quick (ShardedCache<LruCache> schedule exploration + sabotage self-check)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
+echo "==> parapage experiments --quick (the E1-E16 tables and their claim verdicts)"
+cargo run -q -p parapage-cli --release -- experiments --quick
+
 echo "==> parapage chaos --quick (crash-recovery + WAL corruption matrices)"
 cargo run -q -p parapage-cli --release -- chaos --quick
 

@@ -1,7 +1,7 @@
 //! Empirical validation of the competitive-ratio theorems: measured ratios
 //! must stay within generous multiples of the predicted `O(log p)` shapes.
 //! These are *shape* tests — constants are loose by design so the suite is
-//! robust, while the experiment binaries report the precise curves.
+//! robust, while `parapage experiments` reports the precise curves.
 
 use parapage::prelude::*;
 
