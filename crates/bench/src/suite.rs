@@ -22,7 +22,7 @@
 //! | `sweep/conform-matrix`| conform's policy × scenario invariant grid |
 //! | `sweep/envelope`      | Theorem-4 competitive-ratio guardrails     |
 //! | `checkpoint/full-snapshot` | per-epoch full-snapshot encoding cost |
-//! | `checkpoint/wal-delta`| per-epoch WAL record (tick + digest)       |
+//! | `checkpoint/wal-delta`| per-epoch WAL record (tick + O(1) digest)  |
 //! | `server/wire-codec`   | serve protocol frame encode/verify/decode  |
 //! | `concurrent/sharded-access` | pool workers on one shared sharded LRU |
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
@@ -611,14 +611,18 @@ pub fn checkpoint_cost(quick: bool, seed: u64, wal: bool) -> EntryOut {
 }
 
 /// Entry 6: per-epoch full-snapshot encoding cost (the pre-WAL supervisor
-/// cadence). A snapshot is O(p·k + policy) bytes, so `bytes` tracks the
-/// caches and the policy state, not the run length.
+/// cadence; the supervisor now writes a base only once the ticks since the
+/// last one reach its size in bytes, or at a migration). A snapshot is
+/// O(p·k + policy) bytes, so `bytes` tracks the caches and the policy
+/// state, not the run length.
 fn entry_ckpt_full(quick: bool, seed: u64) -> EntryOut {
     checkpoint_cost(quick, seed, false)
 }
 
 /// Entry 7: per-epoch WAL record cost — must stay well below
-/// `checkpoint/full-snapshot`.
+/// `checkpoint/full-snapshot`. The mark is O(1) whatever `p`: a digest of
+/// 13 progress words, one of them a running hash of every processor's
+/// cursor and completion.
 fn entry_ckpt_wal(quick: bool, seed: u64) -> EntryOut {
     checkpoint_cost(quick, seed, true)
 }

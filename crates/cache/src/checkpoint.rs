@@ -167,6 +167,19 @@ pub fn digest64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     d.finish()
 }
 
+thread_local! {
+    /// Bytes this thread has digested, for [`digested_bytes`].
+    static DIGESTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes this thread has run through [`digest64_seeded`] and
+/// [`WordDigest`] so far: a work meter. Every snapshot, WAL record and
+/// progress mark is digested once, so tests count what a checkpointing
+/// path encodes by differencing it around a run.
+pub fn digested_bytes() -> u64 {
+    DIGESTED.with(std::cell::Cell::get)
+}
+
 /// Streaming form of [`digest64_seeded`] over 8-byte words, for callers
 /// whose bytes are a sequence of `u64`s they hold as integers (the
 /// workload fingerprint feeds its `PageId`s straight in). Writing words
@@ -273,6 +286,7 @@ impl WordDigest {
 
     /// The digest of everything written.
     pub fn finish(self) -> u64 {
+        DIGESTED.with(|n| n.set(n.get() + self.len));
         let mut lanes = self.lanes;
         for (lane, &w) in lanes.iter_mut().zip(&self.pending[..self.npending]) {
             *lane = absorb(*lane, w);

@@ -61,10 +61,10 @@ pub mod window;
 pub use arc::ArcCache;
 pub use belady::{min_misses, BeladyCache};
 pub use checkpoint::{
-    decode_framed, digest64, digest64_seeded, fnv1a64, fnv1a64_seeded, frame_chained,
-    frame_wal_record, parse_chained, parse_wal_record, ChainedFrame, Checkpoint, CodecError,
-    SnapReader, SnapWriter, WalRecordStep, WordDigest, CHAINED_HEADER, DIGEST_BASIS, SNAP_MAGIC,
-    SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
+    decode_framed, digest64, digest64_seeded, digested_bytes, fnv1a64, fnv1a64_seeded,
+    frame_chained, frame_wal_record, parse_chained, parse_wal_record, ChainedFrame, Checkpoint,
+    CodecError, SnapReader, SnapWriter, WalRecordStep, WordDigest, CHAINED_HEADER, DIGEST_BASIS,
+    SNAP_MAGIC, SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
 };
 pub use clock::ClockCache;
 pub use concurrent::ShardedCache;

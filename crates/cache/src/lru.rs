@@ -5,17 +5,18 @@
 //! LRU is the replacement policy the paper fixes (WLOG, its §2) inside every
 //! memory box, so this structure is the innermost loop of the whole
 //! workspace. A hit is one index probe and a splice of at most three
-//! 16-byte nodes; nothing allocates once the arena has warmed up, because
-//! evicted slots are recycled through a free list.
+//! 24-byte nodes; a miss at capacity reuses the evicted node in place, and
+//! nothing allocates once the arena has warmed up.
 //!
-//! **Honest sizing.** The index is kept at most ¼ full: short probe runs
-//! are what make a miss cheap, and most served requests under RAND-PAR and
-//! UCP are misses. [`LruCache::new`] pre-sizes it for `capacity` residents
-//! up to [`PRESIZE_LIMIT`]; beyond that, and in a cache built small and
-//! resized up (every engine's caches start at capacity 0), it doubles as
-//! residents actually arrive — never on `resize` — so a `k > 1M` cache is
-//! never silently under-provisioned and a huge `k` with few residents
-//! costs a small index. A checkpoint load sizes the index once for the
+//! **Honest sizing.** The index is kept at most ⅛ full (`u16` entries up
+//! to 65 535 nodes, then ¼ full in `u32` entries, the same 16 bytes per
+//! node): short probe runs are what make a miss cheap, and most served
+//! requests under RAND-PAR and UCP are misses. [`LruCache::new`] pre-sizes
+//! it for `capacity` residents up to [`PRESIZE_LIMIT`]; beyond that, and
+//! in a cache built small and resized up (every engine's caches start at
+//! capacity 0), it doubles as residents actually arrive — never on
+//! `resize` — so a `k > 1M` cache is never silently under-provisioned and
+//! a huge `k` with few residents costs a small index. A checkpoint load sizes the index once for the
 //! resident count it restores.
 
 use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
@@ -25,7 +26,7 @@ use crate::types::{PageId, Time};
 
 /// Largest capacity the index is eagerly pre-sized for; larger caches start
 /// here and grow on demand. At the ¼ load ceiling its index is 2^23 `u32`
-/// words (32 MiB) beside a 32 MiB node reservation — pre-allocating
+/// entries (32 MiB) beside a 48 MiB node reservation — pre-allocating
 /// proportionally for a pathological `capacity` in the billions would be
 /// worse than the amortized doubling it avoids.
 pub const PRESIZE_LIMIT: usize = 1 << 21;
@@ -80,14 +81,8 @@ impl LruCache {
     }
 
     /// The miss path of `access`, shared with `access_if_fits`.
-    fn admit_with_eviction(&mut self, page: PageId) -> Access {
-        if self.list.capacity == 0 {
-            return Access::Miss;
-        }
-        if self.list.len >= self.list.capacity {
-            self.arena.pop_lru(&mut self.list);
-        }
-        self.arena.admit(&mut self.list, page);
+    fn miss(&mut self, page: PageId) -> Access {
+        self.arena.admit(&mut self.list, 0, page);
         Access::Miss
     }
 }
@@ -98,28 +93,30 @@ impl Cache for LruCache {
             self.arena.touch(&mut self.list, slot);
             return Access::Hit;
         }
-        self.admit_with_eviction(page)
+        self.miss(page)
     }
 
     /// Single-probe fused peek-and-access: one index probe decides both
     /// whether the request fits the remaining budget and, if so, serves it.
+    /// A zero budget fits only a free miss, so it is decided before
+    /// probing unless the miss is free.
     fn access_if_fits(
         &mut self,
         page: PageId,
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
+        if remaining == 0 {
+            return (miss_penalty == 0 && !self.contains(page)).then(|| self.miss(page));
+        }
         if let Some(slot) = self.arena.slot(page) {
-            if remaining == 0 {
-                return None;
-            }
             self.arena.touch(&mut self.list, slot);
             return Some(Access::Hit);
         }
         if miss_penalty > remaining {
             return None;
         }
-        Some(self.admit_with_eviction(page))
+        Some(self.miss(page))
     }
 
     fn contains(&self, page: PageId) -> bool {

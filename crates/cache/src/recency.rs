@@ -3,24 +3,35 @@
 //! page index over it, and intrusive recency lists threaded through the
 //! nodes.
 //!
-//! * **Packed nodes.** Every resident page is one 16-byte `Node` in a
-//!   contiguous `Vec` (`page: u64, prev: u32, next: u32`); recency order is
-//!   an intrusive list threaded through `u32` slot indices, so a hit's
-//!   splice touches at most three nodes and never allocates. Evicted slots
-//!   are recycled through a free list.
+//! * **Packed nodes.** Every resident page is one 24-byte `Node` in a
+//!   contiguous `Vec` (`page: u64, prev: u32, next: u32, pos: u32, tag:
+//!   u8`); recency order is an intrusive list threaded through `u32` slot
+//!   indices, so a hit's splice touches at most three nodes and never
+//!   allocates. `tag` names the node's list (a [`ShardedLru`]'s shard) and
+//!   `pos` its index entry, so neither a hit nor an eviction looks either
+//!   up elsewhere. Evicted slots are recycled through a free list.
 //! * **Open-addressing index.** page → slot lookups go through a
-//!   power-of-two linear-probing table of `slot + 1` words (0 = empty) with
-//!   Fibonacci hashing and backward-shift deletion — no `HashMap`, no
+//!   power-of-two linear-probing table of `slot + 1` entries (0 = empty)
+//!   with Fibonacci hashing and backward-shift deletion — no `HashMap`, no
 //!   SipHash, no per-entry boxes, no tombstone buildup.
-//! * **A quarter-full index.** The table is kept at most ¼ full
-//!   ([`INDEX_SLACK`] entries per node, floored at [`MIN_INDEX_LEN`]).
-//!   Under RAND-PAR and UCP most served requests are faults, and a fault
-//!   walks a probe run four times — the failed lookup, the victim's
-//!   lookup, its backward-shift delete and the insert — each a branchy loop
-//!   that ends only at an empty entry. Knuth's estimate for a failed
-//!   linear-probing lookup at load α is ½(1 + 1/(1 − α)²) probes: 8.5 at
-//!   α = ¾, 1.4 at α = ¼. Shortening the runs, not tagging entries to skip
-//!   the node read, is what makes a miss cheap. The index grows with
+//! * **Half the load in the same bytes.** Under RAND-PAR and UCP most
+//!   served requests are faults. A fault at capacity walks the failed
+//!   lookup's probe run, then the victim's backward-shift delete from its
+//!   stored `pos`, then the new page's insert into the victim's node,
+//!   reused in place. Those runs are kept short by load: while the arena
+//!   has at most 65 535 nodes (`NARROW_NODES`, so `slot + 1` fits) the
+//!   entries are `u16` and the table is at most ⅛ full; past that they
+//!   are `u32` at most ¼ full.
+//!   Both are 16 index bytes per node, with a 64-byte floor (a cache of
+//!   four or fewer residents never grows) and 32 MiB at
+//!   [`PRESIZE_LIMIT`]. Knuth's estimate for a failed linear-probing
+//!   lookup at load α is ½(1 + 1/(1 − α)²) probes: 1.4 at α = ¼, 1.15 at
+//!   α = ⅛. The paper's box heights are powers of two, so a box's cache
+//!   fills its index exactly to the ceiling. A capacity-16 LRU thrashing
+//!   64 random pages cost 23–34 ns per access with ¼-full `u32` entries
+//!   and a re-probed victim, and costs 16–22 ns this way (4 shards: 31–44
+//!   and 21–30 ns; 2-vCPU host, six runs each). The width follows the
+//!   node count alone. The index grows with
 //!   residents only (on admit and on load), never with a capacity, so a
 //!   tenant with an unbounded `k` and a handful of residents holds a
 //!   handful of index words.
@@ -28,6 +39,8 @@
 //!   ends, length and capacity; the arena methods take the list they
 //!   splice. An LRU owns one list, a sharded LRU one per shard, and both
 //!   share every line of the arena and index code.
+//!
+//! [`ShardedLru`]: crate::ShardedLru
 
 use crate::lru::PRESIZE_LIMIT;
 use crate::types::PageId;
@@ -43,6 +56,10 @@ struct Node {
     page: PageId,
     prev: u32,
     next: u32,
+    /// Index position of this node's entry.
+    pos: u32,
+    /// The list this node is on.
+    tag: u8,
 }
 
 /// One recency list threaded through an [`Arena`]: its ends, its resident
@@ -76,35 +93,168 @@ impl List {
     }
 }
 
+/// Most nodes a `u16` index addresses: entries are `slot + 1`.
+const NARROW_NODES: usize = u16::MAX as usize;
+
+/// Index entries per node in a `u16` index (at most ⅛ full).
+const NARROW_SLACK: usize = 8;
+
+/// Index entries per node in a `u32` index (at most ¼ full).
+const WIDE_SLACK: usize = 4;
+
+/// Smallest index: 32 `u16` entries, 64 bytes, four residents at ⅛.
+const MIN_NARROW_LEN: usize = 32;
+
+/// One index entry width: `slot + 1`, 0 = empty.
+trait Entry: Copy {
+    fn get(self) -> u32;
+    fn of(v: u32) -> Self;
+}
+
+impl Entry for u16 {
+    #[inline(always)]
+    fn get(self) -> u32 {
+        u32::from(self)
+    }
+    #[inline(always)]
+    fn of(v: u32) -> Self {
+        v as u16
+    }
+}
+
+impl Entry for u32 {
+    #[inline(always)]
+    fn get(self) -> u32 {
+        self
+    }
+    #[inline(always)]
+    fn of(v: u32) -> Self {
+        v
+    }
+}
+
+/// The open-addressing page index, `u16` or `u32` wide. Its length is
+/// always a power of two.
+#[derive(Clone, Debug)]
+enum Index {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+/// Runs `$body` with `$t` bound to the index's entry slice, whichever its
+/// width.
+macro_rules! with_index {
+    ($index:expr, $t:ident => $body:expr) => {
+        match $index {
+            Index::Narrow($t) => $body,
+            Index::Wide($t) => $body,
+        }
+    };
+}
+
+impl Index {
+    /// The index that holds `residents` under its width's load ceiling,
+    /// floored at 64 bytes: 16 bytes per resident either way.
+    fn for_residents(residents: usize) -> Index {
+        if residents <= NARROW_NODES {
+            let len = (residents * NARROW_SLACK)
+                .next_power_of_two()
+                .max(MIN_NARROW_LEN);
+            Index::Narrow(vec![0; len])
+        } else {
+            Index::Wide(vec![0; (residents * WIDE_SLACK).next_power_of_two()])
+        }
+    }
+
+    fn len(&self) -> usize {
+        with_index!(self, t => t.len())
+    }
+
+    /// Whether `nodes` fit under this index's width and load ceiling.
+    fn holds(&self, nodes: usize) -> bool {
+        match self {
+            Index::Narrow(t) => nodes <= NARROW_NODES && nodes * NARROW_SLACK <= t.len(),
+            Index::Wide(t) => nodes * WIDE_SLACK <= t.len(),
+        }
+    }
+}
+
+#[inline(always)]
+fn home(page: PageId, shift: u32) -> usize {
+    (page.0.wrapping_mul(HASH_MUL) >> shift) as usize
+}
+
+/// Node slot of a resident `page`, `None` when absent.
+#[inline(always)]
+fn find<E: Entry>(t: &[E], nodes: &[Node], shift: u32, page: PageId) -> Option<u32> {
+    let mask = t.len() - 1;
+    let mut pos = home(page, shift);
+    loop {
+        let entry = t[pos].get();
+        if entry == 0 {
+            return None;
+        }
+        if nodes[(entry - 1) as usize].page == page {
+            return Some(entry - 1);
+        }
+        pos = (pos + 1) & mask;
+    }
+}
+
+/// Enters `slot`, holding a page *known absent*, at its probe end.
+#[inline]
+fn insert<E: Entry>(t: &mut [E], nodes: &mut [Node], shift: u32, slot: u32) {
+    let mask = t.len() - 1;
+    let mut pos = home(nodes[slot as usize].page, shift);
+    while t[pos].get() != 0 {
+        pos = (pos + 1) & mask;
+    }
+    t[pos] = E::of(slot + 1);
+    nodes[slot as usize].pos = pos as u32;
+}
+
+/// Removes the entry at `pos` with backward-shift deletion: later
+/// same-run entries slide back, each node's `pos` following its entry, so
+/// probe sequences stay unbroken without tombstones.
+fn remove_at<E: Entry>(t: &mut [E], nodes: &mut [Node], shift: u32, mut pos: usize) {
+    let mask = t.len() - 1;
+    loop {
+        let mut probe = pos;
+        let slot = loop {
+            probe = (probe + 1) & mask;
+            let entry = t[probe].get();
+            if entry == 0 {
+                t[pos] = E::of(0);
+                return;
+            }
+            let home = home(nodes[(entry - 1) as usize].page, shift);
+            // The entry at `probe` may fill `pos` iff its home position
+            // does not lie in the cyclic range (pos, probe].
+            let in_range = if pos <= probe {
+                pos < home && home <= probe
+            } else {
+                home > pos || home <= probe
+            };
+            if !in_range {
+                break entry - 1;
+            }
+        };
+        t[pos] = t[probe];
+        nodes[slot as usize].pos = pos as u32;
+        pos = probe;
+    }
+}
+
 /// Node array, free list and page index shared by every list over it.
 #[derive(Clone, Debug)]
 pub(crate) struct Arena {
     nodes: Vec<Node>,
     /// Recycled node slots.
     free: Vec<u32>,
-    /// Open-addressing page → slot index: `slot + 1`, 0 = empty. Length is
-    /// always a power of two.
-    index: Vec<u32>,
+    index: Index,
     /// Bits to right-shift a Fibonacci-hashed page id by to get an index
     /// position (`64 - log2(index.len())`).
     shift: u32,
-}
-
-/// Index entries per node: the index is never more than
-/// `1 / INDEX_SLACK` full. The one load ceiling, read by both the presize
-/// ([`index_len_for`]) and [`Arena::admit`]'s growth check.
-const INDEX_SLACK: usize = 4;
-
-/// Smallest index: a cache of up to `MIN_INDEX_LEN / INDEX_SLACK` (four)
-/// residents never grows, and an empty one costs 64 bytes.
-const MIN_INDEX_LEN: usize = 16;
-
-/// Index length (a power of two) that holds `residents` at most
-/// `1 / INDEX_SLACK` full, floored at [`MIN_INDEX_LEN`].
-fn index_len_for(residents: usize) -> usize {
-    (residents * INDEX_SLACK)
-        .next_power_of_two()
-        .max(MIN_INDEX_LEN)
 }
 
 impl Arena {
@@ -112,102 +262,54 @@ impl Arena {
     /// to [`PRESIZE_LIMIT`]; past that it doubles as residents arrive.
     pub(crate) fn new(capacity: usize) -> Self {
         let residents = capacity.min(PRESIZE_LIMIT);
-        let index_len = index_len_for(residents);
+        let index = Index::for_residents(residents);
         Arena {
             nodes: Vec::with_capacity(residents),
             free: Vec::new(),
-            index: vec![0; index_len],
-            shift: 64 - index_len.trailing_zeros(),
-        }
-    }
-
-    #[inline(always)]
-    fn home(&self, page: PageId) -> usize {
-        (page.0.wrapping_mul(HASH_MUL) >> self.shift) as usize
-    }
-
-    /// Index position of a resident `page`, `None` when absent.
-    #[inline(always)]
-    fn position(&self, page: PageId) -> Option<usize> {
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(page);
-        loop {
-            let entry = self.index[pos];
-            if entry == 0 {
-                return None;
-            }
-            if self.nodes[(entry - 1) as usize].page == page {
-                return Some(pos);
-            }
-            pos = (pos + 1) & mask;
+            shift: 64 - index.len().trailing_zeros(),
+            index,
         }
     }
 
     /// Node slot of a resident `page`, `None` when absent.
     #[inline(always)]
     pub(crate) fn slot(&self, page: PageId) -> Option<u32> {
-        self.position(page).map(|pos| self.index[pos] - 1)
+        with_index!(&self.index, t => find(t, &self.nodes, self.shift, page))
     }
 
-    /// Inserts `slot + 1` for a page *known absent* at its probe end.
-    #[inline]
-    fn index_insert(&mut self, page: PageId, slot: u32) {
-        let mask = self.index.len() - 1;
-        let mut pos = self.home(page);
-        while self.index[pos] != 0 {
-            pos = (pos + 1) & mask;
-        }
-        self.index[pos] = slot + 1;
+    /// The tag of the list `slot` is on.
+    #[inline(always)]
+    pub(crate) fn tag(&self, slot: u32) -> usize {
+        usize::from(self.nodes[slot as usize].tag)
     }
 
-    /// Removes the entry at `pos` with backward-shift deletion: later
-    /// same-run entries slide back so probe sequences stay unbroken without
-    /// tombstones.
-    fn index_remove_at(&mut self, mut pos: usize) {
-        let mask = self.index.len() - 1;
-        loop {
-            let mut probe = pos;
-            loop {
-                probe = (probe + 1) & mask;
-                let entry = self.index[probe];
-                if entry == 0 {
-                    self.index[pos] = 0;
-                    return;
-                }
-                let home = self.home(self.nodes[(entry - 1) as usize].page);
-                // The entry at `probe` may fill `pos` iff its home position
-                // does not lie in the cyclic range (pos, probe].
-                let in_range = if pos <= probe {
-                    pos < home && home <= probe
-                } else {
-                    home > pos || home <= probe
-                };
-                if !in_range {
-                    break;
-                }
-            }
-            self.index[pos] = self.index[probe];
-            pos = probe;
-        }
+    fn index_insert(&mut self, slot: u32) {
+        with_index!(&mut self.index, t => insert(t, &mut self.nodes, self.shift, slot));
     }
 
-    /// Replaces the index with an empty one of `len` entries (a power of
-    /// two) and returns the old one.
-    fn replace_index(&mut self, len: usize) -> Vec<u32> {
-        self.shift = 64 - len.trailing_zeros();
-        std::mem::replace(&mut self.index, vec![0; len])
+    fn index_remove(&mut self, slot: u32) {
+        let pos = self.nodes[slot as usize].pos as usize;
+        with_index!(&mut self.index, t => remove_at(t, &mut self.nodes, self.shift, pos));
     }
 
-    /// Doubles the index and re-inserts every entry, when the next new
-    /// node would cross the ¼ load ceiling (reached as residents arrive in
-    /// a cache built small — the served tenant's caches start at capacity
-    /// 0 — or past [`PRESIZE_LIMIT`]). Nodes are never fewer than
-    /// residents, so bounding the node count bounds the index load.
+    /// Installs `index` (empty) with its hash shift and returns the old one.
+    fn replace_index(&mut self, index: Index) -> Index {
+        self.shift = 64 - index.len().trailing_zeros();
+        std::mem::replace(&mut self.index, index)
+    }
+
+    /// Grows the index when the next new node would cross its width's load
+    /// ceiling or the `u16` node limit (reached as residents arrive in a
+    /// cache built small — the served tenant's caches start at capacity 0
+    /// — or past [`PRESIZE_LIMIT`]), re-entering every live node. Nodes
+    /// are never fewer than residents, so bounding the node count bounds
+    /// the index load.
     #[cold]
     fn grow_index(&mut self) {
-        let old = self.replace_index(self.index.len() * 2);
-        for entry in old.into_iter().filter(|&e| e != 0) {
-            self.index_insert(self.nodes[(entry - 1) as usize].page, entry - 1);
+        let old = self.replace_index(Index::for_residents(self.nodes.len() + 1));
+        let live = with_index!(old, t => t.into_iter().map(Entry::get).filter(|&e| e != 0).collect::<Vec<_>>());
+        for entry in live {
+            self.index_insert(entry - 1);
         }
     }
 
@@ -273,35 +375,48 @@ impl Arena {
         let slot = list.tail;
         let page = self.nodes[slot as usize].page;
         self.unlink(list, slot);
-        let pos = self.position(page).expect("resident page must be indexed");
-        self.index_remove_at(pos);
+        self.index_remove(slot);
         self.free.push(slot);
         list.len -= 1;
         Some(page)
     }
 
-    /// Admits an absent page at `list`'s MRU position (room already made):
-    /// arena slot, index entry, list link. Returns the slot.
-    pub(crate) fn admit(&mut self, list: &mut List, page: PageId) -> u32 {
+    /// Admits an absent `page` at `list`'s MRU position, tagging its node
+    /// with `tag`: at capacity the LRU node is evicted and reused in place,
+    /// otherwise a free or new node is linked in. A list of capacity 0
+    /// admits nothing.
+    pub(crate) fn admit(&mut self, list: &mut List, tag: u8, page: PageId) {
+        if list.len >= list.capacity {
+            if list.tail == NIL {
+                return;
+            }
+            let slot = list.tail;
+            self.index_remove(slot);
+            self.nodes[slot as usize].page = page;
+            self.index_insert(slot);
+            self.touch(list, slot);
+            return;
+        }
         let node = Node {
             page,
             prev: NIL,
             next: NIL,
+            pos: 0,
+            tag,
         };
         let slot = if let Some(slot) = self.free.pop() {
             self.nodes[slot as usize] = node;
             slot
         } else {
-            if (self.nodes.len() + 1) * INDEX_SLACK > self.index.len() {
+            if !self.index.holds(self.nodes.len() + 1) {
                 self.grow_index();
             }
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        self.index_insert(page, slot);
+        self.index_insert(slot);
         self.push_front(list, slot);
         list.len += 1;
-        slot
     }
 
     /// Drops every resident of every list; callers [`List::reset`] theirs.
@@ -317,11 +432,10 @@ impl Arena {
         self.nodes.clear();
         self.free.clear();
         self.nodes.reserve(residents);
-        let len = index_len_for(residents);
-        if len > self.index.len() {
-            self.replace_index(len);
+        if self.index.holds(residents) {
+            with_index!(&mut self.index, t => t.fill(Entry::of(0)));
         } else {
-            self.index.fill(0);
+            self.replace_index(Index::for_residents(residents));
         }
     }
 }
@@ -333,19 +447,29 @@ mod tests {
     use crate::{Cache, LruCache, ShardedLru};
     use proptest::prelude::*;
 
-    /// The ceiling: a power-of-two index of at least [`MIN_INDEX_LEN`]
-    /// entries, with at least [`INDEX_SLACK`] of them per node.
-    fn assert_quarter_full(arena: &Arena, ctx: &str) {
-        let len = arena.index.len();
+    fn index_bytes(arena: &Arena) -> usize {
+        with_index!(&arena.index, t => std::mem::size_of_val(&t[..]))
+    }
+
+    /// The byte budget: a power-of-two index of at least 64 bytes, `u16`
+    /// entries at most ⅛ full while the nodes fit them, `u32` entries at
+    /// most ¼ full otherwise, and every node's `pos` naming its entry.
+    fn assert_budget(arena: &Arena, ctx: &str) {
+        let (len, nodes) = (arena.index.len(), arena.nodes.len());
         assert!(
-            len.is_power_of_two() && len >= MIN_INDEX_LEN,
+            len.is_power_of_two() && index_bytes(arena) >= 64,
             "{ctx}: {len}"
         );
         assert!(
-            len >= INDEX_SLACK * arena.nodes.len(),
-            "{ctx}: index of {len} for {} nodes",
-            arena.nodes.len()
+            arena.index.holds(nodes),
+            "{ctx}: index of {len} for {nodes} nodes"
         );
+        let free: std::collections::HashSet<u32> = arena.free.iter().copied().collect();
+        for slot in (0..nodes as u32).filter(|s| !free.contains(s)) {
+            let pos = arena.nodes[slot as usize].pos as usize;
+            let entry = with_index!(&arena.index, t => t[pos].get());
+            assert_eq!(entry, slot + 1, "{ctx}: slot {slot} stored at {pos}");
+        }
     }
 
     fn save<C: Checkpoint>(cache: &C) -> Vec<u8> {
@@ -354,9 +478,33 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Loads a snapshot of `n` residents (pages `first..first + n`, taken
+    /// from a `fresh()` cache) over `cache`, whatever it holds, and checks
+    /// it restored that snapshot exactly.
+    fn load_foreign<C: Cache + Checkpoint>(
+        cache: &mut C,
+        fresh: impl Fn() -> C,
+        first: u64,
+        n: usize,
+    ) {
+        let mut other = fresh();
+        other.resize(n);
+        for v in 0..n as u64 {
+            other.access(PageId(first + v));
+        }
+        let bytes = save(&other);
+        cache.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(
+            save(cache),
+            bytes,
+            "{n} residents restored over a live cache"
+        );
+    }
+
     /// Drives `cache` through `ops` — accesses (admits and evictions),
-    /// resizes, clears, a load of its own snapshot, and a load of that
-    /// snapshot into `fresh()` — checking the ceiling after every step.
+    /// resizes, clears, a load of its own snapshot, a load of that
+    /// snapshot into `fresh()`, and a load of another cache's snapshot
+    /// over it — checking the budget after every step.
     fn drive<C: Cache + Checkpoint>(
         mut cache: C,
         fresh: impl Fn() -> C,
@@ -375,13 +523,14 @@ mod tests {
                     let bytes = save(&cache);
                     let mut restored = fresh();
                     restored.load(&mut SnapReader::new(&bytes)).unwrap();
-                    assert_quarter_full(arena(&restored), &format!("step {step} restored"));
+                    assert_budget(arena(&restored), &format!("step {step} restored"));
                 }
+                4 => load_foreign(&mut cache, &fresh, page, n),
                 _ => {
                     cache.access(PageId(page));
                 }
             }
-            assert_quarter_full(arena(&cache), &format!("step {step}"));
+            assert_budget(arena(&cache), &format!("step {step}"));
         }
     }
 
@@ -389,9 +538,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Admit, evict, resize, clear and load never leave either cache's
-        /// index more than a quarter full.
+        /// index past its width's load ceiling or a node's stored position
+        /// stale.
         #[test]
-        fn the_index_stays_a_quarter_full(
+        fn the_index_keeps_its_byte_budget(
             ops in prop::collection::vec((0u8..24, 0u64..600, 0usize..320), 0..400),
             cap in 0usize..64,
         ) {
@@ -405,25 +555,44 @@ mod tests {
         }
     }
 
+    /// 16 index bytes per resident at either width, floored at 64 — the
+    /// bytes a `u32` index at ¼ load held for every resident count — and
+    /// `u16` entries exactly while `slot + 1` fits them.
+    #[test]
+    fn both_widths_cost_the_bytes_of_a_quarter_full_u32_index() {
+        for residents in (0..70_000).chain([PRESIZE_LIMIT]) {
+            let index = Index::for_residents(residents);
+            let bytes = with_index!(&index, t => std::mem::size_of_val(&t[..]));
+            let quarter_full_u32 = 4 * (residents * 4).next_power_of_two().max(16);
+            assert_eq!(bytes, quarter_full_u32, "{residents} residents");
+            assert_eq!(
+                matches!(index, Index::Narrow(_)),
+                residents <= NARROW_NODES,
+                "{residents} residents"
+            );
+            assert!(index.holds(residents));
+        }
+    }
+
     /// A cache resized to an unbounded capacity holds an index sized by
-    /// its residents: 1000 pages need 4000 entries, so 4096, whatever `k`
-    /// says; four residents fit the 16-entry floor and never grow it.
+    /// its residents: 1000 pages need 16 KB, whatever `k` says; four
+    /// residents fit the 64-byte floor and never grow it.
     fn growth_follows_residents<C: Cache>(mut cache: C, arena: fn(&C) -> &Arena) {
         cache.resize(1 << 40);
         for v in 0..4 {
             cache.access(PageId(v));
         }
-        assert_eq!(arena(&cache).index.len(), MIN_INDEX_LEN);
+        assert_eq!(index_bytes(arena(&cache)), 64);
         for v in 4..1000 {
             cache.access(PageId(v));
         }
         assert_eq!(cache.len(), 1000);
         assert!(
-            arena(&cache).index.len() <= 4096,
+            index_bytes(arena(&cache)) <= 16 * 1024,
             "{}",
-            arena(&cache).index.len()
+            index_bytes(arena(&cache))
         );
-        assert_quarter_full(arena(&cache), "1000 residents");
+        assert_budget(arena(&cache), "1000 residents");
     }
 
     #[test]
@@ -445,15 +614,50 @@ mod tests {
         }
         let mut restored = LruCache::new(0);
         restored.load(&mut SnapReader::new(&save(&full))).unwrap();
-        assert_eq!(restored.arena().index.len(), index_len_for(1000));
+        assert_eq!(
+            restored.arena().index.len(),
+            Index::for_residents(1000).len()
+        );
         assert_eq!(restored.pages_mru_first(), full.pages_mru_first());
     }
 
-    /// The largest eager index: [`PRESIZE_LIMIT`] residents at the ¼
-    /// ceiling is 2^23 `u32` words (32 MiB), and no capacity presizes more.
+    /// A load over a live cache whose index is too small for the snapshot
+    /// installs a fresh index of the snapshot's size: the old entries name
+    /// nodes the load has already dropped.
+    fn load_over_live<C: Cache + Checkpoint>(fresh: impl Fn() -> C, arena: fn(&C) -> &Arena) {
+        let mut cache = fresh();
+        cache.resize(100);
+        for v in 0..4 {
+            cache.access(PageId(v));
+        }
+        assert_eq!(index_bytes(arena(&cache)), 64, "premise: the floor index");
+        for n in [5, 1000] {
+            load_foreign(&mut cache, &fresh, 10 * n as u64, n);
+            assert_eq!(
+                arena(&cache).index.len(),
+                Index::for_residents(cache.len()).len()
+            );
+            assert_budget(arena(&cache), &format!("{n} residents loaded"));
+        }
+    }
+
     #[test]
-    fn the_largest_presize_is_2_to_the_23_words() {
-        assert_eq!(index_len_for(PRESIZE_LIMIT), 1 << 23);
-        assert_eq!(Arena::new(usize::MAX).index.len(), 1 << 23);
+    fn lru_load_over_live_residents_resizes_its_index() {
+        load_over_live(|| LruCache::new(0), LruCache::arena);
+    }
+
+    #[test]
+    fn sharded_load_over_live_residents_resizes_its_index() {
+        load_over_live(|| ShardedLru::with_shards(0, 4), ShardedLru::arena);
+    }
+
+    /// The largest eager index: [`PRESIZE_LIMIT`] residents in `u32`
+    /// entries at the ¼ ceiling is 32 MiB, and no capacity presizes more.
+    #[test]
+    fn the_largest_presize_is_32_mib() {
+        let arena = Arena::new(usize::MAX);
+        assert!(matches!(arena.index, Index::Wide(_)));
+        assert_eq!(index_bytes(&arena), 32 << 20);
+        assert_eq!(index_bytes(&Arena::new(PRESIZE_LIMIT)), 32 << 20);
     }
 }

@@ -5,11 +5,11 @@
 //! by page hash, each an LRU over its own share of the capacity
 //! ([`shard_capacity`]). Rather than `n` separate caches, it keeps one
 //! recency arena — one node array, one open-addressing page index — with a
-//! per-slot list tag and `n` intrusive recency lists, each with its own
-//! ends, length and capacity:
+//! list tag in every node and `n` intrusive recency lists, each with its
+//! own ends, length and capacity:
 //!
-//! * a **hit** finds the slot in the one index, reads its tag and splices
-//!   that list — no routing;
+//! * a **hit** finds the slot in the one index, reads its node's list tag
+//!   and splices that list — no routing;
 //! * a **miss** routes once and evicts from its own list's tail;
 //! * **resize** and **clear** touch one index and `n` list headers.
 //!
@@ -70,8 +70,6 @@ pub(crate) fn route(mask: u64, page: PageId) -> usize {
 #[derive(Clone, Debug)]
 pub struct ShardedLru {
     arena: Arena,
-    /// Shard (list index) of every arena slot.
-    tags: Vec<u8>,
     lists: Box<[List]>,
     mask: u64,
 }
@@ -90,7 +88,6 @@ impl ShardedLru {
         );
         ShardedLru {
             arena: Arena::new(capacity),
-            tags: Vec::new(),
             lists: (0..n)
                 .map(|i| List::new(shard_capacity(capacity, n, i)))
                 .collect(),
@@ -119,22 +116,14 @@ impl ShardedLru {
     /// Hits splice the slot's own list, wherever the page routes.
     #[inline]
     fn hit(&mut self, slot: u32) -> Access {
-        let list = &mut self.lists[usize::from(self.tags[slot as usize])];
-        self.arena.touch(list, slot);
+        self.arena
+            .touch(&mut self.lists[self.arena.tag(slot)], slot);
         Access::Hit
     }
 
     /// The miss path: route once, evict from that shard's tail, admit.
     fn miss(&mut self, page: PageId) -> Access {
-        let i = self.shard_of(page);
-        let list = &mut self.lists[i];
-        if list.capacity == 0 {
-            return Access::Miss;
-        }
-        if list.len >= list.capacity {
-            self.arena.pop_lru(list);
-        }
-        self.admit(i, page);
+        self.admit(self.shard_of(page), page);
         Access::Miss
     }
 
@@ -142,21 +131,14 @@ impl ShardedLru {
     /// for `residents` about to be re-admitted.
     fn clear_for(&mut self, residents: usize) {
         self.arena.clear_for(residents);
-        self.tags.clear();
         self.lists.iter_mut().for_each(List::reset);
     }
 
-    /// Admits an absent page at shard `i`'s MRU end (room already made)
-    /// and tags its slot with `i`.
+    /// Admits an absent page at shard `i`'s MRU end, evicting its LRU page
+    /// at capacity, and tags the node with `i`.
     fn admit(&mut self, i: usize, page: PageId) {
-        let slot = self.arena.admit(&mut self.lists[i], page) as usize;
         // `with_shards` bounds the shard count at `MAX_SHARDS`.
-        let tag = i as u8;
-        if slot == self.tags.len() {
-            self.tags.push(tag);
-        } else {
-            self.tags[slot] = tag;
-        }
+        self.arena.admit(&mut self.lists[i], i as u8, page);
     }
 }
 
@@ -176,8 +158,12 @@ impl Cache for ShardedLru {
         remaining: Time,
         miss_penalty: u64,
     ) -> Option<Access> {
+        // A zero budget fits only a free miss: decided before probing
+        // unless the miss is free.
+        if remaining == 0 {
+            return (miss_penalty == 0 && !self.contains(page)).then(|| self.miss(page));
+        }
         match self.arena.slot(page) {
-            Some(_) if remaining == 0 => None,
             Some(slot) => Some(self.hit(slot)),
             None if miss_penalty > remaining => None,
             None => Some(self.miss(page)),

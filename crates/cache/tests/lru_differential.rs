@@ -379,3 +379,104 @@ proptest! {
         }
     }
 }
+
+/// 70 192 pages, more than a `u16` index addresses (65 535 nodes): 8192
+/// whose hash lands in the top 1/64 of the index at every length, so
+/// their probe runs wrap the table in every backward shift, then pages
+/// 0..62 000.
+fn wide_universe() -> Vec<PageId> {
+    let tail = (1u64 << 20..)
+        .filter(|v| v.wrapping_mul(HASH_MUL) >> 58 == 0x3f)
+        .take(8192);
+    tail.chain(0..62_000).map(PageId).collect()
+}
+
+/// Churn past the `u16` limit: accesses anywhere in [`wide_universe`],
+/// resizes between 60 000 and 71 000 (each shrink evicts thousands), and
+/// rare reloads.
+fn wide_churn_strategy() -> impl Strategy<Value = GrowthOp> {
+    (0u16..512, 0usize..70_192, 0usize..11_000).prop_map(|(kind, page, cap)| match kind {
+        0..=15 => GrowthOp::Resize(60_000 + cap),
+        16 => GrowthOp::Reload,
+        _ => GrowthOp::Access(page),
+    })
+}
+
+/// Applies `op` to both caches, asserting equal access outcomes.
+fn apply_both<A: Cache + Checkpoint, B: Cache + Checkpoint>(
+    a: &mut A,
+    b: &mut B,
+    universe: &[PageId],
+    op: &GrowthOp,
+    step: usize,
+) {
+    match *op {
+        GrowthOp::Access(at) => {
+            let page = universe[at];
+            assert_eq!(a.access(page), b.access(page), "step {step}: page {page:?}");
+        }
+        GrowthOp::Resize(cap) => {
+            a.resize(cap);
+            b.resize(cap);
+        }
+        GrowthOp::Clear => {
+            a.clear();
+            b.clear();
+        }
+        GrowthOp::Reload => {
+            let bytes = checkpoint_bytes(a);
+            a.load(&mut SnapReader::new(&bytes)).unwrap();
+            b.load(&mut SnapReader::new(&bytes)).unwrap();
+        }
+    }
+}
+
+/// Fills both caches past the `u16` limit (the index switches to `u32`
+/// entries on the way), re-hits every resident, churns with `churn`, and
+/// checks every outcome and the final state and bytes.
+fn past_the_u16_limit<A: Cache + Checkpoint, B: Cache + Checkpoint>(
+    mut a: A,
+    mut b: B,
+    churn: &[GrowthOp],
+) {
+    let universe = wide_universe();
+    let fill: Vec<GrowthOp> = std::iter::once(GrowthOp::Resize(universe.len()))
+        .chain((0..universe.len()).map(GrowthOp::Access))
+        .chain((0..universe.len()).map(GrowthOp::Access))
+        .collect();
+    for (step, op) in fill.iter().chain(churn).enumerate() {
+        apply_both(&mut a, &mut b, &universe, op, step);
+    }
+    assert_eq!(a.len(), b.len());
+    assert_eq!(checkpoint_bytes(&a), checkpoint_bytes(&b));
+    for &page in &universe {
+        assert_eq!(a.contains(page), b.contains(page), "{page:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The packed cache and the oracle agree on every outcome, and on the
+    /// final recency order and bytes, across the index's switch from
+    /// `u16` to `u32` entries and churn whose backward shifts wrap.
+    #[test]
+    fn growth_across_index_doublings_past_the_u16_limit_is_identical(
+        churn in prop::collection::vec(wide_churn_strategy(), 2000..4000),
+    ) {
+        past_the_u16_limit(LruCache::new(0), MapLru::new(0), &churn);
+    }
+
+    /// The one-arena cache and the locked reference agree the same way.
+    #[test]
+    fn growth_across_index_doublings_past_the_u16_limit_matches_the_locked_reference(
+        churn in prop::collection::vec(wide_churn_strategy(), 2000..4000),
+        shards_log2 in 0u32..6,
+    ) {
+        past_the_u16_limit(
+            ShardedLru::with_shards(0, 1 << shards_log2),
+            ShardedCache::<LruCache>::with_shards(0, 1 << shards_log2),
+            &churn,
+        );
+    }
+}

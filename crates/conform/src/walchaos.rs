@@ -301,25 +301,30 @@ pub fn check_wal_corruption(
         epoch_ticks,
         max_retries: 3,
         backoff_base: std::time::Duration::ZERO,
-        // Stale-base needs at least two bases installed before the crash;
-        // the others keep one base so the log grows long.
-        full_snapshot_every: if corruption == WalCorruption::StaleBase {
-            2
-        } else {
-            u64::MAX
-        },
         ..SupervisorOpts::default()
     };
     let factory =
         || policy::build(policy, params, seed, false).expect("factory succeeded for the baseline");
+    // Stale-base needs at least two bases installed before the crash: its
+    // controller migrates at boundaries 1, 4, 7, …, and a migration
+    // installs a base there. The others never migrate and keep the genesis
+    // base, so the log grows long.
+    let stale = corruption == WalCorruption::StaleBase;
+    let control = |boundaries: &mut u64| {
+        *boundaries += 1;
+        if stale && *boundaries % 3 == 1 {
+            EpochControl::Migrate
+        } else {
+            EpochControl::Continue
+        }
+    };
 
     // Crash past the 60% mark, then align so the WAL actually has
-    // something to corrupt at that moment. With `full_snapshot_every: 2`
-    // the store cycles base / one record / two records over a period of
-    // three epoch boundaries, so the stale-base cell must land where the
-    // log is non-empty and a previous base exists (boundary count >= 5,
-    // not 1 mod 3); every other cell keeps one base forever and just needs
-    // the log non-empty (boundary count >= 2).
+    // something to corrupt at that moment. The stale-base store cycles
+    // base / one record / two records over a period of three epoch
+    // boundaries, so its crash must land where the log is non-empty and a
+    // previous base exists (boundary count >= 5, not 1 mod 3); every other
+    // cell just needs the log non-empty (boundary count >= 2).
     let mut boundaries = (baseline_ticks * 3 / 5) / epoch_ticks;
     let crash_tick = match corruption {
         WalCorruption::StaleBase => {
@@ -335,6 +340,7 @@ pub fn check_wal_corruption(
             // crash-free dry run; when that count misses the premise, crash
             // midway into the epoch after the next boundary that meets it.
             let mut boundary_ticks = Vec::new();
+            let mut passed = 0;
             Supervisor::new(sup_opts)
                 .run_controlled(
                     seqs,
@@ -348,7 +354,7 @@ pub fn check_wal_corruption(
                     &mut MemStore::new(),
                     |status| {
                         boundary_ticks.push(status.ticks);
-                        EpochControl::Continue
+                        control(&mut passed)
                     },
                 )
                 .map_err(|e| format!("dry run failed: {e}"))?;
@@ -381,6 +387,7 @@ pub fn check_wal_corruption(
 
     let mut store = SabotagedStore::new(corruption);
     let mut recovered_trace = TraceRecorder::new();
+    let mut passed = 0;
     let supervised = Supervisor::new(sup_opts).run_controlled(
         seqs,
         params,
@@ -391,7 +398,7 @@ pub fn check_wal_corruption(
         |_| LruCache::new(0),
         &mut recovered_trace,
         &mut store,
-        |_| EpochControl::Continue,
+        |_| control(&mut passed),
     );
 
     let mut violations = Vec::new();

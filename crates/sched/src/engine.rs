@@ -44,7 +44,7 @@ use std::collections::BinaryHeap;
 
 use parapage_cache::{
     digest64, run_window, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, SnapReader,
-    SnapWriter, Time,
+    SnapWriter, Time, WordDigest, DIGEST_BASIS,
 };
 use parapage_core::{BoxAllocator, FaultEvent, Grant, Interval, ModelParams};
 
@@ -126,6 +126,18 @@ pub fn run_engine(
 const EV_COMPLETION: u8 = 0;
 const EV_GRANT: u8 = 1;
 
+/// Processor `x`'s share of the engine's running progress hash: its cursor
+/// and completion mixed into one word (splitmix64 finalizer rounds), so
+/// the wrapping sum over processors changes whenever any pair does.
+fn progress_term(x: usize, pos: usize, completion: Time) -> u64 {
+    let mix = |h: u64| {
+        let h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    };
+    mix(mix(mix(x as u64 ^ 0x9e37_79b9_7f4a_7c15) ^ pos as u64) ^ completion)
+}
+
 /// The box-driven event simulator as a resumable state machine.
 ///
 /// [`Engine::new`] seeds the event heap; each [`Engine::step`] processes
@@ -156,6 +168,10 @@ pub struct Engine<'a, C: Cache> {
     memory_integral: u128,
     grants_issued: u64,
     timelines: Vec<Vec<Interval>>,
+    // Wrapping sum of `progress_term` over every processor's (cursor,
+    // completion) pair, kept current where either changes, so a WAL mark
+    // digests O(1) words instead of O(p).
+    progress: u64,
     // Online usage tracking: `live_usage` is the concurrently allocated
     // height, `releases` the pending (time, height) returns, and `peak`
     // the largest `live_usage` seen — the run's `peak_memory`. The
@@ -210,6 +226,9 @@ impl<'a, C: Cache> Engine<'a, C> {
         Engine {
             seqs,
             p,
+            progress: (0..p)
+                .map(|x| progress_term(x, 0, 0))
+                .fold(0, u64::wrapping_add),
             s: params.s,
             opts: *opts,
             workload_digest: workload_fingerprint(seqs),
@@ -256,34 +275,50 @@ impl<'a, C: Cache> Engine<'a, C> {
     }
 
     /// The WAL record for the current event boundary: the tick and a
-    /// digest of the engine's progress — `ticks`, `emitted`, the sequence
-    /// cursors, completions, hit/miss counters, memory integral, grants,
-    /// live usage, fault-plan position, faults delivered, processors
-    /// remaining and the peak usage. O(p); it encodes no cache or
-    /// policy state. Two runs of the same workload, policy and fault plan
-    /// that agree on this digest at a tick have made the same progress,
-    /// which is what a replay from the base checks at each record.
+    /// digest of the engine's progress — `ticks`, `emitted`, a running
+    /// sum-hash of the per-processor (cursor, completion) pairs, hit/miss
+    /// counters, memory integral, grants, live usage, fault-plan position,
+    /// faults delivered, processors remaining and the peak usage. O(1):
+    /// the pair hash is updated where a cursor or completion changes, and
+    /// no cache or policy state is encoded. Two runs of the same workload,
+    /// policy and fault plan that agree on this digest at a tick have made
+    /// the same progress (up to a 64-bit collision), which is what a
+    /// replay from the base checks at each record.
     pub fn wal_mark(&self) -> WalMark {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.ticks);
-        w.put_u64(self.emitted);
-        for (&pos, &done) in self.pos.iter().zip(&self.completions) {
-            w.put_usize(pos);
-            w.put_u64(done);
+        let mut d = WordDigest::new(DIGEST_BASIS);
+        for word in [
+            self.ticks,
+            self.emitted,
+            self.progress,
+            self.stats.hits,
+            self.stats.misses,
+            self.memory_integral as u64,
+            (self.memory_integral >> 64) as u64,
+            self.grants_issued,
+            self.live_usage as u64,
+            self.fault_cursor.position() as u64,
+            self.faults_injected,
+            self.remaining as u64,
+            self.peak as u64,
+        ] {
+            d.write_u64(word);
         }
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u128(self.memory_integral);
-        w.put_u64(self.grants_issued);
-        w.put_usize(self.live_usage);
-        w.put_usize(self.fault_cursor.position());
-        w.put_u64(self.faults_injected);
-        w.put_usize(self.remaining);
-        w.put_usize(self.peak);
         WalMark {
             ticks: self.ticks,
-            digest: digest64(&w.into_bytes()),
+            digest: d.finish(),
         }
+    }
+
+    /// Moves processor `x`'s cursor and completion, keeping `progress`
+    /// current.
+    fn set_progress(&mut self, x: usize, pos: usize, completion: Time) {
+        let old = progress_term(x, self.pos[x], self.completions[x]);
+        self.progress = self
+            .progress
+            .wrapping_sub(old)
+            .wrapping_add(progress_term(x, pos, completion));
+        self.pos[x] = pos;
+        self.completions[x] = completion;
     }
 
     fn emit(&mut self, sink: &mut impl TraceSink, ev: &TraceEvent) {
@@ -507,7 +542,7 @@ impl<'a, C: Cache> Engine<'a, C> {
             run_window(&self.seqs[x], self.pos[x], cache, grant.duration, eff_s)
         };
         let served_from = self.pos[x];
-        self.pos[x] = out.end_index;
+        self.set_progress(x, out.end_index, self.completions[x]);
         self.stats += out.stats;
         self.memory_integral += grant.height as u128 * grant.duration as u128;
         // Peak accounting releases the allocation at completion if the
@@ -592,7 +627,7 @@ impl<'a, C: Cache> Engine<'a, C> {
 
         if out.finished && !self.finished[x] {
             self.finished[x] = true;
-            self.completions[x] = now + out.time_used;
+            self.set_progress(x, out.end_index, now + out.time_used);
             self.heap
                 .push(Reverse((self.completions[x], EV_COMPLETION, xi)));
         } else if !out.finished {
@@ -693,6 +728,32 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         })
     }
 
+    /// `digest64` of the run's inputs, which a genesis header carries (see
+    /// [`crate::wal`]): the workload fingerprint, `p`, `k` (the engine's
+    /// `params.k`) and `s`, the policy's name and checkpoint, and the
+    /// first cache's save. Taken on a freshly built engine, the checkpoint
+    /// carries the seed and the save carries the cache shape, so two runs
+    /// agree on it only when they would replay the same events — a policy
+    /// with an empty checkpoint, such as a static partition, still differs
+    /// by `k`.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Codec`] when the policy does not support
+    /// checkpointing.
+    pub fn inputs_digest(&self, k: usize, alloc: &dyn BoxAllocator) -> Result<u64, SnapshotError> {
+        let mut w = SnapWriter::new();
+        w.put_u64(self.workload_digest);
+        w.put_usize(self.p);
+        w.put_usize(k);
+        w.put_u64(self.s);
+        w.put_bytes(alloc.name().as_bytes());
+        alloc.checkpoint(&mut w)?;
+        if let Some(cache) = self.caches.first() {
+            cache.save(&mut w);
+        }
+        Ok(digest64(&w.into_bytes()))
+    }
+
     /// Replaces this engine's dynamic state (and `alloc`'s, via
     /// `BoxAllocator::restore`) with a snapshot taken from an engine built
     /// on the same workload, parameters, and fault plan. After a successful
@@ -740,6 +801,9 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
         self.emitted = snap.emitted;
         self.pos = snap.pos.clone();
         self.completions = snap.completions.clone();
+        self.progress = (0..self.p)
+            .map(|x| progress_term(x, snap.pos[x], snap.completions[x]))
+            .fold(0, u64::wrapping_add);
         self.finished = snap.finished.clone();
         self.stats = snap.stats;
         self.memory_integral = snap.memory_integral;

@@ -55,8 +55,8 @@ pub enum SnapshotError {
     /// The byte codec rejected the blob (corruption, truncation, an
     /// unsupported policy, or an invalid field).
     Codec(CodecError),
-    /// The snapshot was taken against a different workload than the engine
-    /// being restored.
+    /// The snapshot (or genesis header) was taken against a different
+    /// workload (or run inputs) than the engine being restored.
     WorkloadMismatch {
         /// Fingerprint of the engine's workload.
         expected: u64,
@@ -210,7 +210,12 @@ impl EngineSnapshot {
     /// [`SnapshotError::Codec`] on a corrupted, truncated, or structurally
     /// invalid blob.
     pub fn decode(blob: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = decode_framed(blob)?;
+        Self::decode_payload(decode_framed(blob)?)
+    }
+
+    /// [`EngineSnapshot::decode`] of a payload whose frame was already
+    /// checked.
+    pub(crate) fn decode_payload(payload: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapReader::new(payload);
         let ticks = r.get_u64()?;
         let emitted = r.get_u64()?;

@@ -3,28 +3,40 @@
 //!
 //! The [`Supervisor`] wraps the steppable [`Engine`] in a recovery loop:
 //!
-//! 1. Step the engine for one *epoch* (a bounded number of events) inside
+//! 1. A run starts its [`CheckpointStore`](crate::wal::CheckpointStore)
+//!    from a genesis header carrying the digest of its inputs (see
+//!    [`crate::wal`]), not from a snapshot. Step the engine for one
+//!    *epoch* (a bounded number of events) inside
 //!    [`std::panic::catch_unwind`], with a wall-clock watchdog.
-//! 2. At each epoch boundary, checkpoint into a
-//!    [`CheckpointStore`](crate::wal::CheckpointStore): a fixed-size WAL
-//!    record — the epoch's end tick and a progress digest, a
-//!    [`WalMark`] — appended after the current base snapshot (see
-//!    [`crate::wal`]), with a fresh O(state) full snapshot installed as a
-//!    new base every [`SupervisorOpts::full_snapshot_every`] epochs (every
-//!    epoch when it is 0).
+//! 2. At each epoch boundary, append a fixed-size WAL record — the epoch's
+//!    end tick and an O(1) progress digest, a [`WalMark`] — after the
+//!    current base. A full snapshot becomes the new base only when it pays:
+//!    once the ticks since the last base reach that base's size in bytes
+//!    (`BASE_BYTES_PER_PROC` per processor for genesis). Encoding then
+//!    costs at most about one byte per tick, and a crash replays at most
+//!    that many ticks plus the crashed epoch. A served batch is tens to a
+//!    few hundred ticks against bases of one to five KB, so it writes
+//!    none.
 //! 3. On a crash (panic) or watchdog expiry, discard the poisoned engine
 //!    and policy, wait out an exponential backoff, build a **fresh** policy
 //!    from the caller's factory, and recover from the store: decode the
 //!    base, read the record marks, and truncate at the first record whose
 //!    frame, digest, or chain breaks (a torn write loses only the tail; an
-//!    unusable base restarts from scratch). Then restore the base and step
-//!    on. Every epoch boundary up to the last mark is *verify-only*: the
-//!    engine's tick and progress digest must equal the mark's, or the run
-//!    fails with [`SupervisorError::Divergence`]; nothing is written, no
-//!    epoch is counted and the control callback is not called there. The
-//!    first boundary after the last mark installs a fresh base, so new
+//!    unusable base restarts from scratch under a new genesis header). A
+//!    genesis header whose inputs digest is not this run's fails with
+//!    [`SnapshotError::WorkloadMismatch`]. Then restore the base (a
+//!    genesis header restores nothing) and step on. Every epoch boundary
+//!    up to the last mark is *verify-only*: the engine's tick and progress
+//!    digest must equal the mark's, or the run fails with
+//!    [`SupervisorError::Divergence`]; nothing is written, no epoch is
+//!    counted and the control callback is not called there. After an
+//!    intact log the next record continues its chain; after a truncated
+//!    one the first boundary past the last mark installs a fresh base, so
 //!    records never append after a torn tail.
-//! 4. Give up with [`SupervisorError::RetriesExhausted`] once the crash
+//! 4. A migration ([`EpochControl::Migrate`]) installs a base at its own
+//!    boundary and rebuilds the engine and policy from that snapshot, so it
+//!    replays nothing.
+//! 5. Give up with [`SupervisorError::RetriesExhausted`] once the crash
 //!    budget is spent.
 //!
 //! Recovery is *exact*: a snapshot captures the run's full dynamic state —
@@ -32,8 +44,7 @@
 //! policy's own state including its RNG — and the run from there is a
 //! pure function of that state, the sequences and the fault plan. So a
 //! recovered run produces the same [`RunResult`] and the same trace stream
-//! as an uninterrupted one, and the replay after a crash is at most
-//! `full_snapshot_every` × `epoch_ticks` ticks plus the crashed epoch.
+//! as an uninterrupted one.
 //! Events re-emitted while replaying are deduplicated against the engine's
 //! monotone emission counter, so the caller's [`TraceSink`] sees every
 //! event exactly once.
@@ -68,7 +79,12 @@ use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
 use crate::snapshot::SnapshotError;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::wal::{recover, CheckpointStore, WalCursor, WalMark};
+use crate::wal::{genesis, recover, Base, CheckpointStore, WalCursor, WalMark};
+
+/// The size a genesis header stands in for, per processor, when deciding
+/// when the first snapshot pays: a lower bound on what a snapshot holds
+/// per processor (cursor, completion, flag and an empty cache's header).
+const BASE_BYTES_PER_PROC: u64 = 32;
 
 /// Capped exponential backoff: `base * 2^attempt`, saturating at `cap`.
 /// `attempt` is 0-based (the first retry waits `base`). This is the one
@@ -138,11 +154,6 @@ pub struct SupervisorOpts {
     /// and every panic after the run still reach the program's hook (see
     /// the module docs). Real panics still propagate as crashes either way.
     pub silence_panics: bool,
-    /// Between full snapshots, each epoch boundary appends a WAL record;
-    /// a fresh full snapshot becomes the new base after this many records,
-    /// bounding the replay after a crash to about this many epochs. `0`
-    /// installs a full snapshot at every boundary and writes no records.
-    pub full_snapshot_every: u64,
 }
 
 impl Default for SupervisorOpts {
@@ -154,7 +165,6 @@ impl Default for SupervisorOpts {
             backoff_cap: Duration::from_millis(50),
             watchdog: Duration::from_secs(30),
             silence_panics: true,
-            full_snapshot_every: 16,
         }
     }
 }
@@ -227,7 +237,7 @@ impl From<SnapshotError> for SupervisorError {
 
 /// A snapshot of the supervised run's progress, handed to the epoch
 /// control callback of [`Supervisor::run_controlled`] at each epoch
-/// boundary (immediately after that epoch's checkpoint reached the store).
+/// boundary (just before that epoch is checkpointed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EpochStatus {
     /// Epochs completed so far (= checkpoints taken), including this one.
@@ -241,11 +251,11 @@ pub struct EpochStatus {
 pub enum EpochControl {
     /// Keep stepping the current engine.
     Continue,
-    /// Tear the current engine and policy down and rebuild them from the
-    /// checkpoint just written — a live migration onto a fresh engine via
-    /// the recovery path (restore the base, replay to the last record).
-    /// Not counted as a crash; recovery determinism makes the migrated run
-    /// byte-identical to an unmigrated one.
+    /// Checkpoint this boundary as a base, tear the current engine and
+    /// policy down and rebuild them from that snapshot — a live migration
+    /// onto a fresh engine that replays nothing. Not counted as a crash;
+    /// recovery determinism makes the migrated run byte-identical to an
+    /// unmigrated one.
     Migrate,
 }
 
@@ -257,8 +267,8 @@ pub struct RecoveryReport {
     pub result: RunResult,
     /// Crashes survived (injected or genuine, including watchdog expiries).
     pub crashes: u32,
-    /// Crashes recovered by restoring a snapshot (the rest restarted from
-    /// scratch because no checkpoint existed yet).
+    /// Crashes recovered from the store (the rest restarted from scratch
+    /// because the store's base was unusable).
     pub resumes: u32,
     /// Completed epochs (= checkpoints taken).
     pub epochs: u64,
@@ -275,7 +285,7 @@ pub struct RecoveryReport {
     pub wal_truncations: u32,
     /// Live migrations performed: epoch boundaries at which the control
     /// callback returned [`EpochControl::Migrate`] and the run moved onto
-    /// a freshly built engine restored from the checkpoint just written.
+    /// a freshly built engine restored from the base written there.
     pub migrations: u64,
 }
 
@@ -291,13 +301,18 @@ enum Stretch {
 /// checkpoint and the crash, which were already forwarded before the crash.
 /// Gating on the absolute emission sequence number — monotone across the
 /// whole supervised run because [`Engine::restore`] restores the counter —
-/// suppresses exactly those duplicates.
+/// suppresses exactly those duplicates. While a replay is still verifying
+/// the store's marks, its events count as delivered without being
+/// forwarded: the log's writer reached those boundaries, so a store handed
+/// over from another process resumes the stream at its last intact mark.
 struct GatedSink<'s, S: TraceSink> {
     inner: &'s mut S,
     /// Absolute sequence number of the next event this sink will receive.
     seq: u64,
-    /// Events forwarded so far (= the sequence number high-water mark).
+    /// Events delivered so far (= the sequence number high-water mark).
     forwarded: u64,
+    /// Whether marks remain to verify.
+    verifying: bool,
 }
 
 impl<'s, S: TraceSink> GatedSink<'s, S> {
@@ -306,6 +321,7 @@ impl<'s, S: TraceSink> GatedSink<'s, S> {
             inner,
             seq: 0,
             forwarded: 0,
+            verifying: false,
         }
     }
 
@@ -319,8 +335,10 @@ impl<'s, S: TraceSink> GatedSink<'s, S> {
 impl<S: TraceSink> TraceSink for GatedSink<'_, S> {
     fn emit(&mut self, event: &TraceEvent) {
         if self.seq >= self.forwarded {
-            self.inner.emit(event);
-            self.forwarded += 1;
+            if !self.verifying {
+                self.inner.emit(event);
+            }
+            self.forwarded = self.seq + 1;
         }
         self.seq += 1;
     }
@@ -405,14 +423,13 @@ impl Supervisor {
     /// checkpoint from a previous run of the *same* workload resumes it
     /// instead of starting over.
     ///
-    /// At every epoch boundary, immediately *after* that epoch's checkpoint
-    /// reached the store, `control` inspects the run's [`EpochStatus`] —
-    /// once per boundary tick, in increasing tick order, however often a
-    /// recovery re-passes the boundary — and may order
-    /// [`EpochControl::Migrate`]: the supervisor then discards the live
-    /// engine and policy wholesale and rebuilds both from the checkpoint
-    /// just written, exactly the crash-recovery path (restore the base,
-    /// replay to the last record), without burning a retry. This is the
+    /// At every epoch boundary, just before that epoch is checkpointed,
+    /// `control` inspects the run's [`EpochStatus`] — once per boundary
+    /// tick, in increasing tick order, however often a recovery re-passes
+    /// the boundary — and may order [`EpochControl::Migrate`]: the
+    /// supervisor then installs a base at this boundary, discards the live
+    /// engine and policy wholesale and rebuilds both from that snapshot,
+    /// without burning a retry or replaying a tick. This is the
     /// live-migration seam the `parapage serve` tenant sessions use to
     /// move a tenant onto a fresh engine mid-run; recovery determinism
     /// keeps the migrated run's result and trace byte-identical to an
@@ -425,7 +442,9 @@ impl Supervisor {
     /// [`SupervisorError::Divergence`] immediately when a replay from the
     /// base misses an intact WAL record's tick or digest;
     /// [`SupervisorError::Snapshot`] when checkpoint/restore fails (e.g. a
-    /// policy without checkpoint support); otherwise
+    /// policy without checkpoint support) or the store's genesis header
+    /// belongs to other inputs ([`SnapshotError::WorkloadMismatch`]);
+    /// otherwise
     /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
     /// have been burned.
     #[allow(clippy::too_many_arguments)]
@@ -461,45 +480,72 @@ impl Supervisor {
         // restore should count as a resume) rather than a migration or the
         // initial entry.
         let mut resuming_from_crash = false;
+        // The run's inputs digest, taken on the first attempt's fresh engine.
+        let mut inputs = None;
+        // The base a migration just installed, with its cursor: the next
+        // attempt restores it without reading the store back.
+        let mut migrated = None;
+        let genesis_due = BASE_BYTES_PER_PROC.saturating_mul(params.p as u64);
 
         'attempt: loop {
             let mut alloc = policy_factory();
             let mut engine =
                 Engine::new(&mut *alloc, seqs, params, opts, faults, &mut cache_factory);
-            // Recover from the store: decode the base snapshot and read the
-            // marks of the intact records, which the replay from the base
-            // must then pass in order; the scan truncates at the first
-            // tear. An unusable base means restart from scratch —
-            // deterministic replay plus the gated sink keep even that
-            // byte-identical, just slower.
-            let mut restored = false;
-            let mut marks = Vec::new().into_iter();
-            if let Some((base, log)) = store.view() {
-                match recover(base, log) {
-                    Ok(rec) => {
-                        if rec.truncation.is_some() {
-                            wal_truncations += 1;
-                        }
-                        engine.restore(&rec.snapshot, &mut *alloc)?;
-                        marks = rec.marks.into_iter();
-                        restored = true;
+            let inputs = match inputs {
+                Some(d) => d,
+                None => *inputs.insert(engine.inputs_digest(params.k, &*alloc)?),
+            };
+            // Where records go (`None`: the next boundary installs a
+            // base), the tick from which a base pays, and the marks a
+            // replay from the base must pass in order.
+            let (mut cursor, mut base_due, marks) = if let Some((snap, at, due)) = migrated.take() {
+                engine.restore(&snap, &mut *alloc)?;
+                (Some(at), due, Vec::new())
+            } else {
+                // Recover from the store: the scan truncates at the
+                // first tear. An unusable base (or none) restarts from
+                // a fresh genesis header — deterministic replay plus
+                // the gated sink keep even that byte-identical.
+                match store
+                    .view()
+                    .map(|(base, log)| (base.len(), recover(base, log)))
+                {
+                    Some((len, Ok(rec))) => {
+                        let due = match rec.base {
+                            Base::Genesis(found) if found != inputs => {
+                                return Err(SnapshotError::WorkloadMismatch {
+                                    expected: inputs,
+                                    found,
+                                }
+                                .into());
+                            }
+                            Base::Genesis(_) => genesis_due,
+                            Base::Snapshot(snap) => {
+                                engine.restore(&snap, &mut *alloc)?;
+                                snap.ticks.saturating_add(len as u64)
+                            }
+                        };
+                        resumes += u32::from(resuming_from_crash);
+                        // An intact log continues its chain; a torn one
+                        // re-bases at the next boundary.
+                        let torn = rec.truncation.is_some();
+                        wal_truncations += u32::from(torn);
+                        ((!torn).then_some(rec.cursor), due, rec.marks)
                     }
-                    Err(_) => {
-                        wal_truncations += 1;
+                    unusable => {
+                        wal_truncations += u32::from(unusable.is_some());
+                        let header = genesis(inputs);
+                        checkpoint_bytes += header.len() as u64;
+                        let at = WalCursor::at_base(&header);
+                        store.install_base(header);
+                        (Some(at), genesis_due, Vec::new())
                     }
                 }
-            }
-            if restored && resuming_from_crash {
-                resumes += 1;
-            }
+            };
             resuming_from_crash = false;
-            // Always re-base after an attempt starts: the first epoch
-            // boundary past the last mark installs a fresh full snapshot,
-            // so records are never appended after a (possibly torn) old
-            // log tail.
-            let mut cursor: Option<WalCursor> = None;
-            let mut epochs_since_base = 0u64;
+            let mut marks = marks.into_iter();
             gate.resync(engine.emitted());
+            gate.verifying = marks.len() != 0;
             let attempt_start = Instant::now();
 
             loop {
@@ -573,38 +619,39 @@ impl Supervisor {
                             if found != expected {
                                 return Err(SupervisorError::Divergence { expected, found });
                             }
+                            gate.verifying = marks.len() != 0;
                             continue;
                         }
                         epochs += 1;
-                        let incremental =
-                            cursor.is_some() && epochs_since_base < self.opts.full_snapshot_every;
-                        if incremental {
-                            let record = cursor
-                                .as_mut()
-                                .expect("incremental implies a base is installed")
-                                .frame(&engine.wal_mark().encode());
-                            checkpoint_bytes += record.len() as u64;
-                            store.append_record(record);
-                            wal_records += 1;
-                            epochs_since_base += 1;
-                        } else {
-                            let bytes = engine.snapshot(&*alloc)?.encode();
-                            checkpoint_bytes += bytes.len() as u64;
-                            cursor = Some(WalCursor::at_base(&bytes));
-                            store.install_base(bytes);
-                            epochs_since_base = 0;
-                        }
-                        // The checkpoint for this epoch is durable; let the
-                        // controller, if it has not seen this boundary yet,
-                        // migrate onto a fresh engine restored from it. Not
-                        // a crash: no retry burned, no resume counted, no
-                        // backoff slept.
+                        // Consult the controller on boundaries it has not
+                        // seen yet; a migration checkpoints a base here.
                         let ticks = engine.ticks();
-                        if ticks > controlled_through {
+                        let migrate = ticks > controlled_through && {
                             controlled_through = ticks;
-                            if control(EpochStatus { epochs, ticks }) == EpochControl::Migrate {
-                                migrations += 1;
-                                continue 'attempt;
+                            control(EpochStatus { epochs, ticks }) == EpochControl::Migrate
+                        };
+                        match cursor.as_mut() {
+                            Some(at) if !migrate && ticks < base_due => {
+                                let record = at.frame(&engine.wal_mark().encode());
+                                checkpoint_bytes += record.len() as u64;
+                                store.append_record(record);
+                                wal_records += 1;
+                            }
+                            _ => {
+                                let snap = engine.snapshot(&*alloc)?;
+                                let bytes = snap.encode();
+                                checkpoint_bytes += bytes.len() as u64;
+                                base_due = ticks.saturating_add(bytes.len() as u64);
+                                let at = WalCursor::at_base(&bytes);
+                                cursor = Some(at);
+                                store.install_base(bytes);
+                                if migrate {
+                                    // Not a crash: no retry burned, no
+                                    // resume counted, no backoff slept.
+                                    migrations += 1;
+                                    migrated = Some((snap, at, base_due));
+                                    continue 'attempt;
+                                }
                             }
                         }
                         continue;
@@ -644,7 +691,7 @@ mod tests {
     use crate::trace::TraceRecorder;
     use crate::wal::MemStore;
     use parapage_cache::{LruCache, ProcId};
-    use parapage_core::{DetPar, FaultEvent, RandPar};
+    use parapage_core::{DetPar, FaultEvent, RandPar, StaticPartition};
 
     fn params() -> ModelParams {
         ModelParams::new(4, 32, 8)
@@ -955,11 +1002,11 @@ mod tests {
     #[test]
     fn wal_checkpoints_cost_less_than_full_snapshots() {
         // Same workload, same epoch cadence, crash-free: WAL records must
-        // be much cheaper than a full snapshot per epoch
-        // (`full_snapshot_every: 0`), and the result must be identical
-        // either way. Deterministic byte counts, so the margin is pinned
-        // without timing flakiness. A full snapshot carries every cache
-        // and the policy state, O(p·k); a record is a fixed 16-byte mark.
+        // be much cheaper than a full snapshot per epoch, and the result
+        // must be identical either way. Deterministic byte counts, so the
+        // margin is pinned without timing flakiness. A full snapshot
+        // carries every cache and the policy state, O(p·k); a record is a
+        // fixed 16-byte mark.
         let seqs: Vec<Vec<PageId>> = (0..4usize)
             .map(|x| {
                 (0..4000usize)
@@ -967,31 +1014,198 @@ mod tests {
                     .collect()
             })
             .collect();
-        let run = |full_snapshot_every: u64| {
-            supervise(
-                SupervisorOpts {
-                    full_snapshot_every,
-                    ..tiny_opts()
-                },
-                &seqs,
-                &FaultPlan::none(),
-                CrashPlan::none(),
-                || Box::new(DetPar::new(&params())),
-                &mut crate::trace::NullSink,
-            )
-            .expect("supervised run")
-        };
-        let full = run(0);
-        let wal = run(tiny_opts().full_snapshot_every);
-        assert_eq!(full.result, wal.result);
-        assert_eq!(full.epochs, wal.epochs);
-        assert_eq!(full.wal_records, 0);
+        let wal = supervise(
+            tiny_opts(),
+            &seqs,
+            &FaultPlan::none(),
+            CrashPlan::none(),
+            || Box::new(DetPar::new(&params())),
+            &mut crate::trace::NullSink,
+        )
+        .expect("supervised run");
+        // The same run with a full snapshot encoded at every boundary.
+        let mut alloc = DetPar::new(&params());
+        let plan = FaultPlan::none();
+        let mut engine = Engine::new(
+            &mut alloc,
+            &seqs,
+            &params(),
+            &EngineOpts::default(),
+            &plan,
+            |_| LruCache::new(0),
+        );
+        let (mut full_bytes, mut full_epochs) = (0u64, 0u64);
+        let mut epoch_end = tiny_opts().epoch_ticks;
+        while engine
+            .step(&mut alloc, &mut crate::trace::NullSink)
+            .unwrap()
+        {
+            if engine.ticks() >= epoch_end {
+                full_epochs += 1;
+                full_bytes += engine.snapshot(&alloc).unwrap().encode().len() as u64;
+                epoch_end = engine.ticks() + tiny_opts().epoch_ticks;
+            }
+        }
+        assert_eq!(engine.into_result(&alloc), wal.result);
+        assert_eq!(full_epochs, wal.epochs);
         assert!(wal.wal_records > 0, "incremental epochs must use records");
         assert!(
-            wal.checkpoint_bytes * 2 < full.checkpoint_bytes,
+            wal.checkpoint_bytes * 2 < full_bytes,
             "wal {} bytes vs full {} bytes",
             wal.checkpoint_bytes,
-            full.checkpoint_bytes
+            full_bytes
+        );
+    }
+
+    /// Counts what a supervised run reads from and writes to its store.
+    #[derive(Default)]
+    struct CountingStore {
+        inner: MemStore,
+        /// `true` for each base installed, `false` for each record, in order.
+        writes: Vec<bool>,
+        /// Records in the log at each `view`.
+        reads: Vec<usize>,
+    }
+
+    impl CheckpointStore for CountingStore {
+        fn install_base(&mut self, snapshot: Vec<u8>) {
+            self.writes.push(true);
+            self.inner.install_base(snapshot);
+        }
+        fn append_record(&mut self, record: Vec<u8>) {
+            self.writes.push(false);
+            self.inner.append_record(record);
+        }
+        fn view(&mut self) -> Option<(&[u8], &[u8])> {
+            let view = self.inner.view();
+            if let Some((base, log)) = view {
+                self.reads
+                    .push(recover(base, log).expect("intact base").marks.len());
+            }
+            view
+        }
+    }
+
+    fn supervise_counted(
+        store: &mut CountingStore,
+        crashes: CrashPlan,
+        control: impl FnMut(EpochStatus) -> EpochControl,
+    ) -> RecoveryReport {
+        Supervisor::new(SupervisorOpts {
+            epoch_ticks: 4,
+            ..tiny_opts()
+        })
+        .run_controlled(
+            &seqs(),
+            &params(),
+            &EngineOpts::default(),
+            &FaultPlan::none(),
+            &crashes,
+            || Box::new(DetPar::new(&params())),
+            |_| LruCache::new(0),
+            &mut crate::trace::NullSink,
+            store,
+            control,
+        )
+        .expect("supervised run")
+    }
+
+    #[test]
+    fn a_migration_replays_no_records() {
+        let (want, _) = uninterrupted(&seqs(), &FaultPlan::none());
+        let mut store = CountingStore::default();
+        let mut boundaries = 0;
+        let report = supervise_counted(&mut store, CrashPlan::none(), |_| {
+            boundaries += 1;
+            if boundaries % 3 == 0 {
+                EpochControl::Migrate
+            } else {
+                EpochControl::Continue
+            }
+        });
+        assert!(report.migrations >= 2, "premise: several migrations");
+        assert_eq!(report.result, want);
+        assert!(
+            store.reads.iter().all(|&records| records == 0),
+            "a migration's recovery read records: {:?}",
+            store.reads
+        );
+    }
+
+    #[test]
+    fn an_intact_log_continues_after_a_crash() {
+        let (want, _) = uninterrupted(&seqs(), &FaultPlan::none());
+        let mut store = CountingStore::default();
+        let report = supervise_counted(&mut store, CrashPlan::at_ticks(vec![10]), |_| {
+            EpochControl::Continue
+        });
+        assert_eq!(
+            (report.crashes, report.resumes, report.wal_truncations),
+            (1, 1, 0)
+        );
+        assert_eq!(report.result, want);
+        // One read, after the crash, found the two records of boundaries
+        // 4 and 8; the boundary after them appends a third.
+        assert_eq!(store.reads, [2]);
+        assert_eq!(store.writes[..4], [true, false, false, false]);
+    }
+
+    #[test]
+    fn a_genesis_log_of_other_inputs_is_a_typed_error() {
+        let seqs = seqs();
+        let opts = SupervisorOpts {
+            max_retries: 0,
+            ..tiny_opts()
+        };
+        let run = |params: ModelParams,
+                   policy: &dyn Fn() -> Box<dyn BoxAllocator>,
+                   store: &mut MemStore,
+                   crashes: CrashPlan| {
+            Supervisor::new(opts).run_controlled(
+                &seqs,
+                &params,
+                &EngineOpts::default(),
+                &FaultPlan::none(),
+                &crashes,
+                policy,
+                |_| LruCache::new(0),
+                &mut crate::trace::NullSink,
+                store,
+                |_| EpochControl::Continue,
+            )
+        };
+        // Batch 1's crashed log handed to batch 2 must be refused, not
+        // replayed against batch 2's inputs; it still resumes batch 1.
+        let refused =
+            |(params1, policy1): (ModelParams, &dyn Fn() -> Box<dyn BoxAllocator>),
+             (params2, policy2): (ModelParams, &dyn Fn() -> Box<dyn BoxAllocator>)| {
+                let mut batch1 = MemStore::new();
+                let err = run(params1, policy1, &mut batch1, CrashPlan::at_ticks(vec![40]))
+                    .expect_err("fatal crash");
+                assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
+                let (base, log) = batch1.view().expect("checkpointed");
+                let rec = recover(base, log).expect("intact");
+                assert!(matches!(rec.base, Base::Genesis(_)) && !rec.marks.is_empty());
+                match run(params2, policy2, &mut batch1.clone(), CrashPlan::none()) {
+                    Err(SupervisorError::Snapshot(SnapshotError::WorkloadMismatch {
+                        expected,
+                        found,
+                    })) => assert_ne!(expected, found),
+                    other => panic!("another batch's log was not refused: {other:?}"),
+                }
+                assert!(run(params1, policy1, &mut batch1, CrashPlan::none()).is_ok());
+            };
+        // Same sequences, different policy seeds.
+        refused(
+            (params(), &|| Box::new(RandPar::new(&params(), 1))),
+            (params(), &|| Box::new(RandPar::new(&params(), 2))),
+        );
+        // Static partitions that differ only in `k`: their checkpoint is
+        // empty, so only the digest's own `k` tells them apart.
+        let (small, large) = (ModelParams::new(4, 16, 8), ModelParams::new(4, 32, 8));
+        refused(
+            (small, &move || Box::new(StaticPartition::new(&small))),
+            (large, &move || Box::new(StaticPartition::new(&large))),
         );
     }
 
@@ -1005,7 +1219,6 @@ mod tests {
         let (want, _) = uninterrupted(&seqs, &FaultPlan::none());
         let opts = SupervisorOpts {
             epoch_ticks: 4,
-            full_snapshot_every: u64::MAX,
             max_retries: 0,
             ..tiny_opts()
         };
@@ -1104,6 +1317,61 @@ mod tests {
         assert_eq!(report.result, want);
         // The second process replays from the stored checkpoint, so its
         // stream is exactly a suffix of the uninterrupted trace.
+        let evs = rec.into_events();
+        assert!(!evs.is_empty() && evs.len() < want_trace.len());
+        assert_eq!(evs[..], want_trace[want_trace.len() - evs.len()..]);
+    }
+
+    #[test]
+    fn a_handed_over_snapshot_base_survives_another_crash_without_repeats() {
+        // The first process crashes after a snapshot base paid (genesis is
+        // due at 32 ticks per processor, so the boundary at 128 writes
+        // one). The second process restores that base mid-stream, crashes
+        // soon after, and restores it again: the events it delivered
+        // before its crash are not delivered twice. `seqs()` ten times
+        // over runs about 320 ticks.
+        let seqs: Vec<Vec<PageId>> = seqs().iter().map(|s| s.repeat(10)).collect();
+        let (want, want_trace) = uninterrupted(&seqs, &FaultPlan::none());
+        let mut store = MemStore::new();
+        let run = |crashes: CrashPlan,
+                   max_retries: u32,
+                   sink: &mut TraceRecorder,
+                   store: &mut MemStore| {
+            Supervisor::new(SupervisorOpts {
+                max_retries,
+                ..tiny_opts()
+            })
+            .run_controlled(
+                &seqs,
+                &params(),
+                &EngineOpts::default(),
+                &FaultPlan::none(),
+                &crashes,
+                || Box::new(DetPar::new(&params())),
+                |_| LruCache::new(0),
+                sink,
+                store,
+                |_| EpochControl::Continue,
+            )
+        };
+        let err = run(
+            CrashPlan::at_ticks(vec![200]),
+            0,
+            &mut TraceRecorder::new(),
+            &mut store,
+        )
+        .expect_err("zero retries: the injected crash is fatal");
+        assert!(matches!(err, SupervisorError::RetriesExhausted { .. }));
+        let (base, log) = store.view().expect("checkpointed");
+        assert!(
+            matches!(recover(base, log).expect("intact").base, Base::Snapshot(_)),
+            "premise: the handed-over base is a snapshot"
+        );
+        let mut rec = TraceRecorder::new();
+        let report = run(CrashPlan::at_ticks(vec![210]), 1, &mut rec, &mut store)
+            .expect("second process finishes the run");
+        assert_eq!((report.crashes, report.resumes), (1, 1));
+        assert_eq!(report.result, want);
         let evs = rec.into_events();
         assert!(!evs.is_empty() && evs.len() < want_trace.len());
         assert_eq!(evs[..], want_trace[want_trace.len() - evs.len()..]);

@@ -1,4 +1,5 @@
-//! Write-ahead log of epoch ends between full snapshots.
+//! Write-ahead log of epoch ends after a base: a genesis header or a full
+//! snapshot.
 //!
 //! A full [`EngineSnapshot`] costs O(state) to encode: O(p·k) of cache
 //! contents plus the policy's own state, and more with every grant when
@@ -13,6 +14,21 @@
 //! recomputes the state by stepping the engine forward from the base,
 //! checking each mark as it passes it (command logging, as opposed to
 //! value logging).
+//!
+//! ### Bases: genesis or snapshot
+//!
+//! A store's base is one framed blob (magic, version, payload, `digest64`
+//! trailer), either
+//!
+//! * a **genesis header**, whose payload is exactly the 8-byte
+//!   `Engine::inputs_digest` of the run — sequences, `p`, `k`, `s`, policy
+//!   name and initial checkpoint (so the seed), and cache shape. A run
+//!   starts its store with one, so it writes no snapshot until one pays.
+//!   Recovery from it replays from a freshly built engine; a header whose
+//!   digest differs from the run's is a typed error, never a replay of
+//!   someone else's log; or
+//! * a full [`EngineSnapshot`], whose payload is always longer than 8
+//!   bytes.
 //!
 //! ### Record framing and the digest chain
 //!
@@ -34,7 +50,10 @@
 //! ### Record payload
 //!
 //! The payload is a fixed [`WAL_MARK_LEN`] bytes, `ticks u64 | digest u64`,
-//! whatever the processor count, cache size or run length.
+//! whatever the processor count, cache size or run length. A record
+//! certifies that a replay from the base reached that tick with the same
+//! progress digest (`Engine::wal_mark`): the same events emitted, the same
+//! per-processor cursors and completions, and the same aggregate counters.
 //!
 //! ### Recovery scan
 //!
@@ -44,9 +63,13 @@
 //! tear is discarded ([`WalTruncation`] reports where and why, as a typed
 //! [`CodecError`]). The supervisor restores the base and replays to the
 //! last intact mark; a replay that reaches a mark's epoch boundary with a
-//! different tick or digest is a divergence, never a silent resume.
+//! different tick or digest is a divergence, never a silent resume. An
+//! intact log is continued in place: [`WalRecovery::cursor`] appends after
+//! its last record.
 
-use parapage_cache::{frame_wal_record, parse_wal_record, CodecError, WalRecordStep};
+use parapage_cache::{
+    decode_framed, frame_wal_record, parse_wal_record, CodecError, SnapWriter, WalRecordStep,
+};
 
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 
@@ -62,7 +85,7 @@ pub const WAL_MARK_LEN: usize = 16;
 pub struct WalMark {
     /// Engine ticks at the epoch boundary.
     pub ticks: u64,
-    /// Digest of the engine's O(p) progress scalars at the boundary.
+    /// Digest of the engine's progress at the boundary.
     pub digest: u64,
 }
 
@@ -89,6 +112,23 @@ impl WalMark {
     }
 }
 
+/// The genesis header of a run whose `Engine::inputs_digest` is
+/// `inputs`: a framed blob with that digest as its whole payload.
+pub fn genesis(inputs: u64) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put_u64(inputs);
+    w.into_framed()
+}
+
+/// A decoded base.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Base {
+    /// A [`genesis`] header: the run's inputs digest.
+    Genesis(u64),
+    /// A full snapshot.
+    Snapshot(Box<EngineSnapshot>),
+}
+
 /// Chain seed of the first WAL record after `base`, an encoded full
 /// snapshot: the digest in the base blob's trailer. That digest covers the
 /// whole payload and decoding verifies it, so the chain stays bound to the
@@ -100,7 +140,7 @@ pub fn wal_chain_seed(base: &[u8]) -> u64 {
 
 /// Append-side chain cursor: tracks the next sequence number and chain
 /// seed while records are written after a base snapshot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalCursor {
     /// Sequence number the next appended record will carry.
     pub seq: u64,
@@ -152,8 +192,8 @@ impl std::fmt::Display for WalTruncation {
 /// intact records after it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalRecovery {
-    /// The base snapshot the log extends.
-    pub snapshot: EngineSnapshot,
+    /// The base the log extends.
+    pub base: Base,
     /// The intact records' marks, in log order: the epoch boundaries a
     /// replay from `snapshot` must pass, each at exactly its tick and
     /// digest.
@@ -161,6 +201,8 @@ pub struct WalRecovery {
     /// `Some` when the scan stopped at a torn or corrupt record; `marks`
     /// then ends at the last intact record before it.
     pub truncation: Option<WalTruncation>,
+    /// Where the next record goes after the last intact one.
+    pub cursor: WalCursor,
 }
 
 /// Reads `(base, log)`: decodes the base snapshot, then collects record
@@ -174,7 +216,11 @@ pub struct WalRecovery {
 /// [`SnapshotError`] only when the *base* itself fails to decode; the
 /// caller decides whether that means restart-from-scratch.
 pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
-    let snapshot = EngineSnapshot::decode(base)?;
+    let payload = decode_framed(base)?;
+    let decoded = match payload.try_into() {
+        Ok(inputs) => Base::Genesis(u64::from_le_bytes(inputs)),
+        Err(_) => Base::Snapshot(Box::new(EngineSnapshot::decode_payload(payload)?)),
+    };
     let mut chain = wal_chain_seed(base);
     let mut offset = 0usize;
     let mut marks = Vec::new();
@@ -208,7 +254,11 @@ pub fn recover(base: &[u8], log: &[u8]) -> Result<WalRecovery, SnapshotError> {
         });
     };
     Ok(WalRecovery {
-        snapshot,
+        base: decoded,
+        cursor: WalCursor {
+            seq: marks.len() as u64,
+            chain,
+        },
         marks,
         truncation,
     })
@@ -334,7 +384,11 @@ mod tests {
         assert_eq!(rec.marks, marks);
         assert!(rec.truncation.is_none());
         // The base comes back byte-identical, not just structurally equal.
-        assert_eq!(rec.snapshot.encode(), base_bytes);
+        assert_eq!(
+            rec.base,
+            Base::Snapshot(Box::new(EngineSnapshot::decode(&base_bytes).unwrap()))
+        );
+        assert_eq!(base_snapshot().encode(), base_bytes);
     }
 
     #[test]
@@ -407,7 +461,7 @@ mod tests {
             rec.truncation.expect("chain mismatch").reason,
             CodecError::DigestMismatch { .. }
         ));
-        assert_eq!(rec.snapshot, stale);
+        assert_eq!(rec.base, Base::Snapshot(Box::new(stale)));
     }
 
     #[test]

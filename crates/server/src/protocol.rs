@@ -65,6 +65,12 @@ pub const MAX_TENANT_NAME: usize = 256;
 /// bound.
 pub const MAX_SHARDS: usize = parapage::cache::MAX_SHARDS;
 
+/// Most processors a tenant may declare: a `Batch` payload carries one
+/// 8-byte length per processor after its 17-byte head, so no larger tenant
+/// could ever fit a batch in [`MAX_FRAME`]. Admission refuses a larger
+/// [`TenantConfig::p`]; below it a batch costs time linear in `p`.
+pub const MAX_PROCS: usize = (MAX_FRAME - 17) / 8;
+
 /// Application error codes carried by [`Frame::Error`].
 pub mod error_code {
     /// Protocol version mismatch in `Hello`.

@@ -48,7 +48,7 @@ use parapage::core::policy;
 
 use crate::protocol::{
     c2s_chain_seed, error_code, s2c_chain_seed, Frame, ServerStats, TenantConfig, WireError,
-    WireState, MAX_FRAME, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
+    WireState, MAX_FRAME, MAX_PROCS, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
 };
 use crate::tenant::{TenantCounters, TenantOpts, TenantSession};
 
@@ -554,11 +554,11 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
             format!("unknown or unservable policy `{}`", config.policy),
         ));
     }
-    if config.p == 0 || config.k < config.p || config.s < 2 {
+    if config.p == 0 || config.p > MAX_PROCS || config.k < config.p || config.s < 2 {
         return Err((
             error_code::BAD_FRAME,
             format!(
-                "invalid model: p={} k={} s={} (need p>0, k>=p, s>=2)",
+                "invalid model: p={} k={} s={} (need 0<p<={MAX_PROCS}, k>=p, s>=2)",
                 config.p, config.k, config.s
             ),
         ));

@@ -8,15 +8,16 @@
 //! processor's cache is a single-owner
 //! [`ShardedLru`](parapage::cache::ShardedLru) of the tenant's `shards`
 //! (one arena, one index, one recency list per shard), and checkpoints go
-//! to the tenant's in-memory [`MemStore`] as a base snapshot plus one
-//! fixed-size WAL record (end tick and progress digest) per epoch. A
-//! [`Frame::Kill`](crate::protocol::Frame::Kill) becomes a deterministic
-//! [`CrashPlan`] tick — the supervisor absorbs the panic, restores the
-//! base and replays to the last record — and a
-//! [`Frame::Migrate`](crate::protocol::Frame::Migrate) becomes an
-//! [`EpochControl::Migrate`] order at the first epoch boundary
-//! at-or-after the requested tick, tearing the engine down and rebuilding
-//! it through the same restore-and-replay path mid-batch.
+//! to the tenant's in-memory [`MemStore`] as a genesis header (the
+//! batch's inputs digest) plus one fixed-size WAL record (end tick and
+//! progress digest) per epoch; a batch is too short for a periodic
+//! snapshot to pay. A [`Frame::Kill`](crate::protocol::Frame::Kill)
+//! becomes a deterministic [`CrashPlan`] tick — the supervisor absorbs
+//! the panic, replays from genesis to the last record and continues the
+//! log — and a [`Frame::Migrate`](crate::protocol::Frame::Migrate)
+//! becomes an [`EpochControl::Migrate`] order at the first epoch boundary
+//! at-or-after the requested tick, which snapshots the engine there and
+//! rebuilds it from that snapshot mid-batch, replaying nothing.
 //!
 //! Because supervised recovery is byte-exact (the chaos matrix pins this),
 //! the tenant's [`Frame::BatchDone`](crate::protocol::Frame::BatchDone)

@@ -4,7 +4,9 @@
 //! connection that stays usable.
 
 use parapage::cache::PageId;
-use parapage_server::protocol::{error_code, Frame, TenantConfig, MAX_SHARDS, PROTO_VERSION};
+use parapage_server::protocol::{
+    error_code, Frame, TenantConfig, MAX_FRAME, MAX_PROCS, MAX_SHARDS, PROTO_VERSION,
+};
 use parapage_server::server::{serve, ServeOpts};
 use parapage_server::{Client, TenantOpts, TenantSession};
 
@@ -165,6 +167,29 @@ fn an_unbounded_shard_count_is_refused_at_admission() {
     ));
 
     let _ = other.call(&Frame::Shutdown);
+    handle.join();
+}
+
+/// A `Hello` declaring more processors than any `Batch` frame can carry
+/// is refused at admission; `MAX_PROCS` itself is admitted, and a batch
+/// of that many empty sequences fits a frame.
+#[test]
+fn a_processor_count_no_batch_can_carry_is_refused_at_admission() {
+    let handle = serve("127.0.0.1:0", ServeOpts::default()).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for p in [1 << 40, MAX_PROCS + 1] {
+        let mut cfg = config("huge");
+        (cfg.p, cfg.k) = (p, p);
+        expect_error(client.hello(cfg).expect("hello"), error_code::BAD_FRAME);
+    }
+    let mut cfg = config("largest");
+    (cfg.p, cfg.k) = (MAX_PROCS, MAX_PROCS);
+    assert!(matches!(
+        client.hello(cfg).expect("hello"),
+        Frame::HelloAck { .. }
+    ));
+    const { assert!(17 + 8 * MAX_PROCS <= MAX_FRAME && 17 + 8 * (MAX_PROCS + 1) > MAX_FRAME) };
+    let _ = client.call(&Frame::Shutdown);
     handle.join();
 }
 

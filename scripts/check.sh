@@ -32,6 +32,9 @@ cargo run -q -p parapage-cli --release -- chaos --quick
 echo "==> parapage chaos (full-size crash-recovery + WAL corruption matrices)"
 cargo run -q -p parapage-cli --release -- chaos
 
+echo "==> supervisor scaling (checkpoint bytes per event, p = 64 .. 16384, release)"
+cargo test -q -p parapage-sched --release --test supervisor_scaling
+
 echo "==> ops regression floors (release microbench pins)"
 cargo test -q -p parapage-bench --release --test ops_regression
 
