@@ -24,11 +24,10 @@
 //! | `checkpoint/full-snapshot` | per-epoch full-snapshot encoding cost |
 //! | `checkpoint/wal-delta`| per-epoch WAL record (tick + O(1) digest)  |
 //! | `server/wire-codec`   | serve protocol frame encode/verify/decode  |
-//! | `concurrent/sharded-access` | pool workers on one shared sharded LRU |
 //! | `ops/engine-step`     | raw engine event throughput (ticks/sec)    |
 //! | `ops/lru-access`      | packed-LRU access throughput (single shard)|
-//! | `ops/sharded-access`  | sharded-LRU routing + access, one thread   |
-//! | `ops/sharded-exclusive` | the same stream, single-owner path       |
+//! | `ops/sharded-access`  | the same stream, reference sharded LRU     |
+//! | `ops/sharded-exclusive` | the same stream, served sharded LRU      |
 //! | `ops/digest`          | bulk integrity digest, bytes/sec           |
 //! | `ops/digest-fnv`      | byte-serial FNV-1a on the same buffer      |
 //! | `ops/mattson-curve`   | single-pass LRU miss curve, requests/sec   |
@@ -61,6 +60,7 @@
 
 use std::time::Instant;
 
+use parapage::cache::ShardedCache;
 use parapage::core::policy;
 use parapage::prelude::*;
 use parapage::workloads::family::conformance_mix;
@@ -672,51 +672,7 @@ fn entry_wire_codec(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(frames, d.finish())
 }
 
-/// Entry 9: concurrent sharded-cache access. Pool workers hammer one
-/// *shared* [`ShardedCache<LruCache>`]; each work unit owns the shards
-/// whose index matches its own (pages are rejection-sampled onto owned
-/// shards), so per-unit hit/miss counts are independent of interleaving
-/// and the digest stays byte-identical across pool widths while the shard
-/// mutexes and routing still run under real multi-thread traffic.
-fn entry_concurrent_sharded(quick: bool, seed: u64) -> EntryOut {
-    use rayon::prelude::*;
-    const UNITS: usize = 8;
-    let per = if quick { 4_000 } else { 20_000 };
-    let cache = ShardedCache::<LruCache>::with_shards(256, UNITS);
-    let units: Vec<usize> = (0..UNITS).collect();
-    let outs: Vec<(usize, usize)> = units
-        .par_iter()
-        .map(|&u| {
-            let mut x = seed ^ (u as u64) << 7 | 1;
-            let (mut hits, mut misses) = (0usize, 0usize);
-            let mut produced = 0usize;
-            while produced < per {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let page = PageId((x >> 33) % 512);
-                if cache.shard_of(page) != u {
-                    continue; // not an owned shard: skip, stay disjoint
-                }
-                produced += 1;
-                if cache.access_shared(page).is_hit() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            (hits, misses)
-        })
-        .collect();
-    let mut d = Digest::new();
-    for (u, (hits, misses)) in outs.iter().enumerate() {
-        d.write(&format!("unit={u} hits={hits} misses={misses}"));
-    }
-    d.write(&format!("len={}", cache.len_shared()));
-    EntryOut::plain(UNITS * per, d.finish())
-}
-
-/// Entry 10: raw engine event throughput. One det-par run stepped to
+/// Entry 9: raw engine event throughput. One det-par run stepped to
 /// completion with a null sink and no checkpoint traffic; `runs` counts
 /// events processed (the engine's tick clock), so `runs_per_sec_threads1`
 /// reads as engine events per second. This is the number the batched
@@ -761,7 +717,7 @@ fn ops_access_page(x: &mut u64, capacity: u64) -> PageId {
     }
 }
 
-/// Entry 11: packed-LRU access throughput — the innermost operation of
+/// Entry 10: packed-LRU access throughput — the innermost operation of
 /// every simulated request, measured bare: one `LruCache`, one thread,
 /// a mixed hit/miss stream. `runs` counts accesses.
 fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
@@ -784,22 +740,17 @@ fn entry_ops_lru_access(quick: bool, seed: u64) -> EntryOut {
 }
 
 /// Runs the `ops/lru-access` stream through `cache`, a sharded LRU of 8
-/// shards, each request served by `access`; `runs` counts accesses. Both
+/// shards; `runs` counts accesses. Both
 /// sharded entries write the same digest string, so equal digests prove
-/// the locked reference and the served one-arena cache served the stream
+/// the reference and the served one-arena cache served the stream
 /// identically.
-fn ops_sharded_with<C: Cache>(
-    quick: bool,
-    seed: u64,
-    mut cache: C,
-    access: fn(&mut C, PageId) -> Access,
-) -> EntryOut {
+fn ops_sharded_with(quick: bool, seed: u64, mut cache: impl Cache) -> EntryOut {
     let accesses = if quick { 150_000 } else { 750_000 };
     let (mut hits, mut misses) = (0u64, 0u64);
     let mut x = seed | 1;
     for _ in 0..accesses {
         let page = ops_access_page(&mut x, OPS_SHARDED_K as u64);
-        if access(&mut cache, page).is_hit() {
+        if cache.access(page).is_hit() {
             hits += 1;
         } else {
             misses += 1;
@@ -813,23 +764,19 @@ fn ops_sharded_with<C: Cache>(
 /// Capacity of both `ops/sharded-*` entries' cache.
 const OPS_SHARDED_K: usize = 256;
 
-/// Entry 12: sharded-LRU access throughput on a single thread through the
-/// locked `access_shared` path of `ShardedCache<LruCache>` that concurrent
-/// callers take: route, yield point, shard lock, access. Contention is
-/// left to `concurrent/sharded-access`. Its gap to `ops/sharded-exclusive`
-/// (same stream, same digest) is what the per-shard caches, the lock, the
-/// yield point and the atomic ledger-flag load cost per access.
+/// Entry 11: sharded-LRU access throughput on a single thread through the
+/// reference `ShardedCache<LruCache>`: route, then one of 8 separate
+/// `LruCache`s. Its gap to `ops/sharded-exclusive` (same stream, same
+/// digest) is what separate per-shard caches cost against one arena.
 fn entry_ops_sharded_access(quick: bool, seed: u64) -> EntryOut {
-    let cache = ShardedCache::<LruCache>::with_shards(OPS_SHARDED_K, 8);
-    ops_sharded_with(quick, seed, cache, |c, page| c.access_shared(page))
+    ops_sharded_with(quick, seed, ShardedCache::with_shards(OPS_SHARDED_K, 8))
 }
 
-/// Entry 13: the same stream through the served [`ShardedLru`]: one arena,
+/// Entry 12: the same stream through the served [`ShardedLru`]: one arena,
 /// one index, 8 recency lists, the path the engine and every tenant batch
 /// use. Its gap to `ops/lru-access` is what per-shard LRU semantics cost.
 fn entry_ops_sharded_exclusive(quick: bool, seed: u64) -> EntryOut {
-    let cache = ShardedLru::with_shards(OPS_SHARDED_K, 8);
-    ops_sharded_with(quick, seed, cache, |c, page| c.access(page))
+    ops_sharded_with(quick, seed, ShardedLru::with_shards(OPS_SHARDED_K, 8))
 }
 
 /// Size of the buffer the `ops/digest*` entries hash repeatedly.
@@ -857,13 +804,13 @@ fn ops_digest_with(quick: bool, seed: u64, digest: fn(u64, &[u8]) -> u64) -> Ent
     EntryOut::plain(passes as usize * OPS_DIGEST_BUF, d.finish())
 }
 
-/// Entry 14: the bulk integrity digest (`digest64_seeded`) every snapshot,
+/// Entry 13: the bulk integrity digest (`digest64_seeded`) every snapshot,
 /// WAL record and wire frame goes through.
 fn entry_ops_digest(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::digest64_seeded)
 }
 
-/// Entry 15: FNV-1a over the same buffer, for the record.
+/// Entry 14: FNV-1a over the same buffer, for the record.
 fn entry_ops_digest_fnv(quick: bool, seed: u64) -> EntryOut {
     ops_digest_with(quick, seed, parapage::cache::fnv1a64_seeded)
 }
@@ -884,7 +831,7 @@ fn fold_pages(seq: &[PageId]) -> u64 {
     })
 }
 
-/// Entry 16: Mattson's single-pass LRU miss curve, the stack-distance
+/// Entry 15: Mattson's single-pass LRU miss curve, the stack-distance
 /// analysis under the green-OPT DP and the lower-bound calculator.
 /// `runs` counts requests analysed.
 fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
@@ -900,7 +847,7 @@ fn entry_ops_mattson(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(passes * seq.len(), d.finish())
 }
 
-/// Entry 17: Belady's MIN, the per-processor term of the certified
+/// Entry 16: Belady's MIN, the per-processor term of the certified
 /// `T_OPT` lower bound, on a Zipf stream and on a cyclic stream that
 /// thrashes LRU. `runs` counts requests simulated.
 fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
@@ -914,7 +861,7 @@ fn entry_ops_belady(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * len, d.finish())
 }
 
-/// Entry 18: the offline green-paging optimum (the `T_OPT` side of every
+/// Entry 17: the offline green-paging optimum (the `T_OPT` side of every
 /// RAND-GREEN ratio), by both the naive and the Fenwick-accelerated DP,
 /// which must agree. `runs` counts requests per DP times the two DPs.
 fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
@@ -932,7 +879,7 @@ fn entry_ops_green_opt(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(2 * seq.len(), d.finish())
 }
 
-/// Entry 19: the workload generators — cyclic, Zipf and polluted-cycle
+/// Entry 18: the workload generators — cyclic, Zipf and polluted-cycle
 /// streams plus one Theorem-4 adversarial instance. `runs` counts pages
 /// generated.
 fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
@@ -988,7 +935,7 @@ fn ucp_batch(params: &ModelParams, seed: u64) -> Workload {
     build_workload(&specs, seed)
 }
 
-/// Entry 20: UCP, the one policy whose decisions read the access streams,
+/// Entry 19: UCP, the one policy whose decisions read the access streams,
 /// on a fixed pool of `monitor-ucp`-shaped batches. Each batch is one
 /// engine run with a fresh policy, as a served batch is; its epoch
 /// repartitions (a Mattson pass per processor plus the lookahead) are
@@ -1012,7 +959,7 @@ fn entry_ops_ucp_repartition(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(runs, d.finish())
 }
 
-/// Entry 21: the served miss path. A tenant's sharded LRU under
+/// Entry 20: the served miss path. A tenant's sharded LRU under
 /// RAND-PAR's boxes on `thrash-randpar`: 4 shards built at capacity 0,
 /// resized every 16 requests — nine times in ten to height 16, else to
 /// 256 — while a seeded uniform stream runs over a working set four times
@@ -1178,7 +1125,6 @@ pub fn run_suite(quick: bool, seed: u64, threads_par: usize) -> SuiteReport {
         ("checkpoint/full-snapshot", false, entry_ckpt_full),
         ("checkpoint/wal-delta", false, entry_ckpt_wal),
         ("server/wire-codec", false, entry_wire_codec),
-        ("concurrent/sharded-access", true, entry_concurrent_sharded),
     ];
     let full: Vec<(&'static str, bool, EntryFn)> =
         recipe.iter().chain(OPS_RECIPE.iter()).copied().collect();

@@ -10,7 +10,7 @@ use parapage_bench::suite::{checkpoint_cost, EntryResult, SuiteReport};
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
-fn wal_deltas_cost_less_than_half_of_full_snapshots() {
+fn wal_records_cost_less_than_half_of_full_snapshots() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let full = checkpoint_cost(true, 42, false);
     let wal = checkpoint_cost(true, 42, true);

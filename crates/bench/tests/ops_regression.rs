@@ -41,7 +41,7 @@ fn every_pinned_entry_exists_and_counts_work() {
 
 /// The ops entries are pure functions of (recipe size, seed): two runs
 /// must agree digest-for-digest, and the two legs of one run likewise.
-/// The locked `ShardedCache<LruCache>` and the one-arena `ShardedLru`
+/// The reference `ShardedCache<LruCache>` and the one-arena `ShardedLru`
 /// entries serve one stream, so their digests must agree too, and UCP's
 /// runs must decide what the full-scan UCP decided.
 #[test]
@@ -69,7 +69,7 @@ fn ops_entries_are_deterministic() {
     assert_eq!(
         digest_of("ops/sharded-access"),
         digest_of("ops/sharded-exclusive"),
-        "ShardedLru and the locked ShardedCache<LruCache> served the stream differently"
+        "ShardedLru and the reference ShardedCache<LruCache> served the stream differently"
     );
     // The frozen full-scan UCP (`parapage_core::testshim::ScanUcp`) gave
     // this digest on the same runs: every allocation and makespan of the

@@ -24,10 +24,10 @@
 //! * [`ShardedLru`] — the tenant's sharded LRU: `n` per-shard recency
 //!   lists, routed by page hash, over one node arena and one page index
 //!   shared with [`LruCache`]'s code.
-//! * [`concurrent`] — a concurrently-accessible cache behind the same
-//!   [`Cache`] trait: [`ShardedCache`], independently locked sequential
-//!   shards with a yield point before each shard-lock acquisition, which
-//!   the schedule explorer drives and [`ShardedLru`] is tested against.
+//! * [`testshim`] — reference implementations kept for differential
+//!   tests: [`MapLru`] for [`LruCache`], and [`ShardedCache`] (`n`
+//!   sequential caches behind the same router) for [`ShardedLru`]. Nothing
+//!   in this crate takes a lock.
 //! * [`window`] — simulation of one *memory box*: run a request sequence
 //!   through an LRU cache of height `h` for a time budget, which is the inner
 //!   loop of every paging algorithm in the paper.
@@ -42,7 +42,6 @@ pub mod arc;
 pub mod belady;
 pub mod checkpoint;
 pub mod clock;
-pub mod concurrent;
 pub mod fenwick;
 pub mod fifo;
 pub mod lfu;
@@ -67,7 +66,6 @@ pub use checkpoint::{
     SNAP_MAGIC, SNAP_VERSION, WAL_RECORD_HEADER, WAL_RECORD_MAGIC,
 };
 pub use clock::ClockCache;
-pub use concurrent::ShardedCache;
 pub use fenwick::Fenwick;
 pub use fifo::FifoCache;
 pub use lfu::LfuCache;
@@ -77,7 +75,7 @@ pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
 pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS};
 pub use stats::CacheStats;
-pub use testshim::MapLru;
+pub use testshim::{MapLru, ShardedCache};
 pub use two_queue::TwoQueueCache;
 pub use types::{PageId, ProcId, Time};
 pub use window::{run_box, run_box_budget, run_window, WindowOutcome};

@@ -15,8 +15,8 @@
 //!
 //! Every outcome and every snapshot byte is what `n` separate
 //! [`LruCache`](crate::LruCache)s fed their routed subsequences produce,
-//! which is what the locked [`ShardedCache<LruCache>`](crate::ShardedCache)
-//! still is; the `sharded_props` differential proptest pins the two
+//! which is what the reference [`ShardedCache<LruCache>`](crate::ShardedCache)
+//! is; the `sharded_props` differential proptest pins the two
 //! together under access, budget, resize, clear and checkpoint churn. With
 //! one shard it is byte-identical to a plain `LruCache`.
 

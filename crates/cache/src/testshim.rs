@@ -1,5 +1,10 @@
 //! Test-only reference implementations kept for differential testing.
 //!
+//! [`ShardedCache`] is `n` independent sequential caches behind the shared
+//! page router, the reference the one-arena [`ShardedLru`](crate::ShardedLru)
+//! is pinned against (`tests/sharded_props.rs`, `tests/lru_differential.rs`):
+//! same routing, same capacity split, same snapshot bytes.
+//!
 //! [`MapLru`] is the pre-packed LRU verbatim: an arena-allocated intrusive
 //! list indexed by `HashMap<PageId, u32>`. It is *not* used anywhere in the
 //! hot path — it exists so `tests/lru_differential.rs` can drive random
@@ -12,8 +17,109 @@
 use std::collections::HashMap;
 
 use crate::checkpoint::{Checkpoint, CodecError, SnapReader, SnapWriter};
+use crate::lru::LruCache;
 use crate::policy::{Access, Cache};
-use crate::types::PageId;
+use crate::sharded_lru::{route, shard_capacity};
+use crate::types::{PageId, Time};
+
+/// `n` (a power of two) sequential caches, pages routed by FNV-1a hash as
+/// [`ShardedLru`](crate::ShardedLru) routes them.
+///
+/// With one shard the router is the identity and the checkpoint adds no
+/// framing, so a 1-shard cache is byte-identical to the cache it wraps.
+#[derive(Clone, Debug)]
+pub struct ShardedCache<C> {
+    shards: Vec<C>,
+    mask: u64,
+}
+
+impl ShardedCache<LruCache> {
+    /// A sharded LRU with `capacity` total pages across `shards` shards
+    /// (rounded up to a power of two).
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+        ShardedCache::with_shards_by(capacity, shards, LruCache::new)
+    }
+}
+
+impl<C: Cache> ShardedCache<C> {
+    /// Builds a sharded cache over `shards` (rounded up to a power of two)
+    /// instances produced by `make`, which receives each shard's capacity.
+    pub fn with_shards_by(
+        capacity: usize,
+        shards: usize,
+        mut make: impl FnMut(usize) -> C,
+    ) -> Self {
+        let n = shards.next_power_of_two().max(1);
+        ShardedCache {
+            shards: (0..n)
+                .map(|i| make(shard_capacity(capacity, n, i)))
+                .collect(),
+            mask: (n - 1) as u64,
+        }
+    }
+
+    /// Number of shards (a power of two).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard index `page` routes to.
+    pub fn shard_of(&self, page: PageId) -> usize {
+        route(self.mask, page)
+    }
+}
+
+impl<C: Cache> Cache for ShardedCache<C> {
+    fn access(&mut self, page: PageId) -> Access {
+        let i = self.shard_of(page);
+        self.shards[i].access(page)
+    }
+
+    fn access_if_fits(
+        &mut self,
+        page: PageId,
+        remaining: Time,
+        miss_penalty: u64,
+    ) -> Option<Access> {
+        let i = self.shard_of(page);
+        self.shards[i].access_if_fits(page, remaining, miss_penalty)
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.shards[self.shard_of(page)].contains(page)
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(Cache::len).sum()
+    }
+
+    fn capacity(&self) -> usize {
+        self.shards.iter().map(Cache::capacity).sum()
+    }
+
+    fn resize(&mut self, capacity: usize) {
+        let n = self.shards.len();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            shard.resize(shard_capacity(capacity, n, i));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.shards.iter_mut().for_each(Cache::clear);
+    }
+}
+
+impl<C: Cache + Checkpoint> Checkpoint for ShardedCache<C> {
+    /// Shard payloads concatenated in shard order with **no header**: the
+    /// shard count is construction-time configuration, not state.
+    fn save(&self, w: &mut SnapWriter) {
+        self.shards.iter().for_each(|s| s.save(w));
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), CodecError> {
+        self.shards.iter_mut().try_for_each(|s| s.load(r))
+    }
+}
 
 const NIL: u32 = u32::MAX;
 
@@ -213,5 +319,67 @@ impl Checkpoint for MapLru {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fifo::FifoCache;
+
+    fn p(v: u64) -> PageId {
+        PageId(v)
+    }
+
+    #[test]
+    fn one_shard_is_byte_identical_to_inner() {
+        let mut plain = LruCache::new(5);
+        let mut sharded = ShardedCache::with_shards(5, 1);
+        for v in [1u64, 2, 3, 1, 4, 2, 5, 6, 1] {
+            assert_eq!(plain.access(p(v)), sharded.access(p(v)));
+        }
+        let (mut wa, mut wb) = (SnapWriter::new(), SnapWriter::new());
+        plain.save(&mut wa);
+        sharded.save(&mut wb);
+        assert_eq!(wa.into_bytes(), wb.into_bytes());
+    }
+
+    #[test]
+    fn capacity_splits_with_remainder_up_front() {
+        let c = ShardedCache::with_shards(10, 4);
+        let caps: Vec<usize> = c.shards.iter().map(Cache::capacity).collect();
+        assert_eq!(caps, vec![3, 3, 2, 2]);
+        assert_eq!(c.capacity(), 10);
+    }
+
+    #[test]
+    fn resize_redistributes() {
+        let mut c = ShardedCache::with_shards(8, 4);
+        for v in 0..100 {
+            c.access(p(v));
+        }
+        c.resize(4);
+        assert_eq!(c.capacity(), 4);
+        assert!(c.len() <= 4);
+        c.resize(0);
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn checkpoint_round_trips_across_shards() {
+        let mut c = ShardedCache::with_shards_by(6, 4, FifoCache::new);
+        for v in [9u64, 1, 5, 3, 7, 2, 9, 5] {
+            c.access(p(v));
+        }
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = ShardedCache::with_shards_by(0, 4, FifoCache::new);
+        restored.load(&mut SnapReader::new(&bytes)).unwrap();
+        for v in [9u64, 1, 5, 3, 7, 2] {
+            assert_eq!(restored.contains(p(v)), c.contains(p(v)), "page {v}");
+        }
+        assert_eq!(restored.len(), c.len());
+        assert_eq!(restored.capacity(), c.capacity());
     }
 }

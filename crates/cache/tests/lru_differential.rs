@@ -10,8 +10,8 @@
 //! The growth traces at the end start at capacity 0 and resize past
 //! several doublings of the page index over a 4096-page universe whose
 //! probe runs wrap the table; they also drive the one-arena
-//! [`ShardedLru`] against the locked [`ShardedCache<LruCache>`], since
-//! both share that index.
+//! [`ShardedLru`] against the reference [`ShardedCache<LruCache>`] of `n`
+//! sequential LRUs, each with its own index.
 
 use proptest::prelude::*;
 
@@ -327,7 +327,7 @@ proptest! {
     /// From capacity 0 through resizes up to 4095, the one-arena cache's
     /// shared index doubles from its 16-entry floor several times while
     /// residents arrive, and its probe runs wrap the table; it and the
-    /// locked reference still agree on every outcome, `len`, `capacity`
+    /// reference still agree on every outcome, `len`, `capacity`
     /// and save bytes (which carry every shard's recency order) after every
     /// step, and those bytes load into a fresh cache of each kind that
     /// re-encodes them.
@@ -467,7 +467,7 @@ proptest! {
         past_the_u16_limit(LruCache::new(0), MapLru::new(0), &churn);
     }
 
-    /// The one-arena cache and the locked reference agree the same way.
+    /// The one-arena cache and the reference agree the same way.
     #[test]
     fn growth_across_index_doublings_past_the_u16_limit_matches_the_locked_reference(
         churn in prop::collection::vec(wide_churn_strategy(), 2000..4000),

@@ -1,7 +1,7 @@
 //! Property pins for the sharded caches:
 //!
-//! * the single-owner [`ShardedLru`] and the locked reference
-//!   [`ShardedCache<LruCache>`] are one cache: same outcomes, `len`,
+//! * the one-arena [`ShardedLru`] and the reference
+//!   [`ShardedCache<LruCache>`] (`n` sequential LRUs) are one cache: same outcomes, `len`,
 //!   `capacity`, residency and snapshot bytes after every access, budgeted
 //!   access, resize, clear, save and load, at every shard count from 1 to
 //!   32 (both router branches) and at capacities down to zero;
@@ -11,11 +11,7 @@
 //!   traces (the degeneracy the whole test story is anchored on), and so is
 //!   a 1-shard [`ShardedLru`] from an [`LruCache`];
 //! * with any shard count, driving [`ShardedLru`] equals driving each
-//!   shard's sequential twin with the routed subsequence;
-//! * the locked reference's single-owner `&mut` [`Cache`] path and its
-//!   locked `*_shared` path are one cache: same outcomes, ledgers, snapshot
-//!   bytes and `len()` after every operation, with `len()` matching a count
-//!   taken under the shard locks.
+//!   shard's sequential twin with the routed subsequence.
 
 use proptest::prelude::*;
 
@@ -72,7 +68,7 @@ where
     Ok(())
 }
 
-/// One step of a path-equivalence trace.
+/// One step of a differential trace.
 #[derive(Clone, Debug)]
 enum Op {
     Access(PageId),
@@ -87,95 +83,8 @@ enum Op {
     LoadTruncated(usize),
 }
 
-/// Mostly accesses (plain and budgeted), with resizes, clears and
-/// checkpoint traffic mixed in.
-fn op_strategy(universe: u64) -> impl Strategy<Value = Op> {
-    (0u8..20, 0..universe, 0u64..40, 1u64..12, 0usize..24).prop_map(
-        move |(kind, page, remaining, penalty, n)| match kind {
-            0..=8 => Op::Access(PageId(page)),
-            9..=13 => Op::AccessIfFits(PageId(page), remaining, penalty),
-            14 | 15 => Op::Resize(n),
-            16 => Op::Clear,
-            17 => Op::Save,
-            18 => Op::Load,
-            _ => Op::LoadTruncated(n * 256 / 24),
-        },
-    )
-}
-
-/// Resident pages counted by probing every page of the universe under its
-/// shard's lock — independent of the lock-free resident mirrors.
-fn locked_resident_count(cache: &ShardedCache<LruCache>, universe: u64) -> usize {
-    (0..universe)
-        .filter(|&v| cache.contains_shared(PageId(v)))
-        .count()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The single-owner path (`Cache::access`, `access_if_fits`, `len`) and
-    /// the locked path (`access_shared`, `access_if_fits_shared`,
-    /// `len_shared`) behave as one cache for 1, 2, 4 and 8 shards, ledgers
-    /// recording. Resize, clear, save and load have no shared variant and
-    /// run on both; a truncated blob must fail to load on both. After every
-    /// op `len()` must equal a count taken under the locks, which catches a
-    /// resident mirror left stale by any mutation.
-    #[test]
-    fn owner_and_shared_paths_are_one_cache(
-        ops in prop::collection::vec(op_strategy(40), 0..160),
-        cap in 0usize..20,
-        shards_exp in 0u32..4,
-    ) {
-        const UNIVERSE: u64 = 40;
-        let n = 1usize << shards_exp;
-        let mut owner = ShardedCache::with_shards(cap, n);
-        let mut twin = ShardedCache::with_shards(cap, n);
-        owner.set_ledger_recording(true);
-        twin.set_ledger_recording(true);
-        let mut blob = snapshot_bytes(&owner);
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Access(page) => {
-                    prop_assert_eq!(owner.access(page), twin.access_shared(page), "step {}", step);
-                }
-                Op::AccessIfFits(page, remaining, penalty) => {
-                    prop_assert_eq!(
-                        owner.access_if_fits(page, remaining, penalty),
-                        twin.access_if_fits_shared(page, remaining, penalty),
-                        "step {}", step
-                    );
-                }
-                Op::Resize(c) => {
-                    owner.resize(c);
-                    twin.resize(c);
-                }
-                Op::Clear => {
-                    owner.clear();
-                    twin.clear();
-                }
-                Op::Save => blob = snapshot_bytes(&owner),
-                Op::Load => {
-                    owner.load(&mut SnapReader::new(&blob))
-                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
-                    twin.load(&mut SnapReader::new(&blob))
-                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
-                }
-                Op::LoadTruncated(cut) => {
-                    let prefix = &blob[..blob.len() * cut / 256];
-                    prop_assert!(owner.load(&mut SnapReader::new(prefix)).is_err(), "step {}", step);
-                    prop_assert!(twin.load(&mut SnapReader::new(prefix)).is_err(), "step {}", step);
-                }
-            }
-            prop_assert_eq!(owner.take_ledgers(), twin.take_ledgers(), "step {}: ledgers", step);
-            prop_assert_eq!(snapshot_bytes(&owner), snapshot_bytes(&twin), "step {}: bytes", step);
-            prop_assert_eq!(owner.capacity(), twin.capacity_shared(), "step {}", step);
-            let len = owner.len();
-            prop_assert_eq!(len, twin.len_shared(), "step {}: len", step);
-            prop_assert_eq!(len, locked_resident_count(&owner, UNIVERSE), "step {}: stale owner len", step);
-            prop_assert_eq!(len, locked_resident_count(&twin, UNIVERSE), "step {}: stale twin len", step);
-        }
-    }
 
     /// Satellite 1's headline: for every checkpointable policy, a 1-shard
     /// sharded cache is byte-identical to the sequential cache it wraps.
@@ -239,7 +148,7 @@ proptest! {
 
     /// The router is exactly the low bits of FNV-1a over the page's
     /// little-endian bytes, at every power-of-two shard count, whichever
-    /// arithmetic `shard_of` uses for a given mask width, and the locked
+    /// arithmetic `shard_of` uses for a given mask width, and the
     /// reference routes every page the same way.
     #[test]
     fn shard_of_is_the_low_bits_of_fnv1a(
@@ -262,8 +171,9 @@ proptest! {
     }
 }
 
-/// One step of the differential trace: like [`Op`], with resizes wide
-/// enough to cross every shard count's capacity split.
+/// One step of the differential trace: accesses (plain and budgeted),
+/// resizes wide enough to cross every shard count's capacity split, clears
+/// and checkpoint traffic.
 fn diff_op_strategy(universe: u64) -> impl Strategy<Value = Op> {
     (
         0u8..20,
@@ -317,8 +227,8 @@ fn assert_same_state(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tenant's one-arena [`ShardedLru`] against the locked
-    /// `ShardedCache<LruCache>` it replaced on the served path: equal
+    /// The tenant's one-arena [`ShardedLru`] against the reference
+    /// `ShardedCache<LruCache>`, `n` sequential LRUs: equal
     /// outcomes, refusals, `len`, `capacity`, residency and snapshot bytes
     /// after every step, for 1 to 32 requested shards (so both router
     /// branches run) and capacities from 0 past the shard count. Every

@@ -1,7 +1,7 @@
 //! `parapage bench`: the perf-trajectory benchmark gate.
 //!
 //! Runs the fixed recipe in [`parapage_bench::suite`] — engine, sweep,
-//! checkpoint, server, concurrent, and single-thread `ops/*` hot paths,
+//! checkpoint, server and single-thread `ops/*` hot paths,
 //! each once under `threads(1)` and once at the requested width — and
 //! emits `BENCH_5.json` (wall time, runs/sec, speedup vs the sequential
 //! leg, per-entry determinism verdicts).

@@ -14,9 +14,10 @@
 //! Exits non-zero on any violation, divergence, or envelope excursion.
 
 use parapage::conform::fault_horizon;
-use parapage::conform::matrix::Totals;
+use parapage::conform::matrix::{CellFilter, Totals};
 use parapage::prelude::*;
 use parapage::workloads::family::conformance_mix;
+use parapage_server::explore::{exploration_matrix, sabotage_matrix};
 
 use crate::args::Args;
 
@@ -96,131 +97,55 @@ pub fn exec(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `parapage conform --concurrent`: the concurrent-cache sweep.
-///
-/// Four sections:
-///
-/// 1. **Schedule exploration (exhaustive)** — DFS over thread
-///    interleavings of `ShardedCache<LruCache>`'s locked `*_shared` ops,
-///    every history checked for linearizability against per-shard
-///    sequential LRU twins.
-/// 2. **Schedule exploration (random)** — seeded random sampling past the
-///    DFS frontier of the deeper scenarios.
-/// 3. **Sharded stress cells** — real OS threads hammering a sharded LRU;
-///    per-shard ledgers replayed exactly against the sequential policy,
-///    aggregate misses checked against the hit/miss envelope.
-/// 4. **Sabotage self-check** — explores the scenario whose
-///    fit-checked access is split over two lock acquisitions and
-///    *requires* the explorer to catch the race: a harness that cannot
-///    fail proves nothing.
+/// `parapage conform --concurrent`: the server's locks under the schedule
+/// explorer ([`parapage_server::explore`]), as two matrices on the one
+/// runner. The exploration cells run every scenario by DFS and by random
+/// sampling; the full run must reach 10^4 distinct interleavings. The
+/// sabotage cells must each catch their failure, as what it is, and the
+/// first catch of each is printed with the choices that replay it.
 fn exec_concurrent(args: &Args) -> Result<(), String> {
     let quick = args.flag("quick");
     let budget: usize = args.get("budget", if quick { 4_000 } else { 24_000 })?;
     let seed: u64 = args.get("seed", 42)?;
+    let filter = CellFilter::parse(args.opt("cells").as_deref());
     args.finish()?;
 
-    println!("concurrent conformance: schedule exploration budget {budget}\n");
-    let mut failures = 0usize;
-    let mut details: Vec<String> = Vec::new();
+    let exploration = exploration_matrix(budget, seed, &filter);
+    // Executions each sabotage gets to be caught in.
+    let sabotage = sabotage_matrix(2_000, &filter);
+    let mut totals = Totals::default();
+    totals.add(&exploration);
+    totals.add(&sabotage);
+    totals.require_cells(&filter)?;
 
-    // 1 + 2. Schedule exploration, exhaustive then random.
-    let mut distinct_total = 0usize;
-    let mut t = Table::new([
-        "scenario",
-        "mode",
-        "executions",
-        "distinct",
-        "complete",
-        "verdict",
-    ]);
-    for (mode_name, mode, share) in [
-        ("exhaustive", ExploreMode::Exhaustive, budget),
-        ("random", ExploreMode::Random { seed }, budget / 4),
-    ] {
-        for r in explore_all(share, mode) {
-            distinct_total += r.distinct;
-            failures += r.violating;
-            details.extend(r.violations.iter().cloned());
-            t.row([
-                r.scenario.clone(),
-                mode_name.to_string(),
-                r.executions.to_string(),
-                r.distinct.to_string(),
-                r.complete.to_string(),
-                if r.passed() {
-                    "pass".to_string()
-                } else {
-                    format!("FAIL ({})", r.violating)
-                },
-            ]);
-        }
-    }
-    println!("{t}");
-    println!("distinct interleavings: {distinct_total}");
-    if !quick && distinct_total < 10_000 {
-        failures += 1;
-        details.push(format!(
-            "exploration coverage: only {distinct_total} distinct interleavings (need >= 10000)"
-        ));
-    }
-
-    // 3. Sharded stress cells.
-    println!("\nsharded stress (ledger replay + hit/miss envelope):");
-    let ops = if quick { 400 } else { 2_000 };
-    let mut t = Table::new(["threads", "capacity", "shards", "ops", "misses", "verdict"]);
-    for (threads, capacity, shards) in [(2, 64, 4), (4, 128, 8), (8, 256, 8)] {
-        let cell = check_concurrent_cache(threads, ops, capacity, shards, seed);
-        if !cell.passed() {
-            failures += cell.violations.len();
-            for v in &cell.violations {
-                details.push(format!("stress {threads}x{ops}/{shards}: {v}"));
-            }
-        }
-        t.row([
-            threads.to_string(),
-            capacity.to_string(),
-            shards.to_string(),
-            cell.ops.to_string(),
-            cell.misses.to_string(),
-            if cell.passed() {
-                "pass".to_string()
-            } else {
-                format!("FAIL ({})", cell.violations.len())
-            },
-        ]);
-    }
-    println!("{t}");
-
-    // 4. Sabotage self-check: the harness must catch the seeded race.
-    let sabotaged = explore(
-        &parapage::conform::sabotage_scenario(),
-        400,
-        ExploreMode::Exhaustive,
-    );
-    if sabotaged.passed() {
-        failures += 1;
-        details.push(format!(
-            "sabotage self-check: explorer missed the seeded split fit-check \
-             race in {} executions — the harness cannot fail",
-            sabotaged.executions
-        ));
-        println!("\nsabotage self-check: FAIL (seeded race not caught)");
-    } else {
-        println!(
-            "\nsabotage self-check: pass (seeded split fit-check race caught in {} \
-             of {} executions)",
-            sabotaged.violating, sabotaged.executions
+    let distinct: usize = exploration
+        .cells
+        .iter()
+        .filter_map(|c| c.outcome.as_ref().ok())
+        .map(|r| r.distinct)
+        .sum();
+    const MIN_DISTINCT: usize = 10_000;
+    let mut coverage = String::new();
+    if !quick && totals.skipped == 0 && distinct < MIN_DISTINCT {
+        totals.failures += 1;
+        coverage = format!(
+            "  violation: coverage: only {distinct} distinct interleavings (need >= {MIN_DISTINCT})\n"
         );
     }
-
-    for d in &details {
-        println!("  violation: {d}");
-    }
-    if failures > 0 {
-        return Err(format!(
-            "concurrent conformance FAILED: {failures} violation(s)"
-        ));
-    }
-    println!("concurrent conformance: all checks passed");
+    let caught: String = sabotage
+        .cells
+        .iter()
+        .filter_map(|c| c.outcome.as_ref().ok()?.report.violations.first())
+        .map(|v| format!("  caught: {v}\n"))
+        .collect();
+    println!("concurrent conformance: server schedule exploration, budget {budget}\n");
+    print!("{}", exploration.render());
+    println!("distinct interleavings: {distinct}\n{coverage}");
+    println!("sabotage self-check (each must be caught, as what it is):");
+    print!("{}{caught}", sabotage.render());
+    println!(
+        "\n{}",
+        totals.verdict("concurrent conformance", "explored")?
+    );
     Ok(())
 }

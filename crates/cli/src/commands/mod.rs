@@ -50,12 +50,13 @@ COMMANDS:
                  engine-vs-reference sweep, and competitive-ratio
                  guardrails: [--quick] [--p N --k N --s N --len N]
                  [--diff N] [--seed N] (exits non-zero on any violation)
-                 --concurrent switches to the concurrent-cache sweep:
-                 schedule exploration (exhaustive + random) over the
-                 sharded LRU's locked path with linearization checking,
-                 sharded stress cells with exact ledger replay, and a
-                 sabotage self-check that must catch a seeded race:
-                 [--budget N] [--quick] [--seed N]
+                 --concurrent switches to the server's locks under the
+                 schedule explorer: interleavings (exhaustive + random)
+                 of Hello, Batch, Kill/Migrate, Stats, expiry and
+                 Shutdown over two tenants, checked against a sequential
+                 replay, for cross-tenant waits and for deadlock, and a
+                 self-check that must catch three sabotages:
+                 [--budget N] [--quick] [--seed N] [--cells SUBSTR[,..]]
   chaos        crash-recovery matrix: every policy x fault scenario x
                  deterministic crashpoint, run under the checkpointing
                  supervisor; recovered runs must be byte-identical to

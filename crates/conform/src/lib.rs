@@ -30,11 +30,12 @@
 //!   from snapshots (the `parapage-sched` supervisor) must reproduce the
 //!   uninterrupted run's result and trace byte-for-byte; its
 //!   [`resume::resume_matrix`] is `parapage chaos`'s crash-recovery grid.
-//! * [`schedules`] — loom-style schedule exploration for the sharded
-//!   cache's locked path: a token-passing virtual scheduler over the yield
-//!   point before each shard-lock acquisition, DFS/random enumeration of
-//!   thread interleavings, and a Wing–Gong linearization checker against
-//!   per-shard sequential LRU twins; drives `parapage conform --concurrent`.
+//! * [`schedules`] — loom-style schedule exploration: a token-passing
+//!   virtual scheduler over the scheduling points the code under test
+//!   announces, DFS/random enumeration of thread interleavings with
+//!   deadlock detection, and a Wing–Gong linearizability search against a
+//!   sequential model; the server's scenarios (`parapage-server`'s
+//!   `explore` module) drive it for `parapage conform --concurrent`.
 //! * [`walchaos`] — WAL corruption chaos: torn tails, partial tails,
 //!   mid-record truncations, bit flips, and stale-base/newer-log pairings
 //!   inflicted on the incremental checkpoint log at recovery time must be
@@ -78,9 +79,8 @@ pub use resume::{
     resume_matrix, ResumeCell,
 };
 pub use schedules::{
-    check_concurrent_cache, check_linearizable, check_sharded_ledgers, explore, explore_all,
-    run_schedule, sabotage_scenario, scenarios, ConcurrentCell, ExploreMode, ExploreReport, Op,
-    OpRecord, Outcome, Scenario,
+    catch_op, check_linearizable, explore, run_schedule, Execution, ExploreMode, ExploreReport,
+    Worker,
 };
 pub use walchaos::{
     check_wal_corruption, wal_chaos_matrix, SabotagedStore, WalCell, WalCorruption,

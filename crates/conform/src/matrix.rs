@@ -23,7 +23,7 @@ impl CellFilter {
     }
 
     /// `true` when the filter keeps the cell labelled `label`.
-    fn keeps(&self, label: &str) -> bool {
+    pub fn keeps(&self, label: &str) -> bool {
         let label = label.to_ascii_lowercase();
         self.0.is_empty() || self.0.iter().any(|f| label.contains(f.as_str()))
     }

@@ -343,6 +343,28 @@ mod tests {
         ModelParams::new(8, 64, 10)
     }
 
+    /// The class rotation is fair: any `roster` consecutive periods serve
+    /// every roster index exactly `slots` times, wherever they start.
+    #[test]
+    fn rotation_serves_every_roster_index_equally() {
+        for roster in 2..=40usize {
+            for slots in 1..roster {
+                for g0 in [0u64, 1, 7, roster as u64 - 1, 1_000_003] {
+                    let mut served = vec![0usize; roster];
+                    for g in g0..g0 + roster as u64 {
+                        for (ix, n) in served.iter_mut().enumerate() {
+                            *n += usize::from(DetPar::served(ix, g, slots, roster));
+                        }
+                    }
+                    assert!(
+                        served.iter().all(|&n| n == slots),
+                        "roster {roster} slots {slots} from g={g0}: {served:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn first_phase_base_height_is_2k_over_p() {
         let p = params();

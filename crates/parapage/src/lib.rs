@@ -70,15 +70,13 @@ pub mod prelude {
     };
     pub use parapage_cache::{
         min_misses, miss_curve, run_box, run_window, Access, ArcCache, Cache, ClockCache,
-        FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedCache, ShardedLru, Time,
-        TwoQueueCache,
+        FifoCache, LfuCache, LirsCache, LruCache, PageId, ProcId, ShardedLru, Time, TwoQueueCache,
     };
     pub use parapage_conform::{
-        check_concurrent_cache, check_corruption_rejection, check_resume, check_sharded_ledgers,
-        check_wal_corruption, competitive_envelope, conform_matrix, conform_run,
-        differential_sweep, explore, explore_all, net_cells, resume_matrix, scenarios,
-        wal_chaos_matrix, ConcurrentCell, ConformReport, DiffReport, EnvelopeReport, ExploreMode,
-        ExploreReport, NetCell, NetFaultKind, NetFaultPlan, ResumeCell, WalCell, WalCorruption,
+        check_corruption_rejection, check_resume, check_wal_corruption, competitive_envelope,
+        conform_matrix, conform_run, differential_sweep, explore, net_cells, resume_matrix,
+        wal_chaos_matrix, ConformReport, DiffReport, EnvelopeReport, ExploreMode, ExploreReport,
+        NetCell, NetFaultKind, NetFaultPlan, ResumeCell, WalCell, WalCorruption,
     };
     pub use parapage_core::{
         audit_greedy, check_well_rounded, green_opt, green_opt_fast, green_opt_fast_normalized,

@@ -28,6 +28,9 @@
 //! - [`drive`] — the `parapage drive` load driver: concurrent tenants,
 //!   deterministic workloads, throughput and latency percentiles, and
 //!   retry/reconnect/shed accounting.
+//! - [`yieldpoint`] — the helper every server lock goes through.
+//! - [`explore`] — the server under the schedule explorer, with the
+//!   sabotages it must catch (`parapage conform --concurrent`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +38,13 @@
 pub mod chaosnet;
 pub mod client;
 pub mod drive;
+pub mod explore;
 pub mod netchaos;
 pub mod protocol;
 pub mod resilient;
 pub mod server;
 pub mod tenant;
+pub mod yieldpoint;
 
 pub use chaosnet::FaultyTransport;
 pub use client::Client;

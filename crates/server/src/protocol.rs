@@ -85,7 +85,8 @@ pub mod error_code {
     /// A malformed frame or payload (decoded as a typed codec error).
     pub const BAD_FRAME: u16 = 5;
     /// The tenant's engine failed terminally (typed engine/snapshot error
-    /// or crash budget exhausted).
+    /// or crash budget exhausted), or a panic under its session lock
+    /// quarantined the tenant.
     pub const ENGINE_FAILED: u16 = 6;
     /// A `Hello` re-attached to an existing tenant with different
     /// parameters.

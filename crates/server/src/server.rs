@@ -31,16 +31,23 @@
 //!   queueing work it cannot serve. Clients back off and retry; nothing
 //!   is silently dropped.
 //!
+//! Every lock goes through [`crate::yieldpoint::acquire`]. A panic under
+//! a session lock quarantines that tenant alone (typed `ENGINE_FAILED`
+//! replies); `Stats`, the reaper and other tenants keep working. The
+//! per-frame step, reaper sweep and register step are functions of the
+//! shared state, which the schedule explorer ([`crate::explore`]) drives.
+//!
 //! Backpressure is the transport itself: the protocol is strictly
 //! request/reply per connection and frames are bounded by
 //! [`crate::protocol::MAX_FRAME`], so a slow reader throttles only its own
 //! TCP window while the server holds at most one in-flight batch per
 //! connection thread.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,6 +58,7 @@ use crate::protocol::{
     WireState, MAX_FRAME, MAX_PROCS, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
 };
 use crate::tenant::{TenantCounters, TenantOpts, TenantSession};
+use crate::yieldpoint::{acquire, try_acquire, Held, LockName};
 
 /// Server-wide knobs.
 #[derive(Clone, Copy, Debug)]
@@ -94,6 +102,33 @@ impl Default for ServeOpts {
     }
 }
 
+/// A tenant's session behind its lock, with the name its lock goes by.
+pub(crate) struct Session {
+    pub(crate) name: String,
+    pub(crate) state: Mutex<TenantSession>,
+}
+
+impl Session {
+    /// Takes the session's lock; a poisoned session is quarantined.
+    pub(crate) fn lock(&self) -> Result<Held<'_, TenantSession>, (u16, String)> {
+        acquire(&self.state, LockName::Session(&self.name)).map_err(|_| {
+            (
+                error_code::ENGINE_FAILED,
+                format!(
+                    "tenant `{}` is quarantined: a panic poisoned its session",
+                    self.name
+                ),
+            )
+        })
+    }
+}
+
+/// Takes a table's lock. A poisoned table is recovered: every table
+/// mutation runs after the work that can fail, so the data is whole.
+pub(crate) fn table<'a, T>(lock: &'a Mutex<T>, name: LockName<'a>) -> Held<'a, T> {
+    acquire(lock, name).unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One live tenant plus its attachment bookkeeping for idle expiry.
 ///
 /// Lock order: the `tenants` table, then `retired`, then a session — and
@@ -101,50 +136,74 @@ impl Default for ServeOpts {
 /// a batch holds its session's lock for the whole run. The session's
 /// config is copied here so a re-attaching `Hello` can be checked without
 /// one.
-struct TenantEntry {
-    session: Arc<Mutex<TenantSession>>,
+pub(crate) struct TenantEntry {
+    pub(crate) session: Arc<Session>,
     config: TenantConfig,
     /// Connections currently attached via `Hello`.
-    attached: usize,
+    pub(crate) attached: usize,
     /// When `attached` last dropped to zero (meaningful only then).
     idle_since: Instant,
 }
 
 /// An expired tenant: its checkpoint blob plus the counters it had earned,
 /// so `Stats` stays truthful while the session is parked.
-struct RetiredTenant {
+pub(crate) struct RetiredTenant {
     blob: Vec<u8>,
     counters: TenantCounters,
 }
 
-/// Shared server state.
-struct ServerState {
+/// Shared server state: everything a connection, the reaper and the
+/// accept loop share, and all a schedule explorer needs of a server.
+pub(crate) struct ServerState {
     opts: ServeOpts,
-    addr: SocketAddr,
-    tenants: Mutex<HashMap<String, TenantEntry>>,
+    /// The listening address, which shutdown connects to in order to wake
+    /// the accept loop; `None` for a core with no listener.
+    addr: Option<SocketAddr>,
+    /// Live tenants by name, in name order, so a sweep and a `Stats` fold
+    /// take session locks in one order every run.
+    pub(crate) tenants: Mutex<BTreeMap<String, TenantEntry>>,
     /// Tenants retired by idle expiry, keyed by name; a `Hello` restores
     /// them into `tenants`.
-    retired: Mutex<HashMap<String, RetiredTenant>>,
-    /// Clones of every live connection's stream, keyed by connection id,
-    /// so shutdown can unblock handlers parked in a read. A handler
-    /// removes its own entry on exit (the clone would otherwise hold the
-    /// socket open past the handler's lifetime and the table would grow
-    /// for as long as the daemon lives). The `shutting_down` flag is set
-    /// and checked under this same lock — that is what closes the
+    pub(crate) retired: Mutex<HashMap<String, RetiredTenant>>,
+    /// Clones of every live connection's stream (`None` where cloning
+    /// failed, or for a core with no sockets), keyed by connection id, so
+    /// shutdown can unblock handlers parked in a read. A handler removes
+    /// its own entry on exit (the clone would otherwise hold the socket
+    /// open past the handler's lifetime and the table would grow for as
+    /// long as the daemon lives). The `shutting_down` flag is set and
+    /// checked under this same lock — that is what closes the
     /// register-after-shutdown race (a connection is either drained here
     /// or observes the flag and never registers).
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
+    pub(crate) conns: Mutex<HashMap<u64, Option<TcpStream>>>,
+    pub(crate) next_conn: AtomicU64,
     live_conns: AtomicUsize,
     admitted: AtomicU64,
     next_session: AtomicU64,
     expiries: AtomicU64,
     shed: AtomicU64,
-    shutting_down: AtomicBool,
+    pub(crate) shutting_down: AtomicBool,
 }
 
 impl ServerState {
-    fn stats(&self) -> ServerStats {
+    /// A server core with no tenants and no connections.
+    pub(crate) fn new(opts: ServeOpts, addr: Option<SocketAddr>) -> ServerState {
+        ServerState {
+            opts,
+            addr,
+            tenants: Mutex::new(BTreeMap::new()),
+            retired: Mutex::new(HashMap::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
+            live_conns: AtomicUsize::new(0),
+            admitted: AtomicU64::new(0),
+            next_session: AtomicU64::new(1),
+            expiries: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            shutting_down: AtomicBool::new(false),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> ServerStats {
         let mut s = ServerStats {
             tenants: self.admitted.load(Ordering::SeqCst),
             expiries: self.expiries.load(Ordering::SeqCst),
@@ -161,14 +220,18 @@ impl ServerState {
         };
         // One consistent membership under both table locks; the sessions
         // are locked only after the tables are released.
-        let sessions: Vec<Arc<Mutex<TenantSession>>> = {
-            let tenants = self.tenants.lock().expect("tenant table poisoned");
-            let retired = self.retired.lock().expect("retired table poisoned");
+        let sessions: Vec<Arc<Session>> = {
+            let tenants = table(&self.tenants, LockName::Tenants);
+            let retired = table(&self.retired, LockName::Retired);
             retired.values().for_each(|r| fold(r.counters));
             tenants.values().map(|e| Arc::clone(&e.session)).collect()
         };
+        // A quarantined tenant's counters are left out: its session may
+        // have been torn mid-batch.
         for session in sessions {
-            fold(session.lock().expect("tenant session poisoned").counters());
+            if let Ok(t) = session.lock() {
+                fold(t.counters());
+            }
         }
         s
     }
@@ -177,6 +240,7 @@ impl ServerState {
 /// A running server: its bound address and the accept thread.
 pub struct ServerHandle {
     state: Arc<ServerState>,
+    addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     reaper: Option<JoinHandle<()>>,
 }
@@ -185,7 +249,7 @@ impl ServerHandle {
     /// The address the server is listening on (with the OS-assigned port
     /// when bound to port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.state.addr
+        self.addr
     }
 
     /// Current server-wide operational counters (what `Stats` returns on
@@ -225,20 +289,7 @@ impl ServerHandle {
 pub fn serve(addr: impl ToSocketAddrs, opts: ServeOpts) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let state = Arc::new(ServerState {
-        opts,
-        addr,
-        tenants: Mutex::new(HashMap::new()),
-        retired: Mutex::new(HashMap::new()),
-        conns: Mutex::new(HashMap::new()),
-        next_conn: AtomicU64::new(0),
-        live_conns: AtomicUsize::new(0),
-        admitted: AtomicU64::new(0),
-        next_session: AtomicU64::new(1),
-        expiries: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        shutting_down: AtomicBool::new(false),
-    });
+    let state = Arc::new(ServerState::new(opts, Some(addr)));
     let accept_state = Arc::clone(&state);
     let accept = std::thread::spawn(move || accept_loop(listener, accept_state));
     let reaper = opts.idle_ttl.map(|ttl| {
@@ -247,6 +298,7 @@ pub fn serve(addr: impl ToSocketAddrs, opts: ServeOpts) -> std::io::Result<Serve
     });
     Ok(ServerHandle {
         state,
+        addr,
         accept: Some(accept),
         reaper,
     })
@@ -275,35 +327,20 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
             let _ = stream.shutdown(std::net::Shutdown::Both);
             continue;
         }
-        // Register under the conns lock, where `shutting_down` is also
-        // set: a racing shutdown either drains this clone or we observe
-        // the flag here and close instead of spawning a stranded handler.
-        let conn_id = state.next_conn.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut conns = state.conns.lock().expect("conn table poisoned");
-            if state.shutting_down.load(Ordering::SeqCst) {
-                drop(conns);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                break;
-            }
-            if let Ok(clone) = stream.try_clone() {
-                conns.insert(conn_id, clone);
-            }
-        }
+        let Some(conn_id) = register(&state, stream.try_clone().ok()) else {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+            break;
+        };
         let _ = stream.set_read_timeout(state.opts.read_timeout);
         state.live_conns.fetch_add(1, Ordering::SeqCst);
         let conn_state = Arc::clone(&state);
         sessions.push(std::thread::spawn(move || {
             // A connection thread owns its stream; any transport or
             // protocol failure ends only this session.
-            let _ = handle_connection(stream, &conn_state);
+            handle_connection(stream, &conn_state);
             // Drop the registered clone too, so the socket actually
             // closes (the peer sees EOF) and the table stays bounded.
-            conn_state
-                .conns
-                .lock()
-                .expect("conn table poisoned")
-                .remove(&conn_id);
+            table(&conn_state.conns, LockName::Conns).remove(&conn_id);
             conn_state.live_conns.fetch_sub(1, Ordering::SeqCst);
         }));
     }
@@ -312,44 +349,61 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     }
 }
 
-/// Retires tenants that have had no attached connection for `ttl`,
-/// checkpointing their session state so a later `Hello` restores rather
-/// than restarts them.
+/// The accept loop's register step: under the `conns` lock, where the
+/// shutdown flag is set, record the connection's `clone` and return its
+/// id, or see the shutdown and return `None`; no handler is stranded.
+pub(crate) fn register(state: &ServerState, clone: Option<TcpStream>) -> Option<u64> {
+    let mut conns = table(&state.conns, LockName::Conns);
+    if state.shutting_down.load(Ordering::SeqCst) {
+        return None;
+    }
+    let conn_id = state.next_conn.fetch_add(1, Ordering::SeqCst);
+    conns.insert(conn_id, clone);
+    Some(conn_id)
+}
+
 fn reaper_loop(state: Arc<ServerState>, ttl: Duration) {
     let tick = (ttl / 4).clamp(Duration::from_millis(5), Duration::from_millis(50));
     while !state.shutting_down.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
-        let mut tenants = state.tenants.lock().expect("tenant table poisoned");
-        let expired: Vec<String> = tenants
-            .iter()
-            .filter(|(_, e)| e.attached == 0 && e.idle_since.elapsed() >= ttl)
-            .map(|(name, _)| name.clone())
-            .collect();
-        if expired.is_empty() {
-            continue;
-        }
-        let mut retired = state.retired.lock().expect("retired table poisoned");
-        for name in expired {
-            let Some(entry) = tenants.get(&name) else {
-                continue;
-            };
-            let session = match entry.session.try_lock() {
-                Ok(session) => session,
-                // Someone holds the session (a `Stats` fold): not idle
-                // after all; look again next tick.
-                Err(TryLockError::WouldBlock) => continue,
-                Err(TryLockError::Poisoned(_)) => panic!("tenant session poisoned"),
-            };
-            let parked = RetiredTenant {
-                blob: session.checkpoint(),
-                counters: session.counters(),
-            };
-            drop(session);
-            tenants.remove(&name);
-            retired.insert(name, parked);
-            state.expiries.fetch_add(1, Ordering::SeqCst);
-        }
+        reap(&state, ttl);
     }
+}
+
+/// The reaper's sweep: retires (checkpoints, for a later `Hello` to
+/// restore) the tenants with no attached connection for `ttl`, and returns
+/// their names. A held session (a `Stats` fold) is not idle after all and
+/// a quarantined one is not checkpointed; both wait for the next sweep.
+pub(crate) fn reap(state: &ServerState, ttl: Duration) -> Vec<String> {
+    let mut tenants = table(&state.tenants, LockName::Tenants);
+    let mut expired: Vec<String> = tenants
+        .iter()
+        .filter(|(_, e)| e.attached == 0 && e.idle_since.elapsed() >= ttl)
+        .map(|(name, _)| name.clone())
+        .collect();
+    if expired.is_empty() {
+        return expired;
+    }
+    let mut retired = table(&state.retired, LockName::Retired);
+    expired.retain(|name| {
+        let Some(entry) = tenants.get(name) else {
+            return false;
+        };
+        let session = &entry.session;
+        let Some(Ok(t)) = try_acquire(&session.state, LockName::Session(&session.name)) else {
+            return false;
+        };
+        let parked = RetiredTenant {
+            blob: t.checkpoint(),
+            counters: t.counters(),
+        };
+        drop(t);
+        tenants.remove(name);
+        retired.insert(name.clone(), parked);
+        state.expiries.fetch_add(1, Ordering::SeqCst);
+        true
+    });
+    expired
 }
 
 /// Wakes the blocking `accept` so the loop observes the shutdown flag, and
@@ -357,21 +411,27 @@ fn reaper_loop(state: Arc<ServerState>, ttl: Duration) {
 /// a shutdown must not wait on clients that never hang up. The flag is
 /// raised under the `conns` lock so no connection can register after the
 /// drain (the register-after-shutdown race).
-fn begin_shutdown(state: &ServerState) {
+pub(crate) fn begin_shutdown(state: &ServerState) {
     {
-        let mut conns = state.conns.lock().expect("conn table poisoned");
+        let mut conns = table(&state.conns, LockName::Conns);
         state.shutting_down.store(true, Ordering::SeqCst);
-        for (_, conn) in conns.drain() {
+        for conn in conns.drain().filter_map(|(_, conn)| conn) {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
-    let _ = TcpStream::connect(state.addr);
+    if let Some(addr) = state.addr {
+        let _ = TcpStream::connect(addr);
+    }
 }
 
-/// Notes that a connection detached from `name` (hang-up or re-`Hello`),
-/// starting the idle clock when the last attachment drops.
-fn detach(state: &ServerState, name: &str) {
-    let mut tenants = state.tenants.lock().expect("tenant table poisoned");
+/// Notes that a connection hung up on `name`.
+pub(crate) fn detach(state: &ServerState, name: &str) {
+    release(&mut table(&state.tenants, LockName::Tenants), name);
+}
+
+/// Counts one attached connection fewer on `name`, starting the idle
+/// clock when it was the last.
+fn release(tenants: &mut BTreeMap<String, TenantEntry>, name: &str) {
     if let Some(entry) = tenants.get_mut(name) {
         entry.attached = entry.attached.saturating_sub(1);
         if entry.attached == 0 {
@@ -380,26 +440,26 @@ fn detach(state: &ServerState, name: &str) {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> Result<(), WireError> {
-    let mut rx = WireState::new(c2s_chain_seed());
-    let mut tx = WireState::new(s2c_chain_seed());
+fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     // The tenant this connection attached to via Hello.
-    let mut attached: Option<(String, Arc<Mutex<TenantSession>>)> = None;
-
-    let result = connection_loop(&mut stream, state, &mut rx, &mut tx, &mut attached);
-    if let Some((name, _)) = attached {
-        detach(state, &name);
+    let mut attached: Option<Arc<Session>> = None;
+    // A panic under a session lock poisons that session alone: the tenant
+    // is quarantined, and this connection still detaches.
+    let _ = catch_unwind(AssertUnwindSafe(|| {
+        connection_loop(&mut stream, state, &mut attached)
+    }));
+    if let Some(session) = attached {
+        detach(state, &session.name);
     }
-    result
 }
 
 fn connection_loop(
     stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-    rx: &mut WireState,
-    tx: &mut WireState,
-    attached: &mut Option<(String, Arc<Mutex<TenantSession>>)>,
+    state: &ServerState,
+    attached: &mut Option<Arc<Session>>,
 ) -> Result<(), WireError> {
+    let mut rx = WireState::new(c2s_chain_seed());
+    let mut tx = WireState::new(s2c_chain_seed());
     loop {
         let frame = match rx.read_frame(stream) {
             Ok(f) => f,
@@ -437,107 +497,100 @@ fn connection_loop(
             }
             Err(e) => return Err(e),
         };
-        let reply = match frame {
-            Frame::Hello { proto, config } => match admit(state, proto, config) {
-                Ok(admitted) => {
-                    // Re-Hello detaches from the previous tenant first so
-                    // attachment counts stay exact.
-                    if let Some((old, _)) = attached.take() {
-                        detach(state, &old);
-                    }
-                    let ack = Frame::HelloAck {
-                        session: admitted.id,
-                        max_frame: MAX_FRAME as u64,
-                        budget_left: admitted.budget_left,
-                        next_batch: admitted.next_batch,
-                        reply_chain: admitted.reply_chain,
-                    };
-                    *attached = Some((admitted.name, admitted.session));
-                    ack
-                }
-                Err((code, message)) => Frame::Error { code, message },
-            },
-            Frame::Batch { batch, seqs } => match &*attached {
-                None => no_session(),
-                Some((_, tenant)) => {
-                    let mut t = tenant.lock().expect("tenant session poisoned");
-                    match t.run_batch(batch, &seqs) {
-                        Ok(done) => done,
-                        Err((code, message)) => Frame::Error { code, message },
-                    }
-                }
-            },
-            Frame::Replay { batch } => match &*attached {
-                None => no_session(),
-                Some((_, tenant)) => {
-                    let t = tenant.lock().expect("tenant session poisoned");
-                    match t.replay(batch) {
-                        Ok(done) => done,
-                        Err((code, message)) => Frame::Error { code, message },
-                    }
-                }
-            },
-            Frame::Migrate { batch, at_tick } => match &*attached {
-                None => no_session(),
-                Some((_, tenant)) => Frame::MigrateAck {
-                    pending: tenant
-                        .lock()
-                        .expect("tenant session poisoned")
-                        .queue_migration(batch, at_tick),
-                },
-            },
-            Frame::Kill { batch, at_tick } => match &*attached {
-                None => no_session(),
-                Some((_, tenant)) => Frame::KillAck {
-                    pending: tenant
-                        .lock()
-                        .expect("tenant session poisoned")
-                        .queue_kill(batch, at_tick),
-                },
-            },
-            Frame::Stats => Frame::StatsReply {
-                stats: state.stats(),
-            },
-            Frame::Goodbye => {
-                tx.write_frame(stream, &Frame::GoodbyeAck)?;
-                return Ok(());
-            }
-            Frame::Shutdown => {
-                tx.write_frame(stream, &Frame::ShutdownAck)?;
+        let reply = serve_frame(state, frame, attached);
+        tx.write_frame(stream, &reply)?;
+        match reply {
+            Frame::GoodbyeAck => return Ok(()),
+            Frame::ShutdownAck => {
                 begin_shutdown(state);
                 return Ok(());
             }
-            // Server-to-client frames arriving at the server are a state
-            // violation, not a codec one: the bytes were well-formed.
-            _ => Frame::Error {
-                code: error_code::BAD_STATE,
-                message: "unexpected frame direction".into(),
-            },
+            _ => {}
+        }
+    }
+}
+
+/// The connection loop's per-frame step for a connection attached (via
+/// `Hello`) to `attached`. The loop closes after a `GoodbyeAck`, and
+/// begins the shutdown after a `ShutdownAck`.
+pub(crate) fn serve_frame(
+    state: &ServerState,
+    frame: Frame,
+    attached: &mut Option<Arc<Session>>,
+) -> Frame {
+    match frame {
+        Frame::Hello { proto, config } => match admit(state, proto, config, attached) {
+            Ok(ack) => ack,
+            Err((code, message)) => Frame::Error { code, message },
+        },
+        Frame::Batch { batch, seqs } => on_session(attached, |t| t.run_batch(batch, &seqs)),
+        Frame::Replay { batch } => on_session(attached, |t| t.replay(batch)),
+        Frame::Migrate { batch, at_tick } => on_session(attached, |t| {
+            Ok(Frame::MigrateAck {
+                pending: t.queue_migration(batch, at_tick),
+            })
+        }),
+        Frame::Kill { batch, at_tick } => on_session(attached, |t| {
+            Ok(Frame::KillAck {
+                pending: t.queue_kill(batch, at_tick),
+            })
+        }),
+        Frame::Stats => Frame::StatsReply {
+            stats: state.stats(),
+        },
+        Frame::Goodbye => Frame::GoodbyeAck,
+        Frame::Shutdown => Frame::ShutdownAck,
+        // Server-to-client frames arriving at the server are a state
+        // violation, not a codec one: the bytes were well-formed.
+        _ => Frame::Error {
+            code: error_code::BAD_STATE,
+            message: "unexpected frame direction".into(),
+        },
+    }
+}
+
+/// Runs `op` under the attached session's lock, or says why it cannot.
+fn on_session(
+    attached: &Option<Arc<Session>>,
+    op: impl FnOnce(&mut TenantSession) -> Result<Frame, (u16, String)>,
+) -> Frame {
+    let Some(session) = attached else {
+        return Frame::Error {
+            code: error_code::BAD_STATE,
+            message: "no session: send Hello first".into(),
         };
-        tx.write_frame(stream, &reply)?;
+    };
+    match session.lock().and_then(|mut t| op(&mut t)) {
+        Ok(reply) => reply,
+        Err((code, message)) => Frame::Error { code, message },
     }
 }
 
-fn no_session() -> Frame {
-    Frame::Error {
-        code: error_code::BAD_STATE,
-        message: "no session: send Hello first".into(),
+/// The `HelloAck` for `session`, under a fresh session id.
+fn hello_ack(state: &ServerState, session: &TenantSession) -> Frame {
+    Frame::HelloAck {
+        session: state.next_session.fetch_add(1, Ordering::SeqCst),
+        max_frame: MAX_FRAME as u64,
+        budget_left: session.budget_left(),
+        next_batch: session.next_batch(),
+        reply_chain: session.chain(),
     }
 }
 
-/// What a successful `Hello` yields: the session, its id, and the resume
-/// coordinates the `HelloAck` carries.
-struct Admitted {
-    id: u64,
-    name: String,
-    session: Arc<Mutex<TenantSession>>,
-    budget_left: u64,
-    next_batch: u64,
-    reply_chain: u64,
-}
-
-/// Validates a `Hello` and admits, re-attaches, or restores the tenant.
-fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitted, (u16, String)> {
+/// Validates a `Hello` and admits, re-attaches, or restores the tenant,
+/// moving the connection's attachment to it; returns the `HelloAck`.
+///
+/// The move is one step under the tenant table: the previous tenant
+/// (re-`Hello`) loses the attachment where the new one gains it, so the
+/// reaper never sees the connection on both or on neither. A `Hello` that
+/// fails validation keeps the previous attachment; one that finds its
+/// tenant quarantined leaves the connection attached to none.
+fn admit(
+    state: &ServerState,
+    proto: u16,
+    config: TenantConfig,
+    attached: &mut Option<Arc<Session>>,
+) -> Result<Frame, (u16, String)> {
     if proto != PROTO_VERSION {
         return Err((
             error_code::BAD_VERSION,
@@ -569,7 +622,7 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
             format!("shards must be in 1..={MAX_SHARDS}, got {}", config.shards),
         ));
     }
-    let mut tenants = state.tenants.lock().expect("tenant table poisoned");
+    let mut tenants = table(&state.tenants, LockName::Tenants);
     if let Some(entry) = tenants.get_mut(&config.tenant) {
         if entry.config != config {
             return Err((
@@ -582,16 +635,19 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
         // lock, so other tenants' `Hello`s do not wait with them.
         entry.attached += 1;
         let session = Arc::clone(&entry.session);
+        if let Some(previous) = attached.take() {
+            release(&mut tenants, &previous.name);
+        }
         drop(tenants);
-        let guard = session.lock().expect("tenant session poisoned");
-        return Ok(Admitted {
-            id: state.next_session.fetch_add(1, Ordering::SeqCst),
-            name: config.tenant,
-            budget_left: guard.budget_left(),
-            next_batch: guard.next_batch(),
-            reply_chain: guard.chain(),
-            session: Arc::clone(&session),
-        });
+        let ack = match session.lock() {
+            Ok(t) => hello_ack(state, &t),
+            Err(quarantined) => {
+                detach(state, &session.name);
+                return Err(quarantined);
+            }
+        };
+        *attached = Some(session);
+        return Ok(ack);
     }
     let opts = TenantOpts {
         epoch_ticks: state.opts.epoch_ticks,
@@ -602,7 +658,7 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
     // session continues — same chain, same cursor, same budget — so
     // expiry is invisible to a re-attaching client.
     let restored = {
-        let mut retired = state.retired.lock().expect("retired table poisoned");
+        let mut retired = table(&state.retired, LockName::Retired);
         match retired.remove(&config.tenant) {
             Some(parked) => match TenantSession::restore(&parked.blob, opts) {
                 Ok(session) => {
@@ -636,25 +692,25 @@ fn admit(state: &ServerState, proto: u16, config: TenantConfig) -> Result<Admitt
         ));
     }
     let session = restored.unwrap_or_else(|| TenantSession::new(config.clone(), opts));
-    let admitted = Admitted {
-        id: state.next_session.fetch_add(1, Ordering::SeqCst),
+    let ack = hello_ack(state, &session);
+    let session = Arc::new(Session {
         name: config.tenant.clone(),
-        budget_left: session.budget_left(),
-        next_batch: session.next_batch(),
-        reply_chain: session.chain(),
-        session: Arc::new(Mutex::new(session)),
-    };
+        state: Mutex::new(session),
+    });
     tenants.insert(
         config.tenant.clone(),
         TenantEntry {
-            session: Arc::clone(&admitted.session),
+            session: Arc::clone(&session),
             config,
             attached: 1,
             idle_since: Instant::now(),
         },
     );
+    if let Some(previous) = attached.replace(session) {
+        release(&mut tenants, &previous.name);
+    }
     if !is_restore {
         state.admitted.fetch_add(1, Ordering::SeqCst);
     }
-    Ok(admitted)
+    Ok(ack)
 }

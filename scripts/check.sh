@@ -20,7 +20,7 @@ cargo test -q -p rayon
 echo "==> parapage conform --quick"
 cargo run -q -p parapage-cli --release -- conform --quick
 
-echo "==> parapage conform --concurrent --quick (ShardedCache<LruCache> schedule exploration + sabotage self-check)"
+echo "==> parapage conform --concurrent --quick (schedule exploration of the server's locks + three-sabotage self-check)"
 cargo run -q -p parapage-cli --release -- conform --concurrent --quick
 
 echo "==> parapage experiments --quick (the E1-E16 tables and their claim verdicts)"
