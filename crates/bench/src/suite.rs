@@ -36,6 +36,7 @@
 //! | `ops/generators`      | workload generators, pages/sec             |
 //! | `ops/ucp-repartition` | UCP engine runs at the monitor-ucp shape   |
 //! | `ops/lru-thrash`      | served miss path: resized sharded LRU      |
+//! | `ops/batch-codec`     | bulk-fit batch framed, read and decoded    |
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
@@ -54,6 +55,9 @@
 //! repartitions. `ops/lru-thrash` is pinned too: it isolates the served
 //! miss path (lookup, victim delete, admit over a small, often-resized
 //! sharded LRU), which the warm, presized `ops/*-access` streams do not.
+//! `ops/batch-codec` is pinned as well: it counts `bulk-fit`-shaped
+//! `Batch` frames sent and received through `WireState`, and records one
+//! frame's wire bytes, which the page-run body sets.
 //! Release builds are pinned against the floors in
 //! [`OPS_FLOORS`] by `bench/tests/ops_regression.rs` and by the
 //! `parapage bench` exit gate.
@@ -103,7 +107,8 @@ pub struct EntryOut {
     pub runs: usize,
     /// Result digest.
     pub digest: u64,
-    /// Payload bytes produced (checkpoint entries only).
+    /// Payload bytes: the checkpoint entries' total, `ops/batch-codec`'s
+    /// per frame.
     pub bytes: Option<u64>,
 }
 
@@ -134,8 +139,8 @@ pub struct EntryResult {
     pub digest_base: u64,
     /// Result digest of the parallel leg.
     pub digest_par: u64,
-    /// Payload bytes produced (checkpoint entries only — deterministic, so
-    /// both legs agree whenever the digests do).
+    /// Payload bytes (checkpoint entries and `ops/batch-codec` only —
+    /// deterministic, so both legs agree whenever the digests do).
     pub bytes: Option<u64>,
 }
 
@@ -910,24 +915,25 @@ fn entry_ops_generators(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(seqs.iter().map(Vec::len).sum(), d.finish())
 }
 
-/// The `monitor-ucp` serve workload's batch shape (p=8, k=128, s=16,
-/// working sets twice the fitting size, 500 requests per processor): a
-/// cycle, a Zipf and a uniform stream in rotation.
-fn ucp_batch(params: &ModelParams, seed: u64) -> Workload {
-    let (k, len) = (params.k, 500);
+/// A serve workload's batch shape: per processor a cycle, a Zipf and a
+/// uniform stream in rotation, `len` requests each, over working sets
+/// `scale` times the size that fits the cache (`monitor-ucp` is p=8,
+/// k=128, scale 2, 500 requests; `bulk-fit` p=4, k=64, scale 1, 1250).
+fn served_batch(params: &ModelParams, scale: usize, len: usize, seed: u64) -> Workload {
+    let k = params.k;
     let specs: Vec<SeqSpec> = (0..params.p)
         .map(|x| match x % 3 {
             0 => SeqSpec::Cyclic {
-                width: (k / 8).max(2) * 2,
+                width: (k / 8).max(2) * scale,
                 len,
             },
             1 => SeqSpec::Zipf {
-                universe: (k / 2).max(4) * 2,
+                universe: (k / 2).max(4) * scale,
                 theta: 0.9,
                 len,
             },
             _ => SeqSpec::Uniform {
-                universe: (2 * k / params.p).max(2) * 2,
+                universe: (2 * k / params.p).max(2) * scale,
                 len,
             },
         })
@@ -943,7 +949,9 @@ fn ucp_batch(params: &ModelParams, seed: u64) -> Workload {
 /// run's final allocation and makespan.
 fn entry_ops_ucp_repartition(quick: bool, seed: u64) -> EntryOut {
     let params = ModelParams::new(8, 128, 16);
-    let pool: Vec<Workload> = (0..8).map(|b| ucp_batch(&params, seed ^ b)).collect();
+    let pool: Vec<Workload> = (0..8)
+        .map(|b| served_batch(&params, 2, 500, seed ^ b))
+        .collect();
     let runs = if quick { 80 } else { 400 };
     let mut d = Digest::new();
     for w in pool.iter().cycle().take(runs) {
@@ -992,6 +1000,41 @@ fn entry_ops_lru_thrash(quick: bool, seed: u64) -> EntryOut {
     EntryOut::plain(accesses, d.finish())
 }
 
+/// Entry 21: the served request path's codec. A pool of 8
+/// `bulk-fit`-shaped batches (p=4, k=64, 1250 requests per processor),
+/// each framed by `WireState::write_batch`, read back and decoded by
+/// `WireState::read_frame` on one chained stream. `runs` counts batches;
+/// the digest folds every decoded page, so it does not depend on the
+/// encoding, and `bytes` is one frame's wire bytes.
+fn entry_ops_batch_codec(quick: bool, seed: u64) -> EntryOut {
+    use parapage_server::protocol::{c2s_chain_seed, Frame, WireState};
+    let params = ModelParams::new(4, 64, 16);
+    let pool: Vec<Workload> = (0..8)
+        .map(|b| served_batch(&params, 1, 1250, seed ^ b))
+        .collect();
+    let runs = if quick { 2_000 } else { 10_000 };
+    let mut tx = WireState::new(c2s_chain_seed());
+    let mut rx = WireState::new(c2s_chain_seed());
+    let (mut buf, mut fold) = (Vec::new(), 0u64);
+    for (i, w) in pool.iter().cycle().take(runs).enumerate() {
+        buf.clear();
+        tx.write_batch(&mut buf, i as u64, w.seqs())
+            .expect("bench batch write");
+        let Frame::Batch { seqs, .. } = rx.read_frame(&mut &buf[..]).expect("bench batch read")
+        else {
+            panic!("a Batch frame read back as another frame");
+        };
+        fold = (seqs.iter()).fold(fold, |h, seq| h.rotate_left(7) ^ fold_pages(seq));
+    }
+    let mut d = Digest::new();
+    d.write(&format!("runs={runs} fold={fold:016x}"));
+    EntryOut {
+        runs,
+        digest: d.finish(),
+        bytes: Some(buf.len() as u64),
+    }
+}
+
 /// Minimum sustained single-thread throughput, in runs (operations) per
 /// second of the `threads(1)` leg, for the `ops/*` entries.
 ///
@@ -1013,6 +1056,10 @@ pub const OPS_FLOORS: &[(&str, f64)] = &[
     ("ops/ucp-repartition", 800.0),
     // Accesses per second through the resized, miss-heavy sharded LRU.
     ("ops/lru-thrash", 5_000_000.0),
+    // `bulk-fit` batches per second sent and received through `WireState`:
+    // 50-52k with the page-run body, 43-46k with v3's 8 bytes per page
+    // (`--quick`, 3 runs each, 2-vCPU host).
+    ("ops/batch-codec", 12_000.0),
 ];
 
 impl SuiteReport {
@@ -1105,6 +1152,7 @@ const OPS_RECIPE: &[(&str, bool, EntryFn)] = &[
     ("ops/generators", false, entry_ops_generators),
     ("ops/ucp-repartition", false, entry_ops_ucp_repartition),
     ("ops/lru-thrash", false, entry_ops_lru_thrash),
+    ("ops/batch-codec", false, entry_ops_batch_codec),
 ];
 
 /// Runs only the `ops/*` entries (both legs pinned to one worker) — the

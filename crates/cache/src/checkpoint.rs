@@ -544,14 +544,28 @@ impl SnapWriter {
         self.put_u64(v.0);
     }
 
-    /// Writes `pages` back to back, exactly the bytes of a
-    /// [`SnapWriter::put_page`] loop, with one resize instead of a
-    /// capacity check per page. No length prefix: callers write their own.
-    pub fn put_pages(&mut self, pages: &[PageId]) {
+    /// Writes `pages` as a *page run*: its length, then, when it is not
+    /// empty, a width byte `w` ∈ {1, 2, 4, 8}, the smallest page as a
+    /// `u64` base, and every page as its `w`-byte little-endian offset from
+    /// the base, `w` the narrowest that holds the largest offset. An empty
+    /// run is 8 bytes, a full-64-bit one 9 more than 8 per page, and a run
+    /// within 256 ids of its base 17 + 1 per page.
+    /// [`SnapReader::get_page_run`] reads it back.
+    pub fn put_page_run(&mut self, pages: &[PageId]) {
+        self.put_len(pages.len());
+        let Some((base, width)) = run_shape(pages) else {
+            return;
+        };
+        self.put_u8(width as u8);
+        self.put_u64(base);
         let start = self.buf.len();
-        self.buf.resize(start + pages.len() * 8, 0);
-        for (out, pg) in self.buf[start..].chunks_exact_mut(8).zip(pages) {
-            out.copy_from_slice(&pg.0.to_le_bytes());
+        self.buf.resize(start + pages.len() * width, 0);
+        let out = &mut self.buf[start..];
+        match width {
+            1 => put_offsets::<u8>(out, pages, base),
+            2 => put_offsets::<u16>(out, pages, base),
+            4 => put_offsets::<u32>(out, pages, base),
+            _ => put_offsets::<u64>(out, pages, base),
         }
     }
 
@@ -666,20 +680,48 @@ impl<'a> SnapReader<'a> {
         Ok(PageId(self.get_u64()?))
     }
 
-    /// Reads `n` pages as written by [`SnapWriter::put_pages`] or a
-    /// [`SnapWriter::put_page`] loop. `n * 8` is bounded
-    /// by the remaining bytes before anything is reserved, so a hostile
-    /// count is a typed error, never a large allocation or an overflow.
-    pub fn get_pages(&mut self, n: usize) -> Result<Vec<PageId>, CodecError> {
+    /// Reads a page run written by [`SnapWriter::put_page_run`], counting
+    /// its pages against `pages_left`, the pages the caller still accepts.
+    ///
+    /// The length, the width and the length × width product are checked
+    /// against `pages_left` and the bytes present *before* anything is
+    /// reserved, so a hostile run is a typed error, never a large
+    /// allocation or an overflow; a refused run counts no pages. A run not
+    /// in its canonical form — a base other than its smallest page, a
+    /// width wider than its largest offset needs, or pages past `u64::MAX`
+    /// — is invalid too, so every run has exactly one encoding.
+    pub fn get_page_run(&mut self, pages_left: &mut usize) -> Result<Vec<PageId>, CodecError> {
+        let n = self.get_usize()?;
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        if n > *pages_left {
+            return Err(CodecError::Invalid("page run exceeds the page ceiling"));
+        }
+        let width = usize::from(self.get_u8()?);
+        if !matches!(width, 1 | 2 | 4 | 8) {
+            return Err(CodecError::Invalid("page run width not 1, 2, 4 or 8"));
+        }
+        let base = self.get_u64()?;
         let bytes = n
-            .checked_mul(8)
+            .checked_mul(width)
             .filter(|&b| b <= self.remaining())
-            .ok_or(CodecError::Invalid("page list length exceeds payload"))?;
+            .ok_or(CodecError::Invalid("page run length exceeds payload"))?;
         let raw = self.take(bytes)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| PageId(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect())
+        let (pages, min, max) = match width {
+            1 => get_offsets::<u8>(raw, base),
+            2 => get_offsets::<u16>(raw, base),
+            4 => get_offsets::<u32>(raw, base),
+            _ => get_offsets::<u64>(raw, base),
+        };
+        if base.checked_add(max).is_none() {
+            return Err(CodecError::Invalid("page run overflows u64"));
+        }
+        if min != 0 || width != offset_width(max) {
+            return Err(CodecError::Invalid("page run not in canonical form"));
+        }
+        *pages_left -= n;
+        Ok(pages)
     }
 
     /// Reads length-prefixed raw bytes.
@@ -687,6 +729,81 @@ impl<'a> SnapReader<'a> {
         let n = self.get_len()?;
         self.take(n)
     }
+}
+
+/// A non-empty run's base (its smallest page) and offset width.
+fn run_shape(pages: &[PageId]) -> Option<(u64, usize)> {
+    if pages.is_empty() {
+        return None;
+    }
+    // Eight running minima and maxima, so the comparisons do not wait on
+    // one another.
+    let (mut lo, mut hi) = ([u64::MAX; 8], [0u64; 8]);
+    let chunks = pages.chunks_exact(8);
+    for pg in chunks.remainder() {
+        (lo[0], hi[0]) = (lo[0].min(pg.0), hi[0].max(pg.0));
+    }
+    for chunk in chunks {
+        for (i, pg) in chunk.iter().enumerate() {
+            (lo[i], hi[i]) = (lo[i].min(pg.0), hi[i].max(pg.0));
+        }
+    }
+    let (min, max) = (
+        lo.into_iter().fold(u64::MAX, u64::min),
+        hi.into_iter().fold(0, u64::max),
+    );
+    Some((min, offset_width(max - min)))
+}
+
+/// The narrowest width in {1, 2, 4, 8} bytes that holds `offset`.
+fn offset_width(offset: u64) -> usize {
+    match offset {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// A page run's offset type: `u8`, `u16`, `u32` or `u64` for widths 1,
+/// 2, 4 and 8, so the smallest and largest offset are found in the
+/// offsets' own width.
+trait Offset: Copy + Ord + Default + Into<u64> {
+    const MAX: Self;
+    fn read(le: &[u8]) -> Self;
+}
+
+macro_rules! offset {
+    ($($t:ty),*) => {$(
+        impl Offset for $t {
+            const MAX: Self = <$t>::MAX;
+            fn read(le: &[u8]) -> Self {
+                <$t>::from_le_bytes(le.try_into().expect("one offset's bytes"))
+            }
+        }
+    )*};
+}
+offset!(u8, u16, u32, u64);
+
+/// Writes each page's offset from `base` as a little-endian `O`.
+fn put_offsets<O: Offset>(out: &mut [u8], pages: &[PageId], base: u64) {
+    let width = std::mem::size_of::<O>();
+    for (o, pg) in out.chunks_exact_mut(width).zip(pages) {
+        o.copy_from_slice(&(pg.0 - base).to_le_bytes()[..width]);
+    }
+}
+
+/// Decodes little-endian `O` offsets from `base` (wrapping; the caller
+/// refuses a run whose largest offset overflows), with the smallest and
+/// largest offset.
+fn get_offsets<O: Offset>(raw: &[u8], base: u64) -> (Vec<PageId>, u64, u64) {
+    let offsets = raw.chunks_exact(std::mem::size_of::<O>()).map(O::read);
+    let (min, max) =
+        (offsets.clone()).fold((O::MAX, O::default()), |(lo, hi), o| (lo.min(o), hi.max(o)));
+    let pages = offsets
+        .map(|o| PageId(base.wrapping_add(o.into())))
+        .collect();
+    (pages, min.into(), max.into())
 }
 
 /// Validates a framed blob (magic, version, [`digest64`] trailer) and returns the

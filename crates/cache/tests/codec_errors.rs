@@ -126,21 +126,41 @@ fn an_oversized_collection_length_is_invalid_not_an_allocation() {
 
 #[test]
 fn a_hostile_page_count_is_invalid_not_an_allocation_or_overflow() {
-    // `n * 8` overflows usize: get_pages must bound it with checked
-    // arithmetic and answer with the typed error before reserving.
-    let buf = [0u8; 64];
+    // A run claiming `usize::MAX / 4` pages of 8 bytes: `n * 8` overflows
+    // usize, so the reader must bound it with checked arithmetic and
+    // answer with the typed error before reserving.
+    let run = |n: usize, width: u8| {
+        let mut w = SnapWriter::new();
+        w.put_len(n);
+        w.put_u8(width);
+        w.put_u64(0);
+        w.put_raw(&[0u8; 64]);
+        w.into_bytes()
+    };
+    let buf = run(usize::MAX / 4, 8);
+    let mut r = SnapReader::new(&buf);
+    let mut left = usize::MAX;
+    assert_eq!(
+        r.get_page_run(&mut left),
+        Err(CodecError::Invalid("page run length exceeds payload"))
+    );
+    // One page more than the bytes hold is refused the same way, and a
+    // refused run counts no pages.
+    let buf = run(9, 8);
     let mut r = SnapReader::new(&buf);
     assert_eq!(
-        r.get_pages(usize::MAX / 4),
-        Err(CodecError::Invalid("page list length exceeds payload"))
+        r.get_page_run(&mut left),
+        Err(CodecError::Invalid("page run length exceeds payload"))
     );
-    // One page more than the bytes hold is refused the same way.
-    let mut r = SnapReader::new(&buf);
+    assert_eq!(left, usize::MAX);
+    // A count over the caller's ceiling is refused before the width is
+    // even read.
+    let mut left = 8;
     assert_eq!(
-        r.get_pages(9),
-        Err(CodecError::Invalid("page list length exceeds payload"))
+        SnapReader::new(&run(9, 1)).get_page_run(&mut left),
+        Err(CodecError::Invalid("page run exceeds the page ceiling"))
     );
-    assert_eq!(r.remaining(), 64, "a refused read consumes nothing");
+    assert_eq!(left, 8);
 }
 
 /// A sharded-LRU payload whose shard claims more residents than its

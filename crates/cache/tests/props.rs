@@ -211,27 +211,64 @@ proptest! {
         prop_assert_eq!(after, expect);
     }
 
-    /// The bulk page codec is the per-page codec, byte for byte, both ways.
+    /// A page run round-trips at every width boundary: a run whose span
+    /// (largest minus smallest page) is one of `SPANS` takes the width
+    /// that span needs, and the reader counts its pages against the
+    /// ceiling. Empty runs are 8 bytes.
     #[test]
-    fn bulk_page_lists_equal_the_per_page_codec(
-        pages in prop::collection::vec(any::<u64>().prop_map(PageId), 0..200),
+    fn page_runs_round_trip_at_every_width(
+        runs in prop::collection::vec(
+            (0usize..SPANS.len(), any::<u64>(), prop::collection::vec(any::<u64>(), 0..40)),
+            0..6,
+        ),
         prefix in any::<u8>(),
     ) {
-        let (mut bulk, mut single) = (SnapWriter::new(), SnapWriter::new());
-        bulk.put_u8(prefix);
-        single.put_u8(prefix);
-        bulk.put_pages(&pages);
-        for &pg in &pages {
-            single.put_page(pg);
+        let runs: Vec<(Vec<PageId>, usize)> = runs
+            .into_iter()
+            .map(|(i, base, raw)| {
+                let (span, width) = SPANS[i];
+                let base = base.min(u64::MAX - span);
+                let inner = raw.iter().map(|r| PageId(base + r % span.saturating_add(1).max(1)));
+                // The ends first, so the run's span is exactly `span`;
+                // a run drawn without inner pages is empty.
+                let pages: Vec<PageId> = if raw.is_empty() {
+                    Vec::new()
+                } else {
+                    [PageId(base + span), PageId(base)].into_iter().chain(inner).collect()
+                };
+                (pages, width)
+            })
+            .collect();
+        let mut w = SnapWriter::new();
+        w.put_u8(prefix);
+        for (pages, width) in &runs {
+            let before = w.bytes().len();
+            w.put_page_run(pages);
+            let len = w.bytes().len() - before;
+            prop_assert_eq!(len, if pages.is_empty() { 8 } else { 17 + width * pages.len() });
         }
-        let bytes = bulk.into_bytes();
-        prop_assert_eq!(&bytes, &single.into_bytes());
-
+        let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[1..]);
-        prop_assert_eq!(r.get_pages(pages.len()).unwrap(), pages.clone());
+        let total: usize = runs.iter().map(|(p, _)| p.len()).sum();
+        let mut pages_left = total;
+        for (pages, _) in &runs {
+            prop_assert_eq!(&r.get_page_run(&mut pages_left).unwrap(), pages);
+        }
         prop_assert!(r.is_exhausted());
-        let mut r = SnapReader::new(&bytes[1..]);
-        let per_page: Vec<PageId> = (0..pages.len()).map(|_| r.get_page().unwrap()).collect();
-        prop_assert_eq!(per_page, pages);
+        prop_assert_eq!(pages_left, 0);
     }
 }
+
+/// Run spans at each side of every width boundary, with the width each
+/// needs: a single repeated page, 2^8 - 1 and 2^8, 2^16 - 1 and 2^16,
+/// 2^32 - 1 and 2^32, and the full 64-bit range.
+const SPANS: [(u64, usize); 8] = [
+    (0, 1),
+    (0xff, 1),
+    (0x100, 2),
+    (0xffff, 2),
+    (0x1_0000, 4),
+    (0xffff_ffff, 4),
+    (0x1_0000_0000, 8),
+    (u64::MAX, 8),
+];

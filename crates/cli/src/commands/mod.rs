@@ -54,9 +54,10 @@ COMMANDS:
                  schedule explorer: interleavings (exhaustive + random)
                  of Hello, Batch, Kill/Migrate, Stats, expiry and
                  Shutdown over two tenants, checked against a sequential
-                 replay, for cross-tenant waits and for deadlock, and a
-                 self-check that must catch three sabotages:
-                 [--budget N] [--quick] [--seed N] [--cells SUBSTR[,..]]
+                 replay, for cross-tenant waits, deadlock and a worker
+                 blocked outside a scheduling point, and a self-check
+                 that must catch four sabotages:
+                 [--budget N] [--quick] [--seed N] [--cells SUBSTR|=ID[,..]]
   chaos        crash-recovery matrix: every policy x fault scenario x
                  deterministic crashpoint, run under the checkpointing
                  supervisor; recovered runs must be byte-identical to
@@ -65,7 +66,7 @@ COMMANDS:
                  mid-record truncation, bit flips, stale bases) must
                  recover byte-identically with typed truncations:
                  [--quick] [--p N --k N --s N --len N] [--seed N]
-                 [--cells SUBSTR[,SUBSTR..]] [--wal]
+                 [--cells SUBSTR|=ID[,..]] [--wal]
                  (exits non-zero on any divergence or failed recovery)
                  --net switches to the network chaos matrix: every
                  transport fault kind (partial-writes, write-stall,
@@ -74,11 +75,11 @@ COMMANDS:
                  reply stream must be byte-identical to a clean run —
                  plus idle-expiry (checkpointed tenant state restored on
                  re-attach) and load-shedding (typed Busy) cells:
-                 [--quick] [--seed N] [--cells SUBSTR[,SUBSTR..]]
+                 [--quick] [--seed N] [--cells SUBSTR|=ID[,..]]
   experiments  the experiment index E1-E16 (DESIGN.md §5) as one verdict
                  matrix: each cell prints its table and checks the shape
                  its paper claim predicts on those numbers:
-                 [--quick] [--seed N] [--cells SUBSTR[,SUBSTR..]]
+                 [--quick] [--seed N] [--cells SUBSTR|=ID[,..]]
                  [--out DIR] (writes DIR/eN.txt instead of printing)
                  (exits non-zero when a claim fails)
   profile      visualize green box profiles (OPT vs RAND-GREEN):

@@ -237,6 +237,20 @@ fn experiments_writes_kept_cells_and_refuses_unknown_flags_first() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `--cells =e1` keeps exactly the cell whose id is `e1`, where the
+/// substring `e1` also keeps e10–e16.
+#[test]
+fn experiments_exact_cell_id_runs_exactly_one_cell() {
+    let (ok, stdout, stderr) = parapage(&["experiments", "--quick", "--cells", "=e1"]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        stdout.contains("1 cells hold their claims (15 filtered out by --cells)"),
+        "{stdout}"
+    );
+    assert!(stdout.starts_with("== E1: "), "{stdout}");
+    assert_eq!(stdout.matches("== E").count(), 1, "{stdout}");
+}
+
 /// Unknown flags, and flags the chosen mode ignores, are rejected before
 /// the command does any work.
 #[test]

@@ -6,9 +6,11 @@
 
 use parapage_analysis::Table;
 
-/// The `--cells` filter: comma-separated substrings, trimmed and
-/// lower-cased, matched against each cell's lower-cased label. An empty
-/// list keeps every cell.
+/// The `--cells` filter: comma-separated entries, trimmed and lower-cased,
+/// matched against each cell's lower-cased label. An entry keeps the
+/// labels that contain it; an entry `=ID` keeps only a label that is `ID`
+/// or has `ID` as one of its `/`-separated key columns, so `=e1` keeps
+/// `e1/…` but not `e10/…`. An empty list keeps every cell.
 #[derive(Clone, Debug, Default)]
 pub struct CellFilter(Vec<String>);
 
@@ -25,7 +27,11 @@ impl CellFilter {
     /// `true` when the filter keeps the cell labelled `label`.
     pub fn keeps(&self, label: &str) -> bool {
         let label = label.to_ascii_lowercase();
-        self.0.is_empty() || self.0.iter().any(|f| label.contains(f.as_str()))
+        self.0.is_empty()
+            || self.0.iter().any(|f| match f.strip_prefix('=') {
+                Some(id) => label == id || label.split('/').any(|column| column == id),
+                None => label.contains(f.as_str()),
+            })
     }
 }
 
@@ -239,6 +245,21 @@ mod tests {
         );
         assert!(CellFilter::parse(Some("Torn")).keeps("det-par/torn-tail"));
         assert!(!CellFilter::parse(Some("torn,flip")).keeps("det-par/stale-base"));
+    }
+
+    #[test]
+    fn exact_ids_match_a_whole_label_or_key_column() {
+        let e1 = CellFilter::parse(Some(" =E1 "));
+        assert!(e1.keeps("e1/rand-green"));
+        assert!(!e1.keeps("e10/observation-1"));
+        assert!(!e1.keeps("e21"));
+        let whole = CellFilter::parse(Some("=det-par/torn-tail,=ucp"));
+        assert!(whole.keeps("det-par/torn-tail"));
+        assert!(whole.keeps("UCP/clean"));
+        assert!(!whole.keeps("det-par/torn"));
+        assert!(!whole.keeps("ucp-2/clean"));
+        // A substring entry beside an exact one still matches as before.
+        assert!(CellFilter::parse(Some("=e1,e1")).keeps("e16/bounds"));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //!
 //! * [`run_schedule`] — the scheduler. A [blocked](Worker::blocked) worker
 //!   is not chosen until another moves; when every live worker is blocked
-//!   the execution is a deadlock and they unwind.
+//!   the execution is a deadlock and they unwind. A worker that does not
+//!   reach its next scheduling point within [`STUCK_AFTER`] is blocked
+//!   outside one (on a lock the scheduler cannot see): the execution is
+//!   reported as stuck and the other workers unwind, which frees it.
 //! * [`explore`] — DFS over the choice tree by prefix replay, every
 //!   execution a distinct interleaving, or seeded random sampling.
 //! * [`check_linearizable`] — Wing–Gong search for a real-time-consistent
@@ -16,6 +19,7 @@ use std::any::Any;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use crate::matrix::CellRow;
 
@@ -86,13 +90,20 @@ impl CellRow for ExploreReport {
 /// Cap on retained violation strings per report.
 pub const MAX_REPORTED: usize = 5;
 
+/// How long the controller waits for a granted worker to hand the token
+/// back before calling it stuck. Between two scheduling points a worker
+/// of the built-in scenarios runs for microseconds; one that takes this
+/// long waits on something no schedule can release.
+pub const STUCK_AFTER: Duration = Duration::from_secs(5);
+
 struct SchedState {
     /// The worker holding the token; `None` while the controller does.
     turn: Option<usize>,
     finished: Box<[bool]>,
     /// Workers waiting for another worker to move.
     blocked: Box<[bool]>,
-    /// Set once a deadlock is found: every granted worker unwinds.
+    /// Set once a deadlock or a stuck worker is found: every worker
+    /// unwinds at its next scheduling point.
     aborting: bool,
 }
 
@@ -101,7 +112,7 @@ struct Sched {
     cv: Condvar,
 }
 
-/// The payload a deadlocked worker unwinds with; not a panic of the code
+/// The payload an aborted worker unwinds with; not a panic of the code
 /// under test.
 struct Aborted;
 
@@ -124,7 +135,7 @@ impl Sched {
 
     /// Worker `i`: block until granted the token; unwind if aborting.
     fn wait_turn(&self, mut st: MutexGuard<'_, SchedState>, i: usize) {
-        while st.turn != Some(i) {
+        while st.turn != Some(i) && !st.aborting {
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         if st.aborting {
@@ -156,14 +167,31 @@ impl Sched {
         self.cv.notify_all();
     }
 
-    /// Controller: grant the token to worker `c`, block until it comes back.
-    fn grant(&self, c: usize) {
+    /// Controller: grant the token to worker `c` and block until it comes
+    /// back; `false` when it has not within [`STUCK_AFTER`].
+    fn grant(&self, c: usize) -> bool {
         let mut st = self.lock();
         st.turn = Some(c);
         self.cv.notify_all();
+        let deadline = Instant::now() + STUCK_AFTER;
         while st.turn.is_some() {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                return false;
+            };
+            st = self
+                .cv
+                .wait_timeout(st, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
+        true
+    }
+
+    /// Controller: end the execution. Every worker waiting for the token,
+    /// and every other one at its next scheduling point, unwinds.
+    fn abort(&self) {
+        self.lock().aborting = true;
+        self.cv.notify_all();
     }
 
     /// The unfinished workers, and those of them not blocked.
@@ -223,6 +251,9 @@ pub struct Execution {
     pub taken: Vec<(usize, usize)>,
     /// The workers left blocked when every unfinished worker was.
     pub deadlock: Option<Vec<usize>>,
+    /// The worker that did not hand the token back within
+    /// [`STUCK_AFTER`]: blocked outside a scheduling point.
+    pub stuck: Option<usize>,
     /// Workers whose body panicked, with the panic message.
     pub panics: Vec<(usize, String)>,
 }
@@ -242,6 +273,10 @@ fn xorshift(s: &mut u64) -> u64 {
 /// list); past the plan, choices come from `rng` when given, else default
 /// to index 0 (the DFS left spine). Each worker runs `body` with its own
 /// [`Worker`] handle once granted the token.
+///
+/// A stuck worker is freed by the others unwinding only if what blocks it
+/// is held by one of them; a worker blocked on itself or on a thread
+/// outside the execution still hangs the join.
 pub fn run_schedule(
     workers: usize,
     plan: &[usize],
@@ -272,8 +307,7 @@ pub fn run_schedule(
             }
             if runnable.is_empty() {
                 // Every live worker waits on another: unwind them all.
-                sched.lock().aborting = true;
-                live.iter().for_each(|&i| sched.grant(i));
+                sched.abort();
                 exec.deadlock = Some(live);
                 break;
             }
@@ -286,7 +320,11 @@ pub fn run_schedule(
                 }
             };
             exec.taken.push((pick, runnable.len()));
-            sched.grant(runnable[pick]);
+            if !sched.grant(runnable[pick]) {
+                sched.abort();
+                exec.stuck = Some(runnable[pick]);
+                break;
+            }
         }
         for (i, t) in threads.into_iter().enumerate() {
             if let Err(payload) = t.join() {
@@ -373,13 +411,15 @@ fn next_plan(taken: &[(usize, usize)]) -> Option<Vec<usize>> {
 
 /// Explores the scenario `name` for at most `budget` executions under
 /// `mode`. `run(plan, rng)` performs one execution (through
-/// [`run_schedule`]) and returns its decision trace and its violation, if
-/// any; reported violations carry the choice sequence that replays them.
+/// [`run_schedule`]) and returns it with its violation, if any; reported
+/// violations carry the choice sequence that replays them. A stuck
+/// execution ends the exploration: every later one could cost
+/// [`STUCK_AFTER`] too.
 pub fn explore(
     name: &str,
     budget: usize,
     mode: ExploreMode,
-    mut run: impl FnMut(&[usize], Option<&mut u64>) -> (Vec<(usize, usize)>, Option<String>),
+    mut run: impl FnMut(&[usize], Option<&mut u64>) -> (Execution, Option<String>),
 ) -> ExploreReport {
     let mut report = ExploreReport {
         scenario: name.to_string(),
@@ -393,10 +433,13 @@ pub fn explore(
         ExploreMode::Exhaustive => {
             let mut plan: Vec<usize> = Vec::new();
             while report.executions < budget {
-                let (taken, violation) = run(&plan, None);
-                report.record(&taken, violation);
+                let (exec, violation) = run(&plan, None);
+                report.record(&exec.taken, violation);
                 report.distinct += 1;
-                match next_plan(&taken) {
+                if exec.stuck.is_some() {
+                    break;
+                }
+                match next_plan(&exec.taken) {
                     Some(p) => plan = p,
                     None => {
                         report.complete = true;
@@ -409,11 +452,14 @@ pub fn explore(
             let mut rng = seed.max(1);
             let mut seen: HashSet<Vec<usize>> = HashSet::new();
             for _ in 0..budget {
-                let (taken, violation) = run(&[], Some(&mut rng));
-                if seen.insert(choices_of(&taken)) {
+                let (exec, violation) = run(&[], Some(&mut rng));
+                if seen.insert(choices_of(&exec.taken)) {
                     report.distinct += 1;
                 }
-                report.record(&taken, violation);
+                report.record(&exec.taken, violation);
+                if exec.stuck.is_some() {
+                    break;
+                }
             }
         }
     }
@@ -490,10 +536,10 @@ mod tests {
         scripts: &[Vec<(u64, bool)>],
         plan: &[usize],
         rng: Option<&mut u64>,
-    ) -> (Vec<(usize, usize)>, Option<String>) {
+    ) -> (Execution, Option<String>) {
         let (exec, history) = toy(scripts, plan, rng, None);
         let verdict = (!lru_linearizable(1, &history)).then(|| "not linearizable".to_string());
-        (exec.taken, verdict)
+        (exec, verdict)
     }
 
     #[test]
@@ -606,8 +652,11 @@ mod tests {
                     drop((first, second));
                 });
             });
-            let v = exec.deadlock.map(|d| format!("deadlock: {d:?} blocked"));
-            (exec.taken, v)
+            let v = exec
+                .deadlock
+                .as_ref()
+                .map(|d| format!("deadlock: {d:?} blocked"));
+            (exec, v)
         });
         assert!(report.complete);
         assert!(report.violating > 0, "the AB-BA deadlock was missed");
@@ -616,5 +665,31 @@ mod tests {
             "not every schedule deadlocks"
         );
         assert!(report.violations[0].contains("deadlock: [0, 1] blocked"));
+    }
+
+    /// A worker that blocks on a lock outside any scheduling point, held
+    /// by a worker parked at one, is reported as stuck once the deadline
+    /// passes, and the exploration ends there instead of hanging.
+    #[test]
+    fn a_lock_outside_a_scheduling_point_is_reported_not_hung() {
+        let lock = Mutex::new(());
+        let report = explore("untracked", 100, ExploreMode::Exhaustive, |plan, rng| {
+            let exec = run_schedule(2, plan, rng, |w| {
+                let _ = catch_op(|| {
+                    let _held = lock.lock().unwrap_or_else(|e| e.into_inner());
+                    w.yield_now();
+                });
+            });
+            let v = exec
+                .stuck
+                .map(|t| format!("T{t} blocked outside a scheduling point"));
+            (exec, v)
+        });
+        assert_eq!(report.violating, 1, "{:?}", report.violations);
+        assert!(!report.complete);
+        assert_eq!(
+            report.violations,
+            ["untracked: T1 blocked outside a scheduling point [choices [0, 1]]"]
+        );
     }
 }

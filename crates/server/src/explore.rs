@@ -26,12 +26,14 @@ use std::time::Duration;
 use parapage::cache::{fnv1a64, PageId};
 use parapage::conform::matrix::{CellFilter, CellRow, Matrix};
 use parapage::conform::{
-    catch_op, check_linearizable, explore, run_schedule, ExploreMode, ExploreReport, Worker,
+    catch_op, check_linearizable, explore, run_schedule, Execution, ExploreMode, ExploreReport,
+    Worker,
 };
 
 use crate::protocol::{Frame, ServerStats, TenantConfig, PROTO_VERSION};
 use crate::server::{
-    begin_shutdown, detach, reap, register, serve_frame, table, ServeOpts, ServerState, Session,
+    begin_shutdown, detach, hello_ack, reap, register, serve_frame, table, ServeOpts, ServerState,
+    Session,
 };
 use crate::yieldpoint::{clear_yield_hook, set_yield_hook, LockName, Point};
 
@@ -62,6 +64,9 @@ pub enum Op {
     RegisterUnlocked,
     /// Sabotage: `Stats` taking every session's lock under the table.
     StatsUnderTables,
+    /// Sabotage: a re-attaching `Hello` for the named tenant that waits
+    /// for its session under the tenant table.
+    ReattachUnderTable(&'static str),
     /// The checker's final look at the quiescent core.
     Probe,
 }
@@ -72,6 +77,7 @@ impl Op {
         match self {
             Op::RegisterUnlocked => Op::Register,
             Op::StatsUnderTables => Op::Stats,
+            Op::ReattachUnderTable(tenant) => Op::Hello(tenant),
             op => op,
         }
     }
@@ -160,6 +166,7 @@ fn apply(state: &ServerState, attached: &mut Option<Arc<Session>>, op: Op) -> Ou
         Op::PanicUnderSession => panic_under_session(attached),
         Op::RegisterUnlocked => return observed("registered", register_unlocked(state)),
         Op::StatsUnderTables => return stats_under_tables(state),
+        Op::ReattachUnderTable(tenant) => return reattach_under_table(state, attached, tenant),
         Op::Probe => return Outcome::Observed(probe(state)),
     };
     let reply = serve_frame(state, frame, attached);
@@ -203,6 +210,31 @@ fn stats_under_tables(state: &ServerState) -> Outcome {
     tenants.values().for_each(|e| drop(e.session.lock()));
     drop(tenants);
     stats_outcome(&state.stats())
+}
+
+/// A `Hello` that re-attaches to an existing `tenant` and reads its
+/// resume coordinates with the tenant table still held, so it waits for
+/// a running batch under the table; a new tenant is admitted as usual.
+/// Scenarios using it attach each connection once.
+fn reattach_under_table(
+    state: &ServerState,
+    attached: &mut Option<Arc<Session>>,
+    tenant: &'static str,
+) -> Outcome {
+    let mut tenants = table(&state.tenants, LockName::Tenants);
+    let Some(entry) = tenants.get_mut(tenant) else {
+        drop(tenants);
+        return apply(state, attached, Op::Hello(tenant));
+    };
+    entry.attached += 1;
+    let session = Arc::clone(&entry.session);
+    let reply = match session.lock() {
+        Ok(t) => hello_ack(state, &t),
+        Err((code, message)) => Frame::Error { code, message },
+    };
+    drop(tenants);
+    *attached = Some(session);
+    Outcome::Reply(reply)
 }
 
 /// The quiescent core: connection table, shutdown flag, tenants with
@@ -252,6 +284,15 @@ pub fn scenarios() -> Vec<Scenario> {
         scenario("attach-batch-stats", &[
             &[Hello("a"), Batch(0), Stats], &[Hello("b"), Batch(0), Goodbye], &[Stats, Hello("a"), Batch(1)],
         ]),
+        // a's batch holds its session while a Stats waits for it; b's
+        // Hello and batch must not wait with the Stats.
+        scenario("stats-behind-batch", &[
+            &[Hello("a"), Batch(0)], &[Stats], &[Hello("b"), Batch(0)],
+        ]),
+        // The same with a re-attaching Hello of a waiting for the batch.
+        scenario("reattach-behind-batch", &[
+            &[Hello("a"), Batch(0)], &[Hello("a")], &[Hello("b"), Batch(0)],
+        ]),
     ]
 }
 
@@ -275,6 +316,11 @@ pub fn sabotages() -> Vec<(Scenario, &'static str)> {
         // waits on a's session.
         (scenario("stats-under-table", &[
             &[Hello("a"), Batch(0)], &[StatsUnderTables], &[Hello("b")],
+        ]), "waits on tenant"),
+        // A re-attach waits for a's batch under the tenant table, so b's
+        // Hello waits on a's session.
+        (scenario("reattach-under-table", &[
+            &[Hello("a"), Batch(0)], &[ReattachUnderTable("a")], &[Hello("b"), Batch(0)],
         ]), "waits on tenant"),
     ]
 }
@@ -382,7 +428,7 @@ fn sequential_verdict(history: &[Record], workers: usize) -> Option<String> {
     Some(format!("no sequential order explains the replies: {ops}"))
 }
 
-/// Runs `scenario` once; returns the decisions and the violations.
+/// Runs `scenario` once; returns the execution and the violations.
 /// `verdicts` caches the sequential verdict of each distinct history
 /// (most executions repeat one).
 fn run_once(
@@ -390,7 +436,7 @@ fn run_once(
     verdicts: &mut HashMap<u64, Option<String>>,
     plan: &[usize],
     rng: Option<&mut u64>,
-) -> (Vec<(usize, usize)>, Option<String>) {
+) -> (Execution, Option<String>) {
     let workers = scenario.threads.len();
     let state = ServerState::new(ServeOpts::default(), None);
     let clock = AtomicU64::new(1);
@@ -409,7 +455,7 @@ fn run_once(
         let mut attached: Option<Arc<Session>> = None;
         for &op in &scenario.threads[w.id()] {
             let tenant = match op {
-                Op::Hello(t) => Some(t.to_string()),
+                Op::Hello(t) | Op::ReattachUnderTable(t) => Some(t.to_string()),
                 Op::Batch(_)
                 | Op::Kill(..)
                 | Op::Migrate(..)
@@ -444,8 +490,10 @@ fn run_once(
         }
     }
     problems.extend(lock(&watch).violation.take());
-    if let Some(blocked) = exec.deadlock {
+    if let Some(blocked) = &exec.deadlock {
         problems.push(format!("deadlock: workers {blocked:?} all blocked"));
+    } else if let Some(w) = exec.stuck {
+        problems.push(format!("T{w} blocked outside a scheduling point"));
     } else {
         let (invoked, outcome) = (clock.fetch_add(2, Ordering::SeqCst), probe(&state));
         let (thread, op, returned) = (workers, Op::Probe, invoked + 1);
@@ -463,7 +511,7 @@ fn run_once(
         problems.extend(verdict.clone());
     }
     let violation = (!problems.is_empty()).then(|| problems.join("; "));
-    (exec.taken, violation)
+    (exec, violation)
 }
 
 /// Explores `scenario` for at most `budget` executions.

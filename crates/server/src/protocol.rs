@@ -8,10 +8,13 @@
 //! as a typed [`CodecError`] — never a panic.
 //!
 //! The payload is one tag byte followed by the [`Frame`] body in the
-//! [`SnapWriter`] little-endian codec. Decoding is allocation-disciplined:
-//! every declared length is validated against the bytes actually present
-//! (and [`MAX_FRAME`]) *before* any buffer is reserved, so a hostile
-//! length prefix cannot over-allocate.
+//! [`SnapWriter`] little-endian codec; a `Batch` carries each sequence as
+//! a page run ([`SnapWriter::put_page_run`]): its length, then a width
+//! byte, its smallest page as a base, and one narrow offset per page.
+//! Decoding is allocation-disciplined: every declared length, width and
+//! page total is validated against the bytes actually present,
+//! [`MAX_FRAME`] and [`MAX_BATCH_PAGES`] *before* any buffer is reserved,
+//! so a hostile length prefix cannot over-allocate.
 
 use parapage::cache::{
     fnv1a64, frame_chained, parse_chained, ChainedFrame, CodecError, PageId, SnapReader,
@@ -38,7 +41,15 @@ pub const WIRE_MAGIC: [u8; 4] = *b"ppwf";
 /// unchanged. A v2 peer's frames therefore fail verification before any
 /// payload is read: the server answers a v2 `Hello` with a typed
 /// `BAD_FRAME` error (a digest mismatch) and closes that connection.
-pub const PROTO_VERSION: u16 = 3;
+///
+/// Version 4 changed the `Batch` body only: each sequence is a page run
+/// (its length; then, when non-empty, a width byte `w` ∈ {1, 2, 4, 8}, its
+/// smallest page as a `u64` base and every page as a `w`-byte offset)
+/// instead of 8 bytes per page. One processor's pages lie within a few
+/// hundred ids of each other, so a typical batch shrinks 6–8×. Every other
+/// frame, the digests and the limits are v3's; a v3 `Hello` decodes and is
+/// refused with `BAD_VERSION`.
+pub const PROTO_VERSION: u16 = 4;
 
 /// Hard cap on a frame's declared payload length (4 MiB). Enforced before
 /// any allocation on both ends; oversized declarations are rejected as
@@ -70,6 +81,12 @@ pub const MAX_SHARDS: usize = parapage::cache::MAX_SHARDS;
 /// could ever fit a batch in [`MAX_FRAME`]. Admission refuses a larger
 /// [`TenantConfig::p`]; below it a batch costs time linear in `p`.
 pub const MAX_PROCS: usize = (MAX_FRAME - 17) / 8;
+
+/// Most pages one `Batch` may carry, over all its sequences: the most a
+/// v3 frame of 8 bytes per page could hold. A page run can be 1 byte per
+/// page, so this, not [`MAX_FRAME`], bounds what a decoded batch reserves
+/// (8 bytes per page); both ends refuse a batch beyond it.
+pub const MAX_BATCH_PAGES: usize = (MAX_FRAME - 17) / 8;
 
 /// Application error codes carried by [`Frame::Error`].
 pub mod error_code {
@@ -405,9 +422,10 @@ impl Frame {
 
     /// Decodes a payload produced by [`Frame::encode_payload`]. Rejects
     /// unknown tags, over-long names, non-UTF-8 strings, trailing garbage,
-    /// and page lists whose declared element count exceeds the bytes
-    /// present — all as typed [`CodecError`]s, never a panic, and never an
-    /// allocation larger than the payload itself warrants.
+    /// and page runs with a bad width, more bytes than are present, a
+    /// non-canonical form or pages past [`MAX_BATCH_PAGES`] — all as typed
+    /// [`CodecError`]s, never a panic, and never an allocation beyond
+    /// what [`MAX_BATCH_PAGES`] pages warrant.
     pub fn decode_payload(payload: &[u8]) -> Result<Frame, CodecError> {
         let mut r = SnapReader::new(payload);
         let t = r.get_u8()?;
@@ -454,11 +472,11 @@ impl Frame {
                     ));
                 }
                 let mut seqs = Vec::with_capacity(nseqs);
+                // Each run is checked against the bytes present and the
+                // pages left under the ceiling before it reserves.
+                let mut pages_left = MAX_BATCH_PAGES;
                 for _ in 0..nseqs {
-                    // get_pages bounds the page count by the bytes present
-                    // (8 per page) before it reserves.
-                    let n = r.get_len()?;
-                    seqs.push(r.get_pages(n)?);
+                    seqs.push(r.get_page_run(&mut pages_left)?);
                 }
                 Frame::Batch { batch, seqs }
             }
@@ -522,8 +540,8 @@ impl Frame {
     }
 }
 
-/// Encodes a `Batch` payload: the tag, the batch number, then each
-/// sequence as its length and its pages. The one encoder of the body,
+/// Encodes a `Batch` payload: the tag, the batch number, the sequence
+/// count, then each sequence as a page run. The one encoder of the body,
 /// whether the pages sit in a [`Frame::Batch`] or are borrowed by
 /// [`WireState::write_batch`].
 fn encode_batch(w: &mut SnapWriter, batch: u64, seqs: &[Vec<PageId>]) {
@@ -531,14 +549,8 @@ fn encode_batch(w: &mut SnapWriter, batch: u64, seqs: &[Vec<PageId>]) {
     w.put_u64(batch);
     w.put_len(seqs.len());
     for seq in seqs {
-        w.put_len(seq.len());
-        w.put_pages(seq);
+        w.put_page_run(seq);
     }
-}
-
-/// Payload bytes of a `Batch` frame over `seqs`.
-fn batch_payload_len(seqs: &[Vec<PageId>]) -> usize {
-    1 + 8 + 8 + seqs.iter().map(|s| 8 + 8 * s.len()).sum::<usize>()
 }
 
 /// Reads a length-prefixed UTF-8 string, bounding its length *before* any
@@ -677,12 +689,24 @@ impl WireState {
         batch: u64,
         seqs: &[Vec<PageId>],
     ) -> Result<(), WireError> {
-        // Oversized batches are refused from their sizes, before encoding.
-        let len = batch_payload_len(seqs);
-        if len > MAX_FRAME {
+        // Oversized batches are refused from their sizes, before encoding:
+        // a run is at least 17 bytes and one per page (8 when empty). The
+        // exact size, which the offset widths set, is checked once
+        // encoded.
+        let pages: usize = seqs.iter().map(Vec::len).sum();
+        if pages > MAX_BATCH_PAGES {
+            return Err(WireError::Codec(CodecError::Invalid(
+                "batch exceeds MAX_BATCH_PAGES",
+            )));
+        }
+        let least = 17
+            + (seqs.iter())
+                .map(|s| if s.is_empty() { 8 } else { 17 + s.len() })
+                .sum::<usize>();
+        if least > MAX_FRAME {
             return Err(oversized());
         }
-        self.write_encoded(w, len, |sw| encode_batch(sw, batch, seqs))
+        self.write_encoded(w, least, |sw| encode_batch(sw, batch, seqs))
     }
 
     /// Frames the payload `encode` writes behind the header and writes the

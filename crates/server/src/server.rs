@@ -567,7 +567,7 @@ fn on_session(
 }
 
 /// The `HelloAck` for `session`, under a fresh session id.
-fn hello_ack(state: &ServerState, session: &TenantSession) -> Frame {
+pub(crate) fn hello_ack(state: &ServerState, session: &TenantSession) -> Frame {
     Frame::HelloAck {
         session: state.next_session.fetch_add(1, Ordering::SeqCst),
         max_frame: MAX_FRAME as u64,

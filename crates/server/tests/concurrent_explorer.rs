@@ -1,7 +1,9 @@
 //! The server section of `parapage conform --concurrent`: the schedule
 //! explorer over the server's locks passes every clean scenario, reaches
 //! 10^4 distinct interleavings across them, and catches each sabotage as
-//! what it is — while the clean op in its place passes.
+//! what it is — while the clean op in its place passes. One tenant's
+//! running batch holds only that tenant's session: a `Stats` or a
+//! re-attaching `Hello` that waits for it never makes another tenant wait.
 
 use parapage::conform::matrix::{CellFilter, Totals};
 use parapage::conform::ExploreMode;
@@ -12,7 +14,7 @@ use parapage_server::explore::{
 
 #[test]
 fn explorer_enumerates_ten_thousand_clean_interleavings() {
-    let m = exploration_matrix(9_000, 42, &CellFilter::default());
+    let m = exploration_matrix(13_500, 42, &CellFilter::default());
     let mut totals = Totals::default();
     totals.add(&m);
     let reports: Vec<_> = m
@@ -97,10 +99,51 @@ fn explorer_catches_every_server_sabotage() {
     }
 }
 
+/// `name`'s scenario passes by DFS and by random sampling, and with its
+/// second worker's op replaced by `sabotage`, which waits for a's batch
+/// under the tenant table, the same sampling catches b waiting on a: so
+/// the explored schedules do reach the waiter waiting on a's running
+/// batch while b says `Hello` and runs its own.
+fn waiter_blocks_no_other_tenant(name: &str, sabotage: Op) {
+    let clean = (scenarios().into_iter())
+        .find(|sc| sc.name == name)
+        .expect("scenario");
+    let sample = ExploreMode::Random { seed: 42 };
+    for mode in [ExploreMode::Exhaustive, sample] {
+        let r = explore_scenario(&clean, 1_000, mode);
+        assert!(r.passed(), "{name}: {:?}", r.violations);
+    }
+    let mut threads = clean.threads.clone();
+    threads[1] = vec![sabotage];
+    let sabotaged = Scenario {
+        name: clean.name,
+        threads,
+    };
+    let r = explore_scenario(&sabotaged, 1_000, sample);
+    assert!(r.violating > 0, "{name}: {sabotage:?} not caught");
+    for v in &r.violations {
+        assert!(
+            v.contains("on tenant `b` waits on tenant `a`'s session"),
+            "{v}"
+        );
+    }
+}
+
+#[test]
+fn hello_does_not_wait_behind_a_pending_stats() {
+    waiter_blocks_no_other_tenant("stats-behind-batch", Op::StatsUnderTables);
+}
+
+#[test]
+fn hello_does_not_wait_behind_a_reattach_mid_batch() {
+    waiter_blocks_no_other_tenant("reattach-behind-batch", Op::ReattachUnderTable("a"));
+}
+
 fn clean_twin(op: Op) -> Op {
     match op {
         Op::RegisterUnlocked => Op::Register,
         Op::StatsUnderTables => Op::Stats,
+        Op::ReattachUnderTable(tenant) => Op::Hello(tenant),
         op => op,
     }
 }

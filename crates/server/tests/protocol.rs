@@ -131,13 +131,14 @@ fn every_frame_round_trips_through_the_framed_stream() {
 
 /// `digest64` of the wire bytes of [`all_frames`] followed by a `Batch`
 /// whose pages use all 64 bits, written in order on one client→server
-/// stream. Computed with the per-page encoder and the copy-through frame
-/// builder that preceded in-place framing; a change here means protocol
-/// v3's bytes moved.
-const WIRE_GOLDEN: u64 = 0x52bd_dd7e_07de_09e1;
+/// stream. Re-pinned when protocol v4 replaced the `Batch` body's 8 bytes
+/// per page by page runs (v3's value was `0x52bd_dd7e_07de_09e1`); the
+/// layout itself is pinned byte for byte in `batch_codec.rs`. A change
+/// here means protocol v4's bytes moved.
+const WIRE_GOLDEN: u64 = 0x8016_b6b3_c93b_e65e;
 
 #[test]
-fn wire_bytes_of_every_frame_type_match_the_v3_golden_digest() {
+fn wire_bytes_of_every_frame_type_match_the_v4_golden_digest() {
     let mut frames = all_frames();
     frames.push(Frame::Batch {
         batch: u64::MAX,
@@ -520,19 +521,26 @@ proptest! {
         prop_assert_eq!(borrowed, owned);
     }
 
-    /// The workload fingerprint is the bulk digest of exactly the bytes a
-    /// `Batch` frame carries after its tag and batch number.
+    /// The workload fingerprint is the bulk digest of the v3 layout of a
+    /// `Batch` body, built here word by word: the sequence count, then
+    /// each sequence's length and its pages, 8 bytes each. The v4 wire
+    /// body is smaller and no longer equals it, so this pins the
+    /// fingerprint on its own.
     #[test]
     fn workload_fingerprint_is_the_digest_of_the_batch_body(
-        batch in any::<u64>(),
         seqs in prop::collection::vec(
             prop::collection::vec(any::<u64>().prop_map(PageId), 0..40),
             0..6,
         ),
     ) {
-        let want = workload_fingerprint(&seqs);
-        let payload = Frame::Batch { batch, seqs }.encode_payload();
-        prop_assert_eq!(want, digest64(&payload[9..]));
+        use parapage::cache::SnapWriter;
+        let mut v3 = SnapWriter::new();
+        v3.put_len(seqs.len());
+        for seq in &seqs {
+            v3.put_len(seq.len());
+            seq.iter().for_each(|&pg| v3.put_page(pg));
+        }
+        prop_assert_eq!(workload_fingerprint(&seqs), digest64(v3.bytes()));
     }
 
     /// Random Error frames (arbitrary code and UTF-8 message) round-trip.
