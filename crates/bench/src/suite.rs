@@ -40,7 +40,8 @@
 //!
 //! The two `checkpoint/*` entries additionally record their total payload
 //! bytes (a deterministic function of the workload), pinning the WAL's
-//! O(changes) size advantage over O(state) snapshots in the trajectory.
+//! O(changes) size advantage over O(state) snapshots in the trajectory;
+//! `server/wire-codec` records its total wire bytes the same way.
 //!
 //! The `ops/*` entries are single-thread microbenchmarks of the hot
 //! paths: their `runs` count individual operations (engine events, cache
@@ -107,8 +108,8 @@ pub struct EntryOut {
     pub runs: usize,
     /// Result digest.
     pub digest: u64,
-    /// Payload bytes: the checkpoint entries' total, `ops/batch-codec`'s
-    /// per frame.
+    /// Payload bytes: the checkpoint entries' and `server/wire-codec`'s
+    /// total, `ops/batch-codec`'s per frame.
     pub bytes: Option<u64>,
 }
 
@@ -139,7 +140,7 @@ pub struct EntryResult {
     pub digest_base: u64,
     /// Result digest of the parallel leg.
     pub digest_par: u64,
-    /// Payload bytes (checkpoint entries and `ops/batch-codec` only —
+    /// Payload bytes (checkpoint and codec entries only —
     /// deterministic, so both legs agree whenever the digests do).
     pub bytes: Option<u64>,
 }
@@ -635,13 +636,15 @@ fn entry_ckpt_wal(quick: bool, seed: u64) -> EntryOut {
 /// Entry 8: the serve wire codec — frame encode + digest-chain + decode of
 /// a realistic request/reply mix (Batch frames dominating, as in a drive
 /// run). Single-threaded: it measures codec throughput, not pool scaling,
-/// so it stays out of the speedup aggregate.
+/// so it stays out of the speedup aggregate. The digest folds every
+/// decoded frame's contents, so it does not depend on the encoding, and
+/// `bytes` is the total wire bytes.
 fn entry_wire_codec(quick: bool, seed: u64) -> EntryOut {
     use parapage_server::protocol::{c2s_chain_seed, Frame, WireState};
     let frames = if quick { 2_000 } else { 10_000 };
     let mut tx = WireState::new(c2s_chain_seed());
     let mut rx = WireState::new(c2s_chain_seed());
-    let mut d = Digest::new();
+    let (mut fold, mut wire_bytes) = (0u64, 0u64);
     let mut x = seed | 1;
     for i in 0..frames as u64 {
         x = x
@@ -672,9 +675,31 @@ fn entry_wire_codec(quick: bool, seed: u64) -> EntryOut {
         tx.write_frame(&mut buf, &frame).expect("bench wire write");
         let back = rx.read_frame(&mut &buf[..]).expect("bench wire read");
         assert_eq!(back, frame);
-        d.write(&format!("i={i} len={}", buf.len()));
+        let contents = match back {
+            Frame::Batch { batch, seqs } => {
+                (seqs.iter()).fold(batch, |h, seq| h.rotate_left(7) ^ fold_pages(seq))
+            }
+            Frame::BatchDone {
+                batch,
+                makespan,
+                hits,
+                misses,
+                grants,
+                digest,
+                chain,
+            } => fold_words([batch, makespan, hits, misses, grants, digest, chain]),
+            other => unreachable!("the entry sends no {other:?}"),
+        };
+        fold = fold.rotate_left(7) ^ contents;
+        wire_bytes += buf.len() as u64;
     }
-    EntryOut::plain(frames, d.finish())
+    let mut d = Digest::new();
+    d.write(&format!("frames={frames} fold={fold:016x}"));
+    EntryOut {
+        runs: frames,
+        digest: d.finish(),
+        bytes: Some(wire_bytes),
+    }
 }
 
 /// Entry 9: raw engine event throughput. One det-par run stepped to
@@ -831,8 +856,13 @@ fn ops_zipf(universe: usize, theta: f64, len: usize, seed: u64) -> Vec<PageId> {
 /// Order-sensitive fold of a page stream, so a generator entry's digest
 /// pins every page it produced.
 fn fold_pages(seq: &[PageId]) -> u64 {
-    seq.iter().fold(0u64, |h, p| {
-        h.rotate_left(5) ^ p.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    fold_words(seq.iter().map(|p| p.0))
+}
+
+/// Order-sensitive fold of a word stream.
+fn fold_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    (words.into_iter()).fold(0u64, |h, w| {
+        h.rotate_left(5) ^ w.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     })
 }
 

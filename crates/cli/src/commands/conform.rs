@@ -105,7 +105,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
 /// first catch of each is printed with the choices that replay it.
 fn exec_concurrent(args: &Args) -> Result<(), String> {
     let quick = args.flag("quick");
-    let budget: usize = args.get("budget", if quick { 6_000 } else { 36_000 })?;
+    let budget: usize = args.get("budget", if quick { 1_000 } else { 6_000 })?;
     let seed: u64 = args.get("seed", 42)?;
     let filter = CellFilter::parse(args.opt("cells").as_deref());
     args.finish()?;

@@ -67,7 +67,7 @@ pub fn exec(args: &Args) -> Result<(), String> {
                 Err(e) => [
                     scenario.to_string(),
                     mode.to_string(),
-                    error_label(&e).to_string(),
+                    e.label().to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
@@ -86,13 +86,4 @@ pub fn exec(args: &Args) -> Result<(), String> {
          grants the hardened wrapper clamped or backed off)"
     );
     Ok(())
-}
-
-fn error_label(e: &EngineError) -> &'static str {
-    match e {
-        EngineError::ZeroDurationGrant { .. } => "zero-grant",
-        EngineError::MemoryLimitExceeded { .. } => "mem-limit",
-        EngineError::TimeCapExceeded { .. } => "time-cap",
-        EngineError::TimeOverflow { .. } => "overflow",
-    }
 }

@@ -56,7 +56,8 @@ COMMANDS:
                  Shutdown over two tenants, checked against a sequential
                  replay, for cross-tenant waits, deadlock and a worker
                  blocked outside a scheduling point, and a self-check
-                 that must catch four sabotages:
+                 that must catch four sabotages (--budget counts
+                 executions per scenario: 6000, --quick 1000):
                  [--budget N] [--quick] [--seed N] [--cells SUBSTR|=ID[,..]]
   chaos        crash-recovery matrix: every policy x fault scenario x
                  deterministic crashpoint, run under the checkpointing
@@ -73,7 +74,7 @@ COMMANDS:
                  read-stall, cut-send, cut-recv, trickle) x cut point x
                  tenant count against a live server — after retries every
                  reply stream must be byte-identical to a clean run —
-                 plus idle-expiry (checkpointed tenant state restored on
+                 plus idle-expiry (a parked tenant continued on
                  re-attach) and load-shedding (typed Busy) cells:
                  [--quick] [--seed N] [--cells SUBSTR|=ID[,..]]
   experiments  the experiment index E1-E16 (DESIGN.md §5) as one verdict
@@ -96,9 +97,9 @@ COMMANDS:
                  [--epoch-ticks N] [--max-retries N] [--read-timeout-ms N]
                  [--idle-ttl-ms N] [--max-conns N]
                  (runs until a client sends Shutdown; idle tenants past
-                 the TTL are retired to checkpointed state and restored
-                 on re-attach; connections beyond the cap are shed with
-                 a typed Busy)
+                 the TTL are parked, out of the tenant cap, until a Hello
+                 re-attaches them; connections beyond the cap are shed
+                 with a typed Busy)
   drive        load driver: replay deterministic request batches from many
                  concurrent tenants and report throughput and latency
                  percentiles; spawns an in-process server when --addr is

@@ -9,8 +9,9 @@
 //! `--budget N` (per-tenant cumulative request budget, default unlimited),
 //! `--epoch-ticks N` (WAL checkpoint cadence), `--max-retries N` (crash
 //! budget per batch), `--read-timeout-ms N` (per-session read deadline, 0
-//! to block forever), `--idle-ttl-ms N` (retire idle tenants to
-//! checkpointed state after N ms; 0 disables), `--max-conns N`
+//! to block forever), `--idle-ttl-ms N` (park tenants idle for N ms, out
+//! of the tenant cap, until a `Hello` re-attaches them; 0 disables),
+//! `--max-conns N`
 //! (connection cap; beyond it new connections are shed with a typed
 //! `Busy`).
 

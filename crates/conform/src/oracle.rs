@@ -155,16 +155,6 @@ pub fn memory_envelope(name: &str, k: usize, hardened: bool, stall_desynced: boo
     }
 }
 
-/// Short label for an engine error, for tables.
-pub fn error_label(e: &EngineError) -> &'static str {
-    match e {
-        EngineError::ZeroDurationGrant { .. } => "zero-grant",
-        EngineError::MemoryLimitExceeded { .. } => "mem-limit",
-        EngineError::TimeCapExceeded { .. } => "time-cap",
-        EngineError::TimeOverflow { .. } => "overflow",
-    }
-}
-
 /// Field-by-field comparison of two run outcomes; `None` when equal.
 pub fn outcome_divergence(
     a: &Result<RunResult, EngineError>,
@@ -301,7 +291,7 @@ pub fn conform_run(
         }
         Err(e) => {
             violations.push(format!("run failed: {e}"));
-            error_label(e).to_string()
+            e.label().to_string()
         }
     };
 

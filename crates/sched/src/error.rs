@@ -50,6 +50,19 @@ pub enum EngineError {
     },
 }
 
+impl EngineError {
+    /// A short label for tables: `zero-grant`, `mem-limit`, `time-cap` or
+    /// `overflow`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            EngineError::ZeroDurationGrant { .. } => "zero-grant",
+            EngineError::MemoryLimitExceeded { .. } => "mem-limit",
+            EngineError::TimeCapExceeded { .. } => "time-cap",
+            EngineError::TimeOverflow { .. } => "overflow",
+        }
+    }
+}
+
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -338,5 +351,24 @@ mod tests {
             let s = e.to_string();
             assert!(s.contains(needle), "`{s}` missing `{needle}`");
         }
+    }
+
+    #[test]
+    fn labels_are_the_table_names() {
+        let labels = [
+            EngineError::ZeroDurationGrant {
+                policy: "bad",
+                at: 7,
+            },
+            EngineError::MemoryLimitExceeded {
+                at: 3,
+                allocated: 40,
+                limit: 32,
+            },
+            EngineError::TimeCapExceeded { at: 11, cap: 10 },
+            EngineError::TimeOverflow { at: 9 },
+        ]
+        .map(|e| e.label());
+        assert_eq!(labels, ["zero-grant", "mem-limit", "time-cap", "overflow"]);
     }
 }

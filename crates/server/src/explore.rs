@@ -40,7 +40,7 @@ use crate::yieldpoint::{clear_yield_hook, set_yield_hook, LockName, Point};
 /// One step of a scenario worker (one connection), or of the checker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// `Hello` for the named tenant: admit, re-attach or restore.
+    /// `Hello` for the named tenant: admit or re-attach.
     Hello(&'static str),
     /// `Batch` number `n` on the attached tenant.
     Batch(u64),
@@ -89,7 +89,7 @@ pub enum Outcome {
     /// The frame the server replied with (a `Stats` reply with its
     /// server-wide fields only).
     Reply(Frame),
-    /// What a reaper sweep retired, a register step gave, or the probe saw.
+    /// What a reaper sweep parked, a register step gave, or the probe saw.
     Observed(String),
     /// The op panicked, with this message.
     Panicked(String),
@@ -226,8 +226,7 @@ fn reattach_under_table(
         drop(tenants);
         return apply(state, attached, Op::Hello(tenant));
     };
-    entry.attached += 1;
-    let session = Arc::clone(&entry.session);
+    let session = entry.attach();
     let reply = match session.lock() {
         Ok(t) => hello_ack(state, &t),
         Err((code, message)) => Frame::Error { code, message },
@@ -237,20 +236,21 @@ fn reattach_under_table(
     Outcome::Reply(reply)
 }
 
-/// The quiescent core: connection table, shutdown flag, tenants with
-/// their attachment counts, retired tenants, and the full `Stats`.
+/// The quiescent core: connection table, shutdown flag, live tenants with
+/// their attachment counts, parked tenants, and the full `Stats`.
 fn probe(state: &ServerState) -> String {
     let conns = table(&state.conns, LockName::Conns).len();
-    let tenants: BTreeMap<String, usize> = (table(&state.tenants, LockName::Tenants).iter())
-        .map(|(name, e)| (name.clone(), e.attached))
-        .collect();
-    let retired: BTreeSet<String> = table(&state.retired, LockName::Retired)
-        .keys()
-        .cloned()
-        .collect();
+    let (mut tenants, mut parked) = (BTreeMap::new(), BTreeSet::new());
+    for (name, e) in table(&state.tenants, LockName::Tenants).iter() {
+        if e.parked {
+            parked.insert(name.clone());
+        } else {
+            tenants.insert(name.clone(), e.attached);
+        }
+    }
     let shutting_down = state.shutting_down.load(Ordering::SeqCst);
     format!(
-        "{conns} conns, shutting down {shutting_down}, {tenants:?}, retired {retired:?}, {:?}",
+        "{conns} conns, shutting down {shutting_down}, {tenants:?}, parked {parked:?}, {:?}",
         state.stats()
     )
 }
@@ -261,7 +261,7 @@ fn scenario(name: &'static str, threads: &[&[Op]]) -> Scenario {
 }
 
 /// The clean scenarios: Hello and re-attach, Batch, Kill and Migrate,
-/// Stats, reaper expiry and restore, register and Shutdown, over two
+/// Stats, reaper expiry and re-attach, register and Shutdown, over two
 /// tenants; one op script per worker.
 #[rustfmt::skip]
 pub fn scenarios() -> Vec<Scenario> {
@@ -275,7 +275,7 @@ pub fn scenarios() -> Vec<Scenario> {
         scenario("kill-migrate", &[
             &[Hello("a"), Kill(0, 2), Batch(0)], &[Hello("a"), Migrate(0, 4), Stats], &[Hello("b"), Batch(0)],
         ]),
-        // Tenant a detaches, is expired, then restored by a connection
+        // Tenant a detaches, is parked, then re-attached by a connection
         // that moves over from b.
         scenario("expiry-reattach", &[
             &[Hello("a"), Batch(0), Goodbye], &[Reap, Stats, Reap], &[Hello("b"), Hello("a"), Batch(1)],
@@ -530,14 +530,14 @@ pub fn replay_choices(scenario: &Scenario, choices: &[usize]) -> Option<String> 
 }
 
 /// The exploration cells: every scenario `filter` keeps, exhaustively
-/// with an equal share of `budget` executions, then by random sampling
-/// with a quarter of that.
+/// for at most `budget` executions, then by random sampling for a quarter
+/// of that. The budget is per scenario, so adding a scenario leaves every
+/// other cell as it was.
 pub fn exploration_matrix(budget: usize, seed: u64, filter: &CellFilter) -> Matrix<ExploreReport> {
     let all = scenarios();
-    let share = budget / all.len();
     let modes = [
-        ("exhaustive", ExploreMode::Exhaustive, share),
-        ("random", ExploreMode::Random { seed }, share / 4),
+        ("exhaustive", ExploreMode::Exhaustive, budget),
+        ("random", ExploreMode::Random { seed }, budget / 4),
     ];
     let candidates = modes.iter().flat_map(|m| all.iter().map(move |sc| (m, sc)));
     Matrix::run(

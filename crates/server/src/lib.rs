@@ -14,7 +14,7 @@
 //! - [`server`] — the `parapage serve` daemon: TCP accept loop, admission
 //!   control (tenant cap, request budgets, connection-cap load shedding),
 //!   per-connection session threads with read deadlines, and idle-tenant
-//!   expiry to checkpointed state.
+//!   expiry that parks a session in place until it is re-attached.
 //! - [`client`] — a blocking protocol client over a [`chaosnet`]
 //!   transport.
 //! - [`chaosnet`] — [`FaultyTransport`]: deterministic transport fault

@@ -17,9 +17,9 @@
 //! * for severing faults (cuts, slow-loris), the client actually
 //!   reconnected at least once — proof the fault bit.
 //!
-//! Two special cells extend the grid: **idle-expiry** retires a tenant to
-//! its checkpoint blob via the server's idle TTL and requires a re-attach
-//! to *continue* the reply chain byte-identically, and **shed** drives a
+//! Two special cells extend the grid: **idle-expiry** parks a tenant via
+//! the server's idle TTL and requires a re-attach to *continue* the reply
+//! chain byte-identically, and **shed** drives a
 //! client through a connection-capped server and requires the typed
 //! [`Frame::Busy`] path to absorb the overload.
 
@@ -246,8 +246,8 @@ fn run_cell(cell: &NetCell, clean: &[TenantRun], seed: u64) -> Result<NetCellOut
     })
 }
 
-/// The idle-expiry cell: a tenant goes idle past the TTL, is retired to
-/// its checkpoint blob, and a re-attach must *continue* the session —
+/// The idle-expiry cell: a tenant goes idle past the TTL, is parked, and
+/// a re-attach must *continue* the session —
 /// same reply chain, byte-identical `BatchDone`s as the one-tenant clean
 /// run `control` — with at least one expiry counted.
 fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, String> {
@@ -288,7 +288,7 @@ fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, S
         let _ = c.call(&Frame::Goodbye);
         drop(c);
 
-        // Wait for the reaper to retire the tenant.
+        // Wait for the reaper to park the tenant.
         let deadline = Instant::now() + Duration::from_secs(5);
         while handle.stats().expiries == 0 {
             if Instant::now() >= deadline {
@@ -297,7 +297,7 @@ fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, S
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        // Re-attach: the restored session must continue, not restart.
+        // Re-attach: the parked session must continue, not restart.
         let mut c = Client::connect(cfg.addr).map_err(|e| format!("reconnect: {e}"))?;
         match c.hello(cfg.tenant_config(0)) {
             Ok(Frame::HelloAck {
@@ -307,11 +307,11 @@ fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, S
             }) => {
                 if next_batch != 1 {
                     return Err(format!(
-                        "restored session expects batch {next_batch}, not 1 — restarted?"
+                        "re-attached session expects batch {next_batch}, not 1 — restarted?"
                     ));
                 }
                 if reply_chain != chain_after_0 {
-                    return Err("restored reply chain does not continue batch 0's".into());
+                    return Err("re-attached reply chain does not continue batch 0's".into());
                 }
             }
             other => return Err(format!("re-attach hello: {other:?}")),
@@ -323,7 +323,7 @@ fn run_expiry_cell(control: &[TenantRun], seed: u64) -> Result<NetCellOutcome, S
             })
             .map_err(|e| format!("batch 1: {e}"))?;
         if second != control[0].replies[1] {
-            return Err("batch 1 reply diverged from control after expiry restore".into());
+            return Err("batch 1 reply diverged from control after expiry and re-attach".into());
         }
         let _ = c.call(&Frame::Goodbye);
         Ok(())

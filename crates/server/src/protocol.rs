@@ -177,8 +177,8 @@ pub struct ServerStats {
     pub wal_records: u64,
     /// Checkpoint bytes written across all tenant runs.
     pub checkpoint_bytes: u64,
-    /// Idle tenants retired to their checkpointed session state (a later
-    /// re-attach restores them; see the server's idle-TTL).
+    /// Idle tenants parked by the server's idle TTL (a later re-attach
+    /// continues them).
     pub expiries: u64,
     /// Connections shed at admission with a typed [`Frame::Busy`].
     pub shed: u64,

@@ -19,12 +19,15 @@
 //!   `Error { TIMED_OUT }` and closes. A timeout at a frame *boundary*
 //!   is mere idleness — the connection closes quietly and the tenant's
 //!   idle clock starts ticking.
-//! * **Idle-tenant expiry.** A reaper thread retires tenants with no
-//!   attached connection for longer than [`ServeOpts::idle_ttl`] into a
-//!   digest-protected checkpoint blob
-//!   ([`TenantSession::checkpoint`]). A later `Hello` for that tenant
-//!   *restores* the session — same reply chain, same batch cursor, same
-//!   remaining budget — so expiry is invisible on the wire.
+//! * **Idle-tenant expiry.** A reaper thread parks tenants with no
+//!   attached connection for longer than [`ServeOpts::idle_ttl`]: the
+//!   session stays in the tenant table, out of the `max_tenants` count,
+//!   with its pending kill and migrate orders dropped. Between batches a
+//!   session is only a cursor, a chain digest, a budget, its counters and
+//!   the last reply, so an encoded copy would free nothing. A later
+//!   `Hello` for that tenant re-attaches the session — same reply chain,
+//!   same batch cursor, same remaining budget — so expiry is invisible on
+//!   the wire.
 //! * **Load shedding.** Beyond [`ServeOpts::max_conns`] live
 //!   connections, the accept loop answers with a typed
 //!   [`Frame::Busy`] carrying a retry-after hint and closes, instead of
@@ -76,8 +79,9 @@ pub struct ServeOpts {
     /// with a typed `TIMED_OUT` error; boundary expiry closes quietly.
     /// `None` blocks forever (the pre-chaos behavior).
     pub read_timeout: Option<Duration>,
-    /// Retire tenants with no attached connection for this long into a
-    /// checkpoint blob that a later `Hello` restores. `None` disables
+    /// Park tenants with no attached connection for this long: they leave
+    /// the `max_tenants` count, drop their pending kill and migrate
+    /// orders, and a later `Hello` re-attaches them. `None` disables
     /// expiry.
     pub idle_ttl: Option<Duration>,
     /// Live-connection cap; beyond it new connections are shed with a
@@ -129,13 +133,12 @@ pub(crate) fn table<'a, T>(lock: &'a Mutex<T>, name: LockName<'a>) -> Held<'a, T
     acquire(lock, name).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One live tenant plus its attachment bookkeeping for idle expiry.
+/// One tenant plus its attachment bookkeeping for idle expiry.
 ///
-/// Lock order: the `tenants` table, then `retired`, then a session — and
-/// no path *waits* on a session lock while it holds either table, because
-/// a batch holds its session's lock for the whole run. The session's
-/// config is copied here so a re-attaching `Hello` can be checked without
-/// one.
+/// Lock order: the `tenants` table, then a session — and no path *waits*
+/// on a session lock while it holds the table, because a batch holds its
+/// session's lock for the whole run. The session's config is copied here
+/// so a re-attaching `Hello` can be checked without one.
 pub(crate) struct TenantEntry {
     pub(crate) session: Arc<Session>,
     config: TenantConfig,
@@ -143,13 +146,19 @@ pub(crate) struct TenantEntry {
     pub(crate) attached: usize,
     /// When `attached` last dropped to zero (meaningful only then).
     idle_since: Instant,
+    /// Expired by the reaper: out of the `max_tenants` count until a
+    /// `Hello` re-attaches it.
+    pub(crate) parked: bool,
 }
 
-/// An expired tenant: its checkpoint blob plus the counters it had earned,
-/// so `Stats` stays truthful while the session is parked.
-pub(crate) struct RetiredTenant {
-    blob: Vec<u8>,
-    counters: TenantCounters,
+impl TenantEntry {
+    /// Counts one more attached connection (un-parking the tenant) and
+    /// returns the session to attach it to.
+    pub(crate) fn attach(&mut self) -> Arc<Session> {
+        self.attached += 1;
+        self.parked = false;
+        Arc::clone(&self.session)
+    }
 }
 
 /// Shared server state: everything a connection, the reaper and the
@@ -159,12 +168,9 @@ pub(crate) struct ServerState {
     /// The listening address, which shutdown connects to in order to wake
     /// the accept loop; `None` for a core with no listener.
     addr: Option<SocketAddr>,
-    /// Live tenants by name, in name order, so a sweep and a `Stats` fold
-    /// take session locks in one order every run.
+    /// Every tenant by name, parked ones included, in name order, so a
+    /// sweep and a `Stats` fold take session locks in one order every run.
     pub(crate) tenants: Mutex<BTreeMap<String, TenantEntry>>,
-    /// Tenants retired by idle expiry, keyed by name; a `Hello` restores
-    /// them into `tenants`.
-    pub(crate) retired: Mutex<HashMap<String, RetiredTenant>>,
     /// Clones of every live connection's stream (`None` where cloning
     /// failed, or for a core with no sockets), keyed by connection id, so
     /// shutdown can unblock handlers parked in a read. A handler removes
@@ -191,7 +197,6 @@ impl ServerState {
             opts,
             addr,
             tenants: Mutex::new(BTreeMap::new()),
-            retired: Mutex::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             live_conns: AtomicUsize::new(0),
@@ -218,14 +223,11 @@ impl ServerState {
             s.wal_records += c.wal_records;
             s.checkpoint_bytes += c.checkpoint_bytes;
         };
-        // One consistent membership under both table locks; the sessions
-        // are locked only after the tables are released.
-        let sessions: Vec<Arc<Session>> = {
-            let tenants = table(&self.tenants, LockName::Tenants);
-            let retired = table(&self.retired, LockName::Retired);
-            retired.values().for_each(|r| fold(r.counters));
-            tenants.values().map(|e| Arc::clone(&e.session)).collect()
-        };
+        // One consistent membership under the table lock; the sessions are
+        // locked only after the table is released.
+        let sessions: Vec<Arc<Session>> = (table(&self.tenants, LockName::Tenants).values())
+            .map(|e| Arc::clone(&e.session))
+            .collect();
         // A quarantined tenant's counters are left out: its session may
         // have been torn mid-batch.
         for session in sessions {
@@ -370,40 +372,27 @@ fn reaper_loop(state: Arc<ServerState>, ttl: Duration) {
     }
 }
 
-/// The reaper's sweep: retires (checkpoints, for a later `Hello` to
-/// restore) the tenants with no attached connection for `ttl`, and returns
-/// their names. A held session (a `Stats` fold) is not idle after all and
-/// a quarantined one is not checkpointed; both wait for the next sweep.
+/// The reaper's sweep: parks the tenants with no attached connection for
+/// `ttl`, for a later `Hello` to re-attach, and returns their names. A
+/// held session (a `Stats` fold) is not idle after all and a quarantined
+/// one is never parked; both wait for the next sweep.
 pub(crate) fn reap(state: &ServerState, ttl: Duration) -> Vec<String> {
     let mut tenants = table(&state.tenants, LockName::Tenants);
-    let mut expired: Vec<String> = tenants
-        .iter()
-        .filter(|(_, e)| e.attached == 0 && e.idle_since.elapsed() >= ttl)
-        .map(|(name, _)| name.clone())
-        .collect();
-    if expired.is_empty() {
-        return expired;
-    }
-    let mut retired = table(&state.retired, LockName::Retired);
-    expired.retain(|name| {
-        let Some(entry) = tenants.get(name) else {
-            return false;
-        };
+    let mut parked = Vec::new();
+    for (name, entry) in tenants.iter_mut() {
+        if entry.parked || entry.attached > 0 || entry.idle_since.elapsed() < ttl {
+            continue;
+        }
         let session = &entry.session;
-        let Some(Ok(t)) = try_acquire(&session.state, LockName::Session(&session.name)) else {
-            return false;
+        let Some(Ok(mut t)) = try_acquire(&session.state, LockName::Session(&session.name)) else {
+            continue;
         };
-        let parked = RetiredTenant {
-            blob: t.checkpoint(),
-            counters: t.counters(),
-        };
-        drop(t);
-        tenants.remove(name);
-        retired.insert(name.clone(), parked);
+        t.park();
+        entry.parked = true;
         state.expiries.fetch_add(1, Ordering::SeqCst);
-        true
-    });
-    expired
+        parked.push(name.clone());
+    }
+    parked
 }
 
 /// Wakes the blocking `accept` so the loop observes the shutdown flag, and
@@ -577,8 +566,9 @@ pub(crate) fn hello_ack(state: &ServerState, session: &TenantSession) -> Frame {
     }
 }
 
-/// Validates a `Hello` and admits, re-attaches, or restores the tenant,
-/// moving the connection's attachment to it; returns the `HelloAck`.
+/// Validates a `Hello` and admits or re-attaches (a parked one too) the
+/// tenant, moving the connection's attachment to it; returns the
+/// `HelloAck`.
 ///
 /// The move is one step under the tenant table: the previous tenant
 /// (re-`Hello`) loses the attachment where the new one gains it, so the
@@ -633,8 +623,7 @@ fn admit(
         // Attached now, so the reaper leaves it alone; the resume
         // coordinates wait for a running batch, but not under the table
         // lock, so other tenants' `Hello`s do not wait with them.
-        entry.attached += 1;
-        let session = Arc::clone(&entry.session);
+        let session = entry.attach();
         if let Some(previous) = attached.take() {
             release(&mut tenants, &previous.name);
         }
@@ -649,49 +638,18 @@ fn admit(
         *attached = Some(session);
         return Ok(ack);
     }
-    let opts = TenantOpts {
-        epoch_ticks: state.opts.epoch_ticks,
-        max_retries: state.opts.max_retries,
-        request_budget: state.opts.request_budget,
-    };
-    // An idle-expired tenant restores from its checkpoint blob: the
-    // session continues — same chain, same cursor, same budget — so
-    // expiry is invisible to a re-attaching client.
-    let restored = {
-        let mut retired = table(&state.retired, LockName::Retired);
-        match retired.remove(&config.tenant) {
-            Some(parked) => match TenantSession::restore(&parked.blob, opts) {
-                Ok(session) => {
-                    if *session.config() != config {
-                        retired.insert(config.tenant.clone(), parked);
-                        return Err((
-                            error_code::CONFIG_MISMATCH,
-                            format!(
-                                "tenant `{}` checkpointed with a different config",
-                                config.tenant
-                            ),
-                        ));
-                    }
-                    Some(session)
-                }
-                Err(e) => {
-                    return Err((
-                        error_code::BAD_STATE,
-                        format!("tenant `{}` checkpoint unusable: {e}", config.tenant),
-                    ));
-                }
-            },
-            None => None,
-        }
-    };
-    let is_restore = restored.is_some();
-    if !is_restore && tenants.len() >= state.opts.max_tenants {
+    if tenants.values().filter(|e| !e.parked).count() >= state.opts.max_tenants {
         return Err((
             error_code::TENANTS_FULL,
             format!("tenant table full ({} tenants)", state.opts.max_tenants),
         ));
     }
-    let session = restored.unwrap_or_else(|| TenantSession::new(config.clone(), opts));
+    let opts = TenantOpts {
+        epoch_ticks: state.opts.epoch_ticks,
+        max_retries: state.opts.max_retries,
+        request_budget: state.opts.request_budget,
+    };
+    let session = TenantSession::new(config.clone(), opts);
     let ack = hello_ack(state, &session);
     let session = Arc::new(Session {
         name: config.tenant.clone(),
@@ -704,13 +662,249 @@ fn admit(
             config,
             attached: 1,
             idle_since: Instant::now(),
+            parked: false,
         },
     );
     if let Some(previous) = attached.replace(session) {
         release(&mut tenants, &previous.name);
     }
-    if !is_restore {
-        state.admitted.fetch_add(1, Ordering::SeqCst);
-    }
+    state.admitted.fetch_add(1, Ordering::SeqCst);
     Ok(ack)
+}
+
+/// The tenant lifecycle across idle expiry, driven through the per-frame
+/// step and the reaper sweep on a socket-free core.
+#[cfg(test)]
+mod lifecycle_tests {
+    use super::*;
+    use parapage::cache::PageId;
+
+    fn config(tenant: &str) -> TenantConfig {
+        TenantConfig {
+            tenant: tenant.into(),
+            p: 2,
+            k: 4,
+            s: 2,
+            policy: "det-par".into(),
+            seed: 7,
+            shards: 2,
+        }
+    }
+
+    fn core(max_tenants: usize) -> ServerState {
+        let opts = ServeOpts {
+            max_tenants,
+            ..ServeOpts::default()
+        };
+        ServerState::new(opts, None)
+    }
+
+    /// A connection: what it is attached to.
+    type Conn = Option<Arc<Session>>;
+
+    fn hello_with(state: &ServerState, conn: &mut Conn, config: TenantConfig) -> Frame {
+        let proto = PROTO_VERSION;
+        serve_frame(state, Frame::Hello { proto, config }, conn)
+    }
+
+    fn hello(state: &ServerState, conn: &mut Conn, tenant: &str) -> Frame {
+        hello_with(state, conn, config(tenant))
+    }
+
+    fn batch(state: &ServerState, conn: &mut Conn, batch: u64) -> Frame {
+        let seqs = (0..2u64)
+            .map(|q| {
+                (0..8u64)
+                    .map(|i| PageId((q << 16) | ((i + batch) % 5)))
+                    .collect()
+            })
+            .collect();
+        serve_frame(state, Frame::Batch { batch, seqs }, conn)
+    }
+
+    /// `Goodbye`, then the hang-up that detaches the connection.
+    fn goodbye(state: &ServerState, conn: &mut Conn) {
+        assert_eq!(serve_frame(state, Frame::Goodbye, conn), Frame::GoodbyeAck);
+        if let Some(session) = conn.take() {
+            detach(state, &session.name);
+        }
+    }
+
+    fn stats(state: &ServerState) -> ServerStats {
+        match serve_frame(state, Frame::Stats, &mut None) {
+            Frame::StatsReply { stats } => stats,
+            other => panic!("Stats answered {other:?}"),
+        }
+    }
+
+    /// The resume coordinates of a `HelloAck`: next batch and reply chain.
+    fn resume(ack: &Frame) -> (u64, u64) {
+        match ack {
+            Frame::HelloAck {
+                next_batch,
+                reply_chain,
+                ..
+            } => (*next_batch, *reply_chain),
+            other => panic!("expected HelloAck, got {other:?}"),
+        }
+    }
+
+    fn error_code_of(reply: &Frame) -> u16 {
+        match reply {
+            Frame::Error { code, .. } => *code,
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    fn chain_of(reply: &Frame) -> u64 {
+        match reply {
+            Frame::BatchDone { chain, .. } => *chain,
+            other => panic!("expected BatchDone, got {other:?}"),
+        }
+    }
+
+    /// Tenant `a` serves batch 0, hangs up and is parked by a sweep;
+    /// returns the chain after batch 0.
+    fn serve_then_park(state: &ServerState) -> u64 {
+        let mut conn = None;
+        resume(&hello(state, &mut conn, "a"));
+        let chain = chain_of(&batch(state, &mut conn, 0));
+        goodbye(state, &mut conn);
+        assert_eq!(reap(state, Duration::ZERO), ["a"]);
+        chain
+    }
+
+    #[test]
+    fn a_parked_tenant_is_not_counted_and_reattaches_into_a_full_table() {
+        let state = core(1);
+        let chain = serve_then_park(&state);
+        let mut b = None;
+        resume(&hello(&state, &mut b, "b"));
+        let mut c = None;
+        let full = hello(&state, &mut c, "c");
+        assert_eq!(error_code_of(&full), error_code::TENANTS_FULL);
+        let mut a = None;
+        assert_eq!(resume(&hello(&state, &mut a, "a")), (1, chain));
+        assert!(matches!(batch(&state, &mut a, 1), Frame::BatchDone { .. }));
+        // Both live now: the table stays full.
+        assert_eq!(
+            error_code_of(&hello(&state, &mut c, "c")),
+            error_code::TENANTS_FULL
+        );
+        // Re-attached, a counts again, so with b parked the table is
+        // still full.
+        goodbye(&state, &mut b);
+        assert_eq!(reap(&state, Duration::ZERO), ["b"]);
+        assert_eq!(
+            error_code_of(&hello(&state, &mut c, "c")),
+            error_code::TENANTS_FULL
+        );
+        assert_eq!(stats(&state).tenants, 2);
+    }
+
+    #[test]
+    fn a_hello_with_another_config_leaves_the_tenant_parked() {
+        let state = core(1);
+        let chain = serve_then_park(&state);
+        let mut conn = None;
+        let other = TenantConfig {
+            seed: 8,
+            ..config("a")
+        };
+        let reply = hello_with(&state, &mut conn, other);
+        assert_eq!(error_code_of(&reply), error_code::CONFIG_MISMATCH);
+        assert!(conn.is_none());
+        // Still parked: not due again, and still outside the count.
+        assert!(reap(&state, Duration::ZERO).is_empty());
+        assert_eq!(stats(&state).expiries, 1);
+        resume(&hello(&state, &mut None, "b"));
+        assert_eq!(resume(&hello(&state, &mut conn, "a")), (1, chain));
+    }
+
+    #[test]
+    fn orders_queued_before_expiry_do_not_fire_after_reattach() {
+        let state = core(4);
+        let mut conn = None;
+        resume(&hello(&state, &mut conn, "a"));
+        let kill = serve_frame(
+            &state,
+            Frame::Kill {
+                batch: 0,
+                at_tick: 2,
+            },
+            &mut conn,
+        );
+        assert_eq!(kill, Frame::KillAck { pending: 1 });
+        let migrate = serve_frame(
+            &state,
+            Frame::Migrate {
+                batch: 0,
+                at_tick: 4,
+            },
+            &mut conn,
+        );
+        assert_eq!(migrate, Frame::MigrateAck { pending: 1 });
+        goodbye(&state, &mut conn);
+        assert_eq!(reap(&state, Duration::ZERO), ["a"]);
+        assert_eq!(resume(&hello(&state, &mut conn, "a")).0, 0);
+        let done = batch(&state, &mut conn, 0);
+        // The batch equals an undisturbed tenant's first batch.
+        let control = core(4);
+        let mut fresh = None;
+        resume(&hello(&control, &mut fresh, "a"));
+        assert_eq!(done, batch(&control, &mut fresh, 0));
+        let s = stats(&state);
+        assert_eq!((s.restarts, s.migrations, s.batches), (0, 0, 1));
+    }
+
+    #[test]
+    fn stats_read_the_same_across_expiry() {
+        let state = core(4);
+        let (mut a, mut b) = (None, None);
+        resume(&hello(&state, &mut a, "a"));
+        resume(&hello(&state, &mut b, "b"));
+        for n in 0..2 {
+            chain_of(&batch(&state, &mut a, n));
+        }
+        let kill = serve_frame(
+            &state,
+            Frame::Kill {
+                batch: 0,
+                at_tick: 2,
+            },
+            &mut b,
+        );
+        assert_eq!(kill, Frame::KillAck { pending: 1 });
+        chain_of(&batch(&state, &mut b, 0));
+        goodbye(&state, &mut a);
+        let before = stats(&state);
+        assert!(before.restarts > 0 && before.checkpoint_bytes > 0);
+        assert_eq!(reap(&state, Duration::ZERO), ["a"]);
+        let expired = ServerStats {
+            expiries: before.expiries + 1,
+            ..before
+        };
+        assert_eq!(stats(&state), expired);
+        resume(&hello(&state, &mut a, "a"));
+        assert_eq!(stats(&state), expired);
+    }
+
+    #[test]
+    fn a_quarantined_tenant_is_never_parked() {
+        let state = core(4);
+        let mut conn = None;
+        resume(&hello(&state, &mut conn, "a"));
+        let session = Arc::clone(conn.as_ref().expect("attached"));
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _held = session.lock();
+            std::panic::resume_unwind(Box::new("injected"));
+        }));
+        assert!(poisoned.is_err());
+        goodbye(&state, &mut conn);
+        assert!(reap(&state, Duration::ZERO).is_empty());
+        assert_eq!(stats(&state).expiries, 0);
+        let reply = hello(&state, &mut conn, "a");
+        assert_eq!(error_code_of(&reply), error_code::ENGINE_FAILED);
+        assert!(reap(&state, Duration::ZERO).is_empty());
+    }
 }

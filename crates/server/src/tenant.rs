@@ -26,16 +26,14 @@
 //! counters (restarts, migrations, checkpoint bytes) are deliberately kept
 //! out of the reply chain and surface only through `Stats`.
 
-use parapage::cache::{
-    decode_framed, fnv1a64, fnv1a64_seeded, PageId, ShardedLru, SnapReader, SnapWriter,
-};
+use parapage::cache::{fnv1a64, fnv1a64_seeded, PageId, ShardedLru, SnapWriter};
 use parapage::core::{policy, ModelParams};
 use parapage::sched::{
     CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, RunResult, Supervisor,
     SupervisorOpts,
 };
 
-use crate::protocol::{error_code, Frame, TenantConfig, MAX_SHARDS};
+use crate::protocol::{error_code, Frame, TenantConfig};
 
 /// Chain seed of a tenant's `BatchDone` reply chain.
 pub(crate) fn reply_chain_seed(tenant: &str) -> u64 {
@@ -96,13 +94,8 @@ pub struct TenantSession {
     /// in doubt, so a one-frame cache suffices for byte-identical
     /// resumption.
     last_reply: Option<Frame>,
-    // Operational counters (outside the reply chain).
-    batches: u64,
-    requests: u64,
-    restarts: u64,
-    migrations: u64,
-    wal_records: u64,
-    checkpoint_bytes: u64,
+    /// Operational counters (outside the reply chain).
+    counters: TenantCounters,
 }
 
 /// Aggregate operational counters of one session, for `Stats`.
@@ -135,18 +128,8 @@ impl TenantSession {
             kills: Vec::new(),
             migrations_pending: Vec::new(),
             last_reply: None,
-            batches: 0,
-            requests: 0,
-            restarts: 0,
-            migrations: 0,
-            wal_records: 0,
-            checkpoint_bytes: 0,
+            counters: TenantCounters::default(),
         }
-    }
-
-    /// The configuration this session was admitted with.
-    pub fn config(&self) -> &TenantConfig {
-        &self.config
     }
 
     /// Remaining request budget.
@@ -187,14 +170,7 @@ impl TenantSession {
 
     /// Operational counters for `Stats` aggregation.
     pub fn counters(&self) -> TenantCounters {
-        TenantCounters {
-            batches: self.batches,
-            requests: self.requests,
-            restarts: self.restarts,
-            migrations: self.migrations,
-            wal_records: self.wal_records,
-            checkpoint_bytes: self.checkpoint_bytes,
-        }
+        self.counters
     }
 
     /// Queues a kill order; returns the pending count.
@@ -207,6 +183,13 @@ impl TenantSession {
     pub fn queue_migration(&mut self, batch: u64, at_tick: u64) -> u32 {
         self.migrations_pending.push(PendingAt { batch, at_tick });
         self.migrations_pending.len() as u32
+    }
+
+    /// Drops the pending kill and migrate orders: what idle expiry does to
+    /// a session it parks.
+    pub(crate) fn park(&mut self) {
+        self.kills.clear();
+        self.migrations_pending.clear();
     }
 
     /// Runs one batch through the supervised engine and builds the
@@ -309,117 +292,17 @@ impl TenantSession {
 
         self.next_batch += 1;
         self.budget_left -= batch_requests;
-        self.batches += 1;
-        self.requests += batch_requests;
-        self.restarts += u64::from(report.crashes);
-        self.migrations += report.migrations;
-        self.wal_records += report.wal_records;
-        self.checkpoint_bytes += report.checkpoint_bytes;
+        let c = &mut self.counters;
+        c.batches += 1;
+        c.requests += batch_requests;
+        c.restarts += u64::from(report.crashes);
+        c.migrations += report.migrations;
+        c.wal_records += report.wal_records;
+        c.checkpoint_bytes += report.checkpoint_bytes;
 
         let reply = self.reply_for(batch, &report.result);
         self.last_reply = Some(reply.clone());
         Ok(reply)
-    }
-
-    /// Serializes the session into a digest-protected checkpoint blob —
-    /// everything a future [`TenantSession::restore`] needs to continue
-    /// the reply chain byte-identically: config, budget, batch cursor,
-    /// chain digest, the cached last reply, and the operational counters.
-    /// This is what survives idle-tenant expiry.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_bytes(self.config.tenant.as_bytes());
-        w.put_usize(self.config.p);
-        w.put_usize(self.config.k);
-        w.put_u64(self.config.s);
-        w.put_bytes(self.config.policy.as_bytes());
-        w.put_u64(self.config.seed);
-        w.put_usize(self.config.shards);
-        w.put_u64(self.budget_left);
-        w.put_u64(self.next_batch);
-        w.put_u64(self.chain);
-        match &self.last_reply {
-            Some(frame) => w.put_bytes(&frame.encode_payload()),
-            None => w.put_bytes(&[]),
-        }
-        w.put_u64(self.batches);
-        w.put_u64(self.requests);
-        w.put_u64(self.restarts);
-        w.put_u64(self.migrations);
-        w.put_u64(self.wal_records);
-        w.put_u64(self.checkpoint_bytes);
-        w.into_framed()
-    }
-
-    /// Rebuilds a session from a [`TenantSession::checkpoint`] blob. The
-    /// restored session *continues* — same chain, same batch cursor, same
-    /// remaining budget — rather than restarting, which is what makes
-    /// re-attach after idle expiry indistinguishable from an unbroken
-    /// session on the wire.
-    ///
-    /// # Errors
-    /// A rendered decode error on any corruption (the blob is framed and
-    /// digest-checked end to end), and on a shard count admission would
-    /// refuse.
-    pub fn restore(blob: &[u8], opts: TenantOpts) -> Result<TenantSession, String> {
-        let payload = decode_framed(blob).map_err(|e| format!("session blob: {e}"))?;
-        let mut r = SnapReader::new(payload);
-        let get_string = |r: &mut SnapReader<'_>, what: &str| -> Result<String, String> {
-            let bytes = r.get_bytes().map_err(|e| format!("{what}: {e}"))?;
-            String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what}: invalid utf-8"))
-        };
-        let tenant = get_string(&mut r, "tenant name")?;
-        let p = r.get_usize().map_err(|e| format!("p: {e}"))?;
-        let k = r.get_usize().map_err(|e| format!("k: {e}"))?;
-        let s = r.get_u64().map_err(|e| format!("s: {e}"))?;
-        let policy = get_string(&mut r, "policy name")?;
-        let seed = r.get_u64().map_err(|e| format!("seed: {e}"))?;
-        let shards = r.get_usize().map_err(|e| format!("shards: {e}"))?;
-        if shards == 0 || shards > MAX_SHARDS {
-            return Err(format!("shards: {shards} outside 1..={MAX_SHARDS}"));
-        }
-        let budget_left = r.get_u64().map_err(|e| format!("budget: {e}"))?;
-        let next_batch = r.get_u64().map_err(|e| format!("next_batch: {e}"))?;
-        let chain = r.get_u64().map_err(|e| format!("chain: {e}"))?;
-        let reply_bytes = r.get_bytes().map_err(|e| format!("last reply: {e}"))?;
-        let last_reply = if reply_bytes.is_empty() {
-            None
-        } else {
-            Some(Frame::decode_payload(reply_bytes).map_err(|e| format!("last reply: {e}"))?)
-        };
-        let batches = r.get_u64().map_err(|e| format!("batches: {e}"))?;
-        let requests = r.get_u64().map_err(|e| format!("requests: {e}"))?;
-        let restarts = r.get_u64().map_err(|e| format!("restarts: {e}"))?;
-        let migrations = r.get_u64().map_err(|e| format!("migrations: {e}"))?;
-        let wal_records = r.get_u64().map_err(|e| format!("wal_records: {e}"))?;
-        let checkpoint_bytes = r.get_u64().map_err(|e| format!("checkpoint_bytes: {e}"))?;
-        if !r.is_exhausted() {
-            return Err(format!("session blob: {} trailing bytes", r.remaining()));
-        }
-        Ok(TenantSession {
-            config: TenantConfig {
-                tenant,
-                p,
-                k,
-                s,
-                policy,
-                seed,
-                shards,
-            },
-            opts,
-            budget_left,
-            next_batch,
-            chain,
-            kills: Vec::new(),
-            migrations_pending: Vec::new(),
-            last_reply,
-            batches,
-            requests,
-            restarts,
-            migrations,
-            wal_records,
-            checkpoint_bytes,
-        })
     }
 
     /// Builds the deterministic `BatchDone` for a result, folding it into

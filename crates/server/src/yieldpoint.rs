@@ -19,10 +19,8 @@ use std::sync::{LockResult, Mutex, MutexGuard, PoisonError, TryLockError};
 /// Which server lock a [`Point`] is about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockName<'a> {
-    /// The live tenant table.
+    /// The tenant table.
     Tenants,
-    /// The idle-expired tenant table.
-    Retired,
     /// The connection table.
     Conns,
     /// The named tenant's session.
@@ -174,7 +172,7 @@ mod tests {
         yield_point(Point::Acquire(LockName::Tenants));
         yield_point(Point::Blocked(LockName::Conns));
         clear_yield_hook();
-        yield_point(Point::Acquire(LockName::Retired));
+        yield_point(Point::Acquire(LockName::Conns));
         assert_eq!(hits.get(), 2);
     }
 

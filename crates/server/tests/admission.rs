@@ -8,7 +8,7 @@ use parapage_server::protocol::{
     error_code, Frame, TenantConfig, MAX_FRAME, MAX_PROCS, MAX_SHARDS, PROTO_VERSION,
 };
 use parapage_server::server::{serve, ServeOpts};
-use parapage_server::{Client, TenantOpts, TenantSession};
+use parapage_server::Client;
 
 fn config(tenant: &str) -> TenantConfig {
     TenantConfig {
@@ -225,22 +225,6 @@ fn an_unbounded_capacity_is_admitted_and_serves() {
     }
     let _ = client.call(&Frame::Shutdown);
     handle.join();
-}
-
-/// A session checkpoint carrying a shard count admission would refuse does
-/// not restore.
-#[test]
-fn a_checkpoint_with_too_many_shards_does_not_restore() {
-    let mut cfg = config("blob");
-    cfg.shards = MAX_SHARDS;
-    let blob = TenantSession::new(cfg.clone(), TenantOpts::default()).checkpoint();
-    assert!(TenantSession::restore(&blob, TenantOpts::default()).is_ok());
-    cfg.shards = 1 << 40;
-    let blob = TenantSession::new(cfg, TenantOpts::default()).checkpoint();
-    let Err(err) = TenantSession::restore(&blob, TenantOpts::default()) else {
-        panic!("an oversized shard count must not restore");
-    };
-    assert!(err.starts_with("shards:"), "{err}");
 }
 
 #[test]

@@ -184,9 +184,9 @@ fn slow_loris_gets_typed_timeout_idle_boundary_closes_quietly() {
     join_within(handle, Duration::from_secs(10), "slow loris");
 }
 
-/// An idle tenant past the TTL is retired to a checkpoint blob; a later
-/// `Hello` restores the session — same next batch, same reply chain, and
-/// replies byte-identical to an unbroken control session.
+/// An idle tenant past the TTL is parked; a later `Hello` re-attaches
+/// the session — same next batch, same reply chain, and replies
+/// byte-identical to an unbroken control session.
 #[test]
 fn idle_expiry_restores_checkpointed_session() {
     // Control: both batches over one unbroken session.
