@@ -21,6 +21,7 @@
 
 use std::collections::HashSet;
 
+use crate::run::{offset_width, read_le, run_shape, Offset, PageRun};
 use crate::types::PageId;
 
 /// Leading magic of a framed snapshot blob (`b"ppsn"`).
@@ -268,19 +269,29 @@ impl WordDigest {
     }
 
     /// Absorbs each page's id as one word.
-    pub fn write_pages(&mut self, mut pages: &[PageId]) {
+    pub fn write_pages(&mut self, pages: &[PageId]) {
+        self.write_mapped(pages, |p| p.0);
+    }
+
+    /// Absorbs `word(x)` for each `x` of `xs`, as [`WordDigest::write_u64`]
+    /// of each would, in whole strides where it can.
+    pub(crate) fn write_mapped<T: Copy>(&mut self, mut xs: &[T], word: impl Fn(T) -> u64) {
         // Complete the pending stride first, one word at a time.
         while self.npending != 0 {
-            let Some((p, rest)) = pages.split_first() else {
+            let Some((&x, rest)) = xs.split_first() else {
                 return;
             };
-            self.write_u64(p.0);
-            pages = rest;
+            self.write_u64(word(x));
+            xs = rest;
         }
-        let mut strides = pages.chunks_exact(4);
-        self.absorb_strides(strides.by_ref().map(|s| [s[0].0, s[1].0, s[2].0, s[3].0]));
-        for p in strides.remainder() {
-            self.write_u64(p.0);
+        let mut strides = xs.chunks_exact(4);
+        self.absorb_strides(
+            strides
+                .by_ref()
+                .map(|s| [word(s[0]), word(s[1]), word(s[2]), word(s[3])]),
+        );
+        for &x in strides.remainder() {
+            self.write_u64(word(x));
         }
     }
 
@@ -550,7 +561,7 @@ impl SnapWriter {
     /// the base, `w` the narrowest that holds the largest offset. An empty
     /// run is 8 bytes, a full-64-bit one 9 more than 8 per page, and a run
     /// within 256 ids of its base 17 + 1 per page.
-    /// [`SnapReader::get_page_run`] reads it back.
+    /// [`SnapReader::get_run`] reads it back.
     pub fn put_page_run(&mut self, pages: &[PageId]) {
         self.put_len(pages.len());
         let Some((base, width)) = run_shape(pages) else {
@@ -681,7 +692,9 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a page run written by [`SnapWriter::put_page_run`], counting
-    /// its pages against `pages_left`, the pages the caller still accepts.
+    /// its pages against `pages_left`, the pages the caller still accepts,
+    /// and keeps it as a [`PageRun`]: the bytes the wire spent on it, not
+    /// 8 per page.
     ///
     /// The length, the width and the length × width product are checked
     /// against `pages_left` and the bytes present *before* anything is
@@ -690,10 +703,29 @@ impl<'a> SnapReader<'a> {
     /// in its canonical form — a base other than its smallest page, a
     /// width wider than its largest offset needs, or pages past `u64::MAX`
     /// — is invalid too, so every run has exactly one encoding.
+    pub fn get_run(&mut self, pages_left: &mut usize) -> Result<PageRun, CodecError> {
+        Ok(match self.parse_run(pages_left)? {
+            Some((base, width, raw)) => PageRun::from_le(base, width, raw),
+            None => PageRun::default(),
+        })
+    }
+
+    /// [`SnapReader::get_run`], expanded into pages.
     pub fn get_page_run(&mut self, pages_left: &mut usize) -> Result<Vec<PageId>, CodecError> {
+        Ok(match self.parse_run(pages_left)? {
+            Some((base, width, raw)) => PageRun::pages_from_le(base, width, raw),
+            None => Vec::new(),
+        })
+    }
+
+    /// The one page-run parser behind [`SnapReader::get_run`] and
+    /// [`SnapReader::get_page_run`]: validates a run in place and returns
+    /// its base, width and offset bytes, or `None` for the empty run. It
+    /// reserves nothing.
+    fn parse_run(&mut self, pages_left: &mut usize) -> Result<Option<RawRun<'a>>, CodecError> {
         let n = self.get_usize()?;
         if n == 0 {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         if n > *pages_left {
             return Err(CodecError::Invalid("page run exceeds the page ceiling"));
@@ -708,11 +740,11 @@ impl<'a> SnapReader<'a> {
             .filter(|&b| b <= self.remaining())
             .ok_or(CodecError::Invalid("page run length exceeds payload"))?;
         let raw = self.take(bytes)?;
-        let (pages, min, max) = match width {
-            1 => get_offsets::<u8>(raw, base),
-            2 => get_offsets::<u16>(raw, base),
-            4 => get_offsets::<u32>(raw, base),
-            _ => get_offsets::<u64>(raw, base),
+        let (min, max) = match width {
+            1 => offset_range::<u8>(raw),
+            2 => offset_range::<u16>(raw),
+            4 => offset_range::<u32>(raw),
+            _ => offset_range::<u64>(raw),
         };
         if base.checked_add(max).is_none() {
             return Err(CodecError::Invalid("page run overflows u64"));
@@ -721,7 +753,7 @@ impl<'a> SnapReader<'a> {
             return Err(CodecError::Invalid("page run not in canonical form"));
         }
         *pages_left -= n;
-        Ok(pages)
+        Ok(Some((base, width, raw)))
     }
 
     /// Reads length-prefixed raw bytes.
@@ -731,59 +763,9 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// A non-empty run's base (its smallest page) and offset width.
-fn run_shape(pages: &[PageId]) -> Option<(u64, usize)> {
-    if pages.is_empty() {
-        return None;
-    }
-    // Eight running minima and maxima, so the comparisons do not wait on
-    // one another.
-    let (mut lo, mut hi) = ([u64::MAX; 8], [0u64; 8]);
-    let chunks = pages.chunks_exact(8);
-    for pg in chunks.remainder() {
-        (lo[0], hi[0]) = (lo[0].min(pg.0), hi[0].max(pg.0));
-    }
-    for chunk in chunks {
-        for (i, pg) in chunk.iter().enumerate() {
-            (lo[i], hi[i]) = (lo[i].min(pg.0), hi[i].max(pg.0));
-        }
-    }
-    let (min, max) = (
-        lo.into_iter().fold(u64::MAX, u64::min),
-        hi.into_iter().fold(0, u64::max),
-    );
-    Some((min, offset_width(max - min)))
-}
-
-/// The narrowest width in {1, 2, 4, 8} bytes that holds `offset`.
-fn offset_width(offset: u64) -> usize {
-    match offset {
-        0..=0xff => 1,
-        0x100..=0xffff => 2,
-        0x1_0000..=0xffff_ffff => 4,
-        _ => 8,
-    }
-}
-
-/// A page run's offset type: `u8`, `u16`, `u32` or `u64` for widths 1,
-/// 2, 4 and 8, so the smallest and largest offset are found in the
-/// offsets' own width.
-trait Offset: Copy + Ord + Default + Into<u64> {
-    const MAX: Self;
-    fn read(le: &[u8]) -> Self;
-}
-
-macro_rules! offset {
-    ($($t:ty),*) => {$(
-        impl Offset for $t {
-            const MAX: Self = <$t>::MAX;
-            fn read(le: &[u8]) -> Self {
-                <$t>::from_le_bytes(le.try_into().expect("one offset's bytes"))
-            }
-        }
-    )*};
-}
-offset!(u8, u16, u32, u64);
+/// A validated page run in place: its base, its width and its offsets'
+/// little-endian bytes.
+type RawRun<'a> = (u64, usize, &'a [u8]);
 
 /// Writes each page's offset from `base` as a little-endian `O`.
 fn put_offsets<O: Offset>(out: &mut [u8], pages: &[PageId], base: u64) {
@@ -793,17 +775,11 @@ fn put_offsets<O: Offset>(out: &mut [u8], pages: &[PageId], base: u64) {
     }
 }
 
-/// Decodes little-endian `O` offsets from `base` (wrapping; the caller
-/// refuses a run whose largest offset overflows), with the smallest and
-/// largest offset.
-fn get_offsets<O: Offset>(raw: &[u8], base: u64) -> (Vec<PageId>, u64, u64) {
-    let offsets = raw.chunks_exact(std::mem::size_of::<O>()).map(O::read);
+/// The smallest and largest of the little-endian `O` offsets in `raw`.
+fn offset_range<O: Offset>(raw: &[u8]) -> (u64, u64) {
     let (min, max) =
-        (offsets.clone()).fold((O::MAX, O::default()), |(lo, hi), o| (lo.min(o), hi.max(o)));
-    let pages = offsets
-        .map(|o| PageId(base.wrapping_add(o.into())))
-        .collect();
-    (pages, min.into(), max.into())
+        read_le::<O>(raw).fold((O::MAX, O::default()), |(lo, hi), o| (lo.min(o), hi.max(o)));
+    (min.into(), max.into())
 }
 
 /// Validates a framed blob (magic, version, [`digest64`] trailer) and returns the

@@ -28,6 +28,9 @@
 //!   tests: [`MapLru`] for [`LruCache`], and [`ShardedCache`] (`n`
 //!   sequential caches behind the same router) for [`ShardedLru`]. Nothing
 //!   in this crate takes a lock.
+//! * [`run`] — a request sequence as the wire carries it: a [`PageRun`]
+//!   (a base and narrow offsets), served in place, and [`Sequences`], a
+//!   batch as the engine reads it, expanded pages or runs.
 //! * [`window`] — simulation of one *memory box*: run a request sequence
 //!   through an LRU cache of height `h` for a time budget, which is the inner
 //!   loop of every paging algorithm in the paper.
@@ -50,6 +53,7 @@ pub mod lru;
 pub mod mattson;
 pub mod policy;
 mod recency;
+pub mod run;
 pub mod sharded_lru;
 pub mod stats;
 pub mod testshim;
@@ -73,9 +77,10 @@ pub use lirs::LirsCache;
 pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
+pub use run::{PageRun, Sequence, Sequences};
 pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS};
 pub use stats::CacheStats;
 pub use testshim::{MapLru, ShardedCache};
 pub use two_queue::TwoQueueCache;
 pub use types::{PageId, ProcId, Time};
-pub use window::{run_box, run_box_budget, run_window, WindowOutcome};
+pub use window::{run_box, run_box_budget, run_window, Pages, WindowOutcome};

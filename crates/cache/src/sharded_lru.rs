@@ -114,7 +114,7 @@ impl ShardedLru {
     }
 
     /// Hits splice the slot's own list, wherever the page routes.
-    #[inline]
+    #[inline(always)]
     fn hit(&mut self, slot: u32) -> Access {
         self.arena
             .touch(&mut self.lists[self.arena.tag(slot)], slot);
@@ -151,7 +151,11 @@ impl Cache for ShardedLru {
         }
     }
 
-    #[inline]
+    // Always inlined, with `hit`: the served path's hot loop is this call,
+    // once per request, in each `run_window` instance (one per sequence
+    // form), and the inliner leaves it (or the hit) as a call in each of
+    // several instances.
+    #[inline(always)]
     fn access_if_fits(
         &mut self,
         page: PageId,

@@ -29,6 +29,44 @@ pub struct WindowOutcome {
     pub finished: bool,
 }
 
+/// A request sequence a window can serve from, forward from a cursor.
+/// Expanded pages are one; a [`crate::PageRun`] is read through its
+/// offsets, so [`run_window`] has one body, monomorphised per offset width.
+pub trait Pages {
+    /// Requests in the sequence.
+    fn len(&self) -> usize;
+    /// Requests `start..`, in order; none when `start >= len()`.
+    fn pages_from(&self, start: usize) -> impl Iterator<Item = PageId> + '_;
+    /// `true` for the empty sequence.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Pages for [PageId] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[PageId]>::len(self)
+    }
+
+    #[inline]
+    fn pages_from(&self, start: usize) -> impl Iterator<Item = PageId> + '_ {
+        self.get(start..).unwrap_or_default().iter().copied()
+    }
+}
+
+impl Pages for Vec<PageId> {
+    #[inline]
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    #[inline]
+    fn pages_from(&self, start: usize) -> impl Iterator<Item = PageId> + '_ {
+        self[..].pages_from(start)
+    }
+}
+
 /// Serves `seq[start..]` through `cache` for at most `budget` time steps,
 /// with hit cost 1 and miss cost `miss_penalty`.
 ///
@@ -46,8 +84,12 @@ pub struct WindowOutcome {
 /// assert_eq!(out.stats.hits, 2);
 /// assert_eq!(out.stats.misses, 2);
 /// ```
-pub fn run_window<C: Cache>(
-    seq: &[PageId],
+// Kept out of line: each instance (per cache and per sequence form) is one
+// loop with the cache's `access_if_fits` inlined into it, which a caller
+// dispatching over several forms would otherwise leave as a call.
+#[inline(never)]
+pub fn run_window<C: Cache, S: Pages + ?Sized>(
+    seq: &S,
     start: usize,
     cache: &mut C,
     budget: Time,
@@ -57,10 +99,10 @@ pub fn run_window<C: Cache>(
     let mut idx = start;
     let mut remaining = budget;
     let mut stats = CacheStats::default();
-    while idx < seq.len() {
+    for page in seq.pages_from(start) {
         // One fused probe decides fit and serves the request; a request
         // only runs if its full cost fits (no partial fetches).
-        let Some(outcome) = cache.access_if_fits(seq[idx], remaining, miss_penalty) else {
+        let Some(outcome) = cache.access_if_fits(page, remaining, miss_penalty) else {
             break;
         };
         stats.record(outcome.is_hit());

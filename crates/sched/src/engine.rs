@@ -43,15 +43,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use parapage_cache::{
-    digest64, run_window, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, SnapReader,
-    SnapWriter, Time, WordDigest, DIGEST_BASIS,
+    digest64, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, Sequence, Sequences,
+    SnapReader, SnapWriter, Time, WordDigest, DIGEST_BASIS,
 };
 use parapage_core::{BoxAllocator, FaultEvent, Grant, Interval, ModelParams};
 
 use crate::error::EngineError;
 use crate::fault::{FaultCursor, FaultPlan};
 use crate::metrics::RunResult;
-use crate::snapshot::{workload_fingerprint, EngineSnapshot, SnapshotError};
+use crate::snapshot::{fingerprint, EngineSnapshot, SnapshotError};
 use crate::trace::{NullSink, TraceEvent, TraceSink};
 use crate::wal::WalMark;
 
@@ -155,7 +155,7 @@ fn progress_term(x: usize, pos: usize, completion: Time) -> u64 {
 /// crashed attempt can be retried with a freshly-constructed policy whose
 /// state is then restored from the snapshot.
 pub struct Engine<'a, C: Cache> {
-    seqs: &'a [Vec<PageId>],
+    seqs: Sequences<'a>,
     p: usize,
     s: u64,
     opts: EngineOpts,
@@ -194,29 +194,34 @@ pub struct Engine<'a, C: Cache> {
     batch: Vec<(u32, Option<Time>)>,
     batch_req: Vec<ProcId>,
     batch_grants: Vec<Grant>,
+    // The pages a window served, expanded for a non-oblivious policy's
+    // `observe_accesses` when the sequences are page runs.
+    served: Vec<PageId>,
 }
 
 impl<'a, C: Cache> Engine<'a, C> {
     /// Builds the engine and seeds the event heap (empty sequences complete
     /// immediately, notifying the policy at time 0, exactly as the one-shot
-    /// entry points always did).
-    pub fn new(
+    /// entry points always did). `seqs` is one sequence per processor,
+    /// expanded pages or page runs (see [`Sequence`]).
+    pub fn new<S: Sequence>(
         alloc: &mut dyn BoxAllocator,
-        seqs: &'a [Vec<PageId>],
+        seqs: &'a [S],
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &'a FaultPlan,
         cache_factory: impl FnMut(usize) -> C,
     ) -> Self {
+        let seqs = S::sequences(seqs);
         let mut factory = cache_factory;
         assert_eq!(seqs.len(), params.p, "one sequence per processor");
         let p = params.p;
         let mut finished = vec![false; p];
         let mut heap: BinaryHeap<Reverse<(Time, u8, u32)>> = BinaryHeap::new();
         let mut remaining = 0usize;
-        for x in 0..p {
-            if seqs[x].is_empty() {
-                finished[x] = true;
+        for (x, done) in finished.iter_mut().enumerate() {
+            if seqs.seq_len(x) == 0 {
+                *done = true;
                 alloc.on_proc_finished(ProcId(x as u32), 0);
             } else {
                 remaining += 1;
@@ -231,7 +236,7 @@ impl<'a, C: Cache> Engine<'a, C> {
                 .fold(0, u64::wrapping_add),
             s: params.s,
             opts: *opts,
-            workload_digest: workload_fingerprint(seqs),
+            workload_digest: fingerprint(seqs),
             pos: vec![0usize; p],
             caches: (0..p).map(&mut factory).collect(),
             completions: vec![0u64; p],
@@ -253,6 +258,7 @@ impl<'a, C: Cache> Engine<'a, C> {
             batch: Vec::new(),
             batch_req: Vec::new(),
             batch_grants: Vec::new(),
+            served: Vec::new(),
         }
     }
 
@@ -536,10 +542,11 @@ impl<'a, C: Cache> Engine<'a, C> {
                 end_index: self.pos[x],
                 stats: CacheStats::default(),
                 time_used: 0,
-                finished: self.pos[x] >= self.seqs[x].len(),
+                finished: self.pos[x] >= self.seqs.seq_len(x),
             }
         } else {
-            run_window(&self.seqs[x], self.pos[x], cache, grant.duration, eff_s)
+            self.seqs
+                .window(x, self.pos[x], cache, grant.duration, eff_s)
         };
         let served_from = self.pos[x];
         self.set_progress(x, out.end_index, self.completions[x]);
@@ -621,8 +628,13 @@ impl<'a, C: Cache> Engine<'a, C> {
             });
         }
         alloc.observe(ProcId(xi), &out);
-        if out.end_index > served_from {
-            alloc.observe_accesses(ProcId(xi), &self.seqs[x][served_from..out.end_index]);
+        // An oblivious policy reads no feedback, so it is not shown the
+        // pages (which a page run would have to expand).
+        if out.end_index > served_from && !alloc.oblivious() {
+            let served = self
+                .seqs
+                .served(x, served_from..out.end_index, &mut self.served);
+            alloc.observe_accesses(ProcId(xi), served);
         }
 
         if out.finished && !self.finished[x] {
@@ -786,7 +798,7 @@ impl<'a, C: Cache + Checkpoint> Engine<'a, C> {
             return Err(SnapshotError::Shape("timeline count"));
         }
         for (x, &pos) in snap.pos.iter().enumerate() {
-            if pos > self.seqs[x].len() {
+            if pos > self.seqs.seq_len(x) {
                 return Err(SnapshotError::Shape("sequence cursor out of range"));
             }
         }

@@ -27,8 +27,8 @@ use std::error::Error;
 use std::fmt;
 
 use parapage_cache::{
-    decode_framed, CacheStats, CodecError, PageId, SnapReader, SnapWriter, Time, WordDigest,
-    DIGEST_BASIS,
+    decode_framed, CacheStats, CodecError, Sequence, Sequences, SnapReader, SnapWriter, Time,
+    WordDigest, DIGEST_BASIS,
 };
 use parapage_core::Interval;
 
@@ -36,15 +36,21 @@ use parapage_core::Interval;
 /// snapshot can refuse to resume against a different workload.
 ///
 /// It is [`parapage_cache::digest64`] over the little-endian byte string
-/// `seqs.len() ‖ (seq.len() ‖ seq…)…` of `u64` words — the same bytes the
-/// body of a wire `Batch` frame carries — with the words fed in directly
-/// rather than serialized first.
-pub fn workload_fingerprint(seqs: &[Vec<PageId>]) -> u64 {
+/// `seqs.len() ‖ (seq.len() ‖ seq…)…` of `u64` words — the body of a
+/// protocol v3 `Batch` frame — with the words fed in directly rather than
+/// serialized first. Page runs digest as the pages they hold, so a batch
+/// has one fingerprint in either form.
+pub fn workload_fingerprint<S: Sequence>(seqs: &[S]) -> u64 {
+    fingerprint(S::sequences(seqs))
+}
+
+/// [`workload_fingerprint`] of a batch in either form.
+pub(crate) fn fingerprint(seqs: Sequences<'_>) -> u64 {
     let mut d = WordDigest::new(DIGEST_BASIS);
     d.write_u64(seqs.len() as u64);
-    for seq in seqs {
-        d.write_u64(seq.len() as u64);
-        d.write_pages(seq);
+    for x in 0..seqs.len() {
+        d.write_u64(seqs.seq_len(x) as u64);
+        seqs.digest_into(x, &mut d);
     }
     d.finish()
 }
@@ -322,6 +328,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parapage_cache::PageId;
 
     fn sample() -> EngineSnapshot {
         EngineSnapshot {

@@ -70,7 +70,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use parapage_cache::{Cache, Checkpoint, PageId};
+use parapage_cache::{Cache, Checkpoint, Sequence};
 use parapage_core::{BoxAllocator, ModelParams};
 
 use crate::engine::{Engine, EngineOpts};
@@ -448,9 +448,9 @@ impl Supervisor {
     /// [`SupervisorError::RetriesExhausted`] once `max_retries` crashes
     /// have been burned.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_controlled<C: Cache + Checkpoint>(
+    pub fn run_controlled<C: Cache + Checkpoint, S: Sequence>(
         &self,
-        seqs: &[Vec<PageId>],
+        seqs: &[S],
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &FaultPlan,
@@ -690,7 +690,7 @@ mod tests {
     use super::*;
     use crate::trace::TraceRecorder;
     use crate::wal::MemStore;
-    use parapage_cache::{LruCache, ProcId};
+    use parapage_cache::{LruCache, PageId, ProcId};
     use parapage_core::{DetPar, FaultEvent, RandPar, StaticPartition};
 
     fn params() -> ModelParams {

@@ -242,7 +242,7 @@ fn probe(state: &ServerState) -> String {
     let conns = table(&state.conns, LockName::Conns).len();
     let (mut tenants, mut parked) = (BTreeMap::new(), BTreeSet::new());
     for (name, e) in table(&state.tenants, LockName::Tenants).iter() {
-        if e.parked {
+        if e.parked.is_some() {
             parked.insert(name.clone());
         } else {
             tenants.insert(name.clone(), e.attached);

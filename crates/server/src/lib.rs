@@ -51,7 +51,8 @@ pub use client::Client;
 pub use drive::{drive, DriveCfg, DriveReport, LatencyUs};
 pub use netchaos::{net_chaos_matrix, NetCellOutcome};
 pub use protocol::{
-    error_code, Frame, ServerStats, TenantConfig, WireError, WireState, MAX_FRAME, PROTO_VERSION,
+    error_code, Frame, Request, ServerStats, TenantConfig, WireError, WireState, MAX_FRAME,
+    PROTO_VERSION,
 };
 pub use resilient::{ClientError, ResilientClient, RetryCounters, RetryOpts};
 pub use server::{serve, ServeOpts, ServerHandle};

@@ -17,7 +17,7 @@
 //! so a hostile length prefix cannot over-allocate.
 
 use parapage::cache::{
-    fnv1a64, frame_chained, parse_chained, ChainedFrame, CodecError, PageId, SnapReader,
+    fnv1a64, frame_chained, parse_chained, ChainedFrame, CodecError, PageId, PageRun, SnapReader,
     SnapWriter, CHAINED_HEADER,
 };
 
@@ -426,118 +426,185 @@ impl Frame {
     /// non-canonical form or pages past [`MAX_BATCH_PAGES`] — all as typed
     /// [`CodecError`]s, never a panic, and never an allocation beyond
     /// what [`MAX_BATCH_PAGES`] pages warrant.
+    ///
+    /// A `Batch`'s runs are expanded into pages, 8 bytes each; the server
+    /// reads them with [`Request::decode_payload`] instead, which keeps
+    /// them as runs.
     pub fn decode_payload(payload: &[u8]) -> Result<Frame, CodecError> {
-        let mut r = SnapReader::new(payload);
-        let t = r.get_u8()?;
-        let frame = match t {
-            tag::HELLO => {
-                let proto = r.get_u16()?;
-                let tenant = get_name(&mut r, MAX_TENANT_NAME)?;
-                let p = r.get_usize()?;
-                let k = r.get_usize()?;
-                let s = r.get_u64()?;
-                let policy = get_name(&mut r, 64)?;
-                let seed = r.get_u64()?;
-                let shards = r.get_usize()?;
-                Frame::Hello {
-                    proto,
-                    config: TenantConfig {
-                        tenant,
-                        p,
-                        k,
-                        s,
-                        policy,
-                        seed,
-                        shards,
-                    },
-                }
-            }
-            tag::HELLO_ACK => Frame::HelloAck {
-                session: r.get_u64()?,
-                max_frame: r.get_u64()?,
-                budget_left: r.get_u64()?,
-                next_batch: r.get_u64()?,
-                reply_chain: r.get_u64()?,
-            },
-            tag::BATCH => {
-                let batch = r.get_u64()?;
-                let nseqs = r.get_len()?;
-                // get_len bounds the count by the remaining *bytes*, but
-                // each sequence carries an 8-byte length and occupies 24
-                // bytes as a `Vec`: tighten before reserving so a hostile
-                // count cannot inflate the allocation 24x.
-                if nseqs > r.remaining() / 8 {
-                    return Err(CodecError::Invalid(
-                        "sequence count exceeds remaining payload",
-                    ));
-                }
-                let mut seqs = Vec::with_capacity(nseqs);
-                // Each run is checked against the bytes present and the
-                // pages left under the ceiling before it reserves.
-                let mut pages_left = MAX_BATCH_PAGES;
-                for _ in 0..nseqs {
-                    seqs.push(r.get_page_run(&mut pages_left)?);
-                }
-                Frame::Batch { batch, seqs }
-            }
-            tag::BATCH_DONE => Frame::BatchDone {
-                batch: r.get_u64()?,
-                makespan: r.get_u64()?,
-                hits: r.get_u64()?,
-                misses: r.get_u64()?,
-                grants: r.get_u64()?,
-                digest: r.get_u64()?,
-                chain: r.get_u64()?,
-            },
-            tag::MIGRATE => Frame::Migrate {
-                batch: r.get_u64()?,
-                at_tick: r.get_u64()?,
-            },
-            tag::MIGRATE_ACK => Frame::MigrateAck {
-                pending: r.get_u32()?,
-            },
-            tag::KILL => Frame::Kill {
-                batch: r.get_u64()?,
-                at_tick: r.get_u64()?,
-            },
-            tag::KILL_ACK => Frame::KillAck {
-                pending: r.get_u32()?,
-            },
-            tag::STATS => Frame::Stats,
-            tag::STATS_REPLY => Frame::StatsReply {
-                stats: ServerStats {
-                    tenants: r.get_u64()?,
-                    batches: r.get_u64()?,
-                    requests: r.get_u64()?,
-                    restarts: r.get_u64()?,
-                    migrations: r.get_u64()?,
-                    wal_records: r.get_u64()?,
-                    checkpoint_bytes: r.get_u64()?,
-                    expiries: r.get_u64()?,
-                    shed: r.get_u64()?,
-                },
-            },
-            tag::GOODBYE => Frame::Goodbye,
-            tag::GOODBYE_ACK => Frame::GoodbyeAck,
-            tag::SHUTDOWN => Frame::Shutdown,
-            tag::SHUTDOWN_ACK => Frame::ShutdownAck,
-            tag::ERROR => Frame::Error {
-                code: r.get_u16()?,
-                message: get_name(&mut r, MAX_FRAME)?,
-            },
-            tag::BUSY => Frame::Busy {
-                retry_after_ms: r.get_u32()?,
-            },
-            tag::REPLAY => Frame::Replay {
-                batch: r.get_u64()?,
-            },
-            _ => return Err(CodecError::Invalid("unknown frame tag")),
-        };
-        if !r.is_exhausted() {
-            return Err(CodecError::Invalid("trailing bytes after frame payload"));
-        }
-        Ok(frame)
+        decode(
+            payload,
+            |r, left| r.get_page_run(left),
+            |batch, seqs| Frame::Batch { batch, seqs },
+        )
     }
+}
+
+/// A client frame as the server reads it: a `Batch` keeps each sequence as
+/// the page run the wire carried, so a request holds about its wire bytes
+/// rather than 8 per page. Every other frame is decoded as a [`Frame`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Request {
+    /// A `Batch` frame, its sequences as runs.
+    Batch {
+        /// Monotone batch sequence number.
+        batch: u64,
+        /// One page run per processor.
+        seqs: Vec<PageRun>,
+    },
+    /// Any other frame.
+    Frame(Frame),
+}
+
+impl From<Frame> for Request {
+    /// A `Batch` of pages becomes the page runs its wire form would carry,
+    /// so the server serves every batch from runs.
+    fn from(frame: Frame) -> Self {
+        match frame {
+            Frame::Batch { batch, seqs } => Request::Batch {
+                batch,
+                seqs: seqs.iter().map(|s| PageRun::from_pages(s)).collect(),
+            },
+            frame => Request::Frame(frame),
+        }
+    }
+}
+
+impl Request {
+    /// Decodes a payload as [`Frame::decode_payload`] does, with the same
+    /// checks and errors, keeping a `Batch`'s sequences as page runs.
+    pub fn decode_payload(payload: &[u8]) -> Result<Request, CodecError> {
+        decode(
+            payload,
+            |r, left| r.get_run(left),
+            |batch, seqs| Request::Batch { batch, seqs },
+        )
+    }
+}
+
+/// The one payload decoder behind [`Frame::decode_payload`] and
+/// [`Request::decode_payload`]: a `Batch`'s sequences are read with
+/// `get_seq` and handed to `batch`; every other frame is a [`Frame`].
+fn decode<S, T: From<Frame>>(
+    payload: &[u8],
+    get_seq: fn(&mut SnapReader<'_>, &mut usize) -> Result<S, CodecError>,
+    batch: fn(u64, Vec<S>) -> T,
+) -> Result<T, CodecError> {
+    let mut r = SnapReader::new(payload);
+    let t = r.get_u8()?;
+    let out = if t == tag::BATCH {
+        let number = r.get_u64()?;
+        let nseqs = r.get_len()?;
+        // get_len bounds the count by the remaining *bytes*, but each
+        // sequence carries an 8-byte length and occupies 24 (a `Vec`) or
+        // 32 (a `PageRun`) bytes in memory: tighten before reserving so a
+        // hostile count cannot inflate the allocation 32x.
+        if nseqs > r.remaining() / 8 {
+            return Err(CodecError::Invalid(
+                "sequence count exceeds remaining payload",
+            ));
+        }
+        let mut seqs = Vec::with_capacity(nseqs);
+        // Each run is checked against the bytes present and the pages
+        // left under the ceiling before it reserves.
+        let mut pages_left = MAX_BATCH_PAGES;
+        for _ in 0..nseqs {
+            seqs.push(get_seq(&mut r, &mut pages_left)?);
+        }
+        batch(number, seqs)
+    } else {
+        T::from(decode_other(t, &mut r)?)
+    };
+    if !r.is_exhausted() {
+        return Err(CodecError::Invalid("trailing bytes after frame payload"));
+    }
+    Ok(out)
+}
+
+/// Decodes the body of a frame with tag `t`, any but `Batch`.
+fn decode_other(t: u8, r: &mut SnapReader<'_>) -> Result<Frame, CodecError> {
+    Ok(match t {
+        tag::HELLO => {
+            let proto = r.get_u16()?;
+            let tenant = get_name(r, MAX_TENANT_NAME)?;
+            let p = r.get_usize()?;
+            let k = r.get_usize()?;
+            let s = r.get_u64()?;
+            let policy = get_name(r, 64)?;
+            let seed = r.get_u64()?;
+            let shards = r.get_usize()?;
+            Frame::Hello {
+                proto,
+                config: TenantConfig {
+                    tenant,
+                    p,
+                    k,
+                    s,
+                    policy,
+                    seed,
+                    shards,
+                },
+            }
+        }
+        tag::HELLO_ACK => Frame::HelloAck {
+            session: r.get_u64()?,
+            max_frame: r.get_u64()?,
+            budget_left: r.get_u64()?,
+            next_batch: r.get_u64()?,
+            reply_chain: r.get_u64()?,
+        },
+        tag::BATCH_DONE => Frame::BatchDone {
+            batch: r.get_u64()?,
+            makespan: r.get_u64()?,
+            hits: r.get_u64()?,
+            misses: r.get_u64()?,
+            grants: r.get_u64()?,
+            digest: r.get_u64()?,
+            chain: r.get_u64()?,
+        },
+        tag::MIGRATE => Frame::Migrate {
+            batch: r.get_u64()?,
+            at_tick: r.get_u64()?,
+        },
+        tag::MIGRATE_ACK => Frame::MigrateAck {
+            pending: r.get_u32()?,
+        },
+        tag::KILL => Frame::Kill {
+            batch: r.get_u64()?,
+            at_tick: r.get_u64()?,
+        },
+        tag::KILL_ACK => Frame::KillAck {
+            pending: r.get_u32()?,
+        },
+        tag::STATS => Frame::Stats,
+        tag::STATS_REPLY => Frame::StatsReply {
+            stats: ServerStats {
+                tenants: r.get_u64()?,
+                batches: r.get_u64()?,
+                requests: r.get_u64()?,
+                restarts: r.get_u64()?,
+                migrations: r.get_u64()?,
+                wal_records: r.get_u64()?,
+                checkpoint_bytes: r.get_u64()?,
+                expiries: r.get_u64()?,
+                shed: r.get_u64()?,
+            },
+        },
+        tag::GOODBYE => Frame::Goodbye,
+        tag::GOODBYE_ACK => Frame::GoodbyeAck,
+        tag::SHUTDOWN => Frame::Shutdown,
+        tag::SHUTDOWN_ACK => Frame::ShutdownAck,
+        tag::ERROR => Frame::Error {
+            code: r.get_u16()?,
+            message: get_name(r, MAX_FRAME)?,
+        },
+        tag::BUSY => Frame::Busy {
+            retry_after_ms: r.get_u32()?,
+        },
+        tag::REPLAY => Frame::Replay {
+            batch: r.get_u64()?,
+        },
+        _ => return Err(CodecError::Invalid("unknown frame tag")),
+    })
 }
 
 /// Encodes a `Batch` payload: the tag, the batch number, the sequence
@@ -735,9 +802,27 @@ impl WireState {
     /// cannot force an over-allocation; a clean EOF before the first
     /// header byte is [`WireError::Closed`].
     pub fn read_frame(&mut self, r: &mut impl std::io::Read) -> Result<Frame, WireError> {
+        self.read_with(r, Frame::decode_payload)
+    }
+
+    /// [`WireState::read_frame`] as the server reads: a `Batch` keeps its
+    /// page runs (see [`Request`]), and the frame's bytes are freed before
+    /// this returns.
+    pub fn read_request(&mut self, r: &mut impl std::io::Read) -> Result<Request, WireError> {
+        self.read_with(r, Request::decode_payload)
+    }
+
+    /// Reads and verifies the next frame, decodes its payload with
+    /// `decode` and advances the chain.
+    fn read_with<T>(
+        &mut self,
+        r: &mut impl std::io::Read,
+        decode: fn(&[u8]) -> Result<T, CodecError>,
+    ) -> Result<T, WireError> {
         let mut header = [0u8; CHAINED_HEADER];
         read_exact_or_closed(r, &mut header, false)?;
-        let len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
+        let len =
+            u32::from_le_bytes(header[12..16].try_into().expect("four length bytes")) as usize;
         if len > MAX_FRAME {
             return Err(oversized());
         }
@@ -745,10 +830,10 @@ impl WireState {
         buf[..CHAINED_HEADER].copy_from_slice(&header);
         read_exact_or_closed(r, &mut buf[CHAINED_HEADER..], true)?;
         let wf = parse_wire(&buf, self.chain, self.seq)?;
-        let frame = Frame::decode_payload(wf.payload)?;
+        let out = decode(wf.payload)?;
         self.seq += 1;
         self.chain = wf.digest;
-        Ok(frame)
+        Ok(out)
     }
 }
 

@@ -27,7 +27,10 @@
 //!   the last reply, so an encoded copy would free nothing. A later
 //!   `Hello` for that tenant re-attaches the session — same reply chain,
 //!   same batch cursor, same remaining budget — so expiry is invisible on
-//!   the wire.
+//!   the wire. Parked tenants are bounded too: a new tenant admitted while
+//!   `max_tenants` are parked drops the one parked longest (`Stats` keeps
+//!   its counters), so the table never holds more than `2·max_tenants`;
+//!   a later `Hello` under that name starts a new session at batch 0.
 //! * **Load shedding.** Beyond [`ServeOpts::max_conns`] live
 //!   connections, the accept loop answers with a typed
 //!   [`Frame::Busy`] carrying a retry-after hint and closes, instead of
@@ -57,8 +60,8 @@ use std::time::{Duration, Instant};
 use parapage::core::policy;
 
 use crate::protocol::{
-    c2s_chain_seed, error_code, s2c_chain_seed, Frame, ServerStats, TenantConfig, WireError,
-    WireState, MAX_FRAME, MAX_PROCS, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
+    c2s_chain_seed, error_code, s2c_chain_seed, Frame, Request, ServerStats, TenantConfig,
+    WireError, WireState, MAX_FRAME, MAX_PROCS, MAX_SHARDS, MAX_TENANT_NAME, PROTO_VERSION,
 };
 use crate::tenant::{TenantCounters, TenantOpts, TenantSession};
 use crate::yieldpoint::{acquire, try_acquire, Held, LockName};
@@ -81,8 +84,9 @@ pub struct ServeOpts {
     pub read_timeout: Option<Duration>,
     /// Park tenants with no attached connection for this long: they leave
     /// the `max_tenants` count, drop their pending kill and migrate
-    /// orders, and a later `Hello` re-attaches them. `None` disables
-    /// expiry.
+    /// orders, and a later `Hello` re-attaches them — unless, with
+    /// `max_tenants` parked, a new tenant took the place of the one parked
+    /// longest. `None` disables expiry.
     pub idle_ttl: Option<Duration>,
     /// Live-connection cap; beyond it new connections are shed with a
     /// typed [`Frame::Busy`].
@@ -147,8 +151,18 @@ pub(crate) struct TenantEntry {
     /// When `attached` last dropped to zero (meaningful only then).
     idle_since: Instant,
     /// Expired by the reaper: out of the `max_tenants` count until a
-    /// `Hello` re-attaches it.
-    pub(crate) parked: bool,
+    /// `Hello` re-attaches it. Boxed, so an entry is no larger than with
+    /// a flag: the table's nodes hold entries inline, and every tenant's
+    /// heap is counted.
+    pub(crate) parked: Option<Box<Parked>>,
+}
+
+/// When a tenant was parked, and what it had served by then (a parked
+/// session runs nothing until it is re-attached).
+pub(crate) struct Parked {
+    /// Position in the server's parking order: the expiry count before it.
+    order: u64,
+    counters: TenantCounters,
 }
 
 impl TenantEntry {
@@ -156,8 +170,49 @@ impl TenantEntry {
     /// returns the session to attach it to.
     pub(crate) fn attach(&mut self) -> Arc<Session> {
         self.attached += 1;
-        self.parked = false;
+        self.parked = None;
         Arc::clone(&self.session)
+    }
+}
+
+/// The tenant table: every tenant by name, parked ones included, in name
+/// order, and the counters of the parked tenants dropped from it, which
+/// `Stats` still counts. It reads as its map.
+#[derive(Default)]
+pub(crate) struct Tenants {
+    entries: BTreeMap<String, TenantEntry>,
+    dropped: TenantCounters,
+}
+
+impl std::ops::Deref for Tenants {
+    type Target = BTreeMap<String, TenantEntry>;
+    fn deref(&self) -> &Self::Target {
+        &self.entries
+    }
+}
+
+impl std::ops::DerefMut for Tenants {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.entries
+    }
+}
+
+impl Tenants {
+    /// Makes room for a new tenant among the parked ones: at `max`
+    /// parked tenants, drops the one parked longest, keeping its counters.
+    /// With at most `max` live tenants, the table then never holds more
+    /// than `2·max` entries.
+    fn bound_parked(&mut self, max: usize) {
+        let parked = (self.entries.iter()).filter_map(|(name, e)| Some((e.parked.as_ref()?, name)));
+        if parked.clone().count() < max {
+            return;
+        }
+        let Some((oldest, name)) = parked.min_by_key(|(p, _)| p.order) else {
+            return;
+        };
+        let name = name.clone();
+        self.dropped.add(&oldest.counters);
+        self.entries.remove(&name);
     }
 }
 
@@ -170,7 +225,7 @@ pub(crate) struct ServerState {
     addr: Option<SocketAddr>,
     /// Every tenant by name, parked ones included, in name order, so a
     /// sweep and a `Stats` fold take session locks in one order every run.
-    pub(crate) tenants: Mutex<BTreeMap<String, TenantEntry>>,
+    pub(crate) tenants: Mutex<Tenants>,
     /// Clones of every live connection's stream (`None` where cloning
     /// failed, or for a core with no sockets), keyed by connection id, so
     /// shutdown can unblock handlers parked in a read. A handler removes
@@ -196,7 +251,7 @@ impl ServerState {
         ServerState {
             opts,
             addr,
-            tenants: Mutex::new(BTreeMap::new()),
+            tenants: Mutex::new(Tenants::default()),
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             live_conns: AtomicUsize::new(0),
@@ -209,33 +264,36 @@ impl ServerState {
     }
 
     pub(crate) fn stats(&self) -> ServerStats {
-        let mut s = ServerStats {
-            tenants: self.admitted.load(Ordering::SeqCst),
-            expiries: self.expiries.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            ..ServerStats::default()
-        };
-        let mut fold = |c: TenantCounters| {
-            s.batches += c.batches;
-            s.requests += c.requests;
-            s.restarts += c.restarts;
-            s.migrations += c.migrations;
-            s.wal_records += c.wal_records;
-            s.checkpoint_bytes += c.checkpoint_bytes;
-        };
-        // One consistent membership under the table lock; the sessions are
+        let admitted = self.admitted.load(Ordering::SeqCst);
+        let expiries = self.expiries.load(Ordering::SeqCst);
+        let shed = self.shed.load(Ordering::SeqCst);
+        // One consistent membership under the table lock, starting from
+        // the counters of the tenants dropped before it; the sessions are
         // locked only after the table is released.
-        let sessions: Vec<Arc<Session>> = (table(&self.tenants, LockName::Tenants).values())
-            .map(|e| Arc::clone(&e.session))
-            .collect();
+        let (mut c, sessions) = {
+            let tenants = table(&self.tenants, LockName::Tenants);
+            let sessions: Vec<Arc<Session>> =
+                (tenants.values()).map(|e| Arc::clone(&e.session)).collect();
+            (tenants.dropped, sessions)
+        };
         // A quarantined tenant's counters are left out: its session may
         // have been torn mid-batch.
         for session in sessions {
             if let Ok(t) = session.lock() {
-                fold(t.counters());
+                c.add(&t.counters());
             }
         }
-        s
+        ServerStats {
+            tenants: admitted,
+            batches: c.batches,
+            requests: c.requests,
+            restarts: c.restarts,
+            migrations: c.migrations,
+            wal_records: c.wal_records,
+            checkpoint_bytes: c.checkpoint_bytes,
+            expiries,
+            shed,
+        }
     }
 }
 
@@ -380,7 +438,7 @@ pub(crate) fn reap(state: &ServerState, ttl: Duration) -> Vec<String> {
     let mut tenants = table(&state.tenants, LockName::Tenants);
     let mut parked = Vec::new();
     for (name, entry) in tenants.iter_mut() {
-        if entry.parked || entry.attached > 0 || entry.idle_since.elapsed() < ttl {
+        if entry.parked.is_some() || entry.attached > 0 || entry.idle_since.elapsed() < ttl {
             continue;
         }
         let session = &entry.session;
@@ -388,8 +446,10 @@ pub(crate) fn reap(state: &ServerState, ttl: Duration) -> Vec<String> {
             continue;
         };
         t.park();
-        entry.parked = true;
-        state.expiries.fetch_add(1, Ordering::SeqCst);
+        entry.parked = Some(Box::new(Parked {
+            order: state.expiries.fetch_add(1, Ordering::SeqCst),
+            counters: t.counters(),
+        }));
         parked.push(name.clone());
     }
     parked
@@ -450,7 +510,7 @@ fn connection_loop(
     let mut rx = WireState::new(c2s_chain_seed());
     let mut tx = WireState::new(s2c_chain_seed());
     loop {
-        let frame = match rx.read_frame(stream) {
+        let request = match rx.read_request(stream) {
             Ok(f) => f,
             Err(WireError::Closed) => return Ok(()),
             Err(WireError::TimedOut { mid_frame }) => {
@@ -486,7 +546,7 @@ fn connection_loop(
             }
             Err(e) => return Err(e),
         };
-        let reply = serve_frame(state, frame, attached);
+        let reply = serve_frame(state, request, attached);
         tx.write_frame(stream, &reply)?;
         match reply {
             Frame::GoodbyeAck => return Ok(()),
@@ -501,34 +561,37 @@ fn connection_loop(
 
 /// The connection loop's per-frame step for a connection attached (via
 /// `Hello`) to `attached`. The loop closes after a `GoodbyeAck`, and
-/// begins the shutdown after a `ShutdownAck`.
+/// begins the shutdown after a `ShutdownAck`. Every batch is served from
+/// page runs: the wire's, or those a [`Frame::Batch`] converts into.
 pub(crate) fn serve_frame(
     state: &ServerState,
-    frame: Frame,
+    request: impl Into<Request>,
     attached: &mut Option<Arc<Session>>,
 ) -> Frame {
-    match frame {
-        Frame::Hello { proto, config } => match admit(state, proto, config, attached) {
-            Ok(ack) => ack,
-            Err((code, message)) => Frame::Error { code, message },
-        },
-        Frame::Batch { batch, seqs } => on_session(attached, |t| t.run_batch(batch, &seqs)),
-        Frame::Replay { batch } => on_session(attached, |t| t.replay(batch)),
-        Frame::Migrate { batch, at_tick } => on_session(attached, |t| {
+    match request.into() {
+        Request::Batch { batch, seqs } => on_session(attached, |t| t.run_batch(batch, &seqs)),
+        Request::Frame(Frame::Hello { proto, config }) => {
+            match admit(state, proto, config, attached) {
+                Ok(ack) => ack,
+                Err((code, message)) => Frame::Error { code, message },
+            }
+        }
+        Request::Frame(Frame::Replay { batch }) => on_session(attached, |t| t.replay(batch)),
+        Request::Frame(Frame::Migrate { batch, at_tick }) => on_session(attached, |t| {
             Ok(Frame::MigrateAck {
                 pending: t.queue_migration(batch, at_tick),
             })
         }),
-        Frame::Kill { batch, at_tick } => on_session(attached, |t| {
+        Request::Frame(Frame::Kill { batch, at_tick }) => on_session(attached, |t| {
             Ok(Frame::KillAck {
                 pending: t.queue_kill(batch, at_tick),
             })
         }),
-        Frame::Stats => Frame::StatsReply {
+        Request::Frame(Frame::Stats) => Frame::StatsReply {
             stats: state.stats(),
         },
-        Frame::Goodbye => Frame::GoodbyeAck,
-        Frame::Shutdown => Frame::ShutdownAck,
+        Request::Frame(Frame::Goodbye) => Frame::GoodbyeAck,
+        Request::Frame(Frame::Shutdown) => Frame::ShutdownAck,
         // Server-to-client frames arriving at the server are a state
         // violation, not a codec one: the bytes were well-formed.
         _ => Frame::Error {
@@ -638,12 +701,13 @@ fn admit(
         *attached = Some(session);
         return Ok(ack);
     }
-    if tenants.values().filter(|e| !e.parked).count() >= state.opts.max_tenants {
+    if tenants.values().filter(|e| e.parked.is_none()).count() >= state.opts.max_tenants {
         return Err((
             error_code::TENANTS_FULL,
             format!("tenant table full ({} tenants)", state.opts.max_tenants),
         ));
     }
+    tenants.bound_parked(state.opts.max_tenants);
     let opts = TenantOpts {
         epoch_ticks: state.opts.epoch_ticks,
         max_retries: state.opts.max_retries,
@@ -662,7 +726,7 @@ fn admit(
             config,
             attached: 1,
             idle_since: Instant::now(),
-            parked: false,
+            parked: None,
         },
     );
     if let Some(previous) = attached.replace(session) {
@@ -763,21 +827,25 @@ mod lifecycle_tests {
         }
     }
 
-    /// Tenant `a` serves batch 0, hangs up and is parked by a sweep;
-    /// returns the chain after batch 0.
-    fn serve_then_park(state: &ServerState) -> u64 {
+    /// `tenant` serves batch 0, hangs up and is parked by a sweep (nothing
+    /// else is idle); returns the chain after batch 0.
+    fn serve_then_park(state: &ServerState, tenant: &str) -> u64 {
         let mut conn = None;
-        resume(&hello(state, &mut conn, "a"));
+        resume(&hello(state, &mut conn, tenant));
         let chain = chain_of(&batch(state, &mut conn, 0));
         goodbye(state, &mut conn);
-        assert_eq!(reap(state, Duration::ZERO), ["a"]);
+        assert_eq!(reap(state, Duration::ZERO), [tenant]);
         chain
     }
 
     #[test]
     fn a_parked_tenant_is_not_counted_and_reattaches_into_a_full_table() {
-        let state = core(1);
-        let chain = serve_then_park(&state);
+        // Two places, one taken by `d` throughout: with one place, the
+        // parked `a` would be the one parked tenant a cap of one keeps,
+        // and dropped for `b`.
+        let state = core(2);
+        resume(&hello(&state, &mut None, "d"));
+        let chain = serve_then_park(&state, "a");
         let mut b = None;
         resume(&hello(&state, &mut b, "b"));
         let mut c = None;
@@ -799,13 +867,40 @@ mod lifecycle_tests {
             error_code_of(&hello(&state, &mut c, "c")),
             error_code::TENANTS_FULL
         );
-        assert_eq!(stats(&state).tenants, 2);
+        assert_eq!(stats(&state).tenants, 3);
+    }
+
+    fn names(state: &ServerState) -> Vec<String> {
+        table(&state.tenants, LockName::Tenants)
+            .keys()
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn a_new_tenant_drops_the_one_parked_longest_once_max_tenants_are_parked() {
+        let state = core(2);
+        serve_then_park(&state, "b");
+        serve_then_park(&state, "a");
+        // Two parked, the cap: `c` takes the place of `b`, parked first.
+        let mut c = None;
+        resume(&hello(&state, &mut c, "c"));
+        assert_eq!(names(&state), ["a", "c"]);
+        // A `Hello` under the dropped name starts a new session.
+        let mut b = None;
+        let fresh = (0, crate::tenant::reply_chain_seed("b"));
+        assert_eq!(resume(&hello(&state, &mut b, "b")), fresh);
+        assert_eq!(names(&state), ["a", "b", "c"]);
+        // `Stats` still counts what the dropped session served.
+        let s = stats(&state);
+        assert_eq!((s.tenants, s.batches, s.expiries), (4, 2, 2));
+        assert_eq!(s.requests, 2 * 16);
     }
 
     #[test]
     fn a_hello_with_another_config_leaves_the_tenant_parked() {
-        let state = core(1);
-        let chain = serve_then_park(&state);
+        let state = core(2);
+        let chain = serve_then_park(&state, "a");
         let mut conn = None;
         let other = TenantConfig {
             seed: 8,
@@ -818,6 +913,7 @@ mod lifecycle_tests {
         assert!(reap(&state, Duration::ZERO).is_empty());
         assert_eq!(stats(&state).expiries, 1);
         resume(&hello(&state, &mut None, "b"));
+        resume(&hello(&state, &mut None, "d"));
         assert_eq!(resume(&hello(&state, &mut conn, "a")), (1, chain));
     }
 

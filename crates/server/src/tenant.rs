@@ -26,7 +26,7 @@
 //! counters (restarts, migrations, checkpoint bytes) are deliberately kept
 //! out of the reply chain and surface only through `Stats`.
 
-use parapage::cache::{fnv1a64, fnv1a64_seeded, PageId, ShardedLru, SnapWriter};
+use parapage::cache::{fnv1a64, fnv1a64_seeded, Sequence, ShardedLru, SnapWriter};
 use parapage::core::{policy, ModelParams};
 use parapage::sched::{
     CrashPlan, EngineOpts, EpochControl, FaultPlan, MemStore, NullSink, RunResult, Supervisor,
@@ -115,6 +115,18 @@ pub struct TenantCounters {
     pub checkpoint_bytes: u64,
 }
 
+impl TenantCounters {
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: &TenantCounters) {
+        self.batches += other.batches;
+        self.requests += other.requests;
+        self.restarts += other.restarts;
+        self.migrations += other.migrations;
+        self.wal_records += other.wal_records;
+        self.checkpoint_bytes += other.checkpoint_bytes;
+    }
+}
+
 impl TenantSession {
     /// A fresh session for an admitted tenant.
     pub fn new(config: TenantConfig, opts: TenantOpts) -> Self {
@@ -193,7 +205,9 @@ impl TenantSession {
     }
 
     /// Runs one batch through the supervised engine and builds the
-    /// deterministic `BatchDone` reply.
+    /// deterministic `BatchDone` reply. `seqs` is one sequence per
+    /// processor, as page runs (what the server decodes) or expanded pages;
+    /// the reply is the same either way.
     ///
     /// # Errors
     /// `(code, message)` pairs matching [`error_code`]: a batch-sequence
@@ -201,7 +215,11 @@ impl TenantSession {
     /// budget is `BUDGET_EXHAUSTED`, and a terminal engine failure is
     /// `ENGINE_FAILED`. The session survives all of them; only a served
     /// batch advances the sequence and the reply chain.
-    pub fn run_batch(&mut self, batch: u64, seqs: &[Vec<PageId>]) -> Result<Frame, (u16, String)> {
+    pub fn run_batch<S: Sequence>(
+        &mut self,
+        batch: u64,
+        seqs: &[S],
+    ) -> Result<Frame, (u16, String)> {
         if batch != self.next_batch {
             return Err((
                 error_code::BAD_STATE,
@@ -218,7 +236,7 @@ impl TenantSession {
                 ),
             ));
         }
-        let batch_requests: u64 = seqs.iter().map(|s| s.len() as u64).sum();
+        let batch_requests = S::sequences(seqs).total_len() as u64;
         if batch_requests > self.budget_left {
             return Err((
                 error_code::BUDGET_EXHAUSTED,

@@ -1,18 +1,19 @@
 //! The protocol v4 `Batch` body: each sequence a page run (length, then
 //! width byte, base and narrow offsets). Its layout byte for byte, hostile
 //! runs as typed errors that reserve nothing beyond the v3 ceiling, a v3
-//! `Hello` refused, and the bytes a servebench-shaped batch costs.
+//! `Hello` refused, and the bytes a servebench-shaped batch costs on the
+//! wire and in the server once decoded.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use parapage::cache::{CodecError, PageId, SnapWriter};
+use parapage::cache::{CodecError, PageId, PageRun, SnapWriter};
 use parapage::workloads::{build_workload, SeqSpec};
 use parapage_server::protocol::{
     c2s_chain_seed, error_code, Frame, TenantConfig, MAX_BATCH_PAGES, MAX_FRAME, PROTO_VERSION,
 };
 use parapage_server::server::{serve, ServeOpts};
-use parapage_server::{Client, WireState};
+use parapage_server::{Client, Request, WireState};
 
 /// The system allocator, with the calling thread's live bytes and their
 /// peak kept per thread, so tests running side by side do not mix.
@@ -49,6 +50,11 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
+
+/// Bytes this thread has allocated and not freed.
+fn live_bytes() -> usize {
+    LIVE.with(Cell::get)
+}
 
 /// Runs `f` and returns its result with the most bytes it had allocated
 /// at once on this thread beyond what was live when it started.
@@ -250,10 +256,11 @@ fn a_v3_hello_is_refused_with_bad_version() {
     handle.join();
 }
 
-/// Wire bytes of one `Batch` frame in the shape of each servebench
-/// workload named: per processor a cyclic, zipf or uniform sequence over
-/// the working set that workload sizes from `k` and its scale.
-fn wire_bytes(p: usize, k: usize, scale: usize, len: usize) -> usize {
+/// One `Batch` frame in the shape of each servebench workload named, as
+/// its request sequences and its wire bytes: per processor a cyclic, zipf
+/// or uniform sequence over the working set that workload sizes from `k`
+/// and its scale.
+fn batch_frame(p: usize, k: usize, scale: usize, len: usize) -> (Vec<Vec<PageId>>, Vec<u8>) {
     let specs: Vec<SeqSpec> = (0..p)
         .map(|x| match x % 3 {
             0 => SeqSpec::Cyclic {
@@ -275,7 +282,11 @@ fn wire_bytes(p: usize, k: usize, scale: usize, len: usize) -> usize {
     let mut bytes = Vec::new();
     let mut tx = WireState::new(c2s_chain_seed());
     tx.write_batch(&mut bytes, 0, &seqs).expect("write");
-    bytes.len()
+    (seqs, bytes)
+}
+
+fn wire_bytes(p: usize, k: usize, scale: usize, len: usize) -> usize {
+    batch_frame(p, k, scale, len).1.len()
 }
 
 /// Request bytes per batch of the three bulk shapes, against protocol
@@ -289,4 +300,32 @@ fn request_bytes_per_batch_of_the_servebench_shapes_are_pinned() {
     assert_eq!(wire_bytes(16, 256, 4, 500), 10_813);
     // monitor-ucp: 8 x 500, working sets 2x k = 128, width 1.
     assert_eq!(wire_bytes(8, 128, 2, 500), 4_177);
+}
+
+/// What the server holds of a request is about what the wire carried: a
+/// batch read with `read_request` keeps each sequence as its page run, so
+/// the three bulk shapes hold at most their wire bytes plus 64 bytes per
+/// processor once the frame buffer is freed. Expanded into 8-byte pages
+/// they would hold 40 000, 64 000 and 32 000 bytes.
+#[test]
+fn the_server_holds_a_request_in_about_its_wire_bytes() {
+    for (what, p, k, scale, len) in [
+        ("bulk-fit", 4, 64, 1, 1250),
+        ("thrash-randpar", 16, 256, 4, 500),
+        ("monitor-ucp", 8, 128, 2, 500),
+    ] {
+        let (seqs, bytes) = batch_frame(p, k, scale, len);
+        let mut rx = WireState::new(c2s_chain_seed());
+        let before = live_bytes();
+        let request = rx.read_request(&mut bytes.as_slice()).expect("read");
+        let held = live_bytes() - before;
+        let bound = bytes.len() + 64 * p;
+        assert!(held <= bound, "{what}: {held} bytes held, bound {bound}");
+        assert!(8 * p * len > bound, "{what}: the bound does not tell");
+        let Request::Batch { seqs: runs, .. } = request else {
+            panic!("{what}: not a batch");
+        };
+        let expanded: Vec<Vec<PageId>> = runs.iter().map(PageRun::to_pages).collect();
+        assert_eq!(expanded, seqs, "{what}");
+    }
 }

@@ -10,11 +10,11 @@ use std::net::TcpStream;
 
 use proptest::prelude::*;
 
-use parapage::cache::{digest64, fnv1a64_seeded, CodecError, PageId};
+use parapage::cache::{digest64, fnv1a64_seeded, CodecError, PageId, PageRun};
 use parapage::sched::workload_fingerprint;
 use parapage_server::protocol::{
-    c2s_chain_seed, error_code, frame_wire, parse_wire, s2c_chain_seed, Frame, ServerStats,
-    TenantConfig, WireError, WireState, MAX_FRAME, WIRE_MAGIC,
+    c2s_chain_seed, error_code, frame_wire, parse_wire, s2c_chain_seed, Frame, Request,
+    ServerStats, TenantConfig, WireError, WireState, MAX_FRAME, WIRE_MAGIC,
 };
 use parapage_server::server::{serve, ServeOpts};
 use parapage_server::Client;
@@ -446,6 +446,38 @@ proptest! {
         // the only other acceptable outcome.
         if let Ok(frame) = Frame::decode_payload(&bytes) {
             prop_assert_eq!(frame.encode_payload(), bytes);
+        }
+    }
+
+    /// The server's decoder, which keeps a batch as page runs, accepts
+    /// exactly the payloads `Frame::decode_payload` accepts, with the same
+    /// errors, and its runs hold the frame's pages. A `Frame::Batch`
+    /// converts into the very runs its wire form decodes to, so a server
+    /// handed frames (the explorer, the lifecycle tests) serves what a
+    /// connection does.
+    #[test]
+    fn requests_decode_as_frames_do(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        batch in any::<u64>(),
+        seqs in prop::collection::vec(
+            prop::collection::vec(any::<u64>().prop_map(PageId), 0..20),
+            0..6,
+        ),
+    ) {
+        let frame = Frame::Batch { batch, seqs };
+        let valid = frame.encode_payload();
+        prop_assert_eq!(Ok(Request::from(frame)), Request::decode_payload(&valid));
+        let mut cut = valid.clone();
+        cut.truncate(bytes.len() % (valid.len() + 1));
+        for payload in [bytes, valid, cut] {
+            let expanded = Request::decode_payload(&payload).map(|r| match r {
+                Request::Batch { batch, seqs } => Frame::Batch {
+                    batch,
+                    seqs: seqs.iter().map(PageRun::to_pages).collect(),
+                },
+                Request::Frame(frame) => frame,
+            });
+            prop_assert_eq!(expanded, Frame::decode_payload(&payload));
         }
     }
 

@@ -341,3 +341,45 @@ fn cursor_mismatch_is_a_typed_error() {
     handle.shutdown();
     join_within(handle, Duration::from_secs(10), "cursor mismatch");
 }
+
+/// Waits until `handle` has parked `n` tenants in all.
+fn wait_for_expiries(handle: &ServerHandle, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.stats().expiries < n {
+        assert!(Instant::now() < deadline, "{n} expiries never came");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A tenant dropped from a full share of parked tenants starts over: its
+/// resilient client, a batch ahead, re-attaches to a new session at batch
+/// 0 and gets a typed divergence, never a silent restart.
+#[test]
+fn a_dropped_tenant_is_a_typed_divergence_for_its_client() {
+    let handle = serve(
+        "127.0.0.1:0",
+        ServeOpts {
+            max_tenants: 1,
+            idle_ttl: Some(Duration::from_millis(20)),
+            ..ServeOpts::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.addr();
+    let mut client = ResilientClient::new(addr, config("a"), RetryOpts::default());
+    client.run_batch(&workload(0)).expect("batch 0");
+    client.goodbye();
+    wait_for_expiries(&handle, 1);
+    // `b` takes the parked `a`'s place, then idles out in turn.
+    let mut b = Client::connect(addr).expect("connect");
+    assert!(matches!(b.hello(config("b")), Ok(Frame::HelloAck { .. })));
+    let _ = b.call(&Frame::Goodbye);
+    drop(b);
+    wait_for_expiries(&handle, 2);
+    match client.run_batch(&workload(1)) {
+        Err(ClientError::Divergence { .. }) => {}
+        other => panic!("expected a typed divergence, got {other:?}"),
+    }
+    handle.shutdown();
+    join_within(handle, Duration::from_secs(10), "dropped tenant");
+}
