@@ -34,7 +34,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use parapage::cache::{CodecError, SnapReader, SnapWriter, WindowOutcome};
+use parapage::cache::{CodecError, Served, SnapReader, SnapWriter, WindowOutcome};
 use parapage::prelude::*;
 use parapage::workloads::family::conformance_mix;
 
@@ -86,6 +86,10 @@ impl<A: BoxAllocator> BoxAllocator for TimingAlloc<A> {
 
     fn observe_accesses(&mut self, proc: ProcId, served: &[PageId]) {
         self.inner.observe_accesses(proc, served);
+    }
+
+    fn observe_served(&mut self, proc: ProcId, served: Served<'_>) {
+        self.inner.observe_served(proc, served);
     }
 
     fn on_fault(&mut self, event: &FaultEvent) {

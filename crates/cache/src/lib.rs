@@ -77,8 +77,8 @@ pub use lirs::LirsCache;
 pub use lru::LruCache;
 pub use mattson::{miss_curve, stack_distances, MissCurve, StackDistanceKernel};
 pub use policy::{Access, Cache};
-pub use run::{PageRun, Sequence, Sequences};
-pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS};
+pub use run::{PageRun, Sequence, Sequences, Served};
+pub use sharded_lru::{shard_capacity, ShardedLru, MAX_SHARDS, SMALL_SHARD};
 pub use stats::CacheStats;
 pub use testshim::{MapLru, ShardedCache};
 pub use two_queue::TwoQueueCache;

@@ -1,6 +1,7 @@
 //! The common interface implemented by every online cache simulator.
 
 use crate::types::{PageId, Time};
+use crate::window::{serve_window, Pages, WindowOutcome};
 
 /// Outcome of a single page access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,6 +68,25 @@ pub trait Cache {
             return None;
         }
         Some(self.access(page))
+    }
+
+    /// Serves `seq[start..]` for at most `budget` time steps, one
+    /// [`Cache::access_if_fits`] per request: the body of
+    /// [`crate::run_window`]. A cache with modes overrides it to pick its
+    /// mode once per window rather than once per request.
+    fn window<S: Pages + ?Sized>(
+        &mut self,
+        seq: &S,
+        start: usize,
+        budget: Time,
+        miss_penalty: u64,
+    ) -> WindowOutcome
+    where
+        Self: Sized,
+    {
+        serve_window(seq, start, budget, miss_penalty, |page, remaining| {
+            self.access_if_fits(page, remaining, miss_penalty)
+        })
     }
 
     /// Whether `page` is currently resident.

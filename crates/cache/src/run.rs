@@ -334,6 +334,48 @@ impl<'a> Sequences<'a> {
     }
 }
 
+/// Pages `range` of one sequence, as a window served them: borrowed from
+/// expanded pages, or read from a run only when a policy asks for them.
+#[derive(Debug)]
+pub struct Served<'s> {
+    seqs: Sequences<'s>,
+    x: usize,
+    range: Range<usize>,
+    scratch: &'s mut Vec<PageId>,
+}
+
+impl<'s> Served<'s> {
+    /// Pages `range` of sequence `x` of `seqs`; `scratch` holds a run's
+    /// pages if [`Served::pages`] needs them as a slice.
+    pub fn new(
+        seqs: Sequences<'s>,
+        x: usize,
+        range: Range<usize>,
+        scratch: &'s mut Vec<PageId>,
+    ) -> Self {
+        Served {
+            seqs,
+            x,
+            range,
+            scratch,
+        }
+    }
+
+    /// The pages as a slice: borrowed, or expanded from a run into the
+    /// scratch buffer.
+    pub fn pages(self) -> &'s [PageId] {
+        self.seqs.served(self.x, self.range, self.scratch)
+    }
+
+    /// Appends the pages to `out`, copying each once whatever the form.
+    pub fn append_to(self, out: &mut Vec<PageId>) {
+        match self.seqs {
+            Sequences::Pages(s) => out.extend_from_slice(&s[self.x][self.range]),
+            Sequences::Runs(s) => s[self.x].extend_pages(self.range, out),
+        }
+    }
+}
+
 /// An element type the engine serves a batch from: `Vec<PageId>` or
 /// [`PageRun`]. Entry points take `&[S]` for any `S: Sequence`, so a
 /// slice, a `&Vec` or an array of either form is accepted as is.

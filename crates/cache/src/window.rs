@@ -10,7 +10,7 @@
 //! partial fetches are discarded, which matches compartmentalized boxes
 //! (whatever was in flight is evicted at the box boundary anyway).
 
-use crate::policy::Cache;
+use crate::policy::{Access, Cache};
 use crate::stats::CacheStats;
 use crate::types::{PageId, Time};
 
@@ -84,16 +84,29 @@ impl Pages for Vec<PageId> {
 /// assert_eq!(out.stats.hits, 2);
 /// assert_eq!(out.stats.misses, 2);
 /// ```
-// Kept out of line: each instance (per cache and per sequence form) is one
-// loop with the cache's `access_if_fits` inlined into it, which a caller
-// dispatching over several forms would otherwise leave as a call.
-#[inline(never)]
 pub fn run_window<C: Cache, S: Pages + ?Sized>(
     seq: &S,
     start: usize,
     cache: &mut C,
     budget: Time,
     miss_penalty: u64,
+) -> WindowOutcome {
+    cache.window(seq, start, budget, miss_penalty)
+}
+
+/// The box-window loop behind [`Cache::window`]: `serve(page, remaining)`
+/// is the cache's fused fit-and-access ([`Cache::access_if_fits`] or one
+/// mode of it).
+// Kept out of line: each instance (per cache, per mode and per sequence
+// form) is one loop with `serve` inlined into it, which a caller
+// dispatching over several forms would otherwise leave as a call.
+#[inline(never)]
+pub(crate) fn serve_window<S: Pages + ?Sized>(
+    seq: &S,
+    start: usize,
+    budget: Time,
+    miss_penalty: u64,
+    mut serve: impl FnMut(PageId, Time) -> Option<Access>,
 ) -> WindowOutcome {
     debug_assert!(miss_penalty >= 1, "miss penalty must be at least hit cost");
     let mut idx = start;
@@ -102,7 +115,7 @@ pub fn run_window<C: Cache, S: Pages + ?Sized>(
     for page in seq.pages_from(start) {
         // One fused probe decides fit and serves the request; a request
         // only runs if its full cost fits (no partial fetches).
-        let Some(outcome) = cache.access_if_fits(page, remaining, miss_penalty) else {
+        let Some(outcome) = serve(page, remaining) else {
             break;
         };
         stats.record(outcome.is_hit());

@@ -11,13 +11,17 @@
 //!   traces (the degeneracy the whole test story is anchored on), and so is
 //!   a 1-shard [`ShardedLru`] from an [`LruCache`];
 //! * with any shard count, driving [`ShardedLru`] equals driving each
-//!   shard's sequential twin with the routed subsequence.
+//!   shard's sequential twin with the routed subsequence;
+//! * that holds across the move-to-front blocks' boundary too: resizes in
+//!   and out of the blocks, snapshots loaded across modes and budgeted
+//!   accesses down to a zero budget.
 
 use proptest::prelude::*;
 
 use parapage_cache::{
     fnv1a64, shard_capacity, ArcCache, Cache, Checkpoint, ClockCache, FifoCache, LfuCache,
     LruCache, PageId, ProcId, ShardedCache, ShardedLru, SnapReader, SnapWriter, TwoQueueCache,
+    SMALL_SHARD,
 };
 
 fn seq_strategy(max_len: usize, universe: u64) -> impl Strategy<Value = Vec<PageId>> {
@@ -300,6 +304,123 @@ proptest! {
                 let mut live = fast.clone();
                 prop_assert_eq!(restored.access(next), live.access(next), "step {}: restored", step);
                 prop_assert_eq!(snapshot_bytes(&restored), snapshot_bytes(&live), "step {}: restored", step);
+            }
+        }
+    }
+}
+
+/// One step of the mode-boundary trace: accesses (plain, budgeted with
+/// zero budgets and free misses included), resizes to per-shard capacities
+/// on both sides of [`SMALL_SHARD`], and saves and loads.
+#[derive(Clone, Debug)]
+enum Boundary {
+    Access(PageId),
+    AccessIfFits(PageId, u64, u64),
+    /// Resize to `n * per_shard + extra` pages over `n` shards.
+    Resize(usize, usize),
+    Clear,
+    Save,
+    Load,
+}
+
+fn boundary_strategy(universe: u64) -> impl Strategy<Value = Boundary> {
+    (
+        0u8..16,
+        0..universe,
+        0u64..4,
+        0u64..3,
+        0..=2 * SMALL_SHARD,
+        0usize..4,
+    )
+        .prop_map(
+            move |(kind, page, remaining, penalty, per_shard, extra)| match kind {
+                0..=5 => Boundary::Access(PageId(page)),
+                6..=9 => Boundary::AccessIfFits(PageId(page), remaining, penalty),
+                10..=12 => Boundary::Resize(per_shard, extra),
+                13 => Boundary::Clear,
+                14 => Boundary::Save,
+                _ => Boundary::Load,
+            },
+        )
+}
+
+/// Whether a sharded LRU of `capacity` over `n` shards serves from its
+/// move-to-front blocks: no shard holds more than [`SMALL_SHARD`] pages.
+fn on_blocks(capacity: usize, n: usize) -> bool {
+    shard_capacity(capacity, n, 0) <= SMALL_SHARD
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Across the blocks' boundary, [`ShardedLru`] is still the reference
+    /// `ShardedCache<LruCache>`: resizes that move every shard between at
+    /// most and more than [`SMALL_SHARD`] pages (so a shrink into the
+    /// blocks truncates each shard to its LRU order), snapshots saved in
+    /// one mode and loaded in the other, and budgeted accesses down to a
+    /// zero budget, at 1 to 32 shards. Equal outcomes, `len`, `capacity`,
+    /// residency and snapshot bytes after every step; the trace ends with
+    /// a save in each mode loaded in the other.
+    #[test]
+    fn sharded_lru_matches_the_reference_across_the_block_boundary(
+        ops in prop::collection::vec(boundary_strategy(64), 0..160),
+        start in 0..=2 * SMALL_SHARD,
+        shards in 1usize..=32,
+    ) {
+        const UNIVERSE: u64 = 64;
+        let n = shards.next_power_of_two();
+        let mut fast = ShardedLru::with_shards(n * start, shards);
+        let mut reference = ShardedCache::with_shards(n * start, shards);
+        let mut blob = snapshot_bytes(&fast);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Boundary::Access(page) => {
+                    prop_assert_eq!(fast.access(page), reference.access(page), "step {}", step);
+                }
+                Boundary::AccessIfFits(page, remaining, penalty) => {
+                    prop_assert_eq!(
+                        fast.access_if_fits(page, remaining, penalty),
+                        reference.access_if_fits(page, remaining, penalty),
+                        "step {}", step
+                    );
+                }
+                Boundary::Resize(per_shard, extra) => {
+                    fast.resize(n * per_shard + extra);
+                    reference.resize(n * per_shard + extra);
+                }
+                Boundary::Clear => {
+                    fast.clear();
+                    reference.clear();
+                }
+                Boundary::Save => blob = snapshot_bytes(&fast),
+                Boundary::Load => {
+                    fast.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                    reference.load(&mut SnapReader::new(&blob))
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: load: {e}")))?;
+                }
+            }
+            assert_same_state(&fast, &reference, UNIVERSE, step)?;
+        }
+
+        // A snapshot of each mode, loaded over a cache in the other.
+        for (from, to) in [(SMALL_SHARD, SMALL_SHARD + 1), (SMALL_SHARD + 1, SMALL_SHARD)] {
+            fast.resize(n * from);
+            reference.resize(n * from);
+            for v in 0..UNIVERSE / 2 {
+                prop_assert_eq!(fast.access(PageId(v)), reference.access(PageId(v)));
+            }
+            let saved = assert_same_state(&fast, &reference, UNIVERSE, ops.len())?;
+            fast.resize(n * to);
+            reference.resize(n * to);
+            prop_assert_ne!(on_blocks(fast.capacity(), n), on_blocks(n * from, n));
+            fast.load(&mut SnapReader::new(&saved))
+                .map_err(|e| TestCaseError::fail(format!("cross-mode load: {e}")))?;
+            reference.load(&mut SnapReader::new(&saved))
+                .map_err(|e| TestCaseError::fail(format!("cross-mode load: {e}")))?;
+            prop_assert_eq!(&assert_same_state(&fast, &reference, UNIVERSE, ops.len())?, &saved);
+            for v in (0..UNIVERSE).rev() {
+                prop_assert_eq!(fast.access(PageId(v)), reference.access(PageId(v)));
             }
         }
     }

@@ -34,7 +34,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use parapage_cache::{CodecError, PageId, ProcId, SnapReader, SnapWriter, Time, WindowOutcome};
+use parapage_cache::{
+    CodecError, PageId, ProcId, Served, SnapReader, SnapWriter, Time, WindowOutcome,
+};
 
 use crate::parallel::det_par::PhaseRecord;
 use crate::parallel::{BoxAllocator, FaultEvent, Grant};
@@ -148,6 +150,10 @@ impl<A: BoxAllocator> BoxAllocator for HardenedAllocator<A> {
 
     fn observe_accesses(&mut self, proc: ProcId, served: &[PageId]) {
         self.inner.observe_accesses(proc, served);
+    }
+
+    fn observe_served(&mut self, proc: ProcId, served: Served<'_>) {
+        self.inner.observe_served(proc, served);
     }
 
     fn on_fault(&mut self, event: &FaultEvent) {

@@ -37,7 +37,7 @@ pub mod hardened;
 pub mod rand_par;
 pub mod ucp;
 
-use parapage_cache::{CodecError, ProcId, SnapReader, SnapWriter, Time, WindowOutcome};
+use parapage_cache::{CodecError, ProcId, Served, SnapReader, SnapWriter, Time, WindowOutcome};
 
 /// An environmental fault injected into a run, delivered to the policy by
 /// the engine when simulated time reaches the event.
@@ -170,6 +170,14 @@ pub trait BoxAllocator {
     /// information — e.g. [`ucp::UcpPartition`]'s shadow Mattson monitors —
     /// read it here; the paper's oblivious algorithms never implement this.
     fn observe_accesses(&mut self, _proc: ProcId, _served: &[parapage_cache::PageId]) {}
+
+    /// What the engine calls with the pages a window served: by default
+    /// [`BoxAllocator::observe_accesses`] of them as a slice. A policy that
+    /// keeps the stream appends it into its own buffer here, so pages read
+    /// from a run are copied once, not expanded and then copied.
+    fn observe_served(&mut self, proc: ProcId, served: Served<'_>) {
+        self.observe_accesses(proc, served.pages());
+    }
 
     /// Notification that a fault was injected at the event's timestamp
     /// (default: ignored). The engine delivers every injected

@@ -24,7 +24,8 @@
 //!   `(processor, block)` pair for each block it hands out.
 
 use parapage_cache::{
-    CodecError, MissCurve, PageId, ProcId, SnapReader, SnapWriter, StackDistanceKernel, Time,
+    CodecError, MissCurve, PageId, ProcId, Served, SnapReader, SnapWriter, StackDistanceKernel,
+    Time,
 };
 
 use crate::config::ModelParams;
@@ -184,6 +185,10 @@ impl BoxAllocator for UcpPartition {
 
     fn observe_accesses(&mut self, proc: ProcId, served: &[PageId]) {
         self.streams[proc.idx()].extend_from_slice(served);
+    }
+
+    fn observe_served(&mut self, proc: ProcId, served: Served<'_>) {
+        served.append_to(&mut self.streams[proc.idx()]);
     }
 
     fn checkpoint(&self, w: &mut SnapWriter) -> Result<(), CodecError> {

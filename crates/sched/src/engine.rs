@@ -43,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use parapage_cache::{
-    digest64, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, Sequence, Sequences,
+    digest64, Cache, CacheStats, Checkpoint, LruCache, PageId, ProcId, Sequence, Sequences, Served,
     SnapReader, SnapWriter, Time, WordDigest, DIGEST_BASIS,
 };
 use parapage_core::{BoxAllocator, FaultEvent, Grant, Interval, ModelParams};
@@ -194,8 +194,8 @@ pub struct Engine<'a, C: Cache> {
     batch: Vec<(u32, Option<Time>)>,
     batch_req: Vec<ProcId>,
     batch_grants: Vec<Grant>,
-    // The pages a window served, expanded for a non-oblivious policy's
-    // `observe_accesses` when the sequences are page runs.
+    // The pages a window served, expanded from page runs for a
+    // non-oblivious policy that reads them as a slice.
     served: Vec<PageId>,
 }
 
@@ -207,6 +207,22 @@ impl<'a, C: Cache> Engine<'a, C> {
     pub fn new<S: Sequence>(
         alloc: &mut dyn BoxAllocator,
         seqs: &'a [S],
+        params: &ModelParams,
+        opts: &EngineOpts,
+        faults: &'a FaultPlan,
+        cache_factory: impl FnMut(usize) -> C,
+    ) -> Self {
+        let workload = fingerprint(S::sequences(seqs));
+        Engine::for_workload(alloc, seqs, workload, params, opts, faults, cache_factory)
+    }
+
+    /// [`Engine::new`] on sequences whose [`fingerprint`] the caller has
+    /// already taken: a supervisor builds an engine per attempt and hashes
+    /// its batch once.
+    pub(crate) fn for_workload<S: Sequence>(
+        alloc: &mut dyn BoxAllocator,
+        seqs: &'a [S],
+        workload: u64,
         params: &ModelParams,
         opts: &EngineOpts,
         faults: &'a FaultPlan,
@@ -236,7 +252,7 @@ impl<'a, C: Cache> Engine<'a, C> {
                 .fold(0, u64::wrapping_add),
             s: params.s,
             opts: *opts,
-            workload_digest: fingerprint(seqs),
+            workload_digest: workload,
             pos: vec![0usize; p],
             caches: (0..p).map(&mut factory).collect(),
             completions: vec![0u64; p],
@@ -631,10 +647,8 @@ impl<'a, C: Cache> Engine<'a, C> {
         // An oblivious policy reads no feedback, so it is not shown the
         // pages (which a page run would have to expand).
         if out.end_index > served_from && !alloc.oblivious() {
-            let served = self
-                .seqs
-                .served(x, served_from..out.end_index, &mut self.served);
-            alloc.observe_accesses(ProcId(xi), served);
+            let served = Served::new(self.seqs, x, served_from..out.end_index, &mut self.served);
+            alloc.observe_served(ProcId(xi), served);
         }
 
         if out.finished && !self.finished[x] {

@@ -77,7 +77,7 @@ use crate::engine::{Engine, EngineOpts};
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::metrics::RunResult;
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{workload_fingerprint, SnapshotError};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::wal::{genesis, recover, Base, CheckpointStore, WalCursor, WalMark};
 
@@ -486,11 +486,20 @@ impl Supervisor {
         // attempt restores it without reading the store back.
         let mut migrated = None;
         let genesis_due = BASE_BYTES_PER_PROC.saturating_mul(params.p as u64);
+        // The batch is hashed once, however many engines the run builds.
+        let workload = workload_fingerprint(seqs);
 
         'attempt: loop {
             let mut alloc = policy_factory();
-            let mut engine =
-                Engine::new(&mut *alloc, seqs, params, opts, faults, &mut cache_factory);
+            let mut engine = Engine::for_workload(
+                &mut *alloc,
+                seqs,
+                workload,
+                params,
+                opts,
+                faults,
+                &mut cache_factory,
+            );
             let inputs = match inputs {
                 Some(d) => d,
                 None => *inputs.insert(engine.inputs_digest(params.k, &*alloc)?),

@@ -25,7 +25,7 @@ rev=$1
 shift
 workload=()
 pairs=10
-seconds=2
+seconds=$(grep -o '"run_seconds": *[0-9.]*' BENCHMARK.json | grep -o '[0-9.]*$')
 while [ $# -gt 0 ]; do
     case $1 in
         --workload) workload=(--workload "${2:?$usage}"); shift 2 ;;
@@ -109,9 +109,12 @@ printf '%s\n' "$better" | awk -v pairs="$pairs" '
                 if ((dir[key] == "lower" && c < p) || (dir[key] == "higher" && c > p)) won++
                 printf "  %-6d %14.6g %14.6g\n", i, p, c
             }
-            printf "  %-6s %14.6g %14.6g\n", "q1", quantile(key, "parent", 0.25), quantile(key, "change", 0.25)
-            printf "  %-6s %14.6g %14.6g   change won %d of %d\n", "median", quantile(key, "parent", 0.5), quantile(key, "change", 0.5), won, n
-            printf "  %-6s %14.6g %14.6g\n\n", "q3", quantile(key, "parent", 0.75), quantile(key, "change", 0.75)
+            q1 = quantile(key, "parent", 0.25); q3 = quantile(key, "parent", 0.75)
+            mp = quantile(key, "parent", 0.5); mc = quantile(key, "change", 0.5)
+            gap = mc > mp ? mc - mp : mp - mc
+            printf "  %-6s %14.6g %14.6g\n", "q1", q1, quantile(key, "change", 0.25)
+            printf "  %-6s %14.6g %14.6g   change won %d of %d%s\n", "median", mp, mc, won, n, gap <= q3 - q1 ? ", unresolved" : ""
+            printf "  %-6s %14.6g %14.6g\n\n", "q3", q3, quantile(key, "change", 0.75)
         }
     }
 ' - "$log"
